@@ -139,6 +139,7 @@ def _check_full_row_rank(mat, name):
     rows, cols = mat.shape
     if rows > cols:
         raise DimensionError(f"{name} must not have more rows than columns, got {mat.shape}")
+    ensure_finite(mat, name)
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] <= _RANK_TOL:
         raise ValueError(f"{name} is row-rank deficient (smallest singular value {svals[-1]:.2e})")

@@ -91,9 +91,12 @@ def read_matrix_csv(path):
                     f"{path}: row {lineno} has {len(cells)} cells, expected {width}"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError as exc:
                 raise FileFormatError(f"{path}: row {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise FileFormatError(f"{path}: row {lineno}: non-finite entry")
+            rows.append(row)
     if not rows:
         raise FileFormatError(f"{path}: no numeric rows")
     return np.asarray(rows, dtype=float)

@@ -12,12 +12,13 @@ replaces (P2 kron P1) S by a free coarse factor matrix that absorbs the
 unknown spatial operators; the coarse block carries the Schatten penalty but
 no TV term and no nonnegativity constraint.
 
-Each block takes one projected gradient step with step size 1/L, where L is a
-cheap upper bound on the block curvature (exact for the small Gram terms,
-operator-norm products elsewhere), so the unaccelerated iteration decreases
+Each block is a pair (step, project): ``step`` returns the block gradient at
+an anchor and a cheap upper bound L on the block curvature (exact for the
+small Gram terms, operator-norm products elsewhere).  One driver serves both
+solvers: it moves each block 1/L from its anchor, projected onto the
+nonnegative orthant if ``project``, so the unaccelerated iteration decreases
 the objective monotonically.  Nesterov extrapolation is applied per block by
-default; gradients, reweighting matrices and curvature bounds are all
-evaluated at the extrapolated anchor.
+default; gradients, reweighting and bounds are all evaluated at the anchor.
 """
 
 import math
@@ -42,7 +43,7 @@ from .regularizers import (
     tv_value,
     tv_weights,
 )
-from .tensors import refold, unfold
+from .tensors import ensure_finite, refold, unfold
 
 _TINY = np.finfo(float).tiny
 
@@ -108,8 +109,8 @@ class FusionData:
 
     @classmethod
     def from_tensors(cls, hsi, msi, ops):
-        hsi = np.asarray(hsi, dtype=float)
-        msi = np.asarray(msi, dtype=float)
+        hsi = ensure_finite(np.asarray(hsi, dtype=float), "HSI")
+        msi = ensure_finite(np.asarray(msi, dtype=float), "MSI")
         n_bands = ops.pm.shape[1]
         expected_hsi = ops.hsi_dims + (n_bands,)
         if hsi.shape != expected_hsi:
@@ -141,8 +142,8 @@ class BlindFusionData:
 
     @classmethod
     def from_tensors(cls, hsi, msi, pm):
-        hsi = np.asarray(hsi, dtype=float)
-        msi = np.asarray(msi, dtype=float)
+        hsi = ensure_finite(np.asarray(hsi, dtype=float), "HSI")
+        msi = ensure_finite(np.asarray(msi, dtype=float), "MSI")
         pm = np.atleast_2d(np.asarray(pm, dtype=float))
         pm_norm = _check_full_row_rank(pm, "pm")
         if hsi.ndim != 3 or msi.ndim != 3:
@@ -251,7 +252,7 @@ def _map_penalties(maps, shape, cfg, with_tv=True):
 
 
 # ---------------------------------------------------------------------------
-# known-operator objective, gradients, step bounds
+# objectives and block steps: each step returns (gradient, curvature bound)
 # ---------------------------------------------------------------------------
 
 def objective(maps, spectra, data, cfg):
@@ -264,64 +265,34 @@ def objective(maps, spectra, data, cfg):
     return f + _penalty_value(maps, (i, j), cfg)
 
 
-def grad_spectra(maps, spectra, data, cfg):
-    """Gradient of the known-operator objective in the spectra block."""
-    i, j, _ = data.sri_dims
+def spectra_step(spectra, maps, data, cfg):
+    """Spectra-block gradient and curvature bound for the known-operator problem."""
     pm = data.ops.pm
-    phs = _apply_ph(maps, data.ops.p1, data.ops.p2, (i, j))
+    phs = _apply_ph(maps, data.ops.p1, data.ops.p2, data.sri_dims[:2])
     g = spectra @ (phs.T @ phs)
     g += pm.T @ (pm @ spectra) @ (maps.T @ maps)
     g += cfg.ridge_weight * spectra
     g -= data.hsi_mat.T @ phs
     g -= pm.T @ (data.msi_mat.T @ maps)
-    return g
+    return g, _sq_norm(maps) * (data.ph_gram_norm + data.pm_gram_norm) + cfg.ridge_weight
 
 
-def _data_grad_maps(maps, spectra, data):
+def maps_step(maps, spectra, data, cfg):
+    """Maps-block gradient and curvature bound for the known-operator problem;
+    the regularizer gradient and curvature are those of its majorizers at ``maps``."""
     i, j, _ = data.sri_dims
     p1, p2, pm = data.ops.p1, data.ops.p2, data.ops.pm
+    pen, w_curv, tv_curv = _map_penalties(maps, (i, j), cfg)
     phs = _apply_ph(maps, p1, p2, (i, j))
     g = _apply_ph_t((phs @ spectra.T - data.hsi_mat) @ spectra, p1, p2, data.hsi_dims, (i, j))
     pmc = pm @ spectra
     g += (maps @ pmc.T - data.msi_mat) @ pmc
-    return g
-
-
-def grad_maps(maps, spectra, data, cfg):
-    """Gradient of the known-operator objective in the maps block.
-
-    The regularizer contribution is the tangent-point gradient of the
-    quadratic majorizers, which equals the true gradient there.
-    """
-    pen, _, _ = _map_penalties(maps, data.sri_dims[:2], cfg)
-    return _data_grad_maps(maps, spectra, data) + pen
-
-
-def _spectra_bound(maps, data, cfg):
-    return _sq_norm(maps) * (data.ph_gram_norm + data.pm_gram_norm) + cfg.ridge_weight
-
-
-def _maps_bound(spectra, data, cfg, w_curv, tv_curv):
     l = _sq_norm(spectra) * data.ph_gram_norm
-    l += _sq_norm(data.ops.pm @ spectra)
+    l += _sq_norm(pmc)
     l += cfg.schatten.p * cfg.lowrank_weight * w_curv
     l += cfg.tv.q * cfg.tv_weight * tv_curv
-    return l
+    return g + pen, l
 
-
-def step_bounds(maps, spectra, data, cfg):
-    """Cheap upper bounds (L_spectra, L_maps) on the block curvatures.
-
-    Constant operator norms are cached on ``data``; the reweighting terms are
-    evaluated at ``maps``, which should be the gradient anchor.
-    """
-    _, w_curv, tv_curv = _map_penalties(maps, data.sri_dims[:2], cfg)
-    return _spectra_bound(maps, data, cfg), _maps_bound(spectra, data, cfg, w_curv, tv_curv)
-
-
-# ---------------------------------------------------------------------------
-# blind objective, gradients, step bounds
-# ---------------------------------------------------------------------------
 
 def objective_blind(maps, coarse, spectra, data, cfg):
     """Full objective at (S, coarse, C) for the blind problem."""
@@ -337,38 +308,31 @@ def objective_blind(maps, coarse, spectra, data, cfg):
     return f
 
 
-def grad_spectra_blind(maps, coarse, spectra, data, cfg):
+def spectra_step_blind(spectra, maps, coarse, data, cfg):
+    """Spectra-block gradient and curvature bound for the blind problem."""
     g = spectra @ (coarse.T @ coarse)
     g += data.pm.T @ (data.pm @ spectra) @ (maps.T @ maps)
     g += cfg.ridge_weight * spectra
     g -= data.hsi_mat.T @ coarse
     g -= data.pm.T @ (data.msi_mat.T @ maps)
-    return g
+    return g, data.pm_gram_norm * _sq_norm(maps) + _sq_norm(coarse) + cfg.ridge_weight
 
 
-def grad_maps_blind(maps, spectra, data, cfg):
-    """Maps gradient in the blind problem; the HSI term does not touch S."""
+def maps_step_blind(maps, spectra, data, cfg):
+    """Maps-block gradient and curvature bound for the blind problem (no HSI term)."""
+    pen, w_curv, tv_curv = _map_penalties(maps, data.sri_dims[:2], cfg)
     pmc = data.pm @ spectra
-    pen, _, _ = _map_penalties(maps, data.sri_dims[:2], cfg)
-    return (maps @ pmc.T - data.msi_mat) @ pmc + pen
+    l = _sq_norm(pmc)
+    l += cfg.schatten.p * cfg.lowrank_weight * w_curv
+    l += cfg.tv.q * cfg.tv_weight * tv_curv
+    return (maps @ pmc.T - data.msi_mat) @ pmc + pen, l
 
 
-def grad_coarse_blind(coarse, spectra, data, cfg):
-    """Coarse-block gradient: HSI fit plus the Schatten term, no TV."""
-    pen, _, _ = _map_penalties(coarse, data.hsi_dims, cfg, with_tv=False)
-    return (coarse @ spectra.T - data.hsi_mat) @ spectra + pen
-
-
-def step_bounds_blind(maps, coarse, spectra, data, cfg):
-    """Cheap upper bounds (L_spectra, L_maps, L_coarse) for the blind blocks."""
-    _, w_curv, tv_curv = _map_penalties(maps, data.sri_dims[:2], cfg)
-    _, wc_curv, _ = _map_penalties(coarse, data.hsi_dims, cfg, with_tv=False)
-    l_c = data.pm_gram_norm * _sq_norm(maps) + _sq_norm(coarse) + cfg.ridge_weight
-    l_s = _sq_norm(data.pm @ spectra)
-    l_s += cfg.schatten.p * cfg.lowrank_weight * w_curv
-    l_s += cfg.tv.q * cfg.tv_weight * tv_curv
-    l_t = _sq_norm(spectra) + cfg.schatten.p * cfg.lowrank_weight * wc_curv
-    return l_c, l_s, l_t
+def coarse_step_blind(coarse, spectra, data, cfg):
+    """Coarse-block gradient and curvature bound: HSI fit plus Schatten, no TV."""
+    pen, w_curv, _ = _map_penalties(coarse, data.hsi_dims, cfg, with_tv=False)
+    l = _sq_norm(spectra) + cfg.schatten.p * cfg.lowrank_weight * w_curv
+    return (coarse @ spectra.T - data.hsi_mat) @ spectra + pen, l
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +379,46 @@ class _Trace:
         return abs(prev - last) <= rel_tol * abs(prev)
 
 
+def _run(factors, blocks, value, cfg, max_iters):
+    """Block-coordinate driver shared by both solvers.
+
+    Each sweep updates ``factors[b]`` with ``blocks[b] = (step, project)`` in
+    order.  ``step(anchor, factors)`` returns the gradient at the anchor and
+    its curvature bound L, the other factors at their current values; the
+    block moves 1/L from the anchor, projected onto x >= 0 if ``project``.
+    Returns the factors, the trace of ``value(factors)`` and whether
+    ``cfg.rel_tol`` stopped the run.
+    """
+    anchors = list(factors)
+    gammas = [1.0] * len(factors)
+    trace = _Trace()
+    trace.record(value(factors))
+    for _ in range(max_iters):
+        for b, (step, project) in enumerate(blocks):
+            grad, lip = step(anchors[b], factors)
+            new = apg_step(anchors[b], grad, 1.0 / max(lip, _TINY), project)
+            if cfg.accelerate:
+                anchors[b], gammas[b] = extrapolate(new, factors[b], gammas[b])
+            else:
+                anchors[b] = new
+            factors[b] = new
+        trace.record(value(factors))
+        if trace.stalled(cfg.rel_tol):
+            return factors, trace, True
+    return factors, trace, False
+
+
+def _report(maps, spectra, data, trace, converged):
+    return FusionReport(
+        sri=refold(maps @ spectra.T, data.sri_dims),
+        maps=maps,
+        spectra=spectra,
+        objective_trace=np.asarray(trace.values),
+        elapsed=np.asarray(trace.elapsed),
+        converged=converged,
+    )
+
+
 def _init_factor(rng, shape, given, label):
     if given is None:
         return rng.uniform(size=shape)
@@ -447,45 +451,14 @@ def fuse(hsi, msi, ops, n_terms, cfg=None, init=None):
     maps = _init_factor(rng, (i * j, n_terms), given[0], "maps")
     spectra = _init_factor(rng, (k, n_terms), given[1], "spectra")
 
-    maps_ex, spectra_ex = maps, spectra
-    gamma_c = gamma_s = 1.0
-    trace = _Trace()
-    trace.record(objective(maps, spectra, data, cfg))
-    converged = False
-    for _ in range(max_iters):
-        l_c = _spectra_bound(maps, data, cfg)
-        new_spectra = apg_step(
-            spectra_ex, grad_spectra(maps, spectra_ex, data, cfg), 1.0 / max(l_c, _TINY)
-        )
-        if cfg.accelerate:
-            spectra_ex, gamma_c = extrapolate(new_spectra, spectra, gamma_c)
-        else:
-            spectra_ex = new_spectra
-        spectra = new_spectra
-
-        pen, w_curv, tv_curv = _map_penalties(maps_ex, (i, j), cfg)
-        l_s = _maps_bound(spectra, data, cfg, w_curv, tv_curv)
-        g_s = _data_grad_maps(maps_ex, spectra, data) + pen
-        new_maps = apg_step(maps_ex, g_s, 1.0 / max(l_s, _TINY))
-        if cfg.accelerate:
-            maps_ex, gamma_s = extrapolate(new_maps, maps, gamma_s)
-        else:
-            maps_ex = new_maps
-        maps = new_maps
-
-        trace.record(objective(maps, spectra, data, cfg))
-        if trace.stalled(cfg.rel_tol):
-            converged = True
-            break
-
-    return FusionReport(
-        sri=refold(maps @ spectra.T, data.sri_dims),
-        maps=maps,
-        spectra=spectra,
-        objective_trace=np.asarray(trace.values),
-        elapsed=np.asarray(trace.elapsed),
-        converged=converged,
+    blocks = [
+        (lambda c, f: spectra_step(c, f[1], data, cfg), True),
+        (lambda s, f: maps_step(s, f[0], data, cfg), True),
+    ]
+    (spectra, maps), trace, converged = _run(
+        [spectra, maps], blocks, lambda f: objective(f[1], f[0], data, cfg), cfg, max_iters
     )
+    return _report(maps, spectra, data, trace, converged)
 
 
 def fuse_blind(hsi, msi, pm, n_terms, cfg=None, init=None):
@@ -501,66 +474,21 @@ def fuse_blind(hsi, msi, pm, n_terms, cfg=None, init=None):
         raise ValueError("n_terms must be >= 1")
     data = BlindFusionData.from_tensors(hsi, msi, pm)
     i, j, k = data.sri_dims
-    ih, jh = data.hsi_dims
     max_iters = DEFAULT_MAX_ITERS_BLIND if cfg.max_iters is None else cfg.max_iters
 
     rng = np.random.default_rng(cfg.seed)
     given = init if init is not None else (None, None, None)
     maps = _init_factor(rng, (i * j, n_terms), given[0], "maps")
     spectra = _init_factor(rng, (k, n_terms), given[1], "spectra")
-    coarse = _init_factor(rng, (ih * jh, n_terms), given[2], "coarse maps")
+    coarse = _init_factor(rng, (math.prod(data.hsi_dims), n_terms), given[2], "coarse maps")
 
-    maps_ex, spectra_ex, coarse_ex = maps, spectra, coarse
-    gamma_c = gamma_s = gamma_t = 1.0
-    trace = _Trace()
-    trace.record(objective_blind(maps, coarse, spectra, data, cfg))
-    converged = False
-    for _ in range(max_iters):
-        l_c = data.pm_gram_norm * _sq_norm(maps) + _sq_norm(coarse) + cfg.ridge_weight
-        new_spectra = apg_step(
-            spectra_ex,
-            grad_spectra_blind(maps, coarse, spectra_ex, data, cfg),
-            1.0 / max(l_c, _TINY),
-        )
-        if cfg.accelerate:
-            spectra_ex, gamma_c = extrapolate(new_spectra, spectra, gamma_c)
-        else:
-            spectra_ex = new_spectra
-        spectra = new_spectra
-
-        pen, w_curv, tv_curv = _map_penalties(maps_ex, (i, j), cfg)
-        l_s = _sq_norm(data.pm @ spectra)
-        l_s += cfg.schatten.p * cfg.lowrank_weight * w_curv
-        l_s += cfg.tv.q * cfg.tv_weight * tv_curv
-        pmc = data.pm @ spectra
-        g_s = (maps_ex @ pmc.T - data.msi_mat) @ pmc + pen
-        new_maps = apg_step(maps_ex, g_s, 1.0 / max(l_s, _TINY))
-        if cfg.accelerate:
-            maps_ex, gamma_s = extrapolate(new_maps, maps, gamma_s)
-        else:
-            maps_ex = new_maps
-        maps = new_maps
-
-        pen_t, wc_curv, _ = _map_penalties(coarse_ex, (ih, jh), cfg, with_tv=False)
-        l_t = _sq_norm(spectra) + cfg.schatten.p * cfg.lowrank_weight * wc_curv
-        g_t = (coarse_ex @ spectra.T - data.hsi_mat) @ spectra + pen_t
-        new_coarse = apg_step(coarse_ex, g_t, 1.0 / max(l_t, _TINY), project=False)
-        if cfg.accelerate:
-            coarse_ex, gamma_t = extrapolate(new_coarse, coarse, gamma_t)
-        else:
-            coarse_ex = new_coarse
-        coarse = new_coarse
-
-        trace.record(objective_blind(maps, coarse, spectra, data, cfg))
-        if trace.stalled(cfg.rel_tol):
-            converged = True
-            break
-
-    return FusionReport(
-        sri=refold(maps @ spectra.T, data.sri_dims),
-        maps=maps,
-        spectra=spectra,
-        objective_trace=np.asarray(trace.values),
-        elapsed=np.asarray(trace.elapsed),
-        converged=converged,
+    blocks = [
+        (lambda c, f: spectra_step_blind(c, f[1], f[2], data, cfg), True),
+        (lambda s, f: maps_step_blind(s, f[0], data, cfg), True),
+        (lambda t, f: coarse_step_blind(t, f[0], data, cfg), False),
+    ]
+    (spectra, maps, _), trace, converged = _run(
+        [spectra, maps, coarse], blocks,
+        lambda f: objective_blind(f[1], f[2], f[0], data, cfg), cfg, max_iters,
     )
+    return _report(maps, spectra, data, trace, converged)

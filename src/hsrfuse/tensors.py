@@ -7,7 +7,6 @@ reshape.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError
 
@@ -30,25 +29,6 @@ def refold(matrix, dims):
             f"cannot refold a {matrix.shape} matrix into dims {tuple(dims)}"
         )
     return np.reshape(matrix, (i, j, k), order="F")
-
-
-def kron(a, b):
-    """Kronecker product: block (i, j) of the result is ``a[i, j] * b``."""
-    return np.kron(a, b)
-
-
-def khatri_rao_col(a, b):
-    """Columnwise Khatri-Rao product: column j is ``kron(a[:, j], b[:, j])``."""
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(
-            f"columnwise Khatri-Rao needs equal column counts, got {a.shape} and {b.shape}"
-        )
-    return scipy.linalg.khatri_rao(a, b)
-
-
-def frobenius_norm(tensor):
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.ravel(tensor)))
 
 
 def ensure_finite(arr, label="array"):

@@ -2,10 +2,14 @@
 
 Everything here is deliberately written the slow, literal way (loops, dense
 matrices, central differences) so it cannot share a bug with the library
-code paths it checks.
+code paths it checks.  The Kronecker, Khatri-Rao and Frobenius helpers at the
+end are used only by the tests.
 """
 
 import numpy as np
+import scipy.linalg
+
+from hsrfuse.errors import DimensionError
 
 
 def central_gradient(fun, x, step=1e-6):
@@ -130,3 +134,22 @@ def dense_curvatures_blind(maps, coarse, spectra, data, cfg, no_tv_cfg):
     l_t = _eigmax(spectra.T @ spectra)
     l_t += penalty_curvatures_dense(coarse, data.hsi_dims, no_tv_cfg)
     return l_c, l_s, l_t
+
+
+def kron(a, b):
+    """Kronecker product: block (i, j) of the result is ``a[i, j] * b``."""
+    return np.kron(a, b)
+
+
+def khatri_rao_col(a, b):
+    """Columnwise Khatri-Rao product: column j is ``kron(a[:, j], b[:, j])``."""
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(
+            f"columnwise Khatri-Rao needs equal column counts, got {a.shape} and {b.shape}"
+        )
+    return scipy.linalg.khatri_rao(a, b)
+
+
+def frobenius_norm(tensor):
+    """Square root of the sum of squared entries."""
+    return float(np.linalg.norm(np.ravel(tensor)))

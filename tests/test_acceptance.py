@@ -28,17 +28,15 @@ from hsrfuse.solver import (
     BlindFusionData,
     FusionData,
     SolverConfig,
+    coarse_step_blind,
     fuse,
     fuse_blind,
-    grad_coarse_blind,
-    grad_maps,
-    grad_maps_blind,
-    grad_spectra,
-    grad_spectra_blind,
+    maps_step,
+    maps_step_blind,
     objective,
     objective_blind,
-    step_bounds,
-    step_bounds_blind,
+    spectra_step,
+    spectra_step_blind,
 )
 
 from _oracles import (
@@ -123,15 +121,15 @@ def test_criterion_3_gradients_match_finite_differences():
         spectra = rng.uniform(0.1, 1.0, size=(4, 3))
         coarse = rng.normal(size=(9, 3))
         pairs = [
-            (grad_spectra(maps, spectra, data, cfg),
+            (spectra_step(spectra, maps, data, cfg)[0],
              central_gradient(lambda c: objective(maps, c, data, cfg), spectra)),
-            (grad_maps(maps, spectra, data, cfg),
+            (maps_step(maps, spectra, data, cfg)[0],
              central_gradient(lambda s: objective(s, spectra, data, cfg), maps)),
-            (grad_spectra_blind(maps, coarse, spectra, blind, cfg),
+            (spectra_step_blind(spectra, maps, coarse, blind, cfg)[0],
              central_gradient(lambda c: objective_blind(maps, coarse, c, blind, cfg), spectra)),
-            (grad_maps_blind(maps, spectra, blind, cfg),
+            (maps_step_blind(maps, spectra, blind, cfg)[0],
              central_gradient(lambda s: objective_blind(s, coarse, spectra, blind, cfg), maps)),
-            (grad_coarse_blind(coarse, spectra, blind, cfg),
+            (coarse_step_blind(coarse, spectra, blind, cfg)[0],
              central_gradient(lambda t: objective_blind(maps, t, spectra, blind, cfg), coarse)),
         ]
         worst = max(worst, max(rel_error(g, fd) for g, fd in pairs))
@@ -217,9 +215,12 @@ def test_criterion_6_lipschitz_bounds_dominate():
         maps = rng.uniform(0.1, 1.0, size=(30, 3))
         spectra = rng.uniform(0.1, 1.0, size=(4, 3))
         coarse = rng.normal(size=(9, 3))
-        l_c, l_s = step_bounds(maps, spectra, data, cfg)
+        l_c = spectra_step(spectra, maps, data, cfg)[1]
+        l_s = maps_step(maps, spectra, data, cfg)[1]
         d_c, d_s = dense_curvatures_known(maps, spectra, data, cfg)
-        b_c, b_s, b_t = step_bounds_blind(maps, coarse, spectra, blind, cfg)
+        b_c = spectra_step_blind(spectra, maps, coarse, blind, cfg)[1]
+        b_s = maps_step_blind(maps, spectra, blind, cfg)[1]
+        b_t = coarse_step_blind(coarse, spectra, blind, cfg)[1]
         e_c, e_s, e_t = dense_curvatures_blind(maps, coarse, spectra, blind, cfg, no_tv)
         for bound, exact in ((l_c, d_c), (l_s, d_s), (b_c, e_c), (b_s, e_s), (b_t, e_t)):
             worst_margin = min(worst_margin, (bound - exact) / max(1.0, exact))

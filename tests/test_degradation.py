@@ -15,7 +15,9 @@ from hsrfuse.degradation import (
     gaussian_kernel,
 )
 from hsrfuse.errors import DimensionError
-from hsrfuse.tensors import kron, unfold
+from hsrfuse.tensors import unfold
+
+from _oracles import kron
 
 
 def test_width_one_kernel_gives_identity():
@@ -200,6 +202,14 @@ def test_rank_deficient_operator_rejected():
     p1 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])  # repeated row
     with pytest.raises(ValueError):
         DegradationOps(p1=p1, p2=np.eye(3), pm=np.eye(2, 3))
+
+
+def test_non_finite_operator_rejected():
+    for name in ("p1", "p2", "pm"):
+        mats = dict(p1=np.eye(2, 3), p2=np.eye(3), pm=np.eye(2, 3))
+        mats[name][0, 0] = np.inf
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            DegradationOps(**mats)
 
 
 def test_tall_operator_rejected():

@@ -100,9 +100,10 @@ def test_csv_ragged_names_row(tmp_path):
 
 def test_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "alpha.csv"
-    path.write_text("1,2\n3,four\n")
-    with pytest.raises(FileFormatError, match="row 2"):
-        read_matrix_csv(path)
+    for bad_row in ("3,four", "3,nan", "inf,4", "3,-inf"):
+        path.write_text(f"1,2\n{bad_row}\n")
+        with pytest.raises(FileFormatError, match="alpha.csv: row 2"):
+            read_matrix_csv(path)
 
 
 def test_csv_empty_file(tmp_path):

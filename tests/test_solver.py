@@ -11,18 +11,16 @@ from hsrfuse.solver import (
     FusionData,
     SolverConfig,
     apg_step,
+    coarse_step_blind,
     extrapolate,
     fuse,
     fuse_blind,
-    grad_coarse_blind,
-    grad_maps,
-    grad_maps_blind,
-    grad_spectra,
-    grad_spectra_blind,
+    maps_step,
+    maps_step_blind,
     objective,
     objective_blind,
-    step_bounds,
-    step_bounds_blind,
+    spectra_step,
+    spectra_step_blind,
 )
 
 from _oracles import (
@@ -129,33 +127,33 @@ def test_objective_matches_loop_oracle():
 
 def test_grad_spectra_finite_differences():
     data, _, maps, spectra, _ = random_instance(2)
-    grad = grad_spectra(maps, spectra, data, WEIGHTED)
+    grad = spectra_step(spectra, maps, data, WEIGHTED)[0]
     fd = central_gradient(lambda c: objective(maps, c, data, WEIGHTED), spectra)
     assert rel_error(grad, fd) <= 1e-5
 
 
 def test_grad_maps_finite_differences():
     data, _, maps, spectra, _ = random_instance(3)
-    grad = grad_maps(maps, spectra, data, WEIGHTED)
+    grad = maps_step(maps, spectra, data, WEIGHTED)[0]
     fd = central_gradient(lambda s: objective(s, spectra, data, WEIGHTED), maps)
     assert rel_error(grad, fd) <= 1e-5
 
 
 def test_blind_gradients_finite_differences():
     _, blind, maps, spectra, coarse = random_instance(4)
-    g_c = grad_spectra_blind(maps, coarse, spectra, blind, WEIGHTED)
+    g_c = spectra_step_blind(spectra, maps, coarse, blind, WEIGHTED)[0]
     fd_c = central_gradient(
         lambda c: objective_blind(maps, coarse, c, blind, WEIGHTED), spectra
     )
     assert rel_error(g_c, fd_c) <= 1e-5
 
-    g_s = grad_maps_blind(maps, spectra, blind, WEIGHTED)
+    g_s = maps_step_blind(maps, spectra, blind, WEIGHTED)[0]
     fd_s = central_gradient(
         lambda s: objective_blind(s, coarse, spectra, blind, WEIGHTED), maps
     )
     assert rel_error(g_s, fd_s) <= 1e-5
 
-    g_t = grad_coarse_blind(coarse, spectra, blind, WEIGHTED)
+    g_t = coarse_step_blind(coarse, spectra, blind, WEIGHTED)[0]
     fd_t = central_gradient(
         lambda t: objective_blind(maps, t, spectra, blind, WEIGHTED), coarse
     )
@@ -171,7 +169,7 @@ def test_blind_grad_spectra_with_identity_pm():
     maps = rng.uniform(0.1, 1.0, size=(30, 2))
     spectra = rng.uniform(0.1, 1.0, size=(4, 2))
     coarse = loop_unfold(hsi) @ np.linalg.pinv(spectra.T)
-    grad = grad_spectra_blind(maps, coarse, spectra, blind, WEIGHTED)
+    grad = spectra_step_blind(spectra, maps, coarse, blind, WEIGHTED)[0]
     fd = central_gradient(
         lambda c: objective_blind(maps, coarse, c, blind, WEIGHTED), spectra
     )
@@ -184,16 +182,16 @@ def test_gradients_vanish_at_exact_fit():
     cfg = SolverConfig()
     maps, spectra = factors.maps_matrix(), factors.spectra
     scale = max(np.max(np.abs(maps)), np.max(np.abs(spectra)))
-    assert np.max(np.abs(grad_spectra(maps, spectra, data, cfg))) <= 1e-10 * scale
-    assert np.max(np.abs(grad_maps(maps, spectra, data, cfg))) <= 1e-10 * scale
+    assert np.max(np.abs(spectra_step(spectra, maps, data, cfg)[0])) <= 1e-10 * scale
+    assert np.max(np.abs(maps_step(maps, spectra, data, cfg)[0])) <= 1e-10 * scale
 
     # blind: the coarse block absorbing the true downsampled maps is also a fit
     blind = BlindFusionData.from_tensors(hsi, msi, ops.pm)
     down = np.einsum("ai,ijr,bj->abr", ops.p1, factors.maps, ops.p2)
     coarse = down.reshape(-1, 2, order="F")
-    assert np.max(np.abs(grad_spectra_blind(maps, coarse, spectra, blind, cfg))) <= 1e-10 * scale
-    assert np.max(np.abs(grad_maps_blind(maps, spectra, blind, cfg))) <= 1e-10 * scale
-    assert np.max(np.abs(grad_coarse_blind(coarse, spectra, blind, cfg))) <= 1e-10 * scale
+    assert np.max(np.abs(spectra_step_blind(spectra, maps, coarse, blind, cfg)[0])) <= 1e-10 * scale
+    assert np.max(np.abs(maps_step_blind(maps, spectra, blind, cfg)[0])) <= 1e-10 * scale
+    assert np.max(np.abs(coarse_step_blind(coarse, spectra, blind, cfg)[0])) <= 1e-10 * scale
 
 
 def test_grad_spectra_ridge_only():
@@ -202,7 +200,7 @@ def test_grad_spectra_ridge_only():
     data.msi_mat[:] = 0.0
     cfg = SolverConfig(ridge_weight=0.7)
     zero_maps = np.zeros_like(maps)
-    grad = grad_spectra(zero_maps, spectra, data, cfg)
+    grad = spectra_step(spectra, zero_maps, data, cfg)[0]
     assert np.allclose(grad, 0.7 * spectra)
 
 
@@ -212,7 +210,7 @@ def test_grad_maps_schatten_only_reduction():
     data.msi_mat[:] = 0.0
     cfg = SolverConfig(lowrank_weight=0.4, schatten=SchattenConfig(p=0.5, tau=1.0))
     zero_spectra = np.zeros((4, maps.shape[1]))
-    grad = grad_maps(maps, zero_spectra, data, cfg)
+    grad = maps_step(maps, zero_spectra, data, cfg)[0]
     for r in range(maps.shape[1]):
         img = maps[:, r].reshape(6, 5, order="F")
         expected = 0.4 * schatten_gradient(img, cfg.schatten).ravel(order="F")
@@ -222,7 +220,7 @@ def test_grad_maps_schatten_only_reduction():
 def test_grad_coarse_without_lowrank_weight():
     _, blind, maps, spectra, coarse = random_instance(8)
     cfg = SolverConfig()
-    grad = grad_coarse_blind(coarse, spectra, blind, cfg)
+    grad = coarse_step_blind(coarse, spectra, blind, cfg)[0]
     expected = (coarse @ spectra.T - blind.hsi_mat) @ spectra
     assert np.allclose(grad, expected)
 
@@ -234,7 +232,8 @@ def test_grad_coarse_without_lowrank_weight():
 def test_step_bounds_dominate_dense_curvatures():
     for seed in range(8):
         data, _, maps, spectra, _ = random_instance(seed)
-        l_c, l_s = step_bounds(maps, spectra, data, WEIGHTED)
+        l_c = spectra_step(spectra, maps, data, WEIGHTED)[1]
+        l_s = maps_step(maps, spectra, data, WEIGHTED)[1]
         d_c, d_s = dense_curvatures_known(maps, spectra, data, WEIGHTED)
         assert l_c >= d_c - 1e-9 * max(1.0, d_c)
         assert l_s >= d_s - 1e-9 * max(1.0, d_s)
@@ -243,7 +242,7 @@ def test_step_bounds_dominate_dense_curvatures():
 def test_step_bound_ridge_only():
     data, _, maps, spectra, _ = random_instance(9)
     cfg = SolverConfig(ridge_weight=0.5)
-    l_c, _ = step_bounds(np.zeros_like(maps), spectra, data, cfg)
+    l_c = spectra_step(spectra, np.zeros_like(maps), data, cfg)[1]
     assert l_c == pytest.approx(0.5, rel=1e-15)
 
 
@@ -252,7 +251,7 @@ def test_tv_curvature_bound_matches_dense_at_q2():
     # tv_weight * q * (sigma_max(H_cols)^2 + sigma_max(H_rows)^2), matching dense
     data, _, maps, spectra, _ = random_instance(10)
     cfg = SolverConfig(tv_weight=0.3, tv=TvConfig(q=2.0, epsilon=1e-3))
-    _, l_s = step_bounds(maps, spectra, data, cfg)
+    l_s = maps_step(maps, spectra, data, cfg)[1]
     _, d_s = dense_curvatures_known(maps, spectra, data, cfg)
     assert l_s == pytest.approx(d_s, rel=1e-9)
 
@@ -261,7 +260,9 @@ def test_blind_bounds_dominate_dense():
     no_tv = SolverConfig(lowrank_weight=WEIGHTED.lowrank_weight, schatten=WEIGHTED.schatten)
     for seed in range(6):
         _, blind, maps, spectra, coarse = random_instance(seed + 20)
-        l_c, l_s, l_t = step_bounds_blind(maps, coarse, spectra, blind, WEIGHTED)
+        l_c = spectra_step_blind(spectra, maps, coarse, blind, WEIGHTED)[1]
+        l_s = maps_step_blind(maps, spectra, blind, WEIGHTED)[1]
+        l_t = coarse_step_blind(coarse, spectra, blind, WEIGHTED)[1]
         d_c, d_s, d_t = dense_curvatures_blind(maps, coarse, spectra, blind, WEIGHTED, no_tv)
         assert l_c >= d_c - 1e-9 * max(1.0, d_c)
         assert l_s >= d_s - 1e-9 * max(1.0, d_s)
@@ -369,6 +370,50 @@ def test_objective_trace_scales_with_data():
     assert np.allclose(run_b.objective_trace, s**2 * run_a.objective_trace, rtol=1e-10)
 
 
+@pytest.mark.parametrize("accelerate", [False, True])
+def test_solvers_run_the_verified_block_steps(accelerate):
+    # two sweeps by hand from the block steps the gradient and bound tests
+    # check; the second makes the blind spectra depend on the coarse update
+    _, _, ops, hsi, msi = consistent_instance(seed=11, dims=(8, 8, 8), snr_db=25.0)
+    cfg = SolverConfig(
+        ridge_weight=0.05, tv_weight=0.02, lowrank_weight=0.02,
+        max_iters=2, rel_tol=0.0, accelerate=accelerate,
+    )
+    rng = np.random.default_rng(4)
+    maps, spectra = rng.uniform(size=(64, 2)), rng.uniform(size=(8, 2))
+    coarse = rng.normal(size=(16, 2))  # signed: the coarse block is not projected
+    data = FusionData.from_tensors(hsi, msi, ops)
+    blind = BlindFusionData.from_tensors(hsi, msi, ops.pm)
+
+    def sweeps(factors, steps):
+        anchors, gammas = list(factors), [1.0] * len(factors)
+        for _ in range(2):
+            for b, step in enumerate(steps):
+                grad, lip = step(anchors[b], factors)
+                new = apg_step(anchors[b], grad, 1.0 / lip, project=b < 2)
+                if accelerate:
+                    anchors[b], gammas[b] = extrapolate(new, factors[b], gammas[b])
+                else:
+                    anchors[b] = new
+                factors[b] = new
+        return factors
+
+    want = sweeps([spectra, maps], [
+        lambda c, f: spectra_step(c, f[1], data, cfg),
+        lambda s, f: maps_step(s, f[0], data, cfg),
+    ])
+    got = fuse(hsi, msi, ops, 2, cfg, init=(maps, spectra))
+    assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
+
+    want = sweeps([spectra, maps, coarse], [
+        lambda c, f: spectra_step_blind(c, f[1], f[2], blind, cfg),
+        lambda s, f: maps_step_blind(s, f[0], blind, cfg),
+        lambda t, f: coarse_step_blind(t, f[0], blind, cfg),
+    ])
+    got = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=(maps, spectra, coarse))
+    assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
+
+
 def test_max_iters_zero_returns_initialization():
     _, _, ops, hsi, msi = consistent_instance(seed=5, dims=(8, 8, 8))
     rng = np.random.default_rng(1)
@@ -418,6 +463,20 @@ def test_data_shape_validation():
         FusionData.from_tensors(hsi[:3], msi, ops)
     with pytest.raises(DimensionError):
         BlindFusionData.from_tensors(hsi, msi[:, :, :1], ops.pm)
+
+
+def test_non_finite_observations_rejected():
+    _, _, ops, hsi, msi = consistent_instance(seed=10, dims=(8, 8, 8))
+    nan_hsi, inf_msi = hsi.copy(), msi.copy()
+    nan_hsi[1, 2, 0] = np.nan
+    inf_msi[1, 2, 0] = np.inf
+    for label, args in (("HSI", (nan_hsi, msi)), ("MSI", (hsi, inf_msi))):
+        with pytest.raises(ValueError, match=f"{label} contains non-finite"):
+            fuse(*args, ops, 2)
+        with pytest.raises(ValueError, match=f"{label} contains non-finite"):
+            fuse_blind(*args, ops.pm, 2)
+    with pytest.raises(ValueError, match="pm contains non-finite"):
+        BlindFusionData.from_tensors(hsi, msi, np.where(ops.pm > 0, np.inf, 0.0))
 
 
 def test_solver_config_validation():

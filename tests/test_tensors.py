@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsrfuse.errors import DimensionError
-from hsrfuse.tensors import frobenius_norm, khatri_rao_col, kron, refold, unfold
+from hsrfuse.tensors import refold, unfold
 
-from _oracles import loop_unfold
+from _oracles import frobenius_norm, khatri_rao_col, kron, loop_unfold
 
 
 def test_unfold_small_slab():
