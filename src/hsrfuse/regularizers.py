@@ -32,8 +32,8 @@ class SchattenConfig:
     def __post_init__(self):
         if not 0 < self.p <= 1:
             raise ValueError("p must lie in (0, 1]")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
 
 
 @dataclass
@@ -46,8 +46,8 @@ class TvConfig:
     def __post_init__(self):
         if not 0 < self.q <= 2:
             raise ValueError("q must lie in (0, 2]")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 # ---------------------------------------------------------------------------

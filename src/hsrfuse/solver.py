@@ -19,6 +19,14 @@ solvers: it moves each block 1/L from its anchor, projected onto the
 nonnegative orthant if ``project``, so the unaccelerated iteration decreases
 the objective monotonically.  Nesterov extrapolation is applied per block by
 default; gradients, reweighting and bounds are all evaluated at the anchor.
+
+The known-operator data fit needs the degraded maps (P2 kron P1) S and a few
+R x R Grams of S.  ``map_products`` computes them once per maps update, and
+the objective after a sweep and the spectra step of the next sweep both read
+that one bundle.  The maps gradient is taken in Gram form, so no full-size
+residual is built for it.  The objective keeps the residual form: a Gram form
+cancels |Y|^2 against nearly equal terms and loses its accuracy, and even its
+sign, near an exact fit.
 """
 
 import math
@@ -72,8 +80,9 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("ridge_weight", "tv_weight", "lowrank_weight", "rel_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.max_iters is not None and self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
@@ -191,7 +200,10 @@ def _apply_ph_t(mat, p1, p2, hsi_dims, dims):
 
 def _sq_norm(mat):
     """sigma_max(M)^2 via the small Gram matrix."""
-    gram = mat.T @ mat
+    return _top_eigenvalue(mat.T @ mat)
+
+
+def _top_eigenvalue(gram):
     if gram.size == 0:
         return 0.0
     return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
@@ -220,15 +232,16 @@ def _map_penalties(maps, shape, cfg, with_tv=True):
     """Regularizer gradient at ``maps`` plus the curvature its weights induce.
 
     Returns (gradient, max_r sigma_max(W_r), max_r TV curvature bound); the
-    TV bound per term is |H_cols|^2 max(u) + |H_rows|^2 max(v).
+    TV bound per term is |H_cols|^2 max(u) + |H_rows|^2 max(v).  With no
+    penalty on, the gradient is the scalar 0.0.
     """
-    grad = np.zeros_like(maps)
     w_curv = 0.0
     tv_curv = 0.0
     use_tv = with_tv and cfg.tv_weight > 0
     use_lr = cfg.lowrank_weight > 0
     if not (use_tv or use_lr):
-        return grad, w_curv, tv_curv
+        return 0.0, w_curv, tv_curv
+    grad = np.zeros_like(maps)
     i, j = shape
     cube = _maps_as_images(maps, shape)
     col_norm_sq = diff_norm(j) ** 2
@@ -255,43 +268,86 @@ def _map_penalties(maps, shape, cfg, with_tv=True):
 # objectives and block steps: each step returns (gradient, curvature bound)
 # ---------------------------------------------------------------------------
 
-def objective(maps, spectra, data, cfg):
-    """Full objective at (S, C) for the known-operator problem."""
-    i, j, _ = data.sri_dims
-    phs = _apply_ph(maps, data.ops.p1, data.ops.p2, (i, j))
-    f = 0.5 * float(np.sum((phs @ spectra.T - data.hsi_mat) ** 2))
-    f += 0.5 * float(np.sum((maps @ (data.ops.pm @ spectra).T - data.msi_mat) ** 2))
+@dataclass
+class MapProducts:
+    """Products of the maps S shared by the known-operator objective and spectra step.
+
+    ``phs`` is (P2 kron P1) S; the rest are the Grams S'S and phs'phs, the
+    cross products Yh'phs and Ym'S, and sigma_max(S)^2.
+    """
+
+    maps: np.ndarray
+    phs: np.ndarray
+    phs_gram: np.ndarray
+    gram: np.ndarray
+    hsi_phs: np.ndarray
+    msi_maps: np.ndarray
+    sq_norm: float
+
+
+def map_products(maps, data):
+    """Compute the :class:`MapProducts` of ``maps`` once, for every reader."""
+    phs = _apply_ph(maps, data.ops.p1, data.ops.p2, data.sri_dims[:2])
+    gram = maps.T @ maps
+    return MapProducts(
+        maps=maps,
+        phs=phs,
+        phs_gram=phs.T @ phs,
+        gram=gram,
+        hsi_phs=data.hsi_mat.T @ phs,
+        msi_maps=data.msi_mat.T @ maps,
+        sq_norm=_top_eigenvalue(gram),
+    )
+
+
+def _half_sq_residual(fit, target):
+    """1/2 |fit - target|^2, written into ``fit``."""
+    fit -= target
+    return 0.5 * float(np.vdot(fit, fit))
+
+
+def objective(products, spectra, data, cfg):
+    """Full objective at (S, C) for the known-operator problem, S given by its products."""
+    maps = products.maps
+    f = _half_sq_residual(products.phs @ spectra.T, data.hsi_mat)
+    f += _half_sq_residual(maps @ (data.ops.pm @ spectra).T, data.msi_mat)
     f += 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
-    return f + _penalty_value(maps, (i, j), cfg)
+    return f + _penalty_value(maps, data.sri_dims[:2], cfg)
 
 
-def spectra_step(spectra, maps, data, cfg):
+def spectra_step(spectra, products, data, cfg):
     """Spectra-block gradient and curvature bound for the known-operator problem."""
     pm = data.ops.pm
-    phs = _apply_ph(maps, data.ops.p1, data.ops.p2, data.sri_dims[:2])
-    g = spectra @ (phs.T @ phs)
-    g += pm.T @ (pm @ spectra) @ (maps.T @ maps)
+    g = spectra @ products.phs_gram
+    g += pm.T @ (pm @ spectra) @ products.gram
     g += cfg.ridge_weight * spectra
-    g -= data.hsi_mat.T @ phs
-    g -= pm.T @ (data.msi_mat.T @ maps)
-    return g, _sq_norm(maps) * (data.ph_gram_norm + data.pm_gram_norm) + cfg.ridge_weight
+    g -= products.hsi_phs
+    g -= pm.T @ products.msi_maps
+    return g, products.sq_norm * (data.ph_gram_norm + data.pm_gram_norm) + cfg.ridge_weight
 
 
 def maps_step(maps, spectra, data, cfg):
     """Maps-block gradient and curvature bound for the known-operator problem;
-    the regularizer gradient and curvature are those of its majorizers at ``maps``."""
+    the regularizer gradient and curvature are those of its majorizers at ``maps``.
+
+    The data gradient is P_H'(phs C'C - Yh C) + S M'M - Ym M with M = PM C.
+    """
     i, j, _ = data.sri_dims
     p1, p2, pm = data.ops.p1, data.ops.p2, data.ops.pm
     pen, w_curv, tv_curv = _map_penalties(maps, (i, j), cfg)
     phs = _apply_ph(maps, p1, p2, (i, j))
-    g = _apply_ph_t((phs @ spectra.T - data.hsi_mat) @ spectra, p1, p2, data.hsi_dims, (i, j))
+    hsi_part = phs @ (spectra.T @ spectra)
+    hsi_part -= data.hsi_mat @ spectra
+    g = _apply_ph_t(hsi_part, p1, p2, data.hsi_dims, (i, j))
     pmc = pm @ spectra
-    g += (maps @ pmc.T - data.msi_mat) @ pmc
+    g += maps @ (pmc.T @ pmc)
+    g -= data.msi_mat @ pmc
+    g += pen
     l = _sq_norm(spectra) * data.ph_gram_norm
     l += _sq_norm(pmc)
     l += cfg.schatten.p * cfg.lowrank_weight * w_curv
     l += cfg.tv.q * cfg.tv_weight * tv_curv
-    return g + pen, l
+    return g, l
 
 
 def objective_blind(maps, coarse, spectra, data, cfg):
@@ -340,11 +396,17 @@ def coarse_step_blind(coarse, spectra, data, cfg):
 # ---------------------------------------------------------------------------
 
 def apg_step(x, grad, step, project=True):
-    """One (projected) gradient step: max(x - step*grad, 0) or the unprojected move."""
+    """One (projected) gradient step: max(x - step*grad, 0) or the unprojected move.
+
+    Returns a new array; (-step)*grad + x equals x - step*grad exactly.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
-    y = x - step * grad
-    return np.maximum(y, 0.0) if project else y
+    y = np.multiply(grad, -step)
+    y += x
+    if project:
+        np.maximum(y, 0.0, out=y)
+    return y
 
 
 def extrapolate(x_new, x_old, gamma_old):
@@ -354,7 +416,9 @@ def extrapolate(x_new, x_old, gamma_old):
     coefficient (gamma_old - 1)/gamma_new always lies in [0, 1).
     """
     gamma_new = (1.0 + math.sqrt(1.0 + 4.0 * gamma_old**2)) / 2.0
-    x_check = x_new + ((gamma_old - 1.0) / gamma_new) * (x_new - x_old)
+    x_check = np.subtract(x_new, x_old)
+    x_check *= (gamma_old - 1.0) / gamma_new
+    x_check += x_new
     return x_check, gamma_new
 
 
@@ -451,12 +515,23 @@ def fuse(hsi, msi, ops, n_terms, cfg=None, init=None):
     maps = _init_factor(rng, (i * j, n_terms), given[0], "maps")
     spectra = _init_factor(rng, (k, n_terms), given[1], "spectra")
 
+    # One bundle per maps array: _run replaces factors by new arrays and
+    # never writes into one, so the array object identifies its products.
+    last = None
+
+    def products(maps):
+        nonlocal last
+        if last is None or last.maps is not maps:
+            last = map_products(maps, data)
+        return last
+
     blocks = [
-        (lambda c, f: spectra_step(c, f[1], data, cfg), True),
+        (lambda c, f: spectra_step(c, products(f[1]), data, cfg), True),
         (lambda s, f: maps_step(s, f[0], data, cfg), True),
     ]
     (spectra, maps), trace, converged = _run(
-        [spectra, maps], blocks, lambda f: objective(f[1], f[0], data, cfg), cfg, max_iters
+        [spectra, maps], blocks, lambda f: objective(products(f[1]), f[0], data, cfg),
+        cfg, max_iters,
     )
     return _report(maps, spectra, data, trace, converged)
 

@@ -31,6 +31,7 @@ from hsrfuse.solver import (
     coarse_step_blind,
     fuse,
     fuse_blind,
+    map_products,
     maps_step,
     maps_step_blind,
     objective,
@@ -120,11 +121,13 @@ def test_criterion_3_gradients_match_finite_differences():
         maps = rng.uniform(0.1, 1.0, size=(30, 3))
         spectra = rng.uniform(0.1, 1.0, size=(4, 3))
         coarse = rng.normal(size=(9, 3))
+        products = map_products(maps, data)
         pairs = [
-            (spectra_step(spectra, maps, data, cfg)[0],
-             central_gradient(lambda c: objective(maps, c, data, cfg), spectra)),
+            (spectra_step(spectra, products, data, cfg)[0],
+             central_gradient(lambda c: objective(products, c, data, cfg), spectra)),
             (maps_step(maps, spectra, data, cfg)[0],
-             central_gradient(lambda s: objective(s, spectra, data, cfg), maps)),
+             central_gradient(
+                 lambda s: objective(map_products(s, data), spectra, data, cfg), maps)),
             (spectra_step_blind(spectra, maps, coarse, blind, cfg)[0],
              central_gradient(lambda c: objective_blind(maps, coarse, c, blind, cfg), spectra)),
             (maps_step_blind(maps, spectra, blind, cfg)[0],
@@ -215,7 +218,7 @@ def test_criterion_6_lipschitz_bounds_dominate():
         maps = rng.uniform(0.1, 1.0, size=(30, 3))
         spectra = rng.uniform(0.1, 1.0, size=(4, 3))
         coarse = rng.normal(size=(9, 3))
-        l_c = spectra_step(spectra, maps, data, cfg)[1]
+        l_c = spectra_step(spectra, map_products(maps, data), data, cfg)[1]
         l_s = maps_step(maps, spectra, data, cfg)[1]
         d_c, d_s = dense_curvatures_known(maps, spectra, data, cfg)
         b_c = spectra_step_blind(spectra, maps, coarse, blind, cfg)[1]

@@ -167,6 +167,9 @@ def test_schatten_config_validation():
         SchattenConfig(p=0.0)
     with pytest.raises(ValueError):
         SchattenConfig(p=0.5, tau=0.0)
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau"):
+            SchattenConfig(p=0.5, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +268,8 @@ def test_tv_config_validation():
         TvConfig(q=0.0)
     with pytest.raises(ValueError):
         TvConfig(q=0.5, epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        TvConfig(q=0.5, epsilon=np.nan)
 
 
 @settings(max_examples=20, deadline=None)

@@ -15,6 +15,7 @@ from hsrfuse.solver import (
     extrapolate,
     fuse,
     fuse_blind,
+    map_products,
     maps_step,
     maps_step_blind,
     objective,
@@ -86,14 +87,15 @@ def test_objective_zero_at_exact_fit():
     sri, factors, ops, hsi, msi = consistent_instance(dims=(8, 8, 6), n_terms=2)
     data = FusionData.from_tensors(hsi, msi, ops)
     cfg = SolverConfig()
-    val = objective(factors.maps_matrix(), factors.spectra, data, cfg)
-    assert val <= 1e-20 * np.sum(hsi**2)
+    maps = factors.maps_matrix()
+    val = objective(map_products(maps, data), factors.spectra, data, cfg)
+    assert 0.0 <= val <= 1e-20 * np.sum(hsi**2)
 
 
 def test_objective_zero_factors_is_data_energy():
     data, _, maps, spectra, _ = random_instance(0)
     cfg = SolverConfig()
-    val = objective(np.zeros_like(maps), np.zeros_like(spectra), data, cfg)
+    val = objective(map_products(np.zeros_like(maps), data), np.zeros_like(spectra), data, cfg)
     expected = 0.5 * np.sum(data.hsi_mat**2) + 0.5 * np.sum(data.msi_mat**2)
     assert val == pytest.approx(expected, rel=1e-15)
 
@@ -117,7 +119,7 @@ def test_objective_matches_loop_oracle():
     hsi = data.hsi_mat.reshape(3, 3, 4, order="F")
     msi = data.msi_mat.reshape(6, 5, 2, order="F")
     expected = _objective_by_loops(maps, spectra, hsi, msi, data.ops, WEIGHTED, (6, 5, 4))
-    got = objective(maps, spectra, data, WEIGHTED)
+    got = objective(map_products(maps, data), spectra, data, WEIGHTED)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -127,15 +129,18 @@ def test_objective_matches_loop_oracle():
 
 def test_grad_spectra_finite_differences():
     data, _, maps, spectra, _ = random_instance(2)
-    grad = spectra_step(spectra, maps, data, WEIGHTED)[0]
-    fd = central_gradient(lambda c: objective(maps, c, data, WEIGHTED), spectra)
+    products = map_products(maps, data)
+    grad = spectra_step(spectra, products, data, WEIGHTED)[0]
+    fd = central_gradient(lambda c: objective(products, c, data, WEIGHTED), spectra)
     assert rel_error(grad, fd) <= 1e-5
 
 
 def test_grad_maps_finite_differences():
     data, _, maps, spectra, _ = random_instance(3)
     grad = maps_step(maps, spectra, data, WEIGHTED)[0]
-    fd = central_gradient(lambda s: objective(s, spectra, data, WEIGHTED), maps)
+    fd = central_gradient(
+        lambda s: objective(map_products(s, data), spectra, data, WEIGHTED), maps
+    )
     assert rel_error(grad, fd) <= 1e-5
 
 
@@ -182,7 +187,8 @@ def test_gradients_vanish_at_exact_fit():
     cfg = SolverConfig()
     maps, spectra = factors.maps_matrix(), factors.spectra
     scale = max(np.max(np.abs(maps)), np.max(np.abs(spectra)))
-    assert np.max(np.abs(spectra_step(spectra, maps, data, cfg)[0])) <= 1e-10 * scale
+    products = map_products(maps, data)
+    assert np.max(np.abs(spectra_step(spectra, products, data, cfg)[0])) <= 1e-10 * scale
     assert np.max(np.abs(maps_step(maps, spectra, data, cfg)[0])) <= 1e-10 * scale
 
     # blind: the coarse block absorbing the true downsampled maps is also a fit
@@ -200,7 +206,7 @@ def test_grad_spectra_ridge_only():
     data.msi_mat[:] = 0.0
     cfg = SolverConfig(ridge_weight=0.7)
     zero_maps = np.zeros_like(maps)
-    grad = spectra_step(spectra, zero_maps, data, cfg)[0]
+    grad = spectra_step(spectra, map_products(zero_maps, data), data, cfg)[0]
     assert np.allclose(grad, 0.7 * spectra)
 
 
@@ -232,7 +238,7 @@ def test_grad_coarse_without_lowrank_weight():
 def test_step_bounds_dominate_dense_curvatures():
     for seed in range(8):
         data, _, maps, spectra, _ = random_instance(seed)
-        l_c = spectra_step(spectra, maps, data, WEIGHTED)[1]
+        l_c = spectra_step(spectra, map_products(maps, data), data, WEIGHTED)[1]
         l_s = maps_step(maps, spectra, data, WEIGHTED)[1]
         d_c, d_s = dense_curvatures_known(maps, spectra, data, WEIGHTED)
         assert l_c >= d_c - 1e-9 * max(1.0, d_c)
@@ -242,7 +248,7 @@ def test_step_bounds_dominate_dense_curvatures():
 def test_step_bound_ridge_only():
     data, _, maps, spectra, _ = random_instance(9)
     cfg = SolverConfig(ridge_weight=0.5)
-    l_c = spectra_step(spectra, np.zeros_like(maps), data, cfg)[1]
+    l_c = spectra_step(spectra, map_products(np.zeros_like(maps), data), data, cfg)[1]
     assert l_c == pytest.approx(0.5, rel=1e-15)
 
 
@@ -275,12 +281,19 @@ def test_blind_bounds_dominate_dense():
 
 def test_apg_step_contracts():
     x = np.array([0.0, 1.0, 2.0])
+    grad = np.array([0.0, 5.0, -1.0])
     assert np.array_equal(apg_step(x, np.zeros(3), 0.5), x)
     assert np.array_equal(apg_step(np.zeros(3), np.ones(3), 1.0), np.zeros(3))
-    stepped = apg_step(x, np.array([0.0, 5.0, -1.0]), 1.0)
+    stepped = apg_step(x, grad, 1.0)
     assert np.array_equal(stepped, [0.0, 0.0, 3.0])
-    unprojected = apg_step(x, np.array([0.0, 5.0, -1.0]), 1.0, project=False)
+    unprojected = apg_step(x, grad, 1.0, project=False)
     assert np.array_equal(unprojected, [0.0, -4.0, 3.0])
+    rng = np.random.default_rng(0)
+    y, g = rng.normal(size=50), rng.normal(size=50)
+    assert np.array_equal(apg_step(y, g, 0.3, project=False), y - 0.3 * g)
+    # the result is a new array: neither input is written
+    assert np.array_equal(x, [0.0, 1.0, 2.0]) and np.array_equal(grad, [0.0, 5.0, -1.0])
+    assert stepped is not x and unprojected is not x
     with pytest.raises(ValueError):
         apg_step(x, x, 0.0)
 
@@ -289,7 +302,12 @@ def test_extrapolate_golden_ratio_start():
     x = np.ones(3)
     check, gamma = extrapolate(x, x, 1.0)
     assert gamma == pytest.approx((1 + np.sqrt(5)) / 2, rel=1e-12)
-    assert np.array_equal(check, x)
+    assert np.array_equal(check, x) and check is not x
+    # with momentum the look-ahead moves, and neither input is written
+    x_new, x_old = np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])
+    check, new_gamma = extrapolate(x_new, x_old, gamma)
+    assert np.array_equal(check, x_new + ((gamma - 1.0) / new_gamma) * (x_new - x_old))
+    assert np.array_equal(x_new, [1.0, 2.0, 3.0]) and np.array_equal(x_old, [3.0, 2.0, 1.0])
 
 
 def test_extrapolate_momentum_coefficient_bounded():
@@ -399,7 +417,7 @@ def test_solvers_run_the_verified_block_steps(accelerate):
         return factors
 
     want = sweeps([spectra, maps], [
-        lambda c, f: spectra_step(c, f[1], data, cfg),
+        lambda c, f: spectra_step(c, map_products(f[1], data), data, cfg),
         lambda s, f: maps_step(s, f[0], data, cfg),
     ])
     got = fuse(hsi, msi, ops, 2, cfg, init=(maps, spectra))
@@ -412,6 +430,23 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     ])
     got = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=(maps, spectra, coarse))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+def test_last_trace_value_is_objective_at_returned_factors(accelerate):
+    # fuse shares one map_products bundle per maps update between the
+    # objective and the next spectra step; a stale or wrongly keyed bundle
+    # would make the recorded value disagree with a fresh evaluation
+    _, _, ops, hsi, msi = consistent_instance(seed=12, dims=(8, 8, 8), snr_db=25.0)
+    data = FusionData.from_tensors(hsi, msi, ops)
+    for iters in range(4):
+        cfg = SolverConfig(
+            ridge_weight=0.05, tv_weight=0.02, lowrank_weight=0.02,
+            max_iters=iters, rel_tol=0.0, accelerate=accelerate, seed=4,
+        )
+        report = fuse(hsi, msi, ops, 2, cfg)
+        fresh = objective(map_products(report.maps, data), report.spectra, data, cfg)
+        assert report.objective_trace[-1] == fresh
 
 
 def test_max_iters_zero_returns_initialization():
@@ -482,6 +517,12 @@ def test_non_finite_observations_rejected():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(ridge_weight=-1.0)
+    for name, value in (
+        ("ridge_weight", np.nan), ("lowrank_weight", np.nan),
+        ("tv_weight", np.inf), ("rel_tol", np.nan),
+    ):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
     with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
     with pytest.raises(ValueError):
