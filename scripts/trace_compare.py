@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Record and compare solver objective traces and SRIs across two source trees.
+"""Record and compare solver objective traces, SRIs and metrics across two source trees.
 
-A change that should leave the iteration alone (or move it only by rounding)
-is checked by running this once per tree and comparing the two files:
+A change that should leave the iteration or the metrics alone (or move them
+only by rounding) is checked by running this once per tree and comparing the
+two files:
 
     python scripts/trace_compare.py --src OLD/src --out old.npz
     python scripts/trace_compare.py --src src --out new.npz
@@ -12,17 +13,27 @@ is checked by running this once per tree and comparing the two files:
 regularizers and with TV+Schatten (``tv_weight=3e-3, lowrank_weight=3e-2``),
 60 iterations each on three seeded noisy 16x16x12 instances, and both solvers
 for 2000 iterations on the noiseless 24x24x16 instance of acceptance
-criterion 1.  ``--compare`` prints, per array, the largest elementwise
-relative difference and whether the arrays are ``np.array_equal``.
+criterion 1.  It scores every SRI against its truth with
+``evaluate(truth, sri, per_band=True)``.  It also scores one 96x96x48 pair:
+the first instance of the benchmark's ``cli-roundtrip-96`` workload at seed 1,
+built by ``perfbench/workloads.py``, and the ``fuse`` solution that
+``hsrfuse fuse`` returns for it; the pair itself is saved too.
+``--compare`` prints, per trace or SRI, the largest elementwise relative
+difference and whether the arrays are ``np.array_equal``, then per metric the
+largest relative difference over all scored pairs.
 """
 
 import argparse
+import importlib.util
 import sys
 from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
 REG = dict(tv_weight=3e-3, lowrank_weight=3e-2)
+# cli-roundtrip-96 at seed 1: instance seed 1000 * seed + operation index
+CLI_INSTANCE_SEED = 1000
 
 
 def _instances(hsr):
@@ -38,7 +49,7 @@ def _instances(hsr):
         msi = hsr.add_noise(hsr.degrade_spectral(sri, ops), 30.0, rng)
         base = dict(ridge_weight=1e-4, max_iters=60, rel_tol=0.0, seed=seed)
         runs = [(accel, reg) for accel in (True, False) for reg in (False, True)]
-        yield f"noisy{seed}", hsi, msi, ops, 3, base, runs
+        yield f"noisy{seed}", sri, hsi, msi, ops, 3, base, runs
 
     # acceptance criterion 1: noiseless, nonnegative, 4 bands of 4
     factors = hsr.random_blockterm((24, 24, 16), 3, 2, seed=42, nonneg=True)
@@ -46,7 +57,23 @@ def _instances(hsr):
     ops = hsr.DegradationOps.for_sri(sri.shape, blur, [(0, 3), (4, 7), (8, 11), (12, 15)])
     base = dict(ridge_weight=1e-6, max_iters=2000, rel_tol=0.0, seed=7)
     hsi, msi = hsr.degrade_spatial(sri, ops), hsr.degrade_spectral(sri, ops)
-    yield "criterion1", hsi, msi, ops, 3, base, [(True, False)]
+    yield "criterion1", sri, hsi, msi, ops, 3, base, [(True, False)]
+
+
+def _load_workloads():
+    """The benchmark's instance builder, imported from its file as it is."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _store_metrics(arrays, prefix, report):
+    payload = report.to_dict()
+    for key, values in payload.pop("per_band").items():
+        arrays[f"{prefix}/metrics/per_band/{key}"] = np.asarray(values)
+    for key, value in payload.items():
+        arrays[f"{prefix}/metrics/{key}"] = np.asarray(value)
 
 
 def record(src, out):
@@ -54,7 +81,7 @@ def record(src, out):
     import hsrfuse as hsr
 
     arrays = {}
-    for name, hsi, msi, ops, n_terms, base, runs in _instances(hsr):
+    for name, truth, hsi, msi, ops, n_terms, base, runs in _instances(hsr):
         for accel, reg in runs:
             cfg = hsr.SolverConfig(accelerate=accel, **base, **(REG if reg else {}))
             tag = f"{'accel' if accel else 'plain'}/{'reg' if reg else 'none'}"
@@ -64,13 +91,26 @@ def record(src, out):
             ):
                 arrays[f"{name}/{solver}/{tag}/trace"] = report.objective_trace
                 arrays[f"{name}/{solver}/{tag}/sri"] = report.sri
+                _store_metrics(arrays, f"{name}/{solver}/{tag}",
+                               hsr.evaluate(truth, report.sri, ratio=2, per_band=True))
+
+    wl = _load_workloads()
+    inst = wl.build_instance(96, 48, CLI_INSTANCE_SEED, blind=False)
+    cfg = hsr.SolverConfig(ridge_weight=wl.RIDGE, seed=wl.SOLVER_SEED)
+    estimate = hsr.fuse(inst.hsi, inst.msi, inst.ops, wl.N_TERMS, cfg).sri
+    arrays["cli96/reference"] = inst.sri
+    arrays["cli96/estimate"] = estimate
+    _store_metrics(arrays, "cli96",
+                   hsr.evaluate(inst.sri, estimate, ratio=wl.BLUR["ratio"], per_band=True))
     np.savez(out, **arrays)
     print(f"wrote {len(arrays)} arrays from {hsr.__file__} to {out}")
 
 
 def _max_rel_diff(a, b):
+    a, b = a.astype(float), b.astype(float)
     scale = np.maximum(np.abs(a), np.abs(b))
-    diff = np.abs(a - b)
+    with np.errstate(invalid="ignore"):  # equal infinities count as no difference
+        diff = np.where(a == b, 0.0, np.abs(a - b))
     rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
     return float(rel.max(initial=0.0))
 
@@ -79,6 +119,7 @@ def compare(path_a, path_b):
     with np.load(path_a) as fa, np.load(path_b) as fb:
         a, b = dict(fa), dict(fb)
     equal = 0
+    worst = {}  # metric name -> (largest relative difference, key)
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             print(f"{key:40s} only in {path_a if key in a else path_b}")
@@ -88,16 +129,24 @@ def compare(path_a, path_b):
             continue
         same = np.array_equal(a[key], b[key])
         equal += same
-        print(f"{key:40s} max_rel_diff {_max_rel_diff(a[key], b[key]):.3e}  array_equal {same}")
+        rel = _max_rel_diff(a[key], b[key])
+        if "/metrics/" in key:
+            metric = key.split("/metrics/")[1]
+            if metric not in worst or rel > worst[metric][0]:
+                worst[metric] = (rel, key)
+        else:
+            print(f"{key:40s} max_rel_diff {rel:.3e}  array_equal {same}")
+    for metric, (rel, key) in sorted(worst.items()):
+        print(f"metric {metric:20s} max_rel_diff {rel:.3e}" + (f"  at {key}" if rel > 0 else ""))
     print(f"{equal} of {len(a.keys() | b.keys())} arrays np.array_equal")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--out", type=Path, help="record traces and SRIs to this .npz")
+    mode.add_argument("--out", type=Path, help="record traces, SRIs and metrics to this .npz")
     mode.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
-    ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree holding the hsrfuse package (default: this repo's src)")
     args = ap.parse_args()
     if args.out:

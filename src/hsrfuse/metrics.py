@@ -16,16 +16,23 @@ here and documented so numbers are comparable across runs of this tool):
             stabilizers c1=(0.01*D)^2, c2=(0.03*D)^2 with D the global
             dynamic range of the reference.
 * UIQI    : mean over bands of the Q index, 10x10 sliding window (stride 1),
-            sample statistics; degenerate-variance windows are skipped.
+            sample statistics; a window is skipped as degenerate when its
+            variance sum or its luminance sum is at most 1e-12 of that
+            term's largest value in the band (each term against its own
+            scale, so a large common offset does not mask the variances).
 
 Windows shrink to the image when a spatial axis is smaller than the nominal
-window.
+window.  The window statistics are computed band by band: both bands are
+centred on the reference band's mean, and every window mean of the centred
+values and their products is a separable box sum (a window sum down the
+first axis, then along the second), O(I*J*w) per band for a w x w window.
+Centring keeps the one-pass variances E[x^2] - E[x]^2 exact to rounding for
+data on a large offset.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 from .tensors import ensure_finite
@@ -67,30 +74,24 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
 
     ``ratio`` is the spatial downsampling factor entering the ERGAS scale.
     """
-    reference = np.asarray(reference, dtype=float)
-    estimate = np.asarray(estimate, dtype=float)
-    if reference.shape != estimate.shape or reference.ndim != 3:
-        raise DimensionError(
-            f"need two equal-shape 3-d tensors, got {reference.shape} and {estimate.shape}"
-        )
+    reference, estimate = _checked_pair(reference, estimate)
     if ratio < 1:
         raise ValueError("ratio must be >= 1")
-    ensure_finite(reference, "reference")
-    ensure_finite(estimate, "estimate")
     ref_energy = float(np.sum(reference**2))
     if ref_energy == 0.0:
         raise ValueError("reference tensor has zero norm; R-SNR is undefined")
 
     i, j, k = reference.shape
-    diff = reference - estimate
-    err_energy = float(np.sum(diff**2))
+    sq_err = reference - estimate
+    sq_err *= sq_err
+    err_energy = float(np.sum(sq_err))
+    band_rmse = np.sqrt(np.sum(sq_err, axis=(0, 1)) / (i * j))
+    del sq_err  # free the cube before _sam allocates its own
     rsnr = np.inf if err_energy == 0.0 else 10.0 * np.log10(ref_energy / err_energy)
     rmse = np.sqrt(err_energy / (i * j * k))
 
     sam, skipped = _sam(reference, estimate)
-    drange = float(reference.max() - reference.min()) or 1.0
 
-    band_rmse = np.sqrt(np.sum(diff**2, axis=(0, 1)) / (i * j))
     mu = reference.mean(axis=(0, 1))
     live = mu != 0.0
     ergas = (
@@ -100,17 +101,14 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
     )
 
     cc = _mean_over_bands(_pearson, reference, estimate)
-    ssim = float(np.mean([_ssim_band(reference[:, :, b], estimate[:, :, b], drange)
-                          for b in range(k)]))
-    uiqi = float(np.mean([_uiqi_band(reference[:, :, b], estimate[:, :, b])
-                          for b in range(k)]))
+    band_ssim, band_uiqi = _window_scores(reference, estimate)
 
-    table = per_band_curves(reference, estimate) if per_band else None
+    table = _band_table(reference, estimate, band_ssim, band_uiqi) if per_band else None
     return MetricReport(
         rsnr_db=float(rsnr),
-        ssim=ssim,
+        ssim=float(np.mean(band_ssim)),
         cc=cc,
-        uiqi=uiqi,
+        uiqi=float(np.mean(band_uiqi)),
         rmse=float(rmse),
         ergas=float(ergas),
         sam_rad=sam,
@@ -121,11 +119,34 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
 
 def per_band_curves(reference, estimate):
     """Per-band R-SNR, SSIM, UIQI and RMSE, one entry per spectral band."""
+    reference, estimate = _checked_pair(reference, estimate)
+    return _band_table(reference, estimate, *_window_scores(reference, estimate))
+
+
+def _checked_pair(reference, estimate):
+    reference = np.asarray(reference, dtype=float)
+    estimate = np.asarray(estimate, dtype=float)
     if reference.shape != estimate.shape or reference.ndim != 3:
-        raise DimensionError("need two equal-shape 3-d tensors")
-    i, j, k = reference.shape
+        raise DimensionError(
+            f"need two equal-shape 3-d tensors, got {reference.shape} and {estimate.shape}"
+        )
+    ensure_finite(reference, "reference")
+    ensure_finite(estimate, "estimate")
+    return reference, estimate
+
+
+def _window_scores(reference, estimate):
+    """SSIM and UIQI of every band, as two arrays."""
     drange = float(reference.max() - reference.min()) or 1.0
-    rows = {"band": [], "rsnr_db": [], "ssim": [], "uiqi": [], "rmse": []}
+    bands = range(reference.shape[2])
+    ssim = [_ssim_band(reference[:, :, b], estimate[:, :, b], drange) for b in bands]
+    uiqi = [_uiqi_band(reference[:, :, b], estimate[:, :, b]) for b in bands]
+    return np.asarray(ssim), np.asarray(uiqi)
+
+
+def _band_table(reference, estimate, ssim, uiqi):
+    i, j, k = reference.shape
+    rsnr_db, rmse = [], []
     for b in range(k):
         ref, est = reference[:, :, b], estimate[:, :, b]
         err = float(np.sum((ref - est) ** 2))
@@ -136,12 +157,15 @@ def per_band_curves(reference, estimate):
             rsnr = -np.inf  # zero-energy reference band with a nonzero estimate
         else:
             rsnr = 10.0 * np.log10(sig / err)
-        rows["band"].append(b)
-        rows["rsnr_db"].append(rsnr)
-        rows["ssim"].append(_ssim_band(ref, est, drange))
-        rows["uiqi"].append(_uiqi_band(ref, est))
-        rows["rmse"].append(float(np.sqrt(err / (i * j))))
-    return {key: np.asarray(val) for key, val in rows.items()}
+        rsnr_db.append(rsnr)
+        rmse.append(float(np.sqrt(err / (i * j))))
+    return {
+        "band": np.arange(k),
+        "rsnr_db": np.asarray(rsnr_db),
+        "ssim": ssim,
+        "uiqi": uiqi,
+        "rmse": np.asarray(rmse),
+    }
 
 
 def _sam(reference, estimate):
@@ -154,9 +178,12 @@ def _sam(reference, estimate):
     skipped = int(np.size(ref_norm) - np.count_nonzero(alive))
     if not alive.any():
         return 0.0, skipped
-    unit_gap = np.linalg.norm(
-        ref[alive] / ref_norm[alive, None] - est[alive] / est_norm[alive, None], axis=1
-    )
+    if skipped:
+        ref, est = ref[alive], est[alive]
+        ref_norm, est_norm = ref_norm[alive], est_norm[alive]
+    gap = ref / ref_norm[:, None]
+    gap -= est / est_norm[:, None]
+    unit_gap = np.linalg.norm(gap, axis=1)
     angles = 2.0 * np.arcsin(np.clip(0.5 * unit_gap, 0.0, 1.0))
     return float(np.mean(angles)), skipped
 
@@ -182,19 +209,45 @@ def _mean_over_bands(band_fn, reference, estimate):
     return float(np.mean(vals))
 
 
+def _box_mean(img, wi, wj):
+    """Mean of every wi x wj window: a window sum down axis 0, then along axis 1.
+
+    Each window sum adds shifted slices, so a window costs wi + wj adds, not
+    wi * wj, and no partial sum grows past one window's sum, as the prefix
+    sums of a cumulative-sum difference would.
+    """
+    rows = img[: img.shape[0] - wi + 1].copy()
+    for s in range(1, wi):
+        rows += img[s : s + rows.shape[0]]
+    out = rows[:, : rows.shape[1] - wj + 1].copy()
+    for s in range(1, wj):
+        out += rows[:, s : s + out.shape[1]]
+    out /= wi * wj
+    return out
+
+
 def _window_stats(ref, est, width):
-    """Sliding-window sums of x, y, x^2, y^2, xy over width x width patches."""
+    """Means, variances and covariance over every width x width window.
+
+    Both bands are centred on the reference band's mean first.  Variances and
+    the covariance do not change under a common shift, but their one-pass form
+    E[x^2] - E[x]^2 loses digits in proportion to the square of the offset, so
+    only the means get the shift back.
+    """
     wi = min(width, ref.shape[0])
     wj = min(width, ref.shape[1])
-    n = wi * wj
-    wx = sliding_window_view(ref, (wi, wj))
-    wy = sliding_window_view(est, (wi, wj))
-    mx = wx.mean(axis=(2, 3))
-    my = wy.mean(axis=(2, 3))
-    vx = (wx * wx).mean(axis=(2, 3)) - mx * mx
-    vy = (wy * wy).mean(axis=(2, 3)) - my * my
-    cov = (wx * wy).mean(axis=(2, 3)) - mx * my
-    return n, mx, my, vx, vy, cov
+    shift = ref.mean()
+    x = ref - shift
+    y = est - shift
+    mx = _box_mean(x, wi, wj)
+    my = _box_mean(y, wi, wj)
+    vx = _box_mean(x * x, wi, wj)
+    vx -= mx * mx
+    vy = _box_mean(y * y, wi, wj)
+    vy -= my * my
+    cov = _box_mean(x * y, wi, wj)
+    cov -= mx * my
+    return wi * wj, mx + shift, my + shift, vx, vy, cov
 
 
 def _ssim_band(ref, est, drange):
@@ -217,8 +270,11 @@ def _uiqi_band(ref, est):
     sy2 = n / (n - 1) * vy
     lum_den = mx * mx + my * my
     var_den = sx2 + sy2
-    scale = float(np.max(var_den) + np.max(lum_den))
-    alive = (var_den > 1e-12 * scale) & (lum_den > 1e-12 * scale)
+    # each term against its own scale: a large common offset inflates the
+    # luminance term, which must not mark the variances degenerate
+    alive = (var_den > 1e-12 * float(np.max(var_den))) & (
+        lum_den > 1e-12 * float(np.max(lum_den))
+    )
     if not alive.any():
         return 1.0 if np.array_equal(ref, est) else 0.0
     q = (2 * mx * my)[alive] / lum_den[alive] * (2 * corr)[alive] / var_den[alive]

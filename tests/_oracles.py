@@ -136,6 +136,70 @@ def dense_curvatures_blind(maps, coarse, spectra, data, cfg, no_tv_cfg):
     return l_c, l_s, l_t
 
 
+def window_stats_two_pass(ref, est, width):
+    """Window statistics of two bands, one window at a time, in two passes.
+
+    Windows are ``width`` x ``width`` (shrunk to the band), stride 1.  Each
+    window's means are taken first, then the means of the centred products.
+    Returns the window size and an array stacking the means of x and y, the
+    variances of x and y and their covariance, each of the window grid's shape.
+    """
+    wi = min(width, ref.shape[0])
+    wj = min(width, ref.shape[1])
+    rows, cols = ref.shape[0] - wi + 1, ref.shape[1] - wj + 1
+    stats = np.zeros((5, rows, cols))
+    for a in range(rows):
+        for b in range(cols):
+            x = ref[a : a + wi, b : b + wj]
+            y = est[a : a + wi, b : b + wj]
+            mx, my = x.mean(), y.mean()
+            stats[:, a, b] = (
+                mx,
+                my,
+                np.mean((x - mx) * (x - mx)),
+                np.mean((y - my) * (y - my)),
+                np.mean((x - mx) * (y - my)),
+            )
+    return wi * wj, stats
+
+
+def ssim_two_pass(reference, estimate, width=8):
+    """Mean over bands and windows of SSIM, c1=(0.01*D)^2, c2=(0.03*D)^2."""
+    drange = float(reference.max() - reference.min()) or 1.0
+    c1, c2 = (0.01 * drange) ** 2, (0.03 * drange) ** 2
+    bands = []
+    for band in range(reference.shape[2]):
+        _, (mx, my, vx, vy, cov) = window_stats_two_pass(
+            reference[:, :, band], estimate[:, :, band], width
+        )
+        ssim = (2 * mx * my + c1) * (2 * cov + c2) / ((mx**2 + my**2 + c1) * (vx + vy + c2))
+        bands.append(ssim.mean())
+    return float(np.mean(bands))
+
+
+def uiqi_two_pass(reference, estimate, width=10):
+    """Mean over bands of the Q index with sample statistics.
+
+    A window is skipped when its variance sum or its luminance sum is at most
+    1e-12 of that term's largest value in the band; a band with no window
+    left (or windows of one pixel) scores 1 if it matches exactly, else 0.
+    """
+    bands = []
+    for band in range(reference.shape[2]):
+        ref, est = reference[:, :, band], estimate[:, :, band]
+        n, (mx, my, vx, vy, cov) = window_stats_two_pass(ref, est, width)
+        var_den = n / (n - 1) * (vx + vy) if n > 1 else np.zeros_like(vx)
+        lum_den = mx**2 + my**2
+        alive = (var_den > 1e-12 * var_den.max()) & (lum_den > 1e-12 * lum_den.max())
+        if not alive.any():
+            bands.append(1.0 if np.array_equal(ref, est) else 0.0)
+            continue
+        mx, my, cov = mx[alive], my[alive], cov[alive]
+        q = 2 * mx * my / lum_den[alive] * (2 * n / (n - 1) * cov) / var_den[alive]
+        bands.append(q.mean())
+    return float(np.mean(bands))
+
+
 def kron(a, b):
     """Kronecker product: block (i, j) of the result is ``a[i, j] * b``."""
     return np.kron(a, b)

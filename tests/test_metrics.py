@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import ssim_two_pass, uiqi_two_pass
+from hsrfuse import metrics
 from hsrfuse.degradation import add_noise
 from hsrfuse.errors import DimensionError
 from hsrfuse.metrics import MetricReport, evaluate, per_band_curves
@@ -138,6 +140,61 @@ def test_evaluate_attaches_per_band_table():
     assert len(report.per_band["band"]) == ref.shape[2]
     payload = report.to_dict()
     assert isinstance(payload["per_band"]["rmse"], list)
+
+
+def test_per_band_scores_computed_once_and_averaged(monkeypatch):
+    ref, est = _random_pair(seed=12)
+    calls = []
+    band_ssim = metrics._ssim_band
+
+    def counted(*args):
+        calls.append(args)
+        return band_ssim(*args)
+
+    monkeypatch.setattr(metrics, "_ssim_band", counted)
+    report = evaluate(ref, est, ratio=4, per_band=True)
+    assert len(calls) == ref.shape[2]
+    assert np.mean(report.per_band["ssim"]) == report.ssim
+    assert np.mean(report.per_band["uiqi"]) == report.uiqi
+
+
+def test_per_band_curves_validates_inputs():
+    ref, est = _random_pair(seed=13, dims=(5, 4, 3))
+    table = per_band_curves(ref.tolist(), est.tolist())
+    assert np.array_equal(table["rmse"], per_band_curves(ref, est)["rmse"])
+    with pytest.raises(DimensionError):
+        per_band_curves(ref, est[:, :, :2])
+    est[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="estimate"):
+        per_band_curves(ref, est)
+
+
+def test_uiqi_flat_bands_have_no_live_window():
+    # both bands flat: their window variances are rounding noise, not signal
+    ref = np.full((13, 17, 1), 0.3)
+    est = np.full((13, 17, 1), 0.7)
+    assert evaluate(ref, est, ratio=1).uiqi == 0.0
+    assert evaluate(ref, ref.copy(), ratio=1).uiqi == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 24),
+    cols=st.integers(1, 24),
+    offset=st.sampled_from([0.0, 1e3, 1e6]),
+    noise=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**31),
+)
+def test_window_metrics_match_two_pass_oracle(rows, cols, offset, noise, seed):
+    rng = np.random.default_rng(seed)
+    ref = offset + rng.uniform(size=(rows, cols, 2))
+    est = ref + noise * rng.standard_normal(ref.shape)
+    report = evaluate(ref, est, ratio=1)
+    assert report.ssim == pytest.approx(ssim_two_pass(ref, est), rel=1e-9)
+    assert report.uiqi == pytest.approx(uiqi_two_pass(ref, est), rel=1e-9)
+    same = evaluate(ref, ref.copy(), ratio=1)
+    assert same.ssim == 1.0
+    assert same.uiqi == 1.0
 
 
 def test_small_images_shrink_windows():
