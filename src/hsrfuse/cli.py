@@ -13,11 +13,16 @@ import numpy as np
 
 from . import __version__
 from .blockterm import RecoverabilityQuery, check_recoverability, random_blockterm, reconstruct
-from .degradation import DegradationOps, add_noise, degrade_spatial, degrade_spectral
+from .degradation import (
+    DegradationOps,
+    add_noise,
+    check_snr_db,
+    degrade_spatial,
+    degrade_spectral,
+)
 from .errors import ConfigError, DimensionError, NumericalError
 from .fileio import (
     load_config,
-    parse_dims,
     read_htf,
     read_matrix_csv,
     require_input,
@@ -130,6 +135,7 @@ def cmd_simulate(args):
         cfg.blur.ratio = args.ratio
     if args.term_rank is not None:
         cfg.term_rank = args.term_rank
+    check_snr_db(cfg.snr_db)
     out = _outdir(cfg)
 
     rng = np.random.default_rng(cfg.seed)

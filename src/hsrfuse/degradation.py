@@ -37,8 +37,8 @@ class BlurSpec:
     def __post_init__(self):
         if self.kernel_width < 1 or self.kernel_width % 2 == 0:
             raise ValueError("kernel_width must be a positive odd integer")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.ratio < 1:
             raise ValueError("ratio must be a positive integer")
         if self.boundary not in ("circular", "reflect"):
@@ -165,6 +165,12 @@ def degrade_spectral(sri, ops):
     return np.einsum("ijk,mk->ijm", sri, ops.pm, optimize=True)
 
 
+def check_snr_db(snr_db):
+    """Reject a noise level :func:`add_noise` cannot calibrate: NaN or -inf."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+
+
 def add_noise(tensor, snr_db, seed=0):
     """Add zero-mean i.i.d. Gaussian noise, rescaled so the realized SNR is
     exactly ``snr_db`` (not just in expectation).  ``snr_db=inf`` returns a copy.
@@ -172,6 +178,7 @@ def add_noise(tensor, snr_db, seed=0):
     ``seed`` may be an integer or a numpy Generator.
     """
     ensure_finite(tensor, "signal tensor")
+    check_snr_db(snr_db)
     if math.isinf(snr_db):
         return np.array(tensor, dtype=float)
     signal_energy = float(np.sum(np.square(tensor, dtype=float)))

@@ -221,9 +221,6 @@ def _parse_bool(text, where):
 
 
 def _parse_float(text, where):
-    val = str(text).strip().lower()
-    if val in ("inf", "+inf", "infinity"):
-        return math.inf
     try:
         return float(text)
     except ValueError as exc:

@@ -73,6 +73,8 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
     """Score ``estimate`` against ``reference``; both (I, J, K) tensors.
 
     ``ratio`` is the spatial downsampling factor entering the ERGAS scale.
+    ``per_band=True`` attaches the per-band R-SNR, SSIM, UIQI and RMSE curves
+    as ``per_band``.
     """
     reference, estimate = _checked_pair(reference, estimate)
     if ratio < 1:
@@ -115,12 +117,6 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
         sam_skipped=skipped,
         per_band=table,
     )
-
-
-def per_band_curves(reference, estimate):
-    """Per-band R-SNR, SSIM, UIQI and RMSE, one entry per spectral band."""
-    reference, estimate = _checked_pair(reference, estimate)
-    return _band_table(reference, estimate, *_window_scores(reference, estimate))
 
 
 def _checked_pair(reference, estimate):

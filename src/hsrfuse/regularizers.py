@@ -10,9 +10,10 @@ differentiable objective:
 
 Both admit quadratic majorizers that touch the function at the anchor point,
 which yields the reweighting matrices (W for Schatten, diagonal U/V for TV)
-driving the gradient and the step-size bounds.  The difference operators are
-applied matrix-free; the dense circulant matrix is materialized only for
-verification.
+driving the gradient and the step-size bounds.  This module holds what the
+solver evaluates: the values, the reweighting terms and the matrix-free
+difference operators.  The gradients, the majorizer values and the dense
+circulant matrix that check them live with the tests.
 """
 
 import math
@@ -53,11 +54,6 @@ class TvConfig:
 # ---------------------------------------------------------------------------
 # circulant first differences
 # ---------------------------------------------------------------------------
-
-def circulant_diff(n):
-    """Dense n x n circulant first-difference matrix: (Hx)_i = x_i - x_{i+1 mod n}."""
-    return np.eye(n) - np.roll(np.eye(n), -1, axis=0)
-
 
 def diff_norm(n):
     """Largest singular value of the circulant difference, 2*sin(pi*(n//2)/n)."""
@@ -100,42 +96,18 @@ def schatten_value(x, cfg):
     return float(np.sum(lam ** (cfg.p / 2)))
 
 
-def schatten_weight(x, cfg):
-    """Reweighting matrix W = (X X' + tau I)^((p-2)/2), symmetric PD.
+def schatten_weight_terms(x, cfg):
+    """Reweighting matrix W = (X X' + tau I)^((p-2)/2) plus its largest
+    eigenvalue, from one factorization.
 
     All eigenvalues of the base matrix are >= tau, so the negative power is
-    well defined and the eigenvalues of W are <= tau^((p-2)/2).
+    well defined: W is symmetric PD with eigenvalues <= tau^((p-2)/2).
     """
-    return schatten_weight_terms(x, cfg)[0]
-
-
-def schatten_weight_terms(x, cfg):
-    """Reweighting matrix plus its largest eigenvalue, from one factorization."""
     x = np.atleast_2d(x)
     lam, vec = _gram_eig(x, cfg.tau)
     exponent = (cfg.p - 2) / 2
     weight = (vec * lam**exponent) @ vec.T
     return weight, float(lam[0] ** exponent)
-
-
-def schatten_gradient(x, cfg):
-    """Gradient p * W(X) @ X of the smoothed Schatten-p value."""
-    return cfg.p * (schatten_weight(x, cfg) @ np.atleast_2d(x))
-
-
-def schatten_majorizer_value(x, w_anchor, cfg):
-    """Quadratic upper bound built at the anchor that produced ``w_anchor``:
-
-        (p/2) tr(W (X X' + tau I)) + ((2-p)/2) tr(W^(p/(p-2))).
-
-    Touches the Schatten value at the anchor and dominates it elsewhere.
-    """
-    x = np.atleast_2d(x)
-    p, tau = cfg.p, cfg.tau
-    lam_w = np.linalg.eigvalsh(w_anchor)
-    const = (2 - p) / 2 * np.sum(lam_w ** (p / (p - 2)))
-    quad = p / 2 * (np.sum((w_anchor @ x) * x) + tau * np.trace(w_anchor))
-    return float(quad + const)
 
 
 # ---------------------------------------------------------------------------
@@ -164,28 +136,3 @@ def tv_weights(img, cfg):
     u = (col_diff(img) ** 2 + cfg.epsilon) ** e
     v = (row_diff(img) ** 2 + cfg.epsilon) ** e
     return u, v
-
-
-def tv_gradient(img, cfg):
-    """Gradient q * (Hx' U Hx + Hy' V Hy) vec(img), applied matrix-free."""
-    u, v = tv_weights(img, cfg)
-    return cfg.q * (
-        col_diff_adjoint(u * col_diff(img)) + row_diff_adjoint(v * row_diff(img))
-    )
-
-
-def tv_majorizer_value(img, anchor, cfg):
-    """Quadratic upper bound of the TV penalty anchored at ``anchor``.
-
-    Per difference entry with weight w = (q/2)(d_anchor^2 + eps)^((q-2)/2):
-    w*d^2 + eps*w + ((2-q)/2)(2w/q)^(q/(q-2)); tight at img == anchor.
-    """
-    q, eps = cfg.q, cfg.epsilon
-    total = 0.0
-    for diff in (col_diff, row_diff):
-        d = diff(img)
-        w = q / 2 * (diff(anchor) ** 2 + eps) ** ((q - 2) / 2)
-        total += float(
-            np.sum(w * d * d + eps * w + (2 - q) / 2 * (2 * w / q) ** (q / (q - 2)))
-        )
-    return total

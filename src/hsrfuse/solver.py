@@ -1,16 +1,18 @@
 """Coupled fusion solvers: alternating accelerated projected gradient.
 
-Known-operator problem, over the stacked maps S (pixels x terms, column r =
-vec of map r) and the spectra C (bands x terms):
+Both solvers fit one model.  Over the stacked maps S (pixels x terms, column
+r = vec of map r), the spectra C (bands x terms) and a coarse factor T:
 
-    min  1/2 |Yh - (P2 kron P1) S C'|^2 + 1/2 |Ym - S (PM C)'|^2
+    min  1/2 |Yh - T C'|^2 + 1/2 |Ym - S (PM C)'|^2
          + theta sum_r tv(S_r) + eta sum_r schatten(S_r) + lam/2 |C|^2
     s.t. S >= 0, C >= 0,
 
-with Yh/Ym the pixels-by-bands unfoldings of the HSI/MSI.  The blind variant
-replaces (P2 kron P1) S by a free coarse factor matrix that absorbs the
-unknown spatial operators; the coarse block carries the Schatten penalty but
-no TV term and no nonnegativity constraint.
+with Yh/Ym the pixels-by-bands unfoldings of the HSI/MSI.  With known
+spatial operators T is tied to (P2 kron P1) S.  In the blind problem T is a
+free block that absorbs the unknown spatial operators; it carries the
+Schatten penalty eta sum_r schatten(T_r) but no TV term and no nonnegativity
+constraint.  One :class:`FusionData` holds either problem (``ops`` is None
+when blind), and one objective and one spectra step serve both.
 
 Each block is a pair (step, project): ``step`` returns the block gradient at
 an anchor and a cheap upper bound L on the block curvature (exact for the
@@ -19,14 +21,16 @@ solvers: it moves each block 1/L from its anchor, projected onto the
 nonnegative orthant if ``project``, so the unaccelerated iteration decreases
 the objective monotonically.  Nesterov extrapolation is applied per block by
 default; gradients, reweighting and bounds are all evaluated at the anchor.
+The maps step stays one per problem (only the known one carries the HSI fit
+back through (P2 kron P1)'), and only the blind problem has a coarse step.
 
-The known-operator data fit needs the degraded maps (P2 kron P1) S and a few
-R x R Grams of S.  ``map_products`` computes them once per maps update, and
-the objective after a sweep and the spectra step of the next sweep both read
-that one bundle.  The maps gradient is taken in Gram form, so no full-size
-residual is built for it.  The objective keeps the residual form: a Gram form
-cancels |Y|^2 against nearly equal terms and loses its accuracy, and even its
-sign, near an exact fit.
+The data fit needs T and a few R x R Grams of S and T.  ``map_products``
+computes them once per update of S (and T), and the objective after a sweep
+and the spectra step of the next sweep both read that one bundle.  The maps
+gradient is taken in Gram form, so no full-size residual is built for it.
+The objective keeps the residual form: a Gram form cancels |Y|^2 against
+nearly equal terms and loses its accuracy, and even its sign, near an exact
+fit.
 """
 
 import math
@@ -106,41 +110,11 @@ class FusionReport:
 
 @dataclass
 class FusionData:
-    """Unfolded observations plus the degradation operators (known case)."""
+    """Unfolded observations plus the known degradation operators.
 
-    hsi_mat: np.ndarray
-    msi_mat: np.ndarray
-    sri_dims: tuple
-    hsi_dims: tuple
-    ops: DegradationOps
-    ph_gram_norm: float
-    pm_gram_norm: float
-
-    @classmethod
-    def from_tensors(cls, hsi, msi, ops):
-        hsi = ensure_finite(np.asarray(hsi, dtype=float), "HSI")
-        msi = ensure_finite(np.asarray(msi, dtype=float), "MSI")
-        n_bands = ops.pm.shape[1]
-        expected_hsi = ops.hsi_dims + (n_bands,)
-        if hsi.shape != expected_hsi:
-            raise DimensionError(f"HSI shape {hsi.shape} does not match operators {expected_hsi}")
-        expected_msi = (ops.p1.shape[1], ops.p2.shape[1], ops.pm.shape[0])
-        if msi.shape != expected_msi:
-            raise DimensionError(f"MSI shape {msi.shape} does not match operators {expected_msi}")
-        return cls(
-            hsi_mat=unfold(hsi),
-            msi_mat=unfold(msi),
-            sri_dims=(ops.p1.shape[1], ops.p2.shape[1], n_bands),
-            hsi_dims=ops.hsi_dims,
-            ops=ops,
-            ph_gram_norm=(ops.p1_norm * ops.p2_norm) ** 2,
-            pm_gram_norm=ops.pm_norm**2,
-        )
-
-
-@dataclass
-class BlindFusionData:
-    """Unfolded observations plus the spectral operator only (blind case)."""
+    Both problems know the spectral operator ``pm``; ``ops`` carries all three
+    operators in the known-operator problem and is None in the blind one.
+    """
 
     hsi_mat: np.ndarray
     msi_mat: np.ndarray
@@ -148,13 +122,33 @@ class BlindFusionData:
     hsi_dims: tuple
     pm: np.ndarray
     pm_gram_norm: float
+    ops: DegradationOps = None
 
     @classmethod
-    def from_tensors(cls, hsi, msi, pm):
+    def from_tensors(cls, hsi, msi, ops):
+        """Known-operator problem: ``ops`` is a :class:`DegradationOps`."""
+        data = cls._unfold(hsi, msi, ops.pm, ops.pm_norm, ops)
+        if data.hsi_dims != ops.hsi_dims:
+            raise DimensionError(
+                f"HSI spatial size {data.hsi_dims} does not match operators {ops.hsi_dims}"
+            )
+        expected = (ops.p1.shape[1], ops.p2.shape[1])
+        if data.sri_dims[:2] != expected:
+            raise DimensionError(
+                f"MSI spatial size {data.sri_dims[:2]} does not match operators {expected}"
+            )
+        return data
+
+    @classmethod
+    def from_tensors_blind(cls, hsi, msi, pm):
+        """Blind problem: only the spectral operator ``pm`` is known."""
+        pm = np.atleast_2d(np.asarray(pm, dtype=float))
+        return cls._unfold(hsi, msi, pm, _check_full_row_rank(pm, "pm"))
+
+    @classmethod
+    def _unfold(cls, hsi, msi, pm, pm_norm, ops=None):
         hsi = ensure_finite(np.asarray(hsi, dtype=float), "HSI")
         msi = ensure_finite(np.asarray(msi, dtype=float), "MSI")
-        pm = np.atleast_2d(np.asarray(pm, dtype=float))
-        pm_norm = _check_full_row_rank(pm, "pm")
         if hsi.ndim != 3 or msi.ndim != 3:
             raise DimensionError("HSI and MSI must be 3-d tensors")
         if hsi.shape[2] != pm.shape[1]:
@@ -172,7 +166,13 @@ class BlindFusionData:
             hsi_dims=hsi.shape[:2],
             pm=pm,
             pm_gram_norm=pm_norm**2,
+            ops=ops,
         )
+
+    @property
+    def ph_gram_norm(self):
+        """sigma_max(P2 kron P1)^2 (known-operator problem only)."""
+        return (self.ops.p1_norm * self.ops.p2_norm) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +214,15 @@ def _maps_as_images(maps, shape):
     return maps.reshape(i, j, maps.shape[1], order="F")
 
 
-def _penalty_value(maps, shape, cfg):
+def _penalty_value(maps, shape, cfg, with_tv=True):
     total = 0.0
-    if cfg.tv_weight == 0 and cfg.lowrank_weight == 0:
+    use_tv = with_tv and cfg.tv_weight > 0
+    if not (use_tv or cfg.lowrank_weight > 0):
         return total
     cube = _maps_as_images(maps, shape)
     for r in range(maps.shape[1]):
         img = cube[:, :, r]
-        if cfg.tv_weight > 0:
+        if use_tv:
             total += cfg.tv_weight * tv_value(img, cfg.tv)
         if cfg.lowrank_weight > 0:
             total += cfg.lowrank_weight * schatten_value(img, cfg.schatten)
@@ -270,33 +271,47 @@ def _map_penalties(maps, shape, cfg, with_tv=True):
 
 @dataclass
 class MapProducts:
-    """Products of the maps S shared by the known-operator objective and spectra step.
+    """Products of the maps S and the HSI-side factor, shared by the objective
+    and the spectra step.
 
-    ``phs`` is (P2 kron P1) S; the rest are the Grams S'S and phs'phs, the
-    cross products Yh'phs and Ym'S, and sigma_max(S)^2.
+    ``coarse`` is (P2 kron P1) S in the known-operator problem and the free
+    coarse block in the blind one.  The rest are the Grams S'S and
+    coarse'coarse, the cross products Yh'coarse and Ym'S, and ``spectra_curv``,
+    the data-fit curvature bound of the spectra block.
     """
 
     maps: np.ndarray
-    phs: np.ndarray
-    phs_gram: np.ndarray
+    coarse: np.ndarray
+    coarse_gram: np.ndarray
     gram: np.ndarray
-    hsi_phs: np.ndarray
+    hsi_coarse: np.ndarray
     msi_maps: np.ndarray
-    sq_norm: float
+    spectra_curv: float
 
 
-def map_products(maps, data):
-    """Compute the :class:`MapProducts` of ``maps`` once, for every reader."""
-    phs = _apply_ph(maps, data.ops.p1, data.ops.p2, data.sri_dims[:2])
+def map_products(maps, data, coarse=None):
+    """Compute the :class:`MapProducts` of ``maps`` once, for every reader.
+
+    ``coarse`` is the blind problem's coarse block; the known-operator problem
+    passes none and gets (P2 kron P1) S.
+    """
     gram = maps.T @ maps
+    sq_norm = _top_eigenvalue(gram)
+    if data.ops is None:
+        coarse_gram = coarse.T @ coarse
+        curv = data.pm_gram_norm * sq_norm + _top_eigenvalue(coarse_gram)
+    else:
+        coarse = _apply_ph(maps, data.ops.p1, data.ops.p2, data.sri_dims[:2])
+        coarse_gram = coarse.T @ coarse
+        curv = sq_norm * (data.ph_gram_norm + data.pm_gram_norm)
     return MapProducts(
         maps=maps,
-        phs=phs,
-        phs_gram=phs.T @ phs,
+        coarse=coarse,
+        coarse_gram=coarse_gram,
         gram=gram,
-        hsi_phs=data.hsi_mat.T @ phs,
+        hsi_coarse=data.hsi_mat.T @ coarse,
         msi_maps=data.msi_mat.T @ maps,
-        sq_norm=_top_eigenvalue(gram),
+        spectra_curv=curv,
     )
 
 
@@ -307,23 +322,27 @@ def _half_sq_residual(fit, target):
 
 
 def objective(products, spectra, data, cfg):
-    """Full objective at (S, C) for the known-operator problem, S given by its products."""
+    """Full objective at (S, T, C), S and T given by their products; in the
+    blind problem T carries its own Schatten term."""
     maps = products.maps
-    f = _half_sq_residual(products.phs @ spectra.T, data.hsi_mat)
-    f += _half_sq_residual(maps @ (data.ops.pm @ spectra).T, data.msi_mat)
+    f = _half_sq_residual(products.coarse @ spectra.T, data.hsi_mat)
+    f += _half_sq_residual(maps @ (data.pm @ spectra).T, data.msi_mat)
     f += 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
-    return f + _penalty_value(maps, data.sri_dims[:2], cfg)
+    f += _penalty_value(maps, data.sri_dims[:2], cfg)
+    if data.ops is None:
+        f += _penalty_value(products.coarse, data.hsi_dims, cfg, with_tv=False)
+    return f
 
 
 def spectra_step(spectra, products, data, cfg):
-    """Spectra-block gradient and curvature bound for the known-operator problem."""
-    pm = data.ops.pm
-    g = spectra @ products.phs_gram
+    """Spectra-block gradient and curvature bound."""
+    pm = data.pm
+    g = spectra @ products.coarse_gram
     g += pm.T @ (pm @ spectra) @ products.gram
     g += cfg.ridge_weight * spectra
-    g -= products.hsi_phs
+    g -= products.hsi_coarse
     g -= pm.T @ products.msi_maps
-    return g, products.sq_norm * (data.ph_gram_norm + data.pm_gram_norm) + cfg.ridge_weight
+    return g, products.spectra_curv + cfg.ridge_weight
 
 
 def maps_step(maps, spectra, data, cfg):
@@ -333,7 +352,7 @@ def maps_step(maps, spectra, data, cfg):
     The data gradient is P_H'(phs C'C - Yh C) + S M'M - Ym M with M = PM C.
     """
     i, j, _ = data.sri_dims
-    p1, p2, pm = data.ops.p1, data.ops.p2, data.ops.pm
+    p1, p2, pm = data.ops.p1, data.ops.p2, data.pm
     pen, w_curv, tv_curv = _map_penalties(maps, (i, j), cfg)
     phs = _apply_ph(maps, p1, p2, (i, j))
     hsi_part = phs @ (spectra.T @ spectra)
@@ -348,30 +367,6 @@ def maps_step(maps, spectra, data, cfg):
     l += cfg.schatten.p * cfg.lowrank_weight * w_curv
     l += cfg.tv.q * cfg.tv_weight * tv_curv
     return g, l
-
-
-def objective_blind(maps, coarse, spectra, data, cfg):
-    """Full objective at (S, coarse, C) for the blind problem."""
-    i, j, _ = data.sri_dims
-    f = 0.5 * float(np.sum((coarse @ spectra.T - data.hsi_mat) ** 2))
-    f += 0.5 * float(np.sum((maps @ (data.pm @ spectra).T - data.msi_mat) ** 2))
-    f += 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
-    f += _penalty_value(maps, (i, j), cfg)
-    if cfg.lowrank_weight > 0:
-        cube = _maps_as_images(coarse, data.hsi_dims)
-        for r in range(coarse.shape[1]):
-            f += cfg.lowrank_weight * schatten_value(cube[:, :, r], cfg.schatten)
-    return f
-
-
-def spectra_step_blind(spectra, maps, coarse, data, cfg):
-    """Spectra-block gradient and curvature bound for the blind problem."""
-    g = spectra @ (coarse.T @ coarse)
-    g += data.pm.T @ (data.pm @ spectra) @ (maps.T @ maps)
-    g += cfg.ridge_weight * spectra
-    g -= data.hsi_mat.T @ coarse
-    g -= data.pm.T @ (data.msi_mat.T @ maps)
-    return g, data.pm_gram_norm * _sq_norm(maps) + _sq_norm(coarse) + cfg.ridge_weight
 
 
 def maps_step_blind(maps, spectra, data, cfg):
@@ -496,6 +491,49 @@ def _init_factor(rng, shape, given, label):
 # full solvers
 # ---------------------------------------------------------------------------
 
+def _solve(data, n_terms, cfg, init, default_iters, steps):
+    """Setup and run shared by both solvers.
+
+    The spectra block comes first; ``steps`` lists ``(step, project)`` for
+    the maps block and, in the blind problem, the coarse block, each called as
+    ``step(x, spectra, data, cfg)``.  Factors are drawn in the order maps,
+    spectra, coarse.
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    i, j, k = data.sri_dims
+    max_iters = default_iters if cfg.max_iters is None else cfg.max_iters
+
+    rng = np.random.default_rng(cfg.seed)
+    labels = ("maps", "spectra", "coarse maps")[: len(steps) + 1]
+    shapes = ((i * j, n_terms), (k, n_terms), (math.prod(data.hsi_dims), n_terms))
+    given = init if init is not None else (None,) * len(labels)
+    maps, spectra, *coarse = [
+        _init_factor(rng, shapes[b], given[b], labels[b]) for b in range(len(labels))
+    ]
+
+    # One bundle per (maps, coarse) pair: _run replaces factors by new arrays
+    # and never writes into one, so the array objects identify their products.
+    last = None
+
+    def products(factors):
+        nonlocal last
+        if last is None or any(a is not b for a, b in zip(last[0], factors[1:])):
+            last = (factors[1:], map_products(factors[1], data, *factors[2:]))
+        return last[1]
+
+    blocks = [(lambda c, f: spectra_step(c, products(f), data, cfg), True)]
+    blocks += [
+        (lambda x, f, step=step: step(x, f[0], data, cfg), project) for step, project in steps
+    ]
+    (spectra, maps, *_), trace, converged = _run(
+        [spectra, maps, *coarse], blocks,
+        lambda f: objective(products(f), f[0], data, cfg), cfg, max_iters,
+    )
+    return _report(maps, spectra, data, trace, converged)
+
+
 def fuse(hsi, msi, ops, n_terms, cfg=None, init=None):
     """Recover the super-resolution tensor with known degradation operators.
 
@@ -503,37 +541,8 @@ def fuse(hsi, msi, ops, n_terms, cfg=None, init=None):
     uniform(0, 1) from ``cfg.seed``.  Returns a :class:`FusionReport` whose
     trace holds the objective at the initializer and after every iteration.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
     data = FusionData.from_tensors(hsi, msi, ops)
-    i, j, k = data.sri_dims
-    max_iters = DEFAULT_MAX_ITERS if cfg.max_iters is None else cfg.max_iters
-
-    rng = np.random.default_rng(cfg.seed)
-    given = init if init is not None else (None, None)
-    maps = _init_factor(rng, (i * j, n_terms), given[0], "maps")
-    spectra = _init_factor(rng, (k, n_terms), given[1], "spectra")
-
-    # One bundle per maps array: _run replaces factors by new arrays and
-    # never writes into one, so the array object identifies its products.
-    last = None
-
-    def products(maps):
-        nonlocal last
-        if last is None or last.maps is not maps:
-            last = map_products(maps, data)
-        return last
-
-    blocks = [
-        (lambda c, f: spectra_step(c, products(f[1]), data, cfg), True),
-        (lambda s, f: maps_step(s, f[0], data, cfg), True),
-    ]
-    (spectra, maps), trace, converged = _run(
-        [spectra, maps], blocks, lambda f: objective(products(f[1]), f[0], data, cfg),
-        cfg, max_iters,
-    )
-    return _report(maps, spectra, data, trace, converged)
+    return _solve(data, n_terms, cfg, init, DEFAULT_MAX_ITERS, [(maps_step, True)])
 
 
 def fuse_blind(hsi, msi, pm, n_terms, cfg=None, init=None):
@@ -544,26 +553,8 @@ def fuse_blind(hsi, msi, pm, n_terms, cfg=None, init=None):
     output tensor is rebuilt from (maps, spectra) only; the coarse factors are
     an internal device and are discarded.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    data = BlindFusionData.from_tensors(hsi, msi, pm)
-    i, j, k = data.sri_dims
-    max_iters = DEFAULT_MAX_ITERS_BLIND if cfg.max_iters is None else cfg.max_iters
-
-    rng = np.random.default_rng(cfg.seed)
-    given = init if init is not None else (None, None, None)
-    maps = _init_factor(rng, (i * j, n_terms), given[0], "maps")
-    spectra = _init_factor(rng, (k, n_terms), given[1], "spectra")
-    coarse = _init_factor(rng, (math.prod(data.hsi_dims), n_terms), given[2], "coarse maps")
-
-    blocks = [
-        (lambda c, f: spectra_step_blind(c, f[1], f[2], data, cfg), True),
-        (lambda s, f: maps_step_blind(s, f[0], data, cfg), True),
-        (lambda t, f: coarse_step_blind(t, f[0], data, cfg), False),
-    ]
-    (spectra, maps, _), trace, converged = _run(
-        [spectra, maps, coarse], blocks,
-        lambda f: objective_blind(f[1], f[2], f[0], data, cfg), cfg, max_iters,
+    data = FusionData.from_tensors_blind(hsi, msi, pm)
+    return _solve(
+        data, n_terms, cfg, init, DEFAULT_MAX_ITERS_BLIND,
+        [(maps_step_blind, True), (coarse_step_blind, False)],
     )
-    return _report(maps, spectra, data, trace, converged)

@@ -2,14 +2,24 @@
 
 Everything here is deliberately written the slow, literal way (loops, dense
 matrices, central differences) so it cannot share a bug with the library
-code paths it checks.  The Kronecker, Khatri-Rao and Frobenius helpers at the
-end are used only by the tests.
+code paths it checks.  The regularizer gradients and majorizer values are the
+textbook forms the solver's reweighted steps are derived from; the solver
+needs only the reweighting terms, so they are kept here.  The Kronecker,
+Khatri-Rao and Frobenius helpers at the end are used only by the tests.
 """
 
 import numpy as np
 import scipy.linalg
 
 from hsrfuse.errors import DimensionError
+from hsrfuse.regularizers import (
+    col_diff,
+    col_diff_adjoint,
+    row_diff,
+    row_diff_adjoint,
+    schatten_weight_terms,
+    tv_weights,
+)
 
 
 def central_gradient(fun, x, step=1e-6):
@@ -82,6 +92,61 @@ def tv_by_loops(img, q, eps):
             dx = img[a, b] - img[a, (b + 1) % j]
             dy = img[a, b] - img[(a + 1) % i, b]
             total += (dx * dx + eps) ** (q / 2) + (dy * dy + eps) ** (q / 2)
+    return total
+
+
+def circulant_diff(n):
+    """Dense n x n circulant first-difference matrix: (Hx)_i = x_i - x_{i+1 mod n}."""
+    return np.eye(n) - np.roll(np.eye(n), -1, axis=0)
+
+
+def schatten_weight(x, cfg):
+    """Reweighting matrix W = (X X' + tau I)^((p-2)/2), symmetric PD."""
+    return schatten_weight_terms(x, cfg)[0]
+
+
+def schatten_gradient(x, cfg):
+    """Gradient p * W(X) @ X of the smoothed Schatten-p value."""
+    return cfg.p * (schatten_weight(x, cfg) @ np.atleast_2d(x))
+
+
+def schatten_majorizer_value(x, w_anchor, cfg):
+    """Quadratic upper bound built at the anchor that produced ``w_anchor``:
+
+        (p/2) tr(W (X X' + tau I)) + ((2-p)/2) tr(W^(p/(p-2))).
+
+    Touches the Schatten value at the anchor and dominates it elsewhere.
+    """
+    x = np.atleast_2d(x)
+    p, tau = cfg.p, cfg.tau
+    lam_w = np.linalg.eigvalsh(w_anchor)
+    const = (2 - p) / 2 * np.sum(lam_w ** (p / (p - 2)))
+    quad = p / 2 * (np.sum((w_anchor @ x) * x) + tau * np.trace(w_anchor))
+    return float(quad + const)
+
+
+def tv_gradient(img, cfg):
+    """Gradient q * (Hx' U Hx + Hy' V Hy) vec(img), applied matrix-free."""
+    u, v = tv_weights(img, cfg)
+    return cfg.q * (
+        col_diff_adjoint(u * col_diff(img)) + row_diff_adjoint(v * row_diff(img))
+    )
+
+
+def tv_majorizer_value(img, anchor, cfg):
+    """Quadratic upper bound of the TV penalty anchored at ``anchor``.
+
+    Per difference entry with weight w = (q/2)(d_anchor^2 + eps)^((q-2)/2):
+    w*d^2 + eps*w + ((2-q)/2)(2w/q)^(q/(q-2)); tight at img == anchor.
+    """
+    q, eps = cfg.q, cfg.epsilon
+    total = 0.0
+    for diff in (col_diff, row_diff):
+        d = diff(img)
+        w = q / 2 * (diff(anchor) ** 2 + eps) ** ((q - 2) / 2)
+        total += float(
+            np.sum(w * d * d + eps * w + (2 - q) / 2 * (2 * w / q) ** (q / (q - 2)))
+        )
     return total
 
 

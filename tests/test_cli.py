@@ -106,6 +106,17 @@ def test_simulate_realized_snr_recorded(tmp_path):
     assert manifest["snr_db_realized"]["msi"] == pytest.approx(25.0, abs=1e-9)
 
 
+def test_simulate_rejects_undefined_noise_level_before_writing(tmp_path, capsys):
+    # NaN and -inf give no noise scale; the run must stop before SRI.htf is written
+    for label, snr, flags in (("cfg", "nan", []), ("flag", "30", ["--snr=-inf"])):
+        cfg = tmp_path / f"{label}.cfg"
+        out = tmp_path / label
+        cfg.write_text(SIMULATE_CFG.format(out=out, seed=1, snr=snr))
+        assert main(["simulate", "--config", str(cfg), *flags]) == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_simulate_warns_when_unrecoverable(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     text = SIMULATE_CFG.format(out=tmp_path / "w", seed=1, snr="inf")

@@ -243,3 +243,10 @@ def test_add_noise_seeds_differ_same_norm():
 def test_add_noise_rejects_zero_signal():
     with pytest.raises(ValueError):
         add_noise(np.zeros((2, 2, 2)), 30.0)
+
+
+def test_add_noise_rejects_nan_and_negative_infinite_snr():
+    t = np.random.default_rng(10).normal(size=(2, 2, 2))
+    for snr_db in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            add_noise(t, snr_db)

@@ -192,9 +192,10 @@ def test_load_config_rejects_unknown_section(tmp_path):
 
 def test_load_config_rejects_bad_value(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("[blur]\nkernel_width = 4\n")
-    with pytest.raises(ConfigError, match="odd"):
-        load_config(path)
+    for text, message in (("kernel_width = 4", "odd"), ("sigma = nan", "sigma")):
+        path.write_text(f"[blur]\n{text}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
 
 
 def test_load_config_missing_file(tmp_path):

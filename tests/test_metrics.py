@@ -7,7 +7,7 @@ from _oracles import ssim_two_pass, uiqi_two_pass
 from hsrfuse import metrics
 from hsrfuse.degradation import add_noise
 from hsrfuse.errors import DimensionError
-from hsrfuse.metrics import MetricReport, evaluate, per_band_curves
+from hsrfuse.metrics import MetricReport, evaluate
 
 
 def _random_pair(seed=0, dims=(12, 11, 5), noise=0.05):
@@ -110,7 +110,7 @@ def test_per_band_constant_difference_rows_identical():
     base = rng.uniform(0.5, 1.0, size=(6, 6))
     ref = np.stack([base] * 4, axis=2)
     est = ref + 0.01
-    table = per_band_curves(ref, est)
+    table = evaluate(ref, est, per_band=True).per_band
     for key in ("rsnr_db", "ssim", "uiqi", "rmse"):
         assert np.allclose(table[key], table[key][0]), key
 
@@ -119,7 +119,7 @@ def test_per_band_single_corrupted_band():
     ref, _ = _random_pair(seed=7)
     est = ref.copy()
     est[:, :, 2] += 0.3
-    table = per_band_curves(ref, est)
+    table = evaluate(ref, est, per_band=True).per_band
     assert np.isinf(table["rsnr_db"][[0, 1, 3, 4]]).all()
     assert np.isfinite(table["rsnr_db"][2])
     assert np.all(table["rmse"][[0, 1, 3, 4]] == 0.0)
@@ -128,7 +128,7 @@ def test_per_band_single_corrupted_band():
 
 def test_per_band_rmse_energy_additivity():
     ref, est = _random_pair(seed=8)
-    table = per_band_curves(ref, est)
+    table = evaluate(ref, est, per_band=True).per_band
     global_rmse = evaluate(ref, est, ratio=4).rmse
     assert np.mean(table["rmse"] ** 2) == pytest.approx(global_rmse**2, rel=1e-12)
 
@@ -160,13 +160,13 @@ def test_per_band_scores_computed_once_and_averaged(monkeypatch):
 
 def test_per_band_curves_validates_inputs():
     ref, est = _random_pair(seed=13, dims=(5, 4, 3))
-    table = per_band_curves(ref.tolist(), est.tolist())
-    assert np.array_equal(table["rmse"], per_band_curves(ref, est)["rmse"])
+    table = evaluate(ref.tolist(), est.tolist(), per_band=True).per_band
+    assert np.array_equal(table["rmse"], evaluate(ref, est, per_band=True).per_band["rmse"])
     with pytest.raises(DimensionError):
-        per_band_curves(ref, est[:, :, :2])
+        evaluate(ref, est[:, :, :2], per_band=True)
     est[1, 2, 0] = np.nan
     with pytest.raises(ValueError, match="estimate"):
-        per_band_curves(ref, est)
+        evaluate(ref, est, per_band=True)
 
 
 def test_uiqi_flat_bands_have_no_live_window():
@@ -222,7 +222,7 @@ def test_zero_energy_band_handled():
     # global metrics stay finite; the dead band is skipped where undefined
     for name in ("rsnr_db", "ssim", "cc", "uiqi", "rmse", "ergas", "sam_rad"):
         assert np.isfinite(getattr(report, name)), name
-    table = per_band_curves(ref, est)
+    table = evaluate(ref, est, per_band=True).per_band
     assert table["rsnr_db"][1] == -np.inf
     assert np.isfinite(table["rsnr_db"][[0, 2, 3]]).all()
 

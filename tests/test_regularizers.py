@@ -6,24 +6,30 @@ from hypothesis import strategies as st
 from hsrfuse.regularizers import (
     SchattenConfig,
     TvConfig,
-    circulant_diff,
     col_diff,
     col_diff_adjoint,
     diff_norm,
     row_diff,
     row_diff_adjoint,
-    schatten_gradient,
-    schatten_majorizer_value,
     schatten_value,
-    schatten_weight,
     schatten_weight_terms,
-    tv_gradient,
-    tv_majorizer_value,
     tv_value,
     tv_weights,
 )
 
-from _oracles import central_gradient, dense_diff, rel_error, schatten_by_svd, tv_by_loops
+from _oracles import (
+    central_gradient,
+    circulant_diff,
+    dense_diff,
+    rel_error,
+    schatten_by_svd,
+    schatten_gradient,
+    schatten_majorizer_value,
+    schatten_weight,
+    tv_by_loops,
+    tv_gradient,
+    tv_majorizer_value,
+)
 
 CFG = SchattenConfig(p=0.5, tau=1.0)
 TV = TvConfig(q=0.5, epsilon=1e-3)

@@ -5,9 +5,8 @@ from hsrfuse.blockterm import random_blockterm, reconstruct
 from hsrfuse.degradation import BlurSpec, DegradationOps, add_noise, degrade_spatial, degrade_spectral
 from hsrfuse.errors import DimensionError, NumericalError
 from hsrfuse.metrics import evaluate
-from hsrfuse.regularizers import SchattenConfig, TvConfig, schatten_gradient
+from hsrfuse.regularizers import SchattenConfig, TvConfig
 from hsrfuse.solver import (
-    BlindFusionData,
     FusionData,
     SolverConfig,
     apg_step,
@@ -19,9 +18,7 @@ from hsrfuse.solver import (
     maps_step,
     maps_step_blind,
     objective,
-    objective_blind,
     spectra_step,
-    spectra_step_blind,
 )
 
 from _oracles import (
@@ -32,6 +29,7 @@ from _oracles import (
     loop_unfold,
     rel_error,
     schatten_by_svd,
+    schatten_gradient,
     tv_by_loops,
 )
 
@@ -58,7 +56,7 @@ def random_instance(seed, dims=(6, 5, 4), hsi_dims=(3, 3), msi_bands=2, n_terms=
     spectra = rng.uniform(0.1, 1.0, size=(dims[2], n_terms))
     coarse = rng.normal(size=(hsi_dims[0] * hsi_dims[1], n_terms))
     data = FusionData.from_tensors(hsi, msi, ops)
-    blind = BlindFusionData.from_tensors(hsi, msi, ops.pm)
+    blind = FusionData.from_tensors_blind(hsi, msi, ops.pm)
     return data, blind, maps, spectra, coarse
 
 
@@ -123,6 +121,22 @@ def test_objective_matches_loop_oracle():
     assert got == pytest.approx(expected, rel=1e-10)
 
 
+def test_blind_model_with_tied_coarse_block_is_the_known_model():
+    # with its coarse block set to (P2 kron P1) S, the blind data fit is the
+    # known-operator one; only the coarse Schatten term (off here) and the
+    # spectra curvature bound may tell the two problems apart.  Bit equality
+    # on several instances catches a second code path that rounds differently.
+    cfg = SolverConfig(ridge_weight=0.3, tv_weight=0.2)
+    for seed in range(8):
+        data, blind, maps, spectra, _ = random_instance(seed + 30)
+        known = map_products(maps, data)
+        tied = map_products(maps, blind, known.coarse)
+        assert np.array_equal(
+            spectra_step(spectra, known, data, cfg)[0], spectra_step(spectra, tied, blind, cfg)[0]
+        )
+        assert objective(known, spectra, data, cfg) == objective(tied, spectra, blind, cfg)
+
+
 # ---------------------------------------------------------------------------
 # gradients vs central finite differences
 # ---------------------------------------------------------------------------
@@ -146,21 +160,21 @@ def test_grad_maps_finite_differences():
 
 def test_blind_gradients_finite_differences():
     _, blind, maps, spectra, coarse = random_instance(4)
-    g_c = spectra_step_blind(spectra, maps, coarse, blind, WEIGHTED)[0]
+    g_c = spectra_step(spectra, map_products(maps, blind, coarse), blind, WEIGHTED)[0]
     fd_c = central_gradient(
-        lambda c: objective_blind(maps, coarse, c, blind, WEIGHTED), spectra
+        lambda c: objective(map_products(maps, blind, coarse), c, blind, WEIGHTED), spectra
     )
     assert rel_error(g_c, fd_c) <= 1e-5
 
     g_s = maps_step_blind(maps, spectra, blind, WEIGHTED)[0]
     fd_s = central_gradient(
-        lambda s: objective_blind(s, coarse, spectra, blind, WEIGHTED), maps
+        lambda s: objective(map_products(s, blind, coarse), spectra, blind, WEIGHTED), maps
     )
     assert rel_error(g_s, fd_s) <= 1e-5
 
     g_t = coarse_step_blind(coarse, spectra, blind, WEIGHTED)[0]
     fd_t = central_gradient(
-        lambda t: objective_blind(maps, t, spectra, blind, WEIGHTED), coarse
+        lambda t: objective(map_products(maps, blind, t), spectra, blind, WEIGHTED), coarse
     )
     assert rel_error(g_t, fd_t) <= 1e-5
 
@@ -170,13 +184,13 @@ def test_blind_grad_spectra_with_identity_pm():
     rng = np.random.default_rng(5)
     hsi = rng.normal(size=(3, 3, 4))
     msi = rng.normal(size=(6, 5, 4))
-    blind = BlindFusionData.from_tensors(hsi, msi, np.eye(4))
+    blind = FusionData.from_tensors_blind(hsi, msi, np.eye(4))
     maps = rng.uniform(0.1, 1.0, size=(30, 2))
     spectra = rng.uniform(0.1, 1.0, size=(4, 2))
     coarse = loop_unfold(hsi) @ np.linalg.pinv(spectra.T)
-    grad = spectra_step_blind(spectra, maps, coarse, blind, WEIGHTED)[0]
+    grad = spectra_step(spectra, map_products(maps, blind, coarse), blind, WEIGHTED)[0]
     fd = central_gradient(
-        lambda c: objective_blind(maps, coarse, c, blind, WEIGHTED), spectra
+        lambda c: objective(map_products(maps, blind, coarse), c, blind, WEIGHTED), spectra
     )
     assert rel_error(grad, fd) <= 1e-5
 
@@ -192,10 +206,11 @@ def test_gradients_vanish_at_exact_fit():
     assert np.max(np.abs(maps_step(maps, spectra, data, cfg)[0])) <= 1e-10 * scale
 
     # blind: the coarse block absorbing the true downsampled maps is also a fit
-    blind = BlindFusionData.from_tensors(hsi, msi, ops.pm)
+    blind = FusionData.from_tensors_blind(hsi, msi, ops.pm)
     down = np.einsum("ai,ijr,bj->abr", ops.p1, factors.maps, ops.p2)
     coarse = down.reshape(-1, 2, order="F")
-    assert np.max(np.abs(spectra_step_blind(spectra, maps, coarse, blind, cfg)[0])) <= 1e-10 * scale
+    products = map_products(maps, blind, coarse)
+    assert np.max(np.abs(spectra_step(spectra, products, blind, cfg)[0])) <= 1e-10 * scale
     assert np.max(np.abs(maps_step_blind(maps, spectra, blind, cfg)[0])) <= 1e-10 * scale
     assert np.max(np.abs(coarse_step_blind(coarse, spectra, blind, cfg)[0])) <= 1e-10 * scale
 
@@ -266,7 +281,7 @@ def test_blind_bounds_dominate_dense():
     no_tv = SolverConfig(lowrank_weight=WEIGHTED.lowrank_weight, schatten=WEIGHTED.schatten)
     for seed in range(6):
         _, blind, maps, spectra, coarse = random_instance(seed + 20)
-        l_c = spectra_step_blind(spectra, maps, coarse, blind, WEIGHTED)[1]
+        l_c = spectra_step(spectra, map_products(maps, blind, coarse), blind, WEIGHTED)[1]
         l_s = maps_step_blind(maps, spectra, blind, WEIGHTED)[1]
         l_t = coarse_step_blind(coarse, spectra, blind, WEIGHTED)[1]
         d_c, d_s, d_t = dense_curvatures_blind(maps, coarse, spectra, blind, WEIGHTED, no_tv)
@@ -401,7 +416,7 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     maps, spectra = rng.uniform(size=(64, 2)), rng.uniform(size=(8, 2))
     coarse = rng.normal(size=(16, 2))  # signed: the coarse block is not projected
     data = FusionData.from_tensors(hsi, msi, ops)
-    blind = BlindFusionData.from_tensors(hsi, msi, ops.pm)
+    blind = FusionData.from_tensors_blind(hsi, msi, ops.pm)
 
     def sweeps(factors, steps):
         anchors, gammas = list(factors), [1.0] * len(factors)
@@ -424,7 +439,7 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
     want = sweeps([spectra, maps, coarse], [
-        lambda c, f: spectra_step_blind(c, f[1], f[2], blind, cfg),
+        lambda c, f: spectra_step(c, map_products(f[1], blind, f[2]), blind, cfg),
         lambda s, f: maps_step_blind(s, f[0], blind, cfg),
         lambda t, f: coarse_step_blind(t, f[0], blind, cfg),
     ])
@@ -497,7 +512,7 @@ def test_data_shape_validation():
     with pytest.raises(DimensionError):
         FusionData.from_tensors(hsi[:3], msi, ops)
     with pytest.raises(DimensionError):
-        BlindFusionData.from_tensors(hsi, msi[:, :, :1], ops.pm)
+        FusionData.from_tensors_blind(hsi, msi[:, :, :1], ops.pm)
 
 
 def test_non_finite_observations_rejected():
@@ -511,7 +526,7 @@ def test_non_finite_observations_rejected():
         with pytest.raises(ValueError, match=f"{label} contains non-finite"):
             fuse_blind(*args, ops.pm, 2)
     with pytest.raises(ValueError, match="pm contains non-finite"):
-        BlindFusionData.from_tensors(hsi, msi, np.where(ops.pm > 0, np.inf, 0.0))
+        FusionData.from_tensors_blind(hsi, msi, np.where(ops.pm > 0, np.inf, 0.0))
 
 
 def test_solver_config_validation():
