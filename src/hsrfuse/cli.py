@@ -13,13 +13,7 @@ import numpy as np
 
 from . import __version__
 from .blockterm import RecoverabilityQuery, check_recoverability, random_blockterm, reconstruct
-from .degradation import (
-    DegradationOps,
-    add_noise,
-    check_snr_db,
-    degrade_spatial,
-    degrade_spectral,
-)
+from .degradation import DegradationOps, add_noise, degrade_spatial, degrade_spectral
 from .errors import ConfigError, DimensionError, NumericalError
 from .fileio import (
     load_config,
@@ -32,6 +26,19 @@ from .fileio import (
 )
 from .metrics import evaluate
 from .solver import fuse, fuse_blind
+
+# Each override flag and the config key it replaces.  The flag's text goes to
+# load_config with the file's text, so it is parsed and validated the same way.
+OVERRIDES = {
+    "--seed": "run.seed",
+    "--out": "run.out",
+    "--snr": "noise.snr_db",
+    "--ratio": "blur.ratio",
+    "--rank": "model.rank",
+    "--term-rank": "model.term_rank",
+    "--max-iters": "solver.max_iters",
+    "--no-accel": "solver.accelerate",
+}
 
 
 def main(argv=None):
@@ -63,27 +70,16 @@ def _build_parser():
     sub = parser.add_subparsers(required=True, metavar="command")
 
     sim = sub.add_parser("simulate", help="degrade a reference image into an HSI/MSI pair")
-    sim.add_argument("--config", required=True, help="run configuration file")
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--out", default=None, help="output directory")
-    sim.add_argument("--snr", type=float, default=None, help="noise level in dB")
-    sim.add_argument("--ratio", type=int, default=None, help="spatial downsampling factor")
-    sim.add_argument("--rank", type=int, default=None, help="number of terms R")
-    sim.add_argument("--term-rank", type=int, default=None, help="per-term spatial rank L")
+    _add_config_flags(sim, "--seed", "--out", "--snr", "--ratio", "--rank", "--term-rank")
     sim.set_defaults(func=cmd_simulate)
 
-    for name, help_text in (
-        ("fuse", "recover the SRI with known degradation operators"),
-        ("blind-fuse", "recover the SRI without the spatial operators"),
+    for name, help_text, func in (
+        ("fuse", "recover the SRI with known degradation operators", cmd_fuse),
+        ("blind-fuse", "recover the SRI without the spatial operators", cmd_blind_fuse),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--out", default=None)
-        cmd.add_argument("--rank", type=int, default=None)
-        cmd.add_argument("--max-iters", type=int, default=None)
-        cmd.add_argument("--no-accel", action="store_true", help="disable extrapolation")
-        cmd.set_defaults(func=cmd_blind_fuse if name == "blind-fuse" else cmd_fuse)
+        _add_config_flags(cmd, "--seed", "--out", "--rank", "--max-iters", "--no-accel")
+        cmd.set_defaults(func=func)
 
     ev = sub.add_parser("evaluate", help="score an estimate against a reference")
     ev.add_argument("reference", help="reference tensor (.htf)")
@@ -104,13 +100,22 @@ def _build_parser():
     return parser
 
 
-def _apply_common_overrides(cfg, args):
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if getattr(args, "rank", None) is not None:
-        cfg.rank = args.rank
+def _add_config_flags(parser, *flags):
+    parser.add_argument("--config", required=True, help="run configuration file")
+    for flag in flags:
+        key = OVERRIDES[flag]
+        if flag == "--no-accel":
+            parser.add_argument(flag, dest=key, action="store_const", const="false",
+                                help=f"overrides {key} with false")
+        else:
+            parser.add_argument(flag, dest=key, help=f"overrides {key}")
+
+
+def _run_config(args):
+    flags = vars(args)
+    return load_config(args.config, {
+        key: flags[key] for key in OVERRIDES.values() if flags.get(key) is not None
+    })
 
 
 def _outdir(cfg):
@@ -127,17 +132,7 @@ def _realized_snr(clean, noisy):
 
 
 def cmd_simulate(args):
-    cfg = load_config(args.config)
-    _apply_common_overrides(cfg, args)
-    if args.snr is not None:
-        cfg.snr_db = args.snr
-    if args.ratio is not None:
-        cfg.blur.ratio = args.ratio
-    if args.term_rank is not None:
-        cfg.term_rank = args.term_rank
-    check_snr_db(cfg.snr_db)
-    out = _outdir(cfg)
-
+    cfg = _run_config(args)
     rng = np.random.default_rng(cfg.seed)
     if cfg.sri is not None:
         sri = read_htf(require_input(cfg.sri, "inputs.sri"))
@@ -179,6 +174,7 @@ def cmd_simulate(args):
     hsi = add_noise(hsi_clean, cfg.snr_db, rng)
     msi = add_noise(msi_clean, cfg.snr_db, rng)
 
+    out = _outdir(cfg)
     write_htf(out / "SRI.htf", sri)
     write_htf(out / "HSI.htf", hsi)
     write_htf(out / "MSI.htf", msi)
@@ -213,14 +209,6 @@ def cmd_simulate(args):
     return 0
 
 
-def _apply_solver_overrides(cfg, args):
-    if args.max_iters is not None:
-        cfg.solver.max_iters = args.max_iters
-    if args.no_accel:
-        cfg.solver.accelerate = False
-    cfg.solver.seed = cfg.seed
-
-
 def _write_trace(path, trace, elapsed):
     lines = ["iteration,objective,elapsed"]
     lines += [f"{i},{obj:.17g},{dt:.6f}" for i, (obj, dt) in enumerate(zip(trace, elapsed))]
@@ -228,18 +216,18 @@ def _write_trace(path, trace, elapsed):
 
 
 def _run_fusion(cfg, solve, mode):
-    out = _outdir(cfg)
     try:
         report = solve()
     except NumericalError as exc:
         if exc.trace is not None:
-            _write_trace(out / "trace.csv", exc.trace, exc.elapsed)
+            _write_trace(_outdir(cfg) / "trace.csv", exc.trace, exc.elapsed)
         raise
     metrics = None
     if cfg.reference is not None:
         reference = read_htf(require_input(cfg.reference, "inputs.reference"))
         metrics = evaluate(reference, report.sri, ratio=cfg.blur.ratio)
         report.metrics = metrics
+    out = _outdir(cfg)
     write_htf(out / "SRI.htf", report.sri)
     _write_trace(out / "trace.csv", report.objective_trace, report.elapsed)
     write_json(
@@ -269,9 +257,7 @@ def _run_fusion(cfg, solve, mode):
 
 
 def cmd_fuse(args):
-    cfg = load_config(args.config)
-    _apply_common_overrides(cfg, args)
-    _apply_solver_overrides(cfg, args)
+    cfg = _run_config(args)
     if cfg.rank is None:
         raise ConfigError("fuse needs model.rank (or --rank)")
     hsi = read_htf(require_input(cfg.hsi, "inputs.hsi"))
@@ -285,9 +271,7 @@ def cmd_fuse(args):
 
 
 def cmd_blind_fuse(args):
-    cfg = load_config(args.config)
-    _apply_common_overrides(cfg, args)
-    _apply_solver_overrides(cfg, args)
+    cfg = _run_config(args)
     if cfg.rank is None:
         raise ConfigError("blind-fuse needs model.rank (or --rank)")
     if cfg.p1 is not None or cfg.p2 is not None:

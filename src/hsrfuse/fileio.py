@@ -4,8 +4,12 @@ Tensors travel in a minimal binary container (HTF): the 4-byte magic
 ``HTF1``, three little-endian uint32 dims (I, J, K), then I*J*K little-endian
 float64 values with the first index fastest.  Matrices travel as plain
 numeric CSV written with 17 significant digits so values round-trip exactly.
-Run configuration is an INI-style text file of ``key = value`` sections;
-unknown sections or keys are rejected.
+Run configuration is an INI-style text file of ``key = value`` sections.
+One table, ``_KEYS``, lists every ``section.key`` with its parser and the
+:class:`RunConfig` field it sets; unknown sections or keys are rejected.
+:func:`load_config` merges command-line overrides into the file's text before
+any value is parsed, so a flag is parsed and validated exactly like the file
+value it replaces.
 """
 
 import configparser
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .degradation import BlurSpec
+from .degradation import BlurSpec, check_snr_db
 from .errors import ConfigError, DimensionError, FileFormatError
 from .regularizers import SchattenConfig, TvConfig
 from .solver import SolverConfig
@@ -110,29 +114,6 @@ def write_json(path, payload):
 # run configuration
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "inputs": {"sri", "hsi", "msi", "p1", "p2", "pm", "reference"},
-    "model": {"rank", "term_rank"},
-    "synthesis": {"dims", "nonneg"},
-    "blur": {"kernel_width", "sigma", "ratio", "boundary", "offset"},
-    "spectral": {"bands"},
-    "noise": {"snr_db"},
-    "solver": {
-        "ridge_weight",
-        "tv_weight",
-        "lowrank_weight",
-        "schatten_p",
-        "schatten_tau",
-        "tv_q",
-        "tv_epsilon",
-        "max_iters",
-        "rel_tol",
-        "accelerate",
-    },
-    "run": {"seed", "out"},
-}
-
-
 @dataclass
 class RunConfig:
     """Effective settings for one CLI run (file values plus flag overrides)."""
@@ -154,6 +135,13 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     seed: int = 0
     out: str = "."
+
+    def __post_init__(self):
+        for name in ("rank", "term_rank"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value}")
+        check_snr_db(self.snr_db)
 
     def fingerprint(self):
         """Stable hash of every computation-relevant setting, for run manifests.
@@ -211,31 +199,65 @@ def parse_band_ranges(text):
     return ranges
 
 
-def _parse_bool(text, where):
-    val = str(text).strip().lower()
+def _parse_bool(text):
+    val = text.strip().lower()
     if val in ("1", "true", "yes", "on"):
         return True
     if val in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{where}: expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_float(text, where):
+# Every configuration key, once: "section.key" -> (parser, target, ...).  A
+# target is a RunConfig field, or a dotted path through its nested configs.
+_KEYS = {
+    "inputs.sri": (str, "sri"),
+    "inputs.hsi": (str, "hsi"),
+    "inputs.msi": (str, "msi"),
+    "inputs.p1": (str, "p1"),
+    "inputs.p2": (str, "p2"),
+    "inputs.pm": (str, "pm"),
+    "inputs.reference": (str, "reference"),
+    "model.rank": (int, "rank"),
+    "model.term_rank": (int, "term_rank"),
+    "synthesis.dims": (parse_dims, "dims"),
+    "synthesis.nonneg": (_parse_bool, "nonneg"),
+    "blur.kernel_width": (int, "blur.kernel_width"),
+    "blur.sigma": (float, "blur.sigma"),
+    "blur.ratio": (int, "blur.ratio"),
+    "blur.boundary": (str.strip, "blur.boundary"),
+    "blur.offset": (int, "blur.offset"),
+    "spectral.bands": (parse_band_ranges, "bands"),
+    "noise.snr_db": (float, "snr_db"),
+    "solver.ridge_weight": (float, "solver.ridge_weight"),
+    "solver.tv_weight": (float, "solver.tv_weight"),
+    "solver.lowrank_weight": (float, "solver.lowrank_weight"),
+    "solver.schatten_p": (float, "solver.schatten.p"),
+    "solver.schatten_tau": (float, "solver.schatten.tau"),
+    "solver.tv_q": (float, "solver.tv.q"),
+    "solver.tv_epsilon": (float, "solver.tv.epsilon"),
+    "solver.max_iters": (int, "solver.max_iters"),
+    "solver.rel_tol": (float, "solver.rel_tol"),
+    "solver.accelerate": (_parse_bool, "solver.accelerate"),
+    "run.seed": (int, "seed", "solver.seed"),
+    "run.out": (str, "out"),
+}
+_SECTIONS = {key.split(".")[0] for key in _KEYS}
+
+
+def _build(cls, fields, where):
     try:
-        return float(text)
+        return cls(**fields)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{where} {exc}") from exc
 
 
-def _parse_int(text, where):
-    try:
-        return int(str(text).strip())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def load_config(path, overrides=None):
+    """Parse and validate a run-configuration file into a :class:`RunConfig`.
 
-
-def load_config(path):
-    """Parse and validate a run-configuration file into a :class:`RunConfig`."""
+    ``overrides`` maps ``"section.key"`` to text that replaces the file's
+    value; it is parsed and validated exactly like a value from the file.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -245,81 +267,36 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    raw = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+        for key, text in parser[section].items():
+            if f"{section}.{key}" not in _KEYS:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
+            raw[f"{section}.{key}"] = text
+    raw.update(overrides or {})
 
-    cfg = RunConfig()
-    get = parser.get
+    fields = {"blur": {}, "solver": {"schatten": {}, "tv": {}}}
+    for key, text in raw.items():
+        parse, *targets = _KEYS[key]
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        for target in targets:
+            *parents, name = target.split(".")
+            node = fields
+            for parent in parents:
+                node = node[parent]
+            node[name] = value
 
-    if parser.has_section("inputs"):
-        for key in _SCHEMA["inputs"]:
-            if parser.has_option("inputs", key):
-                setattr(cfg, key, get("inputs", key))
-    if parser.has_option("model", "rank"):
-        cfg.rank = _parse_int(get("model", "rank"), "model.rank")
-    if parser.has_option("model", "term_rank"):
-        cfg.term_rank = _parse_int(get("model", "term_rank"), "model.term_rank")
-    if parser.has_option("synthesis", "dims"):
-        cfg.dims = parse_dims(get("synthesis", "dims"))
-    if parser.has_option("synthesis", "nonneg"):
-        cfg.nonneg = _parse_bool(get("synthesis", "nonneg"), "synthesis.nonneg")
-
-    blur_kwargs = {}
-    if parser.has_section("blur"):
-        for key, kind in (("kernel_width", _parse_int), ("ratio", _parse_int),
-                          ("offset", _parse_int), ("sigma", _parse_float)):
-            if parser.has_option("blur", key):
-                blur_kwargs[key] = kind(get("blur", key), f"blur.{key}")
-        if parser.has_option("blur", "boundary"):
-            blur_kwargs["boundary"] = get("blur", "boundary").strip()
-    try:
-        cfg.blur = BlurSpec(**blur_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [blur] {exc}") from exc
-
-    if parser.has_option("spectral", "bands"):
-        cfg.bands = parse_band_ranges(get("spectral", "bands"))
-    if parser.has_option("noise", "snr_db"):
-        cfg.snr_db = _parse_float(get("noise", "snr_db"), "noise.snr_db")
-
-    solver_kwargs = {}
-    schatten_kwargs = {}
-    tv_kwargs = {}
-    if parser.has_section("solver"):
-        for key, kind in (("ridge_weight", _parse_float), ("tv_weight", _parse_float),
-                          ("lowrank_weight", _parse_float), ("rel_tol", _parse_float)):
-            if parser.has_option("solver", key):
-                solver_kwargs[key] = kind(get("solver", key), f"solver.{key}")
-        if parser.has_option("solver", "max_iters"):
-            solver_kwargs["max_iters"] = _parse_int(get("solver", "max_iters"), "solver.max_iters")
-        if parser.has_option("solver", "accelerate"):
-            solver_kwargs["accelerate"] = _parse_bool(get("solver", "accelerate"), "solver.accelerate")
-        if parser.has_option("solver", "schatten_p"):
-            schatten_kwargs["p"] = _parse_float(get("solver", "schatten_p"), "solver.schatten_p")
-        if parser.has_option("solver", "schatten_tau"):
-            schatten_kwargs["tau"] = _parse_float(get("solver", "schatten_tau"), "solver.schatten_tau")
-        if parser.has_option("solver", "tv_q"):
-            tv_kwargs["q"] = _parse_float(get("solver", "tv_q"), "solver.tv_q")
-        if parser.has_option("solver", "tv_epsilon"):
-            tv_kwargs["epsilon"] = _parse_float(get("solver", "tv_epsilon"), "solver.tv_epsilon")
-    try:
-        cfg.solver = SolverConfig(
-            schatten=SchattenConfig(**schatten_kwargs),
-            tv=TvConfig(**tv_kwargs),
-            **solver_kwargs,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [solver] {exc}") from exc
-
-    if parser.has_option("run", "seed"):
-        cfg.seed = _parse_int(get("run", "seed"), "run.seed")
-    if parser.has_option("run", "out"):
-        cfg.out = get("run", "out")
-    return cfg
+    solver = fields["solver"]
+    fields["blur"] = _build(BlurSpec, fields["blur"], f"{path}: [blur]")
+    solver["schatten"] = _build(SchattenConfig, solver["schatten"], f"{path}: [solver]")
+    solver["tv"] = _build(TvConfig, solver["tv"], f"{path}: [solver]")
+    fields["solver"] = _build(SolverConfig, solver, f"{path}: [solver]")
+    return _build(RunConfig, fields, f"{path}:")
 
 
 def require_input(path, what):

@@ -89,6 +89,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.max_iters is not None and self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass

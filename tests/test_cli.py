@@ -1,9 +1,16 @@
+import configparser
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsrfuse.cli import main
+from hsrfuse.cli import OVERRIDES, _build_parser, _run_config, main
 from hsrfuse.fileio import read_htf, write_htf
 
 SIMULATE_CFG = """
@@ -114,7 +121,7 @@ def test_simulate_rejects_undefined_noise_level_before_writing(tmp_path, capsys)
         cfg.write_text(SIMULATE_CFG.format(out=out, seed=1, snr=snr))
         assert main(["simulate", "--config", str(cfg), *flags]) == 2
         assert "snr_db" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_simulate_warns_when_unrecoverable(tmp_path, capsys):
@@ -172,6 +179,76 @@ def test_blind_fuse_ignores_spatial_ops_with_warning(tmp_path, capsys):
     assert np.isfinite(report["metrics"]["rsnr_db"])
     sri = read_htf(tmp_path / "blind" / "SRI.htf")
     assert sri.shape == (16, 16, 8)
+
+
+@pytest.mark.parametrize("command, flag, value, setting", [
+    ("simulate", "--ratio", "0", "ratio"),
+    ("simulate", "--rank", "0", "rank"),
+    ("simulate", "--term-rank", "0", "term_rank"),
+    ("simulate", "--seed", "-1", "seed"),
+    ("simulate", "--snr", "nan", "snr_db"),
+    *[(command, flag, value, setting)
+      for command in ("fuse", "blind-fuse")
+      for flag, value, setting in (("--max-iters", "-1", "max_iters"),
+                                   ("--rank", "0", "rank"),
+                                   ("--seed", "-1", "seed"))],
+])
+def test_bad_flag_value_is_config_error_before_any_write(
+        tmp_path, capsys, command, flag, value, setting):
+    # a flag value is validated like the file value it replaces: exit 2, nothing written
+    if command == "simulate":
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIMULATE_CFG.format(out=tmp_path / "out", seed=1, snr="inf"))
+    else:
+        cfg = _fuse_config(tmp_path, _simulate(tmp_path), out="out")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), flag, value]) == 2
+    assert f"{setting} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# valid text for every override flag; --no-accel takes no text and means false
+FLAG_VALUES = {
+    "--seed": st.integers(0, 2**63 - 1).map(str),
+    "--out": st.from_regex(r"[A-Za-z0-9_.][A-Za-z0-9_./-]{0,15}", fullmatch=True),
+    "--snr": st.floats(allow_nan=False).filter(lambda x: x != -math.inf).map(repr),
+    "--ratio": st.integers(1, 64).map(str),
+    "--rank": st.integers(1, 1000).map(str),
+    "--term-rank": st.integers(1, 1000).map(str),
+    "--max-iters": st.integers(0, 10**9).map(str),
+    "--no-accel": st.just("false"),
+}
+
+
+def _with_value(text, section, key, value):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    buffer = io.StringIO()
+    parser.write(buffer)
+    return buffer.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+    lambda flag: st.tuples(st.just(flag), FLAG_VALUES[flag])))
+def test_flag_and_file_value_give_the_same_config(flag_value):
+    assert set(FLAG_VALUES) == set(OVERRIDES)
+    flag, text = flag_value
+    command = "fuse" if flag in ("--max-iters", "--no-accel") else "simulate"
+    base = SIMULATE_CFG.format(out="sim", seed=1, snr="30")
+    with tempfile.TemporaryDirectory() as tmp:
+        file_cfg, flag_cfg = Path(tmp, "file.cfg"), Path(tmp, "flag.cfg")
+        file_cfg.write_text(_with_value(base, *OVERRIDES[flag].split("."), text))
+        flag_cfg.write_text(base)
+        flag_args = [flag] if flag == "--no-accel" else [f"{flag}={text}"]
+        parse = _build_parser().parse_args
+        from_file = _run_config(parse([command, "--config", str(file_cfg)]))
+        from_flag = _run_config(parse([command, "--config", str(flag_cfg), *flag_args]))
+    assert from_file == from_flag
+    assert from_file.fingerprint() == from_flag.fingerprint()
 
 
 def test_fuse_flag_overrides(tmp_path):
@@ -257,6 +334,12 @@ def test_exit_code_dimension_error(tmp_path, capsys):
     write_matrix_csv(bad / "P1.csv", np.eye(8, 12))
     cfg = _fuse_config(tmp_path, bad, out="bad_out", iters=5)
     assert main(["fuse", "--config", str(cfg)]) == 3
+    assert not (tmp_path / "bad_out").exists()
+    # a term rank above the 16x16 image's spatial size fails before simulate writes
+    sim_cfg = tmp_path / "sim.cfg"
+    sim_cfg.write_text(SIMULATE_CFG.format(out=tmp_path / "sim_out", seed=1, snr="inf"))
+    assert main(["simulate", "--config", str(sim_cfg), "--term-rank", "99"]) == 3
+    assert not (tmp_path / "sim_out").exists()
 
 
 def test_exit_code_rank_deficient_operator(tmp_path, capsys):

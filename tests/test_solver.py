@@ -540,5 +540,7 @@ def test_solver_config_validation():
             SolverConfig(**{name: value})
     with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(seed=-1)
     with pytest.raises(ValueError):
         fuse_blind(np.zeros((2, 2, 2)), np.zeros((4, 4, 1)), np.ones((1, 2)), 0)
