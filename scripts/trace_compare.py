@@ -20,7 +20,9 @@ built by ``perfbench/workloads.py``, and the ``fuse`` solution that
 ``hsrfuse fuse`` returns for it; the pair itself is saved too.
 ``--compare`` prints, per trace or SRI, the largest elementwise relative
 difference and whether the arrays are ``np.array_equal``, then per metric the
-largest relative difference over all scored pairs.
+largest relative difference over all scored pairs.  It ends with four summary
+lines, the largest relative difference in each group: the noisy traces, the
+noisy SRIs, the criterion-1 traces and the ``cli96`` estimate.
 """
 
 import argparse
@@ -115,11 +117,21 @@ def _max_rel_diff(a, b):
     return float(rel.max(initial=0.0))
 
 
+# The trace and SRI keys each summary line covers.
+SUMMARY_GROUPS = {
+    "noisy traces": lambda key: key.startswith("noisy") and key.endswith("/trace"),
+    "noisy SRIs": lambda key: key.startswith("noisy") and key.endswith("/sri"),
+    "criterion1 traces": lambda key: key.startswith("criterion1/") and key.endswith("/trace"),
+    "cli96 estimate": lambda key: key == "cli96/estimate",
+}
+
+
 def compare(path_a, path_b):
     with np.load(path_a) as fa, np.load(path_b) as fb:
         a, b = dict(fa), dict(fb)
     equal = 0
     worst = {}  # metric name -> (largest relative difference, key)
+    groups = {}  # summary group -> (largest relative difference, key)
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             print(f"{key:40s} only in {path_a if key in a else path_b}")
@@ -136,9 +148,16 @@ def compare(path_a, path_b):
                 worst[metric] = (rel, key)
         else:
             print(f"{key:40s} max_rel_diff {rel:.3e}  array_equal {same}")
+            for group, covers in SUMMARY_GROUPS.items():
+                if covers(key) and (group not in groups or rel > groups[group][0]):
+                    groups[group] = (rel, key)
     for metric, (rel, key) in sorted(worst.items()):
         print(f"metric {metric:20s} max_rel_diff {rel:.3e}" + (f"  at {key}" if rel > 0 else ""))
     print(f"{equal} of {len(a.keys() | b.keys())} arrays np.array_equal")
+    for group in SUMMARY_GROUPS:
+        if group in groups:
+            rel, key = groups[group]
+            print(f"summary {group:19s} max_rel_diff {rel:.3e}" + (f"  at {key}" if rel > 0 else ""))
 
 
 def main():

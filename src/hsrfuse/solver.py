@@ -31,6 +31,16 @@ gradient is taken in Gram form, so no full-size residual is built for it.
 The objective keeps the residual form: a Gram form cancels |Y|^2 against
 nearly equal terms and loses its accuracy, and even its sign, near an exact
 fit.
+
+Every factor is terms-major: an F-contiguous (rows, R) array, so a column
+(one map, one spectrum) is contiguous and the maps' transpose is a
+C-contiguous (R, J, I) stack of transposed map images.  Initial factors and
+warm starts are copied into that layout, ``apg_step`` and ``extrapolate``
+keep it, and every product whose result is a factor-sized array is written
+``(small @ big.T).T``, because ``matmul`` returns C order.  So (P2 kron P1)
+and its transpose are two matmuls on free views, the per-term images the
+regularizers read are contiguous, ``vdot`` sums a residual in place, and the
+SRI refolds without a copy.
 """
 
 import math
@@ -181,23 +191,23 @@ class FusionData:
 # structured matrix-free products
 # ---------------------------------------------------------------------------
 
-def _apply_ph(mat, p1, p2, dims):
-    """(P2 kron P1) @ mat for mat with I*J rows (columns are vec'd images)."""
-    i, j = dims
+def _apply_ph(mat, p1, p2):
+    """(P2 kron P1) @ mat for mat with I*J rows (columns are vec'd images).
+
+    ``mat.T`` read as an (R, J, I) stack holds the transposed images X_r', so
+    P1 X_r P2' is computed transposed, as P2 X_r' P1'.  Both reshapes are free
+    for a terms-major ``mat``, and the result is terms-major.
+    """
     cols = mat.shape[1]
-    cube = mat.reshape(i, j, cols, order="F")
-    out = np.einsum("ai,ijc,bj->abc", p1, cube, p2, optimize=True)
-    return out.reshape(p1.shape[0] * p2.shape[0], cols, order="F")
+    out = p2 @ mat.T.reshape(cols, p2.shape[1], p1.shape[1]) @ p1.T
+    return out.reshape(cols, -1).T
 
 
-def _apply_ph_t(mat, p1, p2, hsi_dims, dims):
-    """(P2 kron P1)' @ mat for mat with Ih*Jh rows."""
-    ih, jh = hsi_dims
-    i, j = dims
+def _apply_ph_t(mat, p1, p2):
+    """(P2 kron P1)' @ mat for mat with Ih*Jh rows, as :func:`_apply_ph`."""
     cols = mat.shape[1]
-    cube = mat.reshape(ih, jh, cols, order="F")
-    out = np.einsum("ai,abc,bj->ijc", p1, cube, p2, optimize=True)
-    return out.reshape(i * j, cols, order="F")
+    out = p2.T @ mat.T.reshape(cols, p2.shape[0], p1.shape[0]) @ p1
+    return out.reshape(cols, -1).T
 
 
 def _sq_norm(mat):
@@ -212,6 +222,8 @@ def _top_eigenvalue(gram):
 
 
 def _maps_as_images(maps, shape):
+    """The columns of ``maps`` as an (I, J, R) image stack; a view when
+    ``maps`` is terms-major, so writes to it reach ``maps``."""
     i, j = shape
     return maps.reshape(i, j, maps.shape[1], order="F")
 
@@ -244,14 +256,15 @@ def _map_penalties(maps, shape, cfg, with_tv=True):
     use_lr = cfg.lowrank_weight > 0
     if not (use_tv or use_lr):
         return 0.0, w_curv, tv_curv
-    grad = np.zeros_like(maps)
+    grad = np.zeros(maps.shape, order="F")
     i, j = shape
     cube = _maps_as_images(maps, shape)
+    grad_cube = _maps_as_images(grad, shape)  # a view: each term is written into grad
     col_norm_sq = diff_norm(j) ** 2
     row_norm_sq = diff_norm(i) ** 2
     for r in range(maps.shape[1]):
         img = cube[:, :, r]
-        acc = np.zeros(shape)
+        acc = grad_cube[:, :, r]
         if use_lr:
             w, w_sig = schatten_weight_terms(img, cfg.schatten)
             acc += cfg.schatten.p * cfg.lowrank_weight * (w @ img)
@@ -263,7 +276,6 @@ def _map_penalties(maps, shape, cfg, with_tv=True):
                 col_diff_adjoint(u * col_diff(img)) + row_diff_adjoint(v * row_diff(img))
             )
             tv_curv = max(tv_curv, col_norm_sq * float(u.max()) + row_norm_sq * float(v.max()))
-        grad[:, r] += acc.reshape(-1, order="F")
     return grad, w_curv, tv_curv
 
 
@@ -303,7 +315,7 @@ def map_products(maps, data, coarse=None):
         coarse_gram = coarse.T @ coarse
         curv = data.pm_gram_norm * sq_norm + _top_eigenvalue(coarse_gram)
     else:
-        coarse = _apply_ph(maps, data.ops.p1, data.ops.p2, data.sri_dims[:2])
+        coarse = _apply_ph(maps, data.ops.p1, data.ops.p2)
         coarse_gram = coarse.T @ coarse
         curv = sq_norm * (data.ph_gram_norm + data.pm_gram_norm)
     return MapProducts(
@@ -318,17 +330,18 @@ def map_products(maps, data, coarse=None):
 
 
 def _half_sq_residual(fit, target):
-    """1/2 |fit - target|^2, written into ``fit``."""
+    """1/2 |fit - target|^2, written into ``fit``; a terms-major ``fit`` is
+    summed through its C-contiguous transpose, which ``vdot`` reads in place."""
     fit -= target
-    return 0.5 * float(np.vdot(fit, fit))
+    return 0.5 * float(np.vdot(fit.T, fit.T))
 
 
 def objective(products, spectra, data, cfg):
     """Full objective at (S, T, C), S and T given by their products; in the
     blind problem T carries its own Schatten term."""
     maps = products.maps
-    f = _half_sq_residual(products.coarse @ spectra.T, data.hsi_mat)
-    f += _half_sq_residual(maps @ (data.pm @ spectra).T, data.msi_mat)
+    f = _half_sq_residual((spectra @ products.coarse.T).T, data.hsi_mat)
+    f += _half_sq_residual(((data.pm @ spectra) @ maps.T).T, data.msi_mat)
     f += 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
     f += _penalty_value(maps, data.sri_dims[:2], cfg)
     if data.ops is None:
@@ -339,7 +352,7 @@ def objective(products, spectra, data, cfg):
 def spectra_step(spectra, products, data, cfg):
     """Spectra-block gradient and curvature bound."""
     pm = data.pm
-    g = spectra @ products.coarse_gram
+    g = (products.coarse_gram @ spectra.T).T
     g += pm.T @ (pm @ spectra) @ products.gram
     g += cfg.ridge_weight * spectra
     g -= products.hsi_coarse
@@ -353,16 +366,15 @@ def maps_step(maps, spectra, data, cfg):
 
     The data gradient is P_H'(phs C'C - Yh C) + S M'M - Ym M with M = PM C.
     """
-    i, j, _ = data.sri_dims
     p1, p2, pm = data.ops.p1, data.ops.p2, data.pm
-    pen, w_curv, tv_curv = _map_penalties(maps, (i, j), cfg)
-    phs = _apply_ph(maps, p1, p2, (i, j))
-    hsi_part = phs @ (spectra.T @ spectra)
-    hsi_part -= data.hsi_mat @ spectra
-    g = _apply_ph_t(hsi_part, p1, p2, data.hsi_dims, (i, j))
+    pen, w_curv, tv_curv = _map_penalties(maps, data.sri_dims[:2], cfg)
+    phs = _apply_ph(maps, p1, p2)
+    hsi_part = ((spectra.T @ spectra) @ phs.T).T
+    hsi_part -= (spectra.T @ data.hsi_mat.T).T
+    g = _apply_ph_t(hsi_part, p1, p2)
     pmc = pm @ spectra
-    g += maps @ (pmc.T @ pmc)
-    g -= data.msi_mat @ pmc
+    g += ((pmc.T @ pmc) @ maps.T).T
+    g -= (pmc.T @ data.msi_mat.T).T
     g += pen
     l = _sq_norm(spectra) * data.ph_gram_norm
     l += _sq_norm(pmc)
@@ -378,14 +390,14 @@ def maps_step_blind(maps, spectra, data, cfg):
     l = _sq_norm(pmc)
     l += cfg.schatten.p * cfg.lowrank_weight * w_curv
     l += cfg.tv.q * cfg.tv_weight * tv_curv
-    return (maps @ pmc.T - data.msi_mat) @ pmc + pen, l
+    return (pmc.T @ (pmc @ maps.T - data.msi_mat.T)).T + pen, l
 
 
 def coarse_step_blind(coarse, spectra, data, cfg):
     """Coarse-block gradient and curvature bound: HSI fit plus Schatten, no TV."""
     pen, w_curv, _ = _map_penalties(coarse, data.hsi_dims, cfg, with_tv=False)
     l = _sq_norm(spectra) + cfg.schatten.p * cfg.lowrank_weight * w_curv
-    return (coarse @ spectra.T - data.hsi_mat) @ spectra + pen, l
+    return (spectra.T @ (spectra @ coarse.T - data.hsi_mat.T)).T + pen, l
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +483,7 @@ def _run(factors, blocks, value, cfg, max_iters):
 
 def _report(maps, spectra, data, trace, converged):
     return FusionReport(
-        sri=refold(maps @ spectra.T, data.sri_dims),
+        sri=refold((spectra @ maps.T).T, data.sri_dims),
         maps=maps,
         spectra=spectra,
         objective_trace=np.asarray(trace.values),
@@ -482,8 +494,8 @@ def _report(maps, spectra, data, trace, converged):
 
 def _init_factor(rng, shape, given, label):
     if given is None:
-        return rng.uniform(size=shape)
-    arr = np.array(given, dtype=float)
+        return np.asfortranarray(rng.uniform(size=shape))
+    arr = np.array(given, dtype=float, order="F")
     if arr.shape != shape:
         raise DimensionError(f"warm start {label} has shape {arr.shape}, expected {shape}")
     return arr

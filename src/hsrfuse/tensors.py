@@ -3,7 +3,10 @@
 A spectral image is a plain float64 ndarray of shape (I, J, K): two spatial
 axes and one spectral axis.  The canonical memory layout is Fortran order
 (first index fastest), which makes the pixels-by-bands unfolding a zero-copy
-reshape.
+reshape.  The solvers keep their pixels-by-terms factors in the same order
+(terms-major): column r, the vec of map r, is contiguous, and the factor's
+transpose is a C-contiguous (R, J, I) stack of the transposed maps.  An
+F-contiguous pixels-by-bands matrix refolds as a view.
 """
 
 import numpy as np

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsrfuse.blockterm import random_blockterm, reconstruct
 from hsrfuse.degradation import BlurSpec, DegradationOps, add_noise, degrade_spatial, degrade_spectral
@@ -9,6 +11,8 @@ from hsrfuse.regularizers import SchattenConfig, TvConfig
 from hsrfuse.solver import (
     FusionData,
     SolverConfig,
+    _apply_ph,
+    _apply_ph_t,
     apg_step,
     coarse_step_blind,
     extrapolate,
@@ -25,6 +29,7 @@ from _oracles import (
     central_gradient,
     dense_curvatures_blind,
     dense_curvatures_known,
+    kron,
     loop_reconstruct,
     loop_unfold,
     rel_error,
@@ -75,6 +80,50 @@ def consistent_instance(seed=0, dims=(24, 24, 16), n_terms=3, term_rank=2, snr_d
         hsi = add_noise(hsi, snr_db, seed=seed + 1)
         msi = add_noise(msi, snr_db, seed=seed + 2)
     return sri, factors, ops, hsi, msi
+
+
+def run_solver(hsi, msi, ops, blind, cfg, init=None):
+    """``fuse_blind`` if ``blind``, else ``fuse``, with two terms."""
+    if blind:
+        return fuse_blind(hsi, msi, ops.pm, 2, cfg, init=init)
+    return fuse(hsi, msi, ops, 2, cfg, init=init)
+
+
+# small noisy instances for the solver property tests: either solver,
+# accelerated or plain, with or without the TV and Schatten terms
+SOLVER_RUNS = dict(
+    seed=st.integers(0, 10_000),
+    rows=st.sampled_from((6, 8, 10)),
+    cols=st.sampled_from((6, 8, 10)),
+    blind=st.booleans(),
+    accelerate=st.booleans(),
+    regularized=st.booleans(),
+)
+
+
+def property_config(regularized, **controls):
+    weights = dict(tv_weight=0.01, lowrank_weight=0.01) if regularized else {}
+    return SolverConfig(ridge_weight=0.01, rel_tol=0.0, **weights, **controls)
+
+
+# ---------------------------------------------------------------------------
+# structured products
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_spatial_products_match_dense_kron(order):
+    # I != J and Ih != Jh, so a swapped axis changes the values or the shapes
+    rng = np.random.default_rng(14)
+    p1, p2 = rng.normal(size=(3, 7)), rng.normal(size=(2, 5))
+    ph = kron(p2, p1)
+    x = np.asarray(rng.normal(size=(35, 4)), order=order)
+    y = np.asarray(rng.normal(size=(6, 4)), order=order)
+    px, pty = _apply_ph(x, p1, p2), _apply_ph_t(y, p1, p2)
+    assert rel_error(px, ph @ x) <= 1e-14
+    assert rel_error(pty, ph.T @ y) <= 1e-14
+    assert px.flags.f_contiguous and pty.flags.f_contiguous
+    # adjoint identity <P x, y> = <x, P' y>
+    assert np.vdot(px, y) == pytest.approx(np.vdot(x, pty), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -357,28 +406,43 @@ def test_plain_runs_are_monotone():
     assert np.all(drops <= 1e-12 * np.abs(trace[:-1]))
 
 
-def test_fixed_seed_reproducible():
-    _, _, ops, hsi, msi = consistent_instance(seed=2, dims=(8, 8, 8), snr_db=30.0)
-    cfg = SolverConfig(ridge_weight=1e-3, max_iters=40, rel_tol=0.0, seed=11)
-    a = fuse(hsi, msi, ops, 2, cfg)
-    b = fuse(hsi, msi, ops, 2, cfg)
+@settings(max_examples=25, deadline=None)
+@given(**SOLVER_RUNS)
+def test_fixed_seed_reproducible(seed, rows, cols, blind, accelerate, regularized):
+    _, _, ops, hsi, msi = consistent_instance(seed=seed, dims=(rows, cols, 8), snr_db=30.0)
+    cfg = property_config(regularized, max_iters=20, accelerate=accelerate, seed=seed)
+    a = run_solver(hsi, msi, ops, blind, cfg)
+    b = run_solver(hsi, msi, ops, blind, cfg)
     assert np.array_equal(a.objective_trace, b.objective_trace)
     assert np.array_equal(a.sri, b.sri)
 
 
-def test_factors_stay_nonnegative_every_iteration():
-    _, _, ops, hsi, msi = consistent_instance(seed=3, dims=(8, 8, 8), snr_db=20.0)
+@settings(max_examples=25, deadline=None)
+@given(**SOLVER_RUNS)
+def test_factors_stay_nonnegative_every_iteration(seed, rows, cols, blind, accelerate, regularized):
+    _, _, ops, hsi, msi = consistent_instance(seed=seed, dims=(rows, cols, 8), snr_db=20.0)
     for iters in range(1, 5):
-        cfg = SolverConfig(
-            ridge_weight=0.01, tv_weight=0.01, lowrank_weight=0.01,
-            max_iters=iters, rel_tol=0.0, seed=5,
-        )
-        report = fuse(hsi, msi, ops, 2, cfg)
+        cfg = property_config(regularized, max_iters=iters, accelerate=accelerate, seed=seed)
+        report = run_solver(hsi, msi, ops, blind, cfg)
         assert report.maps.min() >= 0.0
         assert report.spectra.min() >= 0.0
-        blind = fuse_blind(hsi, msi, ops.pm, 2, cfg)
-        assert blind.maps.min() >= 0.0
-        assert blind.spectra.min() >= 0.0
+        assert report.maps.flags.f_contiguous  # the maps come back terms-major
+
+
+@pytest.mark.parametrize("blind", [False, True])
+def test_warm_start_layout_does_not_change_the_run(blind):
+    # a warm start is copied to the terms-major layout the solvers run, so its
+    # own memory order cannot change a single rounding
+    _, _, ops, hsi, msi = consistent_instance(seed=13, dims=(8, 6, 8), snr_db=25.0)
+    cfg = property_config(True, max_iters=10)
+    rng = np.random.default_rng(2)
+    init = (rng.uniform(size=(48, 2)), rng.uniform(size=(8, 2)), rng.normal(size=(12, 2)))
+    init = init if blind else init[:2]
+    c_run = run_solver(hsi, msi, ops, blind, cfg, init=init)
+    f_run = run_solver(hsi, msi, ops, blind, cfg, init=tuple(np.asfortranarray(x) for x in init))
+    assert np.array_equal(c_run.objective_trace, f_run.objective_trace)
+    assert np.array_equal(c_run.sri, f_run.sri)
+    assert c_run.maps.flags.f_contiguous and f_run.maps.flags.f_contiguous
 
 
 def test_objective_trace_scales_with_data():
@@ -412,9 +476,11 @@ def test_solvers_run_the_verified_block_steps(accelerate):
         ridge_weight=0.05, tv_weight=0.02, lowrank_weight=0.02,
         max_iters=2, rel_tol=0.0, accelerate=accelerate,
     )
+    # the sweep starts from terms-major factors, the layout the solvers run
     rng = np.random.default_rng(4)
     maps, spectra = rng.uniform(size=(64, 2)), rng.uniform(size=(8, 2))
     coarse = rng.normal(size=(16, 2))  # signed: the coarse block is not projected
+    maps, spectra, coarse = (np.asfortranarray(x) for x in (maps, spectra, coarse))
     data = FusionData.from_tensors(hsi, msi, ops)
     blind = FusionData.from_tensors_blind(hsi, msi, ops.pm)
 
