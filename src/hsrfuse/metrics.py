@@ -87,7 +87,8 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
     sq_err = reference - estimate
     sq_err *= sq_err
     err_energy = float(np.sum(sq_err))
-    band_rmse = np.sqrt(np.sum(sq_err, axis=(0, 1)) / (i * j))
+    band_err = np.sum(sq_err, axis=(0, 1))
+    band_rmse = np.sqrt(band_err / (i * j))
     del sq_err  # free the cube before _sam allocates its own
     rsnr = np.inf if err_energy == 0.0 else 10.0 * np.log10(ref_energy / err_energy)
     rmse = np.sqrt(err_energy / (i * j * k))
@@ -105,7 +106,7 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
     cc = _mean_over_bands(_pearson, reference, estimate)
     band_ssim, band_uiqi = _window_scores(reference, estimate)
 
-    table = _band_table(reference, estimate, band_ssim, band_uiqi) if per_band else None
+    table = _band_table(reference, band_err, band_rmse, band_ssim, band_uiqi) if per_band else None
     return MetricReport(
         rsnr_db=float(rsnr),
         ssim=float(np.mean(band_ssim)),
@@ -140,27 +141,21 @@ def _window_scores(reference, estimate):
     return np.asarray(ssim), np.asarray(uiqi)
 
 
-def _band_table(reference, estimate, ssim, uiqi):
-    i, j, k = reference.shape
-    rsnr_db, rmse = [], []
-    for b in range(k):
-        ref, est = reference[:, :, b], estimate[:, :, b]
-        err = float(np.sum((ref - est) ** 2))
-        sig = float(np.sum(ref**2))
-        if err == 0.0:
-            rsnr = np.inf
-        elif sig == 0.0:
-            rsnr = -np.inf  # zero-energy reference band with a nonzero estimate
-        else:
-            rsnr = 10.0 * np.log10(sig / err)
-        rsnr_db.append(rsnr)
-        rmse.append(float(np.sqrt(err / (i * j))))
+def _band_table(reference, band_err, band_rmse, ssim, uiqi):
+    """Per-band curves from the per-band error energies ``evaluate`` summed.
+
+    A band fitted exactly reads +inf dB; a zero-energy reference band with a
+    nonzero estimate reads -inf dB.
+    """
+    sig = np.sum(reference**2, axis=(0, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rsnr_db = np.where(band_err == 0.0, np.inf, 10.0 * np.log10(sig / band_err))
     return {
-        "band": np.arange(k),
-        "rsnr_db": np.asarray(rsnr_db),
+        "band": np.arange(reference.shape[2]),
+        "rsnr_db": rsnr_db,
         "ssim": ssim,
         "uiqi": uiqi,
-        "rmse": np.asarray(rmse),
+        "rmse": band_rmse,
     }
 
 

@@ -21,16 +21,18 @@ solvers: it moves each block 1/L from its anchor, projected onto the
 nonnegative orthant if ``project``, so the unaccelerated iteration decreases
 the objective monotonically.  Nesterov extrapolation is applied per block by
 default; gradients, reweighting and bounds are all evaluated at the anchor.
-The maps step stays one per problem (only the known one carries the HSI fit
-back through (P2 kron P1)'), and only the blind problem has a coarse step.
 
-The data fit needs T and a few R x R Grams of S and T.  ``map_products``
-computes them once per update of S (and T), and the objective after a sweep
-and the spectra step of the next sweep both read that one bundle.  The maps
-gradient is taken in Gram form, so no full-size residual is built for it.
-The objective keeps the residual form: a Gram form cancels |Y|^2 against
-nearly equal terms and loses its accuracy, and even its sign, near an exact
-fit.
+The objective and every step take the factors (S, C, T) themselves; T is
+passed only in the blind problem and is (P2 kron P1) S otherwise.  The maps
+block and the coarse block share one image-block term, the Gram-form fit
+X M'M - Y M plus the map penalties, so no full-size residual is built for a
+gradient.  The maps step of the known problem adds the HSI fit carried back
+through (P2 kron P1)'; the coarse step is the same term without TV.  The
+only product worth sharing is (P2 kron P1) S: the driver applies it once per
+maps update, for the objective after a sweep and the spectra step of the
+next.  The objective keeps the residual form: a Gram form cancels |Y|^2
+against nearly equal terms and loses its accuracy, and even its sign, near
+an exact fit.
 
 Every factor is terms-major: an F-contiguous (rows, R) array, so a column
 (one map, one spectrum) is contiguous and the maps' transpose is a
@@ -44,6 +46,7 @@ SRI refolds without a copy.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -97,10 +100,15 @@ class SolverConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if self.max_iters is not None and self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        if self.max_iters is not None:
+            _check_int("max_iters", self.max_iters, 0)
+        _check_int("seed", self.seed, 0)
+
+
+def _check_int(name, value, minimum):
+    """Reject anything but an integer (numpy's included) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass
@@ -246,16 +254,16 @@ def _penalty_value(maps, shape, cfg, with_tv=True):
 def _map_penalties(maps, shape, cfg, with_tv=True):
     """Regularizer gradient at ``maps`` plus the curvature its weights induce.
 
-    Returns (gradient, max_r sigma_max(W_r), max_r TV curvature bound); the
-    TV bound per term is |H_cols|^2 max(u) + |H_rows|^2 max(v).  With no
-    penalty on, the gradient is the scalar 0.0.
+    Returns (gradient, p eta max_r sigma_max(W_r) + q theta max_r tv_curv_r);
+    the TV bound per term is |H_cols|^2 max(u) + |H_rows|^2 max(v).  With no
+    penalty on, both are 0.0.
     """
     w_curv = 0.0
     tv_curv = 0.0
     use_tv = with_tv and cfg.tv_weight > 0
     use_lr = cfg.lowrank_weight > 0
     if not (use_tv or use_lr):
-        return 0.0, w_curv, tv_curv
+        return 0.0, 0.0
     grad = np.zeros(maps.shape, order="F")
     i, j = shape
     cube = _maps_as_images(maps, shape)
@@ -276,58 +284,14 @@ def _map_penalties(maps, shape, cfg, with_tv=True):
                 col_diff_adjoint(u * col_diff(img)) + row_diff_adjoint(v * row_diff(img))
             )
             tv_curv = max(tv_curv, col_norm_sq * float(u.max()) + row_norm_sq * float(v.max()))
-    return grad, w_curv, tv_curv
+    curv = cfg.schatten.p * cfg.lowrank_weight * w_curv
+    curv += cfg.tv.q * cfg.tv_weight * tv_curv
+    return grad, curv
 
 
 # ---------------------------------------------------------------------------
 # objectives and block steps: each step returns (gradient, curvature bound)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MapProducts:
-    """Products of the maps S and the HSI-side factor, shared by the objective
-    and the spectra step.
-
-    ``coarse`` is (P2 kron P1) S in the known-operator problem and the free
-    coarse block in the blind one.  The rest are the Grams S'S and
-    coarse'coarse, the cross products Yh'coarse and Ym'S, and ``spectra_curv``,
-    the data-fit curvature bound of the spectra block.
-    """
-
-    maps: np.ndarray
-    coarse: np.ndarray
-    coarse_gram: np.ndarray
-    gram: np.ndarray
-    hsi_coarse: np.ndarray
-    msi_maps: np.ndarray
-    spectra_curv: float
-
-
-def map_products(maps, data, coarse=None):
-    """Compute the :class:`MapProducts` of ``maps`` once, for every reader.
-
-    ``coarse`` is the blind problem's coarse block; the known-operator problem
-    passes none and gets (P2 kron P1) S.
-    """
-    gram = maps.T @ maps
-    sq_norm = _top_eigenvalue(gram)
-    if data.ops is None:
-        coarse_gram = coarse.T @ coarse
-        curv = data.pm_gram_norm * sq_norm + _top_eigenvalue(coarse_gram)
-    else:
-        coarse = _apply_ph(maps, data.ops.p1, data.ops.p2)
-        coarse_gram = coarse.T @ coarse
-        curv = sq_norm * (data.ph_gram_norm + data.pm_gram_norm)
-    return MapProducts(
-        maps=maps,
-        coarse=coarse,
-        coarse_gram=coarse_gram,
-        gram=gram,
-        hsi_coarse=data.hsi_mat.T @ coarse,
-        msi_maps=data.msi_mat.T @ maps,
-        spectra_curv=curv,
-    )
-
 
 def _half_sq_residual(fit, target):
     """1/2 |fit - target|^2, written into ``fit``; a terms-major ``fit`` is
@@ -336,68 +300,73 @@ def _half_sq_residual(fit, target):
     return 0.5 * float(np.vdot(fit.T, fit.T))
 
 
-def objective(products, spectra, data, cfg):
-    """Full objective at (S, T, C), S and T given by their products; in the
-    blind problem T carries its own Schatten term."""
-    maps = products.maps
-    f = _half_sq_residual((spectra @ products.coarse.T).T, data.hsi_mat)
+def objective(maps, spectra, data, cfg, coarse=None):
+    """Full objective at (S, C, T).  T defaults to the tied (P2 kron P1) S; in
+    the blind problem it is the coarse block and carries its own Schatten term."""
+    if coarse is None:
+        coarse = _apply_ph(maps, data.ops.p1, data.ops.p2)
+    f = _half_sq_residual((spectra @ coarse.T).T, data.hsi_mat)
     f += _half_sq_residual(((data.pm @ spectra) @ maps.T).T, data.msi_mat)
     f += 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
     f += _penalty_value(maps, data.sri_dims[:2], cfg)
     if data.ops is None:
-        f += _penalty_value(products.coarse, data.hsi_dims, cfg, with_tv=False)
+        f += _penalty_value(coarse, data.hsi_dims, cfg, with_tv=False)
     return f
 
 
-def spectra_step(spectra, products, data, cfg):
-    """Spectra-block gradient and curvature bound."""
+def spectra_step(spectra, maps, data, cfg, coarse=None):
+    """Spectra-block gradient and curvature bound at (S, T), T as in :func:`objective`."""
+    if coarse is None:
+        coarse = _apply_ph(maps, data.ops.p1, data.ops.p2)
     pm = data.pm
-    g = (products.coarse_gram @ spectra.T).T
-    g += pm.T @ (pm @ spectra) @ products.gram
+    gram = maps.T @ maps
+    coarse_gram = coarse.T @ coarse
+    if data.ops is None:
+        curv = data.pm_gram_norm * _top_eigenvalue(gram) + _top_eigenvalue(coarse_gram)
+    else:
+        curv = _top_eigenvalue(gram) * (data.ph_gram_norm + data.pm_gram_norm)
+    g = (coarse_gram @ spectra.T).T
+    g += pm.T @ (pm @ spectra) @ gram
     g += cfg.ridge_weight * spectra
-    g -= products.hsi_coarse
-    g -= pm.T @ products.msi_maps
-    return g, products.spectra_curv + cfg.ridge_weight
+    g -= data.hsi_mat.T @ coarse
+    g -= pm.T @ (data.msi_mat.T @ maps)
+    return g, curv + cfg.ridge_weight
+
+
+def _fit_grad(x, m, target):
+    """Gradient in X of 1/2 |target - X M'|^2, in Gram form: X M'M - target M."""
+    g = ((m.T @ m) @ x.T).T
+    g -= (m.T @ target.T).T
+    return g
+
+
+def _image_block(x, m, target, shape, cfg, with_tv=True):
+    """Gradient and curvature bound of an image block X (maps or coarse maps of
+    size ``shape``): the fit 1/2 |target - X M'|^2 plus the map penalties,
+    whose gradient and curvature are those of their majorizers at X."""
+    pen, curv = _map_penalties(x, shape, cfg, with_tv)
+    g = _fit_grad(x, m, target)
+    g += pen
+    return g, _sq_norm(m) + curv
 
 
 def maps_step(maps, spectra, data, cfg):
-    """Maps-block gradient and curvature bound for the known-operator problem;
-    the regularizer gradient and curvature are those of its majorizers at ``maps``.
+    """Maps-block gradient and curvature bound.
 
-    The data gradient is P_H'(phs C'C - Yh C) + S M'M - Ym M with M = PM C.
+    The data gradient is S M'M - Ym M with M = PM C; with known spatial
+    operators it adds P_H'(P_H S C'C - Yh C), and the bound |C|^2 |P_H|^2.
     """
-    p1, p2, pm = data.ops.p1, data.ops.p2, data.pm
-    pen, w_curv, tv_curv = _map_penalties(maps, data.sri_dims[:2], cfg)
-    phs = _apply_ph(maps, p1, p2)
-    hsi_part = ((spectra.T @ spectra) @ phs.T).T
-    hsi_part -= (spectra.T @ data.hsi_mat.T).T
-    g = _apply_ph_t(hsi_part, p1, p2)
-    pmc = pm @ spectra
-    g += ((pmc.T @ pmc) @ maps.T).T
-    g -= (pmc.T @ data.msi_mat.T).T
-    g += pen
-    l = _sq_norm(spectra) * data.ph_gram_norm
-    l += _sq_norm(pmc)
-    l += cfg.schatten.p * cfg.lowrank_weight * w_curv
-    l += cfg.tv.q * cfg.tv_weight * tv_curv
+    g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], cfg)
+    if data.ops is not None:
+        p1, p2 = data.ops.p1, data.ops.p2
+        g += _apply_ph_t(_fit_grad(_apply_ph(maps, p1, p2), spectra, data.hsi_mat), p1, p2)
+        l += _sq_norm(spectra) * data.ph_gram_norm
     return g, l
-
-
-def maps_step_blind(maps, spectra, data, cfg):
-    """Maps-block gradient and curvature bound for the blind problem (no HSI term)."""
-    pen, w_curv, tv_curv = _map_penalties(maps, data.sri_dims[:2], cfg)
-    pmc = data.pm @ spectra
-    l = _sq_norm(pmc)
-    l += cfg.schatten.p * cfg.lowrank_weight * w_curv
-    l += cfg.tv.q * cfg.tv_weight * tv_curv
-    return (pmc.T @ (pmc @ maps.T - data.msi_mat.T)).T + pen, l
 
 
 def coarse_step_blind(coarse, spectra, data, cfg):
     """Coarse-block gradient and curvature bound: HSI fit plus Schatten, no TV."""
-    pen, w_curv, _ = _map_penalties(coarse, data.hsi_dims, cfg, with_tv=False)
-    l = _sq_norm(spectra) + cfg.schatten.p * cfg.lowrank_weight * w_curv
-    return (spectra.T @ (spectra @ coarse.T - data.hsi_mat.T)).T + pen, l
+    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, cfg, with_tv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -505,45 +474,52 @@ def _init_factor(rng, shape, given, label):
 # full solvers
 # ---------------------------------------------------------------------------
 
-def _solve(data, n_terms, cfg, init, default_iters, steps):
+def _solve(data, n_terms, cfg, init):
     """Setup and run shared by both solvers.
 
-    The spectra block comes first; ``steps`` lists ``(step, project)`` for
-    the maps block and, in the blind problem, the coarse block, each called as
-    ``step(x, spectra, data, cfg)``.  Factors are drawn in the order maps,
-    spectra, coarse.
+    The blocks are spectra, maps and, in the blind problem (``data.ops`` is
+    None), the coarse maps; factors are drawn in the order maps, spectra,
+    coarse maps.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+    _check_int("n_terms", n_terms, 1)
+    blind = data.ops is None
+    labels = ("maps", "spectra", "coarse maps")[: 3 if blind else 2]
+    if cfg.max_iters is not None:
+        max_iters = cfg.max_iters
+    else:
+        max_iters = DEFAULT_MAX_ITERS_BLIND if blind else DEFAULT_MAX_ITERS
+    if init is None:
+        init = (None,) * len(labels)
+    elif len(init) != len(labels):
+        raise DimensionError(f"warm start has {len(init)} factors, expected ({', '.join(labels)})")
     i, j, k = data.sri_dims
-    max_iters = default_iters if cfg.max_iters is None else cfg.max_iters
-
-    rng = np.random.default_rng(cfg.seed)
-    labels = ("maps", "spectra", "coarse maps")[: len(steps) + 1]
     shapes = ((i * j, n_terms), (k, n_terms), (math.prod(data.hsi_dims), n_terms))
-    given = init if init is not None else (None,) * len(labels)
+    rng = np.random.default_rng(cfg.seed)
     maps, spectra, *coarse = [
-        _init_factor(rng, shapes[b], given[b], labels[b]) for b in range(len(labels))
+        _init_factor(rng, shape, given, label) for shape, given, label in zip(shapes, init, labels)
     ]
 
-    # One bundle per (maps, coarse) pair: _run replaces factors by new arrays
-    # and never writes into one, so the array objects identify their products.
-    last = None
+    # (P2 kron P1) S once per maps array: _run replaces factors by new arrays
+    # and never writes into one, so the array object identifies its product.
+    tied = (None, None)
 
-    def products(factors):
-        nonlocal last
-        if last is None or any(a is not b for a, b in zip(last[0], factors[1:])):
-            last = (factors[1:], map_products(factors[1], data, *factors[2:]))
-        return last[1]
+    def coarse_of(factors):
+        nonlocal tied
+        if blind:
+            return factors[2]
+        if tied[0] is not factors[1]:
+            tied = (factors[1], _apply_ph(factors[1], data.ops.p1, data.ops.p2))
+        return tied[1]
 
-    blocks = [(lambda c, f: spectra_step(c, products(f), data, cfg), True)]
-    blocks += [
-        (lambda x, f, step=step: step(x, f[0], data, cfg), project) for step, project in steps
+    blocks = [
+        (lambda c, f: spectra_step(c, f[1], data, cfg, coarse_of(f)), True),
+        (lambda s, f: maps_step(s, f[0], data, cfg), True),
+        (lambda t, f: coarse_step_blind(t, f[0], data, cfg), False),
     ]
     (spectra, maps, *_), trace, converged = _run(
-        [spectra, maps, *coarse], blocks,
-        lambda f: objective(products(f), f[0], data, cfg), cfg, max_iters,
+        [spectra, maps, *coarse], blocks[: len(labels)],
+        lambda f: objective(f[1], f[0], data, cfg, coarse_of(f)), cfg, max_iters,
     )
     return _report(maps, spectra, data, trace, converged)
 
@@ -555,20 +531,17 @@ def fuse(hsi, msi, ops, n_terms, cfg=None, init=None):
     uniform(0, 1) from ``cfg.seed``.  Returns a :class:`FusionReport` whose
     trace holds the objective at the initializer and after every iteration.
     """
-    data = FusionData.from_tensors(hsi, msi, ops)
-    return _solve(data, n_terms, cfg, init, DEFAULT_MAX_ITERS, [(maps_step, True)])
+    return _solve(FusionData.from_tensors(hsi, msi, ops), n_terms, cfg, init)
 
 
 def fuse_blind(hsi, msi, pm, n_terms, cfg=None, init=None):
     """Recover the super-resolution tensor with unknown spatial operators.
 
     Three-block iteration: spectra and maps are projected onto the
-    nonnegative orthant, the coarse block is updated without projection.  The
+    nonnegative orthant, the coarse block is updated without projection.
+    ``init`` optionally warm-starts (maps, spectra, coarse maps), the last an
+    (Ih*Jh, n_terms) array; an entry of None is drawn as in :func:`fuse`.  The
     output tensor is rebuilt from (maps, spectra) only; the coarse factors are
     an internal device and are discarded.
     """
-    data = FusionData.from_tensors_blind(hsi, msi, pm)
-    return _solve(
-        data, n_terms, cfg, init, DEFAULT_MAX_ITERS_BLIND,
-        [(maps_step_blind, True), (coarse_step_blind, False)],
-    )
+    return _solve(FusionData.from_tensors_blind(hsi, msi, pm), n_terms, cfg, init)

@@ -21,9 +21,7 @@ from hsrfuse.solver import (
     coarse_step_blind,
     fuse,
     fuse_blind,
-    map_products,
     maps_step,
-    maps_step_blind,
     objective,
     spectra_step,
 )
@@ -112,22 +110,17 @@ def test_criterion_3_gradients_match_finite_differences():
         maps = rng.uniform(0.1, 1.0, size=(30, 3))
         spectra = rng.uniform(0.1, 1.0, size=(4, 3))
         coarse = rng.normal(size=(9, 3))
-        products = map_products(maps, data)
-        blind_products = map_products(maps, blind, coarse)
         pairs = [
-            (spectra_step(spectra, products, data, cfg)[0],
-             central_gradient(lambda c: objective(products, c, data, cfg), spectra)),
+            (spectra_step(spectra, maps, data, cfg)[0],
+             central_gradient(lambda c: objective(maps, c, data, cfg), spectra)),
             (maps_step(maps, spectra, data, cfg)[0],
-             central_gradient(
-                 lambda s: objective(map_products(s, data), spectra, data, cfg), maps)),
-            (spectra_step(spectra, blind_products, blind, cfg)[0],
-             central_gradient(lambda c: objective(blind_products, c, blind, cfg), spectra)),
-            (maps_step_blind(maps, spectra, blind, cfg)[0],
-             central_gradient(
-                 lambda s: objective(map_products(s, blind, coarse), spectra, blind, cfg), maps)),
+             central_gradient(lambda s: objective(s, spectra, data, cfg), maps)),
+            (spectra_step(spectra, maps, blind, cfg, coarse)[0],
+             central_gradient(lambda c: objective(maps, c, blind, cfg, coarse), spectra)),
+            (maps_step(maps, spectra, blind, cfg)[0],
+             central_gradient(lambda s: objective(s, spectra, blind, cfg, coarse), maps)),
             (coarse_step_blind(coarse, spectra, blind, cfg)[0],
-             central_gradient(
-                 lambda t: objective(map_products(maps, blind, t), spectra, blind, cfg), coarse)),
+             central_gradient(lambda t: objective(maps, spectra, blind, cfg, t), coarse)),
         ]
         worst = max(worst, max(rel_error(g, fd) for g, fd in pairs))
     _verdict(
@@ -212,11 +205,11 @@ def test_criterion_6_lipschitz_bounds_dominate():
         maps = rng.uniform(0.1, 1.0, size=(30, 3))
         spectra = rng.uniform(0.1, 1.0, size=(4, 3))
         coarse = rng.normal(size=(9, 3))
-        l_c = spectra_step(spectra, map_products(maps, data), data, cfg)[1]
+        l_c = spectra_step(spectra, maps, data, cfg)[1]
         l_s = maps_step(maps, spectra, data, cfg)[1]
         d_c, d_s = dense_curvatures_known(maps, spectra, data, cfg)
-        b_c = spectra_step(spectra, map_products(maps, blind, coarse), blind, cfg)[1]
-        b_s = maps_step_blind(maps, spectra, blind, cfg)[1]
+        b_c = spectra_step(spectra, maps, blind, cfg, coarse)[1]
+        b_s = maps_step(maps, spectra, blind, cfg)[1]
         b_t = coarse_step_blind(coarse, spectra, blind, cfg)[1]
         e_c, e_s, e_t = dense_curvatures_blind(maps, coarse, spectra, blind, cfg, no_tv)
         for bound, exact in ((l_c, d_c), (l_s, d_s), (b_c, e_c), (b_s, e_s), (b_t, e_t)):

@@ -128,9 +128,13 @@ def test_per_band_single_corrupted_band():
 
 def test_per_band_rmse_energy_additivity():
     ref, est = _random_pair(seed=8)
-    table = evaluate(ref, est, per_band=True).per_band
+    report = evaluate(ref, est, ratio=4, per_band=True)
+    table = report.per_band
     global_rmse = evaluate(ref, est, ratio=4).rmse
     assert np.mean(table["rmse"] ** 2) == pytest.approx(global_rmse**2, rel=1e-12)
+    # the per-band RMSE is the array ERGAS is taken from, bit for bit
+    mu = ref.mean(axis=(0, 1))
+    assert report.ergas == 100.0 / 4 * float(np.sqrt(np.mean((table["rmse"] / mu) ** 2)))
 
 
 def test_evaluate_attaches_per_band_table():
@@ -225,6 +229,8 @@ def test_zero_energy_band_handled():
     table = evaluate(ref, est, per_band=True).per_band
     assert table["rsnr_db"][1] == -np.inf
     assert np.isfinite(table["rsnr_db"][[0, 2, 3]]).all()
+    est[:, :, 1] = 0.0  # 0/0 energies: an exact fit reads +inf, not nan
+    assert evaluate(ref, est, per_band=True).per_band["rsnr_db"][1] == np.inf
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,14 +13,13 @@ from hsrfuse.solver import (
     SolverConfig,
     _apply_ph,
     _apply_ph_t,
+    _sq_norm,
     apg_step,
     coarse_step_blind,
     extrapolate,
     fuse,
     fuse_blind,
-    map_products,
     maps_step,
-    maps_step_blind,
     objective,
     spectra_step,
 )
@@ -135,14 +134,14 @@ def test_objective_zero_at_exact_fit():
     data = FusionData.from_tensors(hsi, msi, ops)
     cfg = SolverConfig()
     maps = factors.maps_matrix()
-    val = objective(map_products(maps, data), factors.spectra, data, cfg)
+    val = objective(maps, factors.spectra, data, cfg)
     assert 0.0 <= val <= 1e-20 * np.sum(hsi**2)
 
 
 def test_objective_zero_factors_is_data_energy():
     data, _, maps, spectra, _ = random_instance(0)
     cfg = SolverConfig()
-    val = objective(map_products(np.zeros_like(maps), data), np.zeros_like(spectra), data, cfg)
+    val = objective(np.zeros_like(maps), np.zeros_like(spectra), data, cfg)
     expected = 0.5 * np.sum(data.hsi_mat**2) + 0.5 * np.sum(data.msi_mat**2)
     assert val == pytest.approx(expected, rel=1e-15)
 
@@ -166,7 +165,7 @@ def test_objective_matches_loop_oracle():
     hsi = data.hsi_mat.reshape(3, 3, 4, order="F")
     msi = data.msi_mat.reshape(6, 5, 2, order="F")
     expected = _objective_by_loops(maps, spectra, hsi, msi, data.ops, WEIGHTED, (6, 5, 4))
-    got = objective(map_products(maps, data), spectra, data, WEIGHTED)
+    got = objective(maps, spectra, data, WEIGHTED)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -175,15 +174,25 @@ def test_blind_model_with_tied_coarse_block_is_the_known_model():
     # known-operator one; only the coarse Schatten term (off here) and the
     # spectra curvature bound may tell the two problems apart.  Bit equality
     # on several instances catches a second code path that rounds differently.
+    # The one maps step relies on the chain rule: the known maps gradient is
+    # the blind one plus (P2 kron P1)' of the coarse-block gradient, and its
+    # bound adds |C|^2 |P2 kron P1|^2.
     cfg = SolverConfig(ridge_weight=0.3, tv_weight=0.2)
     for seed in range(8):
         data, blind, maps, spectra, _ = random_instance(seed + 30)
-        known = map_products(maps, data)
-        tied = map_products(maps, blind, known.coarse)
+        tied = _apply_ph(maps, data.ops.p1, data.ops.p2)
         assert np.array_equal(
-            spectra_step(spectra, known, data, cfg)[0], spectra_step(spectra, tied, blind, cfg)[0]
+            spectra_step(spectra, maps, data, cfg)[0],
+            spectra_step(spectra, maps, blind, cfg, tied)[0],
         )
-        assert objective(known, spectra, data, cfg) == objective(tied, spectra, blind, cfg)
+        assert objective(maps, spectra, data, cfg) == objective(maps, spectra, blind, cfg, tied)
+
+        g_known, l_known = maps_step(maps, spectra, data, cfg)
+        g_blind, l_blind = maps_step(maps, spectra, blind, cfg)
+        g_coarse = coarse_step_blind(tied, spectra, blind, cfg)[0]
+        chained = g_blind + _apply_ph_t(g_coarse, data.ops.p1, data.ops.p2)
+        assert rel_error(g_known, chained) <= 1e-12
+        assert l_known == l_blind + _sq_norm(spectra) * data.ph_gram_norm
 
 
 # ---------------------------------------------------------------------------
@@ -192,39 +201,30 @@ def test_blind_model_with_tied_coarse_block_is_the_known_model():
 
 def test_grad_spectra_finite_differences():
     data, _, maps, spectra, _ = random_instance(2)
-    products = map_products(maps, data)
-    grad = spectra_step(spectra, products, data, WEIGHTED)[0]
-    fd = central_gradient(lambda c: objective(products, c, data, WEIGHTED), spectra)
+    grad = spectra_step(spectra, maps, data, WEIGHTED)[0]
+    fd = central_gradient(lambda c: objective(maps, c, data, WEIGHTED), spectra)
     assert rel_error(grad, fd) <= 1e-5
 
 
 def test_grad_maps_finite_differences():
     data, _, maps, spectra, _ = random_instance(3)
     grad = maps_step(maps, spectra, data, WEIGHTED)[0]
-    fd = central_gradient(
-        lambda s: objective(map_products(s, data), spectra, data, WEIGHTED), maps
-    )
+    fd = central_gradient(lambda s: objective(s, spectra, data, WEIGHTED), maps)
     assert rel_error(grad, fd) <= 1e-5
 
 
 def test_blind_gradients_finite_differences():
     _, blind, maps, spectra, coarse = random_instance(4)
-    g_c = spectra_step(spectra, map_products(maps, blind, coarse), blind, WEIGHTED)[0]
-    fd_c = central_gradient(
-        lambda c: objective(map_products(maps, blind, coarse), c, blind, WEIGHTED), spectra
-    )
+    g_c = spectra_step(spectra, maps, blind, WEIGHTED, coarse)[0]
+    fd_c = central_gradient(lambda c: objective(maps, c, blind, WEIGHTED, coarse), spectra)
     assert rel_error(g_c, fd_c) <= 1e-5
 
-    g_s = maps_step_blind(maps, spectra, blind, WEIGHTED)[0]
-    fd_s = central_gradient(
-        lambda s: objective(map_products(s, blind, coarse), spectra, blind, WEIGHTED), maps
-    )
+    g_s = maps_step(maps, spectra, blind, WEIGHTED)[0]
+    fd_s = central_gradient(lambda s: objective(s, spectra, blind, WEIGHTED, coarse), maps)
     assert rel_error(g_s, fd_s) <= 1e-5
 
     g_t = coarse_step_blind(coarse, spectra, blind, WEIGHTED)[0]
-    fd_t = central_gradient(
-        lambda t: objective(map_products(maps, blind, t), spectra, blind, WEIGHTED), coarse
-    )
+    fd_t = central_gradient(lambda t: objective(maps, spectra, blind, WEIGHTED, t), coarse)
     assert rel_error(g_t, fd_t) <= 1e-5
 
 
@@ -237,10 +237,8 @@ def test_blind_grad_spectra_with_identity_pm():
     maps = rng.uniform(0.1, 1.0, size=(30, 2))
     spectra = rng.uniform(0.1, 1.0, size=(4, 2))
     coarse = loop_unfold(hsi) @ np.linalg.pinv(spectra.T)
-    grad = spectra_step(spectra, map_products(maps, blind, coarse), blind, WEIGHTED)[0]
-    fd = central_gradient(
-        lambda c: objective(map_products(maps, blind, coarse), c, blind, WEIGHTED), spectra
-    )
+    grad = spectra_step(spectra, maps, blind, WEIGHTED, coarse)[0]
+    fd = central_gradient(lambda c: objective(maps, c, blind, WEIGHTED, coarse), spectra)
     assert rel_error(grad, fd) <= 1e-5
 
 
@@ -250,17 +248,15 @@ def test_gradients_vanish_at_exact_fit():
     cfg = SolverConfig()
     maps, spectra = factors.maps_matrix(), factors.spectra
     scale = max(np.max(np.abs(maps)), np.max(np.abs(spectra)))
-    products = map_products(maps, data)
-    assert np.max(np.abs(spectra_step(spectra, products, data, cfg)[0])) <= 1e-10 * scale
+    assert np.max(np.abs(spectra_step(spectra, maps, data, cfg)[0])) <= 1e-10 * scale
     assert np.max(np.abs(maps_step(maps, spectra, data, cfg)[0])) <= 1e-10 * scale
 
     # blind: the coarse block absorbing the true downsampled maps is also a fit
     blind = FusionData.from_tensors_blind(hsi, msi, ops.pm)
     down = np.einsum("ai,ijr,bj->abr", ops.p1, factors.maps, ops.p2)
     coarse = down.reshape(-1, 2, order="F")
-    products = map_products(maps, blind, coarse)
-    assert np.max(np.abs(spectra_step(spectra, products, blind, cfg)[0])) <= 1e-10 * scale
-    assert np.max(np.abs(maps_step_blind(maps, spectra, blind, cfg)[0])) <= 1e-10 * scale
+    assert np.max(np.abs(spectra_step(spectra, maps, blind, cfg, coarse)[0])) <= 1e-10 * scale
+    assert np.max(np.abs(maps_step(maps, spectra, blind, cfg)[0])) <= 1e-10 * scale
     assert np.max(np.abs(coarse_step_blind(coarse, spectra, blind, cfg)[0])) <= 1e-10 * scale
 
 
@@ -270,7 +266,7 @@ def test_grad_spectra_ridge_only():
     data.msi_mat[:] = 0.0
     cfg = SolverConfig(ridge_weight=0.7)
     zero_maps = np.zeros_like(maps)
-    grad = spectra_step(spectra, map_products(zero_maps, data), data, cfg)[0]
+    grad = spectra_step(spectra, zero_maps, data, cfg)[0]
     assert np.allclose(grad, 0.7 * spectra)
 
 
@@ -302,7 +298,7 @@ def test_grad_coarse_without_lowrank_weight():
 def test_step_bounds_dominate_dense_curvatures():
     for seed in range(8):
         data, _, maps, spectra, _ = random_instance(seed)
-        l_c = spectra_step(spectra, map_products(maps, data), data, WEIGHTED)[1]
+        l_c = spectra_step(spectra, maps, data, WEIGHTED)[1]
         l_s = maps_step(maps, spectra, data, WEIGHTED)[1]
         d_c, d_s = dense_curvatures_known(maps, spectra, data, WEIGHTED)
         assert l_c >= d_c - 1e-9 * max(1.0, d_c)
@@ -312,7 +308,7 @@ def test_step_bounds_dominate_dense_curvatures():
 def test_step_bound_ridge_only():
     data, _, maps, spectra, _ = random_instance(9)
     cfg = SolverConfig(ridge_weight=0.5)
-    l_c = spectra_step(spectra, map_products(np.zeros_like(maps), data), data, cfg)[1]
+    l_c = spectra_step(spectra, np.zeros_like(maps), data, cfg)[1]
     assert l_c == pytest.approx(0.5, rel=1e-15)
 
 
@@ -330,8 +326,8 @@ def test_blind_bounds_dominate_dense():
     no_tv = SolverConfig(lowrank_weight=WEIGHTED.lowrank_weight, schatten=WEIGHTED.schatten)
     for seed in range(6):
         _, blind, maps, spectra, coarse = random_instance(seed + 20)
-        l_c = spectra_step(spectra, map_products(maps, blind, coarse), blind, WEIGHTED)[1]
-        l_s = maps_step_blind(maps, spectra, blind, WEIGHTED)[1]
+        l_c = spectra_step(spectra, maps, blind, WEIGHTED, coarse)[1]
+        l_s = maps_step(maps, spectra, blind, WEIGHTED)[1]
         l_t = coarse_step_blind(coarse, spectra, blind, WEIGHTED)[1]
         d_c, d_s, d_t = dense_curvatures_blind(maps, coarse, spectra, blind, WEIGHTED, no_tv)
         assert l_c >= d_c - 1e-9 * max(1.0, d_c)
@@ -498,15 +494,15 @@ def test_solvers_run_the_verified_block_steps(accelerate):
         return factors
 
     want = sweeps([spectra, maps], [
-        lambda c, f: spectra_step(c, map_products(f[1], data), data, cfg),
+        lambda c, f: spectra_step(c, f[1], data, cfg),
         lambda s, f: maps_step(s, f[0], data, cfg),
     ])
     got = fuse(hsi, msi, ops, 2, cfg, init=(maps, spectra))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
     want = sweeps([spectra, maps, coarse], [
-        lambda c, f: spectra_step(c, map_products(f[1], blind, f[2]), blind, cfg),
-        lambda s, f: maps_step_blind(s, f[0], blind, cfg),
+        lambda c, f: spectra_step(c, f[1], blind, cfg, f[2]),
+        lambda s, f: maps_step(s, f[0], blind, cfg),
         lambda t, f: coarse_step_blind(t, f[0], blind, cfg),
     ])
     got = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=(maps, spectra, coarse))
@@ -515,8 +511,8 @@ def test_solvers_run_the_verified_block_steps(accelerate):
 
 @pytest.mark.parametrize("accelerate", [False, True])
 def test_last_trace_value_is_objective_at_returned_factors(accelerate):
-    # fuse shares one map_products bundle per maps update between the
-    # objective and the next spectra step; a stale or wrongly keyed bundle
+    # fuse shares one (P2 kron P1) S per maps update between the objective
+    # and the next spectra step; a stale or wrongly keyed product
     # would make the recorded value disagree with a fresh evaluation
     _, _, ops, hsi, msi = consistent_instance(seed=12, dims=(8, 8, 8), snr_db=25.0)
     data = FusionData.from_tensors(hsi, msi, ops)
@@ -526,7 +522,7 @@ def test_last_trace_value_is_objective_at_returned_factors(accelerate):
             max_iters=iters, rel_tol=0.0, accelerate=accelerate, seed=4,
         )
         report = fuse(hsi, msi, ops, 2, cfg)
-        fresh = objective(map_products(report.maps, data), report.spectra, data, cfg)
+        fresh = objective(report.maps, report.spectra, data, cfg)
         assert report.objective_trace[-1] == fresh
 
 
@@ -562,8 +558,14 @@ def test_blind_descent_monotone():
 
 def test_warm_start_shape_validated():
     _, _, ops, hsi, msi = consistent_instance(seed=8, dims=(8, 8, 8))
+    maps, spectra, coarse = np.zeros((64, 2)), np.zeros((8, 2)), np.zeros((16, 2))
     with pytest.raises(DimensionError):
-        fuse(hsi, msi, ops, 2, SolverConfig(), init=(np.zeros((10, 2)), np.zeros((8, 2))))
+        fuse(hsi, msi, ops, 2, SolverConfig(), init=(np.zeros((10, 2)), spectra))
+    # the factor count must match the problem: no factor dropped, none missing
+    with pytest.raises(DimensionError, match=r"expected \(maps, spectra\)"):
+        fuse(hsi, msi, ops, 2, SolverConfig(), init=(maps, spectra, coarse))
+    with pytest.raises(DimensionError, match=r"expected \(maps, spectra, coarse maps\)"):
+        fuse_blind(hsi, msi, ops.pm, 2, SolverConfig(), init=(maps, spectra))
 
 
 def test_non_finite_initial_objective_raises():
@@ -610,3 +612,13 @@ def test_solver_config_validation():
         SolverConfig(seed=-1)
     with pytest.raises(ValueError):
         fuse_blind(np.zeros((2, 2, 2)), np.zeros((4, 4, 1)), np.ones((1, 2)), 0)
+    # counts must be integers, numpy's included; the error names the field
+    for name, value in (("max_iters", 2.5), ("seed", 1.5), ("seed", True)):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+    assert SolverConfig(max_iters=np.int64(3), seed=np.uint8(2)).max_iters == 3
+    _, _, ops, hsi, msi = consistent_instance(seed=8, dims=(8, 8, 8))
+    with pytest.raises(ValueError, match="n_terms"):
+        fuse(hsi, msi, ops, 2.0, SolverConfig(max_iters=1))
+    report = fuse(hsi, msi, ops, np.int32(2), SolverConfig(max_iters=np.int64(1), seed=np.int64(1)))
+    assert report.maps.shape == (64, 2) and report.iterations == 1
