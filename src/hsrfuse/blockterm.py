@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .tensors import refold
+from .tensors import check_int, refold
 
 # Recovery condition labels, returned verbatim in failure lists.
 COND_MSI_PIXELS = "msi_pixels >= L**2 * R"
@@ -108,8 +108,7 @@ class RecoverabilityQuery:
     def __post_init__(self):
         for name in ("msi_rows", "msi_cols", "hsi_rows", "hsi_cols",
                      "msi_bands", "n_terms", "term_rank"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            check_int(name, getattr(self, name), 1)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensors import ensure_finite
+from .tensors import check_int, ensure_finite
 
 _RANK_TOL = 1e-10
 
@@ -35,15 +35,14 @@ class BlurSpec:
     offset: int = 0
 
     def __post_init__(self):
-        if self.kernel_width < 1 or self.kernel_width % 2 == 0:
+        if check_int("kernel_width", self.kernel_width, 1) % 2 == 0:
             raise ValueError("kernel_width must be a positive odd integer")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if self.ratio < 1:
-            raise ValueError("ratio must be a positive integer")
+        check_int("ratio", self.ratio, 1)
         if self.boundary not in ("circular", "reflect"):
             raise ValueError("boundary must be 'circular' or 'reflect'")
-        if not 0 <= self.offset < self.ratio:
+        if check_int("offset", self.offset, 0) >= self.ratio:
             raise ValueError("offset must lie in [0, ratio)")
 
 

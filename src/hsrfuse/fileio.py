@@ -37,8 +37,8 @@ HTF_MAGIC = b"HTF1"
 def write_htf(path, tensor):
     """Write a 3-d tensor; the round trip through :func:`read_htf` is bit-exact."""
     t = np.asarray(tensor, dtype=float)
-    if t.ndim != 3:
-        raise DimensionError(f"HTF stores 3-d tensors, got shape {t.shape}")
+    if t.ndim != 3 or t.size == 0:
+        raise DimensionError(f"HTF stores nonempty 3-d tensors, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("refusing to write a tensor with non-finite entries")
     header = HTF_MAGIC + struct.pack("<III", *t.shape)

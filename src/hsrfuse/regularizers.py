@@ -9,10 +9,13 @@ differentiable objective:
   first-difference operators along both spatial axes.
 
 Both admit quadratic majorizers that touch the function at the anchor point,
-which yields the reweighting matrices (W for Schatten, diagonal U/V for TV)
-driving the gradient and the step-size bounds.  This module holds what the
-solver evaluates: the values, the reweighting terms and the matrix-free
-difference operators.  The gradients, the majorizer values and the dense
+with reweighting matrices (W for Schatten, diagonal U/V for TV) formed at the
+anchor.  Each penalty owns its majorizer: ``schatten_majorizer`` and
+``tv_majorizer`` return the majorizer's gradient at the anchor, which is the
+penalty's gradient there, and a bound on its curvature.  The solver only
+weights and sums them over the terms.  This module holds what the solver
+evaluates: the values, the majorizers and the matrix-free difference
+operators.  The reweighting matrices, the majorizer values and the dense
 circulant matrix that check them live with the tests.
 """
 
@@ -82,12 +85,6 @@ def col_diff_adjoint(img):
 # smoothed Schatten-p penalty
 # ---------------------------------------------------------------------------
 
-def _gram_eig(x, tau):
-    """Eigendecomposition of X X' + tau I with eigenvalues clipped at tau."""
-    lam, vec = np.linalg.eigh(x @ x.T)
-    return np.maximum(lam + tau, tau), vec
-
-
 def schatten_value(x, cfg):
     """sum_i (sigma_i(X)^2 + tau)^(p/2) over all row-count many sigma_i."""
     x = np.atleast_2d(x)
@@ -96,18 +93,18 @@ def schatten_value(x, cfg):
     return float(np.sum(lam ** (cfg.p / 2)))
 
 
-def schatten_weight_terms(x, cfg):
-    """Reweighting matrix W = (X X' + tau I)^((p-2)/2) plus its largest
-    eigenvalue, from one factorization.
+def schatten_majorizer(x, cfg):
+    """Gradient p W X of the Schatten majorizer at X and its curvature
+    p sigma_max(W), with W = (X X' + tau I)^((p-2)/2), from one factorization.
 
     All eigenvalues of the base matrix are >= tau, so the negative power is
     well defined: W is symmetric PD with eigenvalues <= tau^((p-2)/2).
     """
     x = np.atleast_2d(x)
-    lam, vec = _gram_eig(x, cfg.tau)
-    exponent = (cfg.p - 2) / 2
-    weight = (vec * lam**exponent) @ vec.T
-    return weight, float(lam[0] ** exponent)
+    lam, vec = np.linalg.eigh(x @ x.T)
+    lam = np.maximum(lam + cfg.tau, cfg.tau) ** ((cfg.p - 2) / 2)
+    weight = (vec * lam) @ vec.T
+    return cfg.p * (weight @ x), cfg.p * float(lam[0])
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +122,20 @@ def tv_value(img, cfg):
     )
 
 
-def tv_weights(img, cfg):
-    """Diagonal reweighting entries (d^2 + eps)^((q-2)/2) for both directions.
+def tv_majorizer(img, cfg):
+    """Gradient q (Hc' U Hc + Hr' V Hr) img of the TV majorizer at ``img`` and
+    its curvature q (|Hc|^2 max U + |Hr|^2 max V).
 
-    Returns (u, v) shaped like ``img``: u weights the column-direction
-    differences, v the row-direction ones.  Entries lie in
+    Hc and Hr are the column- and row-direction differences; the diagonal
+    weights (d^2 + eps)^((q-2)/2) of each difference image d lie in
     (0, eps^((q-2)/2)] and shrink where the local difference is large.
     """
     e = (cfg.q - 2) / 2
-    u = (col_diff(img) ** 2 + cfg.epsilon) ** e
-    v = (row_diff(img) ** 2 + cfg.epsilon) ** e
-    return u, v
+    i, j = img.shape
+    dc, dr = col_diff(img), row_diff(img)
+    u = (dc**2 + cfg.epsilon) ** e
+    v = (dr**2 + cfg.epsilon) ** e
+    curv = diff_norm(j) ** 2 * float(u.max()) + diff_norm(i) ** 2 * float(v.max())
+    u *= dc
+    v *= dr
+    return cfg.q * (col_diff_adjoint(u) + row_diff_adjoint(v)), cfg.q * curv

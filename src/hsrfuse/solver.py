@@ -26,13 +26,15 @@ The objective and every step take the factors (S, C, T) themselves; T is
 passed only in the blind problem and is (P2 kron P1) S otherwise.  The maps
 block and the coarse block share one image-block term, the Gram-form fit
 X M'M - Y M plus the map penalties, so no full-size residual is built for a
-gradient.  The maps step of the known problem adds the HSI fit carried back
-through (P2 kron P1)'; the coarse step is the same term without TV.  The
-only product worth sharing is (P2 kron P1) S: the driver applies it once per
-maps update, for the objective after a sweep and the spectra step of the
-next.  The objective keeps the residual form: a Gram form cancels |Y|^2
-against nearly equal terms and loses its accuracy, and even its sign, near
-an exact fit.
+gradient.  Each penalty contributes through its own majorizer in
+``regularizers``, which returns the gradient and curvature for one map; the
+solver only weights and sums them over the terms.  The maps step of the
+known problem adds the HSI fit carried back through (P2 kron P1)'; the
+coarse step is the same term without TV.  The only product worth sharing is
+(P2 kron P1) S: the driver applies it once per maps update, for the
+objective after a sweep and the spectra step of the next.  The objective
+keeps the residual form: a Gram form cancels |Y|^2 against nearly equal
+terms and loses its accuracy, and even its sign, near an exact fit.
 
 Every factor is terms-major: an F-contiguous (rows, R) array, so a column
 (one map, one spectrum) is contiguous and the maps' transpose is a
@@ -46,7 +48,6 @@ SRI refolds without a copy.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -58,17 +59,12 @@ from .metrics import MetricReport
 from .regularizers import (
     SchattenConfig,
     TvConfig,
-    col_diff,
-    col_diff_adjoint,
-    diff_norm,
-    row_diff,
-    row_diff_adjoint,
+    schatten_majorizer,
     schatten_value,
-    schatten_weight_terms,
+    tv_majorizer,
     tv_value,
-    tv_weights,
 )
-from .tensors import ensure_finite, refold, unfold
+from .tensors import check_int, ensure_finite, refold, unfold
 
 _TINY = np.finfo(float).tiny
 
@@ -101,14 +97,8 @@ class SolverConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.max_iters is not None:
-            _check_int("max_iters", self.max_iters, 0)
-        _check_int("seed", self.seed, 0)
-
-
-def _check_int(name, value, minimum):
-    """Reject anything but an integer (numpy's included) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+            check_int("max_iters", self.max_iters, 0)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -236,57 +226,50 @@ def _maps_as_images(maps, shape):
     return maps.reshape(i, j, maps.shape[1], order="F")
 
 
+def _penalties(cfg, with_tv):
+    """The active map penalties as (weight, value, majorizer, params); the
+    coarse block (``with_tv`` False) carries no TV term."""
+    return [
+        term
+        for term in (
+            (cfg.tv_weight if with_tv else 0.0, tv_value, tv_majorizer, cfg.tv),
+            (cfg.lowrank_weight, schatten_value, schatten_majorizer, cfg.schatten),
+        )
+        if term[0] > 0
+    ]
+
+
 def _penalty_value(maps, shape, cfg, with_tv=True):
+    penalties = _penalties(cfg, with_tv)
     total = 0.0
-    use_tv = with_tv and cfg.tv_weight > 0
-    if not (use_tv or cfg.lowrank_weight > 0):
+    if not penalties:
         return total
     cube = _maps_as_images(maps, shape)
     for r in range(maps.shape[1]):
-        img = cube[:, :, r]
-        if use_tv:
-            total += cfg.tv_weight * tv_value(img, cfg.tv)
-        if cfg.lowrank_weight > 0:
-            total += cfg.lowrank_weight * schatten_value(img, cfg.schatten)
+        for weight, value, _, params in penalties:
+            total += weight * value(cube[:, :, r], params)
     return total
 
 
 def _map_penalties(maps, shape, cfg, with_tv=True):
-    """Regularizer gradient at ``maps`` plus the curvature its weights induce.
+    """Regularizer gradient at ``maps`` plus the curvature its majorizers induce.
 
-    Returns (gradient, p eta max_r sigma_max(W_r) + q theta max_r tv_curv_r);
-    the TV bound per term is |H_cols|^2 max(u) + |H_rows|^2 max(v).  With no
-    penalty on, both are 0.0.
+    Returns (gradient, sum over penalties of weight * max_r curvature_r), each
+    per-term pair from the penalty's majorizer.  With no penalty on, both are 0.0.
     """
-    w_curv = 0.0
-    tv_curv = 0.0
-    use_tv = with_tv and cfg.tv_weight > 0
-    use_lr = cfg.lowrank_weight > 0
-    if not (use_tv or use_lr):
+    penalties = _penalties(cfg, with_tv)
+    if not penalties:
         return 0.0, 0.0
     grad = np.zeros(maps.shape, order="F")
-    i, j = shape
     cube = _maps_as_images(maps, shape)
     grad_cube = _maps_as_images(grad, shape)  # a view: each term is written into grad
-    col_norm_sq = diff_norm(j) ** 2
-    row_norm_sq = diff_norm(i) ** 2
+    curvs = [0.0] * len(penalties)
     for r in range(maps.shape[1]):
-        img = cube[:, :, r]
-        acc = grad_cube[:, :, r]
-        if use_lr:
-            w, w_sig = schatten_weight_terms(img, cfg.schatten)
-            acc += cfg.schatten.p * cfg.lowrank_weight * (w @ img)
-            w_curv = max(w_curv, w_sig)
-        if use_tv:
-            q = cfg.tv.q
-            u, v = tv_weights(img, cfg.tv)
-            acc += cfg.tv_weight * q * (
-                col_diff_adjoint(u * col_diff(img)) + row_diff_adjoint(v * row_diff(img))
-            )
-            tv_curv = max(tv_curv, col_norm_sq * float(u.max()) + row_norm_sq * float(v.max()))
-    curv = cfg.schatten.p * cfg.lowrank_weight * w_curv
-    curv += cfg.tv.q * cfg.tv_weight * tv_curv
-    return grad, curv
+        for k, (weight, _, majorizer, params) in enumerate(penalties):
+            g, curv = majorizer(cube[:, :, r], params)
+            grad_cube[:, :, r] += weight * g
+            curvs[k] = max(curvs[k], curv)
+    return grad, sum(term[0] * curv for term, curv in zip(penalties, curvs))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +450,7 @@ def _init_factor(rng, shape, given, label):
     arr = np.array(given, dtype=float, order="F")
     if arr.shape != shape:
         raise DimensionError(f"warm start {label} has shape {arr.shape}, expected {shape}")
-    return arr
+    return ensure_finite(arr, f"warm start {label}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +465,7 @@ def _solve(data, n_terms, cfg, init):
     coarse maps.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    _check_int("n_terms", n_terms, 1)
+    check_int("n_terms", n_terms, 1)
     blind = data.ops is None
     labels = ("maps", "spectra", "coarse maps")[: 3 if blind else 2]
     if cfg.max_iters is not None:

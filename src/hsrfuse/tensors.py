@@ -9,6 +9,8 @@ transpose is a C-contiguous (R, J, I) stack of the transposed maps.  An
 F-contiguous pixels-by-bands matrix refolds as a view.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import DimensionError
@@ -39,3 +41,10 @@ def ensure_finite(arr, label="array"):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{label} contains non-finite entries")
     return arr
+
+
+def check_int(name, value, minimum):
+    """Reject anything but an integer (numpy's included) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the slow, literal way (loops, dense
 matrices, central differences) so it cannot share a bug with the library
-code paths it checks.  The regularizer gradients and majorizer values are the
-textbook forms the solver's reweighted steps are derived from; the solver
-needs only the reweighting terms, so they are kept here.  The Kronecker,
+code paths it checks.  The regularizer reweighting matrices, gradients and
+majorizer values are the textbook forms the library's majorizers are derived
+from, built here from a full SVD and dense circulant differences rather than
+from the library's eigendecomposition and matrix-free products.  The Kronecker,
 Khatri-Rao and Frobenius helpers at the end are used only by the tests.
 """
 
@@ -12,14 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from hsrfuse.errors import DimensionError
-from hsrfuse.regularizers import (
-    col_diff,
-    col_diff_adjoint,
-    row_diff,
-    row_diff_adjoint,
-    schatten_weight_terms,
-    tv_weights,
-)
+from hsrfuse.regularizers import col_diff, row_diff
 
 
 def central_gradient(fun, x, step=1e-6):
@@ -101,8 +95,14 @@ def circulant_diff(n):
 
 
 def schatten_weight(x, cfg):
-    """Reweighting matrix W = (X X' + tau I)^((p-2)/2), symmetric PD."""
-    return schatten_weight_terms(x, cfg)[0]
+    """Reweighting matrix W = (X X' + tau I)^((p-2)/2), symmetric PD, from the
+    full SVD X = U diag(s) V': W = U diag((s^2 + tau)^((p-2)/2)) U', with the
+    implicit zero singular values of a tall X padded in."""
+    x = np.atleast_2d(x)
+    u, svals, _ = np.linalg.svd(x, full_matrices=True)
+    sq = np.zeros(x.shape[0])
+    sq[: len(svals)] = svals**2
+    return (u * (sq + cfg.tau) ** ((cfg.p - 2) / 2)) @ u.T
 
 
 def schatten_gradient(x, cfg):
@@ -125,12 +125,25 @@ def schatten_majorizer_value(x, w_anchor, cfg):
     return float(quad + const)
 
 
+def tv_weights(img, cfg):
+    """Diagonal TV reweighting (d^2 + eps)^((q-2)/2), entry by entry: u for the
+    column-direction differences, v for the row-direction ones."""
+    i, j = img.shape
+    e = (cfg.q - 2) / 2
+    u, v = np.zeros((i, j)), np.zeros((i, j))
+    for a in range(i):
+        for b in range(j):
+            u[a, b] = ((img[a, b] - img[a, (b + 1) % j]) ** 2 + cfg.epsilon) ** e
+            v[a, b] = ((img[a, b] - img[(a + 1) % i, b]) ** 2 + cfg.epsilon) ** e
+    return u, v
+
+
 def tv_gradient(img, cfg):
-    """Gradient q * (Hx' U Hx + Hy' V Hy) vec(img), applied matrix-free."""
+    """Gradient q * (Hx' U Hx + Hy' V Hy) vec(img), with dense circulant
+    differences acting on the rows (Hy) and on the columns (Hx) of ``img``."""
     u, v = tv_weights(img, cfg)
-    return cfg.q * (
-        col_diff_adjoint(u * col_diff(img)) + row_diff_adjoint(v * row_diff(img))
-    )
+    h_rows, h_cols = dense_diff(img.shape[0]), dense_diff(img.shape[1])
+    return cfg.q * ((u * (img @ h_cols.T)) @ h_cols + h_rows.T @ (v * (h_rows @ img)))
 
 
 def tv_majorizer_value(img, anchor, cfg):

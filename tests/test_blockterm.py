@@ -128,6 +128,13 @@ def test_query_rejects_nonpositive():
             msi_rows=0, msi_cols=4, hsi_rows=2, hsi_cols=2,
             msi_bands=2, n_terms=1, term_rank=1,
         )
+    # every count must be an integer, and the error names the count
+    good = dict(msi_rows=8, msi_cols=8, hsi_rows=2, hsi_cols=2,
+                msi_bands=2, n_terms=1, term_rank=1)
+    for name in good:
+        for bad in (0, 8.5, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                RecoverabilityQuery(**{**good, name: bad})
 
 
 @settings(max_examples=100, deadline=None)

@@ -198,6 +198,21 @@ def test_default_operators_full_row_rank(n, ratio):
     assert svals[-1] > 1e-10
 
 
+def test_blur_spec_rejects_bad_integer_settings():
+    # each would otherwise pass into blur_downsample_matrix and fail there
+    for kwargs, name in (
+        (dict(ratio=2.5), "ratio"), (dict(ratio=0), "ratio"), (dict(ratio=True), "ratio"),
+        (dict(offset=0.5, ratio=2), "offset"), (dict(offset=-1), "offset"),
+        (dict(kernel_width=3.0), "kernel_width"), (dict(kernel_width=0), "kernel_width"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            BlurSpec(**kwargs)
+    for kwargs, message in ((dict(kernel_width=4), "odd"), (dict(offset=2, ratio=2), "offset")):
+        with pytest.raises(ValueError, match=message):
+            BlurSpec(**kwargs)
+    assert BlurSpec(kernel_width=np.int64(3), ratio=np.int32(2), offset=np.int64(1)).ratio == 2
+
+
 def test_rank_deficient_operator_rejected():
     p1 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])  # repeated row
     with pytest.raises(ValueError):

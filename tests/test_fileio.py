@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from hsrfuse.errors import ConfigError, FileFormatError
+from hsrfuse.errors import ConfigError, DimensionError, FileFormatError
 from hsrfuse.fileio import (
     HTF_MAGIC,
     load_config,
@@ -71,6 +72,14 @@ def test_htf_rejects_nan_payload(tmp_path):
         read_htf(path)
     with pytest.raises(ValueError):
         write_htf(tmp_path / "w.htf", np.full((1, 1, 1), np.inf))
+
+
+def test_htf_write_rejects_bad_shapes(tmp_path):
+    # read_htf refuses a zero dimension, so write_htf must not produce one
+    for shape in ((0, 3, 3), (2, 0, 1), (2, 2)):
+        with pytest.raises(DimensionError, match=re.escape(str(shape))):
+            write_htf(tmp_path / "z.htf", np.zeros(shape))
+    assert not (tmp_path / "z.htf").exists()
 
 
 def test_htf_payload_order_is_first_index_fastest(tmp_path):

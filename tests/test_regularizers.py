@@ -11,10 +11,10 @@ from hsrfuse.regularizers import (
     diff_norm,
     row_diff,
     row_diff_adjoint,
+    schatten_majorizer,
     schatten_value,
-    schatten_weight_terms,
+    tv_majorizer,
     tv_value,
-    tv_weights,
 )
 
 from _oracles import (
@@ -29,6 +29,7 @@ from _oracles import (
     tv_by_loops,
     tv_gradient,
     tv_majorizer_value,
+    tv_weights,
 )
 
 CFG = SchattenConfig(p=0.5, tau=1.0)
@@ -126,12 +127,12 @@ def test_schatten_weight_identity():
 def test_schatten_weight_spd_and_bounded():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(5, 7)) * 3
-    w, w_sig = schatten_weight_terms(x, CFG)
+    w = schatten_weight(x, CFG)
     assert np.allclose(w, w.T, atol=1e-12)
     eigs = np.linalg.eigvalsh(w)
     assert eigs[0] > 0
     assert eigs[-1] <= CFG.tau ** ((CFG.p - 2) / 2) + 1e-12
-    assert w_sig == pytest.approx(eigs[-1], rel=1e-10)
+    assert schatten_majorizer(x, CFG)[1] == pytest.approx(CFG.p * eigs[-1], rel=1e-10)
 
 
 def test_schatten_majorizer_tangent_at_anchor():
@@ -267,6 +268,36 @@ def test_tv_majorizer_tangent_and_dominating():
     for _ in range(100):
         x = rng.normal(size=(5, 4)) * rng.uniform(0.05, 5)
         assert tv_majorizer_value(x, anchor, TV) >= tv_value(x, TV) - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# majorizers: gradient and curvature at the anchor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sch", [CFG, SchattenConfig(p=0.8, tau=0.3)])
+def test_schatten_majorizer_gradient_and_curvature(sch):
+    rng = np.random.default_rng(14)
+    for x in (rng.normal(size=(4, 6)), rng.normal(size=(6, 3)) * 2):
+        grad, curv = schatten_majorizer(x, sch)
+        fd = central_gradient(lambda z: schatten_value(z, sch), x)
+        assert rel_error(grad, fd) <= 1e-5
+        assert rel_error(grad, schatten_gradient(x, sch)) <= 1e-12
+        lam_max = np.linalg.eigvalsh(schatten_weight(x, sch))[-1]
+        assert curv == pytest.approx(sch.p * lam_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("tv", [TV, TvConfig(q=1.3, epsilon=0.05)])
+def test_tv_majorizer_gradient_and_curvature(tv):
+    rng = np.random.default_rng(15)
+    img = rng.normal(size=(5, 7))  # unequal sides: the row and column norms differ
+    grad, curv = tv_majorizer(img, tv)
+    fd = central_gradient(lambda z: tv_value(z, tv), img)
+    assert rel_error(grad, fd) <= 1e-5
+    assert rel_error(grad, tv_gradient(img, tv)) <= 1e-12
+    u, v = tv_weights(img, tv)
+    rows_sq = np.linalg.svd(circulant_diff(5), compute_uv=False)[0] ** 2
+    cols_sq = np.linalg.svd(circulant_diff(7), compute_uv=False)[0] ** 2
+    assert curv == pytest.approx(tv.q * (cols_sq * u.max() + rows_sq * v.max()), rel=1e-12)
 
 
 def test_tv_config_validation():

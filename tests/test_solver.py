@@ -566,13 +566,23 @@ def test_warm_start_shape_validated():
         fuse(hsi, msi, ops, 2, SolverConfig(), init=(maps, spectra, coarse))
     with pytest.raises(DimensionError, match=r"expected \(maps, spectra, coarse maps\)"):
         fuse_blind(hsi, msi, ops.pm, 2, SolverConfig(), init=(maps, spectra))
+    # a non-finite entry in any warm-start factor fails before the first objective
+    runs = ((fuse, ops, (maps, spectra)), (fuse_blind, ops.pm, (maps, spectra, coarse)))
+    for solver, operator, factors in runs:
+        for k, label in enumerate(("maps", "spectra", "coarse maps")[: len(factors)]):
+            for bad in (np.nan, np.inf, -np.inf):
+                init = [f.copy() for f in factors]
+                init[k][1, 0] = bad
+                with pytest.raises(ValueError, match=f"warm start {label} contains non-finite"):
+                    solver(hsi, msi, operator, 2, SolverConfig(), init=init)
 
 
 def test_non_finite_initial_objective_raises():
     _, _, ops, hsi, msi = consistent_instance(seed=9, dims=(8, 8, 8))
-    bad = np.full((64, 2), np.nan)
-    with pytest.raises(NumericalError):
-        fuse(hsi, msi, ops, 2, SolverConfig(), init=(bad, np.ones((8, 2))))
+    huge = np.full((64, 2), 1e300)  # finite, but its fit residual overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError):
+            fuse(hsi, msi, ops, 2, SolverConfig(), init=(huge, np.ones((8, 2))))
 
 
 def test_data_shape_validation():
