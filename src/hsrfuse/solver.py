@@ -14,16 +14,17 @@ Schatten penalty eta sum_r schatten(T_r) but no TV term and no nonnegativity
 constraint.  One :class:`FusionData` holds either problem (``ops`` is None
 when blind), and one objective and one spectra step serve both.
 
-Each block is a pair (step, project): ``step`` returns the block gradient at
-an anchor and a cheap upper bound L on the block curvature (exact for the
-small Gram terms, operator-norm products elsewhere).  One driver serves both
+Each block is a triple (step, project, image): ``step`` returns the block
+gradient at an anchor and a cheap upper bound L on the block curvature (exact
+for the small Gram terms, operator-norm products elsewhere), and ``image`` is
+None or a linear map whose value the driver carries.  One driver serves both
 solvers: it moves each block 1/L from its anchor, projected onto the
 nonnegative orthant if ``project``, so the unaccelerated iteration decreases
 the objective monotonically.  Nesterov extrapolation is applied per block by
 default; gradients, reweighting and bounds are all evaluated at the anchor.
 
 The objective and every step take the factors (S, C, T) themselves; T is
-passed only in the blind problem and is (P2 kron P1) S otherwise.  The maps
+the coarse block in the blind problem and (P2 kron P1) S otherwise.  The maps
 block and the coarse block share one image-block term, the Gram-form fit
 X M'M - Y M plus the map penalties, so no full-size residual is built for a
 gradient.  Each penalty contributes through its own majorizer in
@@ -31,10 +32,15 @@ gradient.  Each penalty contributes through its own majorizer in
 solver only weights and sums them over the terms.  The maps step of the
 known problem adds the HSI fit carried back through (P2 kron P1)'; the
 coarse step is the same term without TV.  The only product worth sharing is
-(P2 kron P1) S: the driver applies it once per maps update, for the
-objective after a sweep and the spectra step of the next.  The objective
-keeps the residual form: a Gram form cancels |Y|^2 against nearly equal
-terms and loses its accuracy, and even its sign, near an exact fit.
+(P2 kron P1) S, and the driver carries it as the maps' image: it applies the
+operator once per maps update, to the new projected maps, for the objective
+after a sweep and the spectra step of the next, and extrapolates the image
+with the maps' own coefficient, so the next maps step reads the anchor's
+image without applying the operator again (exact up to rounding, since the
+operator is linear and the projection comes before it).  An iteration applies
+(P2 kron P1) once and its transpose once.  The objective keeps the residual
+form: a Gram form cancels |Y|^2 against nearly equal terms and loses its
+accuracy, and even its sign, near an exact fit.
 
 Every factor is terms-major: an F-contiguous (rows, R) array, so a column
 (one map, one spectrum) is contiguous and the maps' transpose is a
@@ -333,16 +339,19 @@ def _image_block(x, m, target, shape, cfg, with_tv=True):
     return g, _sq_norm(m) + curv
 
 
-def maps_step(maps, spectra, data, cfg):
+def maps_step(maps, spectra, data, cfg, coarse=None):
     """Maps-block gradient and curvature bound.
 
     The data gradient is S M'M - Ym M with M = PM C; with known spatial
-    operators it adds P_H'(P_H S C'C - Yh C), and the bound |C|^2 |P_H|^2.
+    operators it adds P_H'(T C'C - Yh C), T = P_H S (computed when ``coarse``
+    is None), and the bound |C|^2 |P_H|^2.
     """
     g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], cfg)
     if data.ops is not None:
         p1, p2 = data.ops.p1, data.ops.p2
-        g += _apply_ph_t(_fit_grad(_apply_ph(maps, p1, p2), spectra, data.hsi_mat), p1, p2)
+        if coarse is None:
+            coarse = _apply_ph(maps, p1, p2)
+        g += _apply_ph_t(_fit_grad(coarse, spectra, data.hsi_mat), p1, p2)
         l += _sq_norm(spectra) * data.ph_gram_norm
     return g, l
 
@@ -407,27 +416,35 @@ class _Trace:
 def _run(factors, blocks, value, cfg, max_iters):
     """Block-coordinate driver shared by both solvers.
 
-    Each sweep updates ``factors[b]`` with ``blocks[b] = (step, project)`` in
-    order.  ``step(anchor, factors)`` returns the gradient at the anchor and
+    Each sweep updates ``factors[b]`` with ``blocks[b] = (step, project,
+    image)`` in order.  ``image`` is None or a linear map the driver carries
+    with the block: ``images[b] = image(factors[b])`` is taken once per
+    update, after projection, and the anchor's image is extrapolated from the
+    last two images with the anchor's own coefficient.  ``step(anchor,
+    anchor_image, factors, images)`` returns the gradient at the anchor and
     its curvature bound L, the other factors at their current values; the
     block moves 1/L from the anchor, projected onto x >= 0 if ``project``.
-    Returns the factors, the trace of ``value(factors)`` and whether
+    Returns the factors, the trace of ``value(factors, images)`` and whether
     ``cfg.rel_tol`` stopped the run.
     """
-    anchors = list(factors)
+    images = [None if image is None else image(x) for x, (_, _, image) in zip(factors, blocks)]
+    anchors, anchor_images = list(factors), list(images)
     gammas = [1.0] * len(factors)
     trace = _Trace()
-    trace.record(value(factors))
+    trace.record(value(factors, images))
     for _ in range(max_iters):
-        for b, (step, project) in enumerate(blocks):
-            grad, lip = step(anchors[b], factors)
+        for b, (step, project, image) in enumerate(blocks):
+            grad, lip = step(anchors[b], anchor_images[b], factors, images)
             new = apg_step(anchors[b], grad, 1.0 / max(lip, _TINY), project)
+            new_image = None if image is None else image(new)
             if cfg.accelerate:
+                if image is not None:
+                    anchor_images[b], _ = extrapolate(new_image, images[b], gammas[b])
                 anchors[b], gammas[b] = extrapolate(new, factors[b], gammas[b])
             else:
-                anchors[b] = new
-            factors[b] = new
-        trace.record(value(factors))
+                anchors[b], anchor_images[b] = new, new_image
+            factors[b], images[b] = new, new_image
+        trace.record(value(factors, images))
         if trace.stalled(cfg.rel_tol):
             return factors, trace, True
     return factors, trace, False
@@ -483,26 +500,20 @@ def _solve(data, n_terms, cfg, init):
         _init_factor(rng, shape, given, label) for shape, given, label in zip(shapes, init, labels)
     ]
 
-    # (P2 kron P1) S once per maps array: _run replaces factors by new arrays
-    # and never writes into one, so the array object identifies its product.
-    tied = (None, None)
-
-    def coarse_of(factors):
-        nonlocal tied
-        if blind:
-            return factors[2]
-        if tied[0] is not factors[1]:
-            tied = (factors[1], _apply_ph(factors[1], data.ops.p1, data.ops.p2))
-        return tied[1]
-
+    # T is the coarse block when blind, else the image (P2 kron P1) S that
+    # _run carries with the maps
+    if blind:
+        ph, coarse_of = None, lambda f, im: f[2]
+    else:
+        ph, coarse_of = lambda s: _apply_ph(s, data.ops.p1, data.ops.p2), lambda f, im: im[1]
     blocks = [
-        (lambda c, f: spectra_step(c, f[1], data, cfg, coarse_of(f)), True),
-        (lambda s, f: maps_step(s, f[0], data, cfg), True),
-        (lambda t, f: coarse_step_blind(t, f[0], data, cfg), False),
+        (lambda c, _, f, im: spectra_step(c, f[1], data, cfg, coarse_of(f, im)), True, None),
+        (lambda s, t, f, im: maps_step(s, f[0], data, cfg, t), True, ph),
+        (lambda t, _, f, im: coarse_step_blind(t, f[0], data, cfg), False, None),
     ]
     (spectra, maps, *_), trace, converged = _run(
         [spectra, maps, *coarse], blocks[: len(labels)],
-        lambda f: objective(f[1], f[0], data, cfg, coarse_of(f)), cfg, max_iters,
+        lambda f, im: objective(f[1], f[0], data, cfg, coarse_of(f, im)), cfg, max_iters,
     )
     return _report(maps, spectra, data, trace, converged)
 

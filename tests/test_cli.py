@@ -309,6 +309,18 @@ def test_check_command_blind_single_band(capsys):
     assert any("msi_bands >= 2" in c for c in payload["failed_conditions"])
 
 
+@pytest.mark.parametrize("hsi_dims", ["16,16", "16,8", "8,9"])
+def test_check_command_rejects_hsi_larger_than_msi(capsys, hsi_dims):
+    code = main([
+        "check", "--msi-dims", "8,8", "--hsi-dims", hsi_dims,
+        "--msi-bands", "4", "--rank", "2", "--term-rank", "2",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hsi_rows/hsi_cols" in captured.err and "MSI size 8x8" in captured.err
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[solver]\nbogus = 1\n")

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsrfuse import solver
 from hsrfuse.blockterm import random_blockterm, reconstruct
 from hsrfuse.degradation import BlurSpec, DegradationOps, add_noise, degrade_spatial, degrade_spectral
 from hsrfuse.errors import DimensionError, NumericalError
@@ -465,12 +468,14 @@ def test_objective_trace_scales_with_data():
 
 @pytest.mark.parametrize("accelerate", [False, True])
 def test_solvers_run_the_verified_block_steps(accelerate):
-    # two sweeps by hand from the block steps the gradient and bound tests
-    # check; the second makes the blind spectra depend on the coarse update
+    # three sweeps by hand from the block steps the gradient and bound tests
+    # check: the first momentum coefficient is 0, so only the third sweep
+    # takes a gradient at an extrapolated anchor; the second makes the blind
+    # spectra depend on the coarse update
     _, _, ops, hsi, msi = consistent_instance(seed=11, dims=(8, 8, 8), snr_db=25.0)
     cfg = SolverConfig(
         ridge_weight=0.05, tv_weight=0.02, lowrank_weight=0.02,
-        max_iters=2, rel_tol=0.0, accelerate=accelerate,
+        max_iters=3, rel_tol=0.0, accelerate=accelerate,
     )
     # the sweep starts from terms-major factors, the layout the solvers run
     rng = np.random.default_rng(4)
@@ -480,40 +485,84 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     data = FusionData.from_tensors(hsi, msi, ops)
     blind = FusionData.from_tensors_blind(hsi, msi, ops.pm)
 
-    def sweeps(factors, steps):
+    def look_ahead(new, old, coef):
+        return new if coef is None else (new - old) * coef + new
+
+    def sweeps(factors, steps, image=None):
+        # Nesterov momentum written out here, not taken from extrapolate; the
+        # maps (b = 1) carry image(maps), moved with the maps' coefficient.
+        # A step reads (anchor, factors, anchor's image, maps' image).
         anchors, gammas = list(factors), [1.0] * len(factors)
-        for _ in range(2):
+        carried = anchor_carried = None if image is None else image(factors[1])
+        for _ in range(3):
             for b, step in enumerate(steps):
-                grad, lip = step(anchors[b], factors)
+                grad, lip = step(anchors[b], factors, anchor_carried, carried)
                 new = apg_step(anchors[b], grad, 1.0 / lip, project=b < 2)
+                coef = None
                 if accelerate:
-                    anchors[b], gammas[b] = extrapolate(new, factors[b], gammas[b])
-                else:
-                    anchors[b] = new
+                    gamma = (1.0 + math.sqrt(1.0 + 4.0 * gammas[b] ** 2)) / 2.0
+                    coef, gammas[b] = (gammas[b] - 1.0) / gamma, gamma
+                anchors[b] = look_ahead(new, factors[b], coef)
+                if b == 1 and image is not None:
+                    new_carried = image(new)
+                    anchor_carried = look_ahead(new_carried, carried, coef)
+                    carried = new_carried
                 factors[b] = new
         return factors
 
     want = sweeps([spectra, maps], [
-        lambda c, f: spectra_step(c, f[1], data, cfg),
-        lambda s, f: maps_step(s, f[0], data, cfg),
-    ])
+        lambda c, f, t_anchor, t: spectra_step(c, f[1], data, cfg, t),
+        lambda s, f, t_anchor, t: maps_step(s, f[0], data, cfg, t_anchor),
+    ], image=lambda s: _apply_ph(s, ops.p1, ops.p2))
     got = fuse(hsi, msi, ops, 2, cfg, init=(maps, spectra))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
     want = sweeps([spectra, maps, coarse], [
-        lambda c, f: spectra_step(c, f[1], blind, cfg, f[2]),
-        lambda s, f: maps_step(s, f[0], blind, cfg),
-        lambda t, f: coarse_step_blind(t, f[0], blind, cfg),
+        lambda c, f, *_: spectra_step(c, f[1], blind, cfg, f[2]),
+        lambda s, f, *_: maps_step(s, f[0], blind, cfg),
+        lambda t, f, *_: coarse_step_blind(t, f[0], blind, cfg),
     ])
     got = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=(maps, spectra, coarse))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
 
+def test_fuse_passes_maps_step_the_image_of_its_anchor(monkeypatch):
+    # the driver extrapolates (P2 kron P1) S alongside S instead of applying
+    # the operator to the anchor; the operator is linear, so the two agree
+    _, _, ops, hsi, msi = consistent_instance(seed=13, dims=(8, 8, 8), snr_db=25.0)
+    errors = []
+
+    def checked(maps, spectra, data, cfg, coarse=None):
+        errors.append(rel_error(coarse, _apply_ph(maps, ops.p1, ops.p2)))
+        return maps_step(maps, spectra, data, cfg, coarse)
+
+    monkeypatch.setattr(solver, "maps_step", checked)
+    fuse(hsi, msi, ops, 2, SolverConfig(max_iters=20, rel_tol=0.0, accelerate=True, seed=3))
+    assert len(errors) == 20 and max(errors) <= 1e-12
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+def test_fuse_applies_each_spatial_product_once_per_iteration(monkeypatch, accelerate):
+    # P_H once for the initial objective and once per maps update; its
+    # transpose once per maps gradient
+    _, _, ops, hsi, msi = consistent_instance(seed=13, dims=(8, 8, 8), snr_db=25.0)
+    calls = {"_apply_ph": 0, "_apply_ph_t": 0}
+    for name in calls:
+        def counted(*args, _name=name, _apply=getattr(solver, name)):
+            calls[_name] += 1
+            return _apply(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    iters = 7
+    fuse(hsi, msi, ops, 2, SolverConfig(max_iters=iters, rel_tol=0.0, accelerate=accelerate))
+    assert calls == {"_apply_ph": iters + 1, "_apply_ph_t": iters}
+
+
 @pytest.mark.parametrize("accelerate", [False, True])
 def test_last_trace_value_is_objective_at_returned_factors(accelerate):
-    # fuse shares one (P2 kron P1) S per maps update between the objective
-    # and the next spectra step; a stale or wrongly keyed product
-    # would make the recorded value disagree with a fresh evaluation
+    # fuse carries one (P2 kron P1) S per maps update to the objective and
+    # the next spectra step; a stale image would make the recorded value
+    # disagree with a fresh evaluation
     _, _, ops, hsi, msi = consistent_instance(seed=12, dims=(8, 8, 8), snr_db=25.0)
     data = FusionData.from_tensors(hsi, msi, ops)
     for iters in range(4):
