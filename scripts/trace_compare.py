@@ -22,7 +22,11 @@ built by ``perfbench/workloads.py``, and the ``fuse`` solution that
 difference and whether the arrays are ``np.array_equal``, then per metric the
 largest relative difference over all scored pairs.  It ends with four summary
 lines, the largest relative difference in each group: the noisy traces, the
-noisy SRIs, the criterion-1 traces and the ``cli96`` estimate.
+noisy SRIs, the criterion-1 traces and the ``cli96`` estimate.  With
+``--max-rel-diff TOL`` it then names each group whose difference exceeds TOL
+and exits 1 if there is one:
+
+    python scripts/trace_compare.py --compare old.npz new.npz --max-rel-diff 1e-12
 """
 
 import argparse
@@ -158,6 +162,7 @@ def compare(path_a, path_b):
         if group in groups:
             rel, key = groups[group]
             print(f"summary {group:19s} max_rel_diff {rel:.3e}" + (f"  at {key}" if rel > 0 else ""))
+    return {group: rel for group, (rel, _) in groups.items()}
 
 
 def main():
@@ -167,12 +172,22 @@ def main():
     mode.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree holding the hsrfuse package (default: this repo's src)")
+    ap.add_argument("--max-rel-diff", type=float, metavar="TOL",
+                    help="with --compare: exit 1 if a summary group differs by more than TOL")
     args = ap.parse_args()
     if args.out:
+        if args.max_rel_diff is not None:
+            ap.error("--max-rel-diff needs --compare")
         record(args.src, args.out)
-    else:
-        compare(*args.compare)
+        return 0
+    groups = compare(*args.compare)
+    if args.max_rel_diff is None:
+        return 0
+    over = [group for group, rel in groups.items() if rel > args.max_rel_diff]
+    for group in over:
+        print(f"FAIL {group}: max_rel_diff {groups[group]:.3e} > {args.max_rel_diff:.3e}")
+    return 1 if over else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -94,7 +94,11 @@ def random_blockterm(dims, n_terms, term_rank, seed=0, nonneg=True):
 
 @dataclass
 class RecoverabilityQuery:
-    """Dimensions of a fusion instance plus the model order (R terms, rank L)."""
+    """Dimensions of a fusion instance plus the model order (R terms, rank L).
+
+    Every count is an integer >= 1, and the HSI is no larger than the MSI in
+    either spatial dimension; anything else raises ValueError naming the field.
+    """
 
     msi_rows: int
     msi_cols: int
@@ -109,6 +113,13 @@ class RecoverabilityQuery:
         for name in ("msi_rows", "msi_cols", "hsi_rows", "hsi_cols",
                      "msi_bands", "n_terms", "term_rank"):
             check_int(name, getattr(self, name), 1)
+        if self.hsi_rows > self.msi_rows or self.hsi_cols > self.msi_cols:
+            # no spatial operator maps an MSI onto a larger HSI (DegradationOps
+            # refuses one), so such a query describes no instance
+            raise ValueError(
+                f"hsi_rows/hsi_cols {self.hsi_rows}x{self.hsi_cols} exceed the MSI size "
+                f"{self.msi_rows}x{self.msi_cols}"
+            )
 
 
 @dataclass

@@ -298,13 +298,6 @@ def cmd_evaluate(args):
 def cmd_check(args):
     msi_rows, msi_cols = _parse_pair(args.msi_dims, "--msi-dims")
     hsi_rows, hsi_cols = _parse_pair(args.hsi_dims, "--hsi-dims")
-    if hsi_rows > msi_rows or hsi_cols > msi_cols:
-        # no spatial operator maps an MSI onto a larger HSI (DegradationOps
-        # refuses one), so such a query describes no instance
-        raise ConfigError(
-            f"hsi_rows/hsi_cols {hsi_rows}x{hsi_cols} exceed the MSI size "
-            f"{msi_rows}x{msi_cols}"
-        )
     result = check_recoverability(
         RecoverabilityQuery(
             msi_rows=msi_rows,

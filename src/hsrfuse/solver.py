@@ -27,30 +27,49 @@ The objective and every step take the factors (S, C, T) themselves; T is
 the coarse block in the blind problem and (P2 kron P1) S otherwise.  The maps
 block and the coarse block share one image-block term, the Gram-form fit
 X M'M - Y M plus the map penalties, so no full-size residual is built for a
-gradient.  Each penalty contributes through its own majorizer in
-``regularizers``, which returns the gradient and curvature for one map; the
-solver only weights and sums them over the terms.  The maps step of the
+gradient; both products are formed a chunk of rows at a time and added to
+the gradient while in cache.  Each penalty contributes through its own
+majorizer in ``regularizers``, which returns the gradient and curvature for
+one map; the solver only weights and sums them over the terms.  The maps step of the
 known problem adds the HSI fit carried back through (P2 kron P1)'; the
-coarse step is the same term without TV.  The only product worth sharing is
-(P2 kron P1) S, and the driver carries it as the maps' image: it applies the
-operator once per maps update, to the new projected maps, for the objective
-after a sweep and the spectra step of the next, and extrapolates the image
-with the maps' own coefficient, so the next maps step reads the anchor's
-image without applying the operator again (exact up to rounding, since the
-operator is linear and the projection comes before it).  An iteration applies
-(P2 kron P1) once and its transpose once.  The objective keeps the residual
-form: a Gram form cancels |Y|^2 against nearly equal terms and loses its
-accuracy, and even its sign, near an exact fit.
+coarse step is the same term without TV.
+
+Two kinds of products are shared.  The driver carries (P2 kron P1) S as the
+maps' image: it applies the operator once per maps update, to the new
+projected maps, and extrapolates the image with the maps' own coefficient,
+so the next maps step reads the anchor's image without applying the
+operator again (exact up to rounding, since the operator is linear and the
+projection comes before it).  An iteration applies (P2 kron P1) once and its
+transpose once.  And one row-chunked pass per fit term serves both the
+objective after a sweep and the spectra step of the next: while a chunk of
+(X, Y) is in cache it adds the chunk's residual to 1/2 |X M' - Y|^2 and its
+rows to X'X and X'Y, for (S, Ym) and (T, Yh), so an iteration reads each
+image once for the objective and the spectra gradient together.  The
+objective returns these Grams and the driver hands them to the next sweep.
+The objective keeps the residual form: a Gram form cancels |Y|^2 against
+nearly equal terms and loses its accuracy, and even its sign, near an exact
+fit.
+
+After the first sweep the iteration allocates no factor-sized array (the
+penalties' majorizers still allocate their own per-map arrays).  The driver
+owns every factor, anchor and image and a spare per block, and rotates
+them: a step writes its gradient into the spare, ``apg_step`` writes the new
+factor over the gradient, ``extrapolate`` writes the anchor over the factor
+it retires, and the old anchor becomes the next spare.  The steps write
+their intermediates (the HSI-fit gradient, the (P2 kron P1) half products,
+the chunks of the fit passes and fit gradients) into one :class:`_Work` the
+solve allocates once.  Initial factors and warm starts are copied, so no
+input is written and nothing returned shares memory with an input.
 
 Every factor is terms-major: an F-contiguous (rows, R) array, so a column
 (one map, one spectrum) is contiguous and the maps' transpose is a
 C-contiguous (R, J, I) stack of transposed map images.  Initial factors and
 warm starts are copied into that layout, ``apg_step`` and ``extrapolate``
-keep it, and every product whose result is a factor-sized array is written
-``(small @ big.T).T``, because ``matmul`` returns C order.  So (P2 kron P1)
-and its transpose are two matmuls on free views, the per-term images the
-regularizers read are contiguous, ``vdot`` sums a residual in place, and the
-SRI refolds without a copy.
+keep it, and every product whose result is a factor-sized array is computed
+transposed, ``small @ big.T`` into ``out.T``, because ``matmul`` writes C
+order.  So (P2 kron P1) and its transpose are two matmuls on free views, the
+per-term images the regularizers read are contiguous, and the SRI refolds
+without a copy.
 """
 
 import math
@@ -83,8 +102,9 @@ class SolverConfig:
     """Weights, smoothing constants and run controls for both solvers.
 
     The TV and low-rank weights are uniform across terms.  ``max_iters=None``
-    falls back to 300 (known operators) or 600 (blind).  ``rel_tol=0``
-    disables the relative-change stopping rule.
+    falls back to 300 (known operators) or 600 (blind).  A run stops after a
+    sweep that lowers the objective by at most ``rel_tol`` relative (a sweep
+    that raises it never stops the run); ``rel_tol=0`` disables the rule.
     """
 
     ridge_weight: float = 0.0
@@ -195,23 +215,36 @@ class FusionData:
 # structured matrix-free products
 # ---------------------------------------------------------------------------
 
-def _apply_ph(mat, p1, p2):
+def _apply_ph(mat, p1, p2, out=None, mid=None):
     """(P2 kron P1) @ mat for mat with I*J rows (columns are vec'd images).
 
     ``mat.T`` read as an (R, J, I) stack holds the transposed images X_r', so
-    P1 X_r P2' is computed transposed, as P2 X_r' P1'.  Both reshapes are free
-    for a terms-major ``mat``, and the result is terms-major.
+    P1 X_r P2' is computed transposed, as (P2 X_r') P1': one product with P2
+    per term, into ``mid`` (a flat buffer of at least R*Jh*I entries), then
+    one with P1' for all terms, into the terms-major ``out``.  Either is
+    allocated when None; every reshape is a view.
     """
     cols = mat.shape[1]
-    out = p2 @ mat.T.reshape(cols, p2.shape[1], p1.shape[1]) @ p1.T
-    return out.reshape(cols, -1).T
+    (hi, i), (hj, j) = p1.shape, p2.shape
+    out = np.empty((hi * hj, cols), order="F") if out is None else out
+    mid = np.empty(cols * hj * i) if mid is None else mid
+    mid = mid[: cols * hj * i].reshape(cols, hj, i)
+    np.matmul(p2, mat.T.reshape(cols, j, i), out=mid)
+    np.matmul(mid.reshape(cols * hj, i), p1.T, out=out.T.reshape(cols * hj, hi))
+    return out
 
 
-def _apply_ph_t(mat, p1, p2):
-    """(P2 kron P1)' @ mat for mat with Ih*Jh rows, as :func:`_apply_ph`."""
+def _apply_ph_t(mat, p1, p2, out=None, mid=None):
+    """(P2 kron P1)' @ mat for mat with Ih*Jh rows, as :func:`_apply_ph` with
+    P2' and P1 (``mid``: at least R*J*Ih entries)."""
     cols = mat.shape[1]
-    out = p2.T @ mat.T.reshape(cols, p2.shape[0], p1.shape[0]) @ p1
-    return out.reshape(cols, -1).T
+    (hi, i), (hj, j) = p1.shape, p2.shape
+    out = np.empty((i * j, cols), order="F") if out is None else out
+    mid = np.empty(cols * j * hi) if mid is None else mid
+    mid = mid[: cols * j * hi].reshape(cols, j, hi)
+    np.matmul(p2.T, mat.T.reshape(cols, hj, hi), out=mid)
+    np.matmul(mid.reshape(cols * j, hi), p1, out=out.T.reshape(cols * j, i))
+    return out
 
 
 def _sq_norm(mat):
@@ -257,16 +290,16 @@ def _penalty_value(maps, shape, cfg, with_tv=True):
     return total
 
 
-def _map_penalties(maps, shape, cfg, with_tv=True):
-    """Regularizer gradient at ``maps`` plus the curvature its majorizers induce.
+def _map_penalties(maps, shape, cfg, with_tv, grad):
+    """Add the regularizer gradient at ``maps`` into ``grad``; return the
+    curvature its majorizers induce.
 
-    Returns (gradient, sum over penalties of weight * max_r curvature_r), each
-    per-term pair from the penalty's majorizer.  With no penalty on, both are 0.0.
+    The curvature is the sum over penalties of weight * max_r curvature_r,
+    each per-term pair from the penalty's majorizer; 0.0 with no penalty on.
     """
     penalties = _penalties(cfg, with_tv)
     if not penalties:
-        return 0.0, 0.0
-    grad = np.zeros(maps.shape, order="F")
+        return 0.0
     cube = _maps_as_images(maps, shape)
     grad_cube = _maps_as_images(grad, shape)  # a view: each term is written into grad
     curvs = [0.0] * len(penalties)
@@ -275,41 +308,97 @@ def _map_penalties(maps, shape, cfg, with_tv=True):
             g, curv = majorizer(cube[:, :, r], params)
             grad_cube[:, :, r] += weight * g
             curvs[k] = max(curvs[k], curv)
-    return grad, sum(term[0] * curv for term, curv in zip(penalties, curvs))
+    return sum(term[0] * curv for term, curv in zip(penalties, curvs))
 
 
 # ---------------------------------------------------------------------------
 # objectives and block steps: each step returns (gradient, curvature bound)
 # ---------------------------------------------------------------------------
 
-def _half_sq_residual(fit, target):
-    """1/2 |fit - target|^2, written into ``fit``; a terms-major ``fit`` is
-    summed through its C-contiguous transpose, which ``vdot`` reads in place."""
-    fit -= target
-    return 0.5 * float(np.vdot(fit.T, fit.T))
+# A fit pass reads a chunk of factor and target rows and writes the chunk's
+# residual and a copy of its factor rows: about this many bytes in all, so
+# the Grams read them from cache.
+_CHUNK_BYTES = 1 << 20
 
 
-def objective(maps, spectra, data, cfg, coarse=None):
-    """Full objective at (S, C, T).  T defaults to the tied (P2 kron P1) S; in
-    the blind problem it is the coarse block and carries its own Schatten term."""
-    if coarse is None:
-        coarse = _apply_ph(maps, data.ops.p1, data.ops.p2)
-    f = _half_sq_residual((spectra @ coarse.T).T, data.hsi_mat)
-    f += _half_sq_residual(((data.pm @ spectra) @ maps.T).T, data.msi_mat)
+def _chunk_rows(target, n_terms):
+    """Rows per chunk of a fit pass over ``target``: at least one, at most all."""
+    rows, bands = target.shape
+    return min(rows, max(1, _CHUNK_BYTES // (8 * (n_terms + 2 * bands))))
+
+
+def _chunk_size(target, n_terms):
+    """Entries of the scratch buffer a fit pass over ``target`` needs."""
+    return _chunk_rows(target, n_terms) * (target.shape[1] + n_terms)
+
+
+def _fit_pass(x, m, target, chunk=None):
+    """1/2 |X M' - Y|^2 with X'X and X'Y, from one row-chunked pass over X, Y.
+
+    Each chunk's residual is formed transposed in the flat buffer ``chunk``
+    (:func:`_chunk_size` entries, allocated when None) and summed by ``vdot``
+    in place; the Grams are summed chunk by chunk while its rows are in cache.
+    X_c'X_c is taken against a copy of X_c, because ``matmul`` hands a product
+    of an array with itself to a symmetric rank-k update, which runs this tall,
+    narrow shape several times slower than a general product; X'Y is taken
+    as X_c'Y_c, which also runs faster than Y_c'X_c.
+    """
+    rows, bands = target.shape
+    n_terms = x.shape[1]
+    step = _chunk_rows(target, n_terms)
+    chunk = np.empty(_chunk_size(target, n_terms)) if chunk is None else chunk
+    half_sq, gram, cross = 0.0, 0.0, 0.0
+    for start in range(0, rows, step):
+        xc, yc = x[start:start + step], target[start:start + step]
+        n = xc.shape[0]
+        res = chunk[: n * bands].reshape(bands, n)
+        np.matmul(m, xc.T, out=res)
+        res -= yc.T
+        half_sq += 0.5 * float(np.vdot(res, res))
+        x_copy = chunk[step * bands: step * bands + n * n_terms].reshape(n, n_terms, order="F")
+        np.copyto(x_copy, xc)
+        gram = gram + x_copy.T @ xc
+        cross = cross + xc.T @ yc
+    return half_sq, (gram, cross)
+
+
+class _Work:
+    """The scratch arrays of one solve, allocated once and rewritten by every
+    sweep: the HSI-fit gradient of the known maps step (``coarse_grad``), the
+    half products of (P2 kron P1) and its transpose (``mid``), both None when
+    blind, and the chunks of the fit passes and of the fit gradients
+    (``chunk``)."""
+
+    def __init__(self, data, n_terms):
+        i, j, _ = data.sri_dims
+        hi, hj = data.hsi_dims
+        known = data.ops is not None
+        self.coarse_grad = np.empty((hi * hj, n_terms), order="F") if known else None
+        self.mid = np.empty(n_terms * max(j * hi, hj * i)) if known else None
+        self.chunk = np.empty(max(_chunk_size(data.hsi_mat, n_terms),
+                                  _chunk_size(data.msi_mat, n_terms)))
+
+
+def objective(maps, spectra, data, cfg, coarse, chunk=None):
+    """Full objective at (S, C, T), and the fit Grams ((T'T, T'Yh), (S'S, S'Ym))
+    that :func:`spectra_step` reads.  T is (P2 kron P1) S with known
+    operators; in the blind problem it is the coarse block and carries its
+    own Schatten term.  Both fits are residual-form passes (:func:`_fit_pass`)."""
+    f, hsi_grams = _fit_pass(coarse, spectra, data.hsi_mat, chunk)
+    msi_fit, msi_grams = _fit_pass(maps, data.pm @ spectra, data.msi_mat, chunk)
+    f += msi_fit
     f += 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
     f += _penalty_value(maps, data.sri_dims[:2], cfg)
     if data.ops is None:
         f += _penalty_value(coarse, data.hsi_dims, cfg, with_tv=False)
-    return f
+    return f, (hsi_grams, msi_grams)
 
 
-def spectra_step(spectra, maps, data, cfg, coarse=None):
-    """Spectra-block gradient and curvature bound at (S, T), T as in :func:`objective`."""
-    if coarse is None:
-        coarse = _apply_ph(maps, data.ops.p1, data.ops.p2)
+def spectra_step(spectra, grams, data, cfg):
+    """Spectra-block gradient and curvature bound from the fit Grams
+    ((T'T, T'Yh), (S'S, S'Ym)) that :func:`objective` returns at (S, T)."""
+    (coarse_gram, coarse_cross), (gram, cross) = grams
     pm = data.pm
-    gram = maps.T @ maps
-    coarse_gram = coarse.T @ coarse
     if data.ops is None:
         curv = data.pm_gram_norm * _top_eigenvalue(gram) + _top_eigenvalue(coarse_gram)
     else:
@@ -317,48 +406,71 @@ def spectra_step(spectra, maps, data, cfg, coarse=None):
     g = (coarse_gram @ spectra.T).T
     g += pm.T @ (pm @ spectra) @ gram
     g += cfg.ridge_weight * spectra
-    g -= data.hsi_mat.T @ coarse
-    g -= pm.T @ (data.msi_mat.T @ maps)
+    g -= coarse_cross.T
+    g -= pm.T @ cross.T
     return g, curv + cfg.ridge_weight
 
 
-def _fit_grad(x, m, target):
-    """Gradient in X of 1/2 |target - X M'|^2, in Gram form: X M'M - target M."""
-    g = ((m.T @ m) @ x.T).T
-    g -= (m.T @ target.T).T
-    return g
+def _add_fit_grad(x, m, target, out, chunk):
+    """Add the gradient in X of 1/2 |target - X M'|^2, in Gram form
+    X M'M - target M, into the terms-major ``out``, a chunk of rows at a time:
+    both products of a chunk are formed in the flat buffer ``chunk`` and added
+    while they are in cache."""
+    mtm = m.T @ m
+    rows, n_terms = out.shape
+    step = max(1, chunk.size // n_terms)
+    for start in range(0, rows, step):
+        part = out[start:start + step]
+        prod = chunk[: part.size].reshape(n_terms, part.shape[0])
+        np.matmul(mtm, x[start:start + step].T, out=prod)
+        part += prod.T
+        np.matmul(m.T, target[start:start + step].T, out=prod)
+        part -= prod.T
+    return out
 
 
-def _image_block(x, m, target, shape, cfg, with_tv=True):
-    """Gradient and curvature bound of an image block X (maps or coarse maps of
-    size ``shape``): the fit 1/2 |target - X M'|^2 plus the map penalties,
-    whose gradient and curvature are those of their majorizers at X."""
-    pen, curv = _map_penalties(x, shape, cfg, with_tv)
-    g = _fit_grad(x, m, target)
-    g += pen
-    return g, _sq_norm(m) + curv
+def _image_block(x, m, target, shape, cfg, with_tv, out, chunk):
+    """Gradient, added into ``out``, and curvature bound of an image block X
+    (maps or coarse maps of size ``shape``): the fit 1/2 |target - X M'|^2 plus
+    the map penalties, whose gradient and curvature are those of their
+    majorizers at X."""
+    _add_fit_grad(x, m, target, out, chunk)
+    curv = _map_penalties(x, shape, cfg, with_tv, out)
+    return out, _sq_norm(m) + curv
 
 
-def maps_step(maps, spectra, data, cfg, coarse=None):
+def maps_step(maps, spectra, data, cfg, coarse=None, out=None, work=None):
     """Maps-block gradient and curvature bound.
 
     The data gradient is S M'M - Ym M with M = PM C; with known spatial
-    operators it adds P_H'(T C'C - Yh C), T = P_H S (computed when ``coarse``
-    is None), and the bound |C|^2 |P_H|^2.
+    operators it adds P_H'(T C'C - Yh C), T = P_H S given as ``coarse``, and
+    the bound |C|^2 |P_H|^2.  The gradient is written into ``out`` and the
+    intermediates into ``work`` (a :class:`_Work`); either is allocated when None.
     """
-    g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], cfg)
-    if data.ops is not None:
-        p1, p2 = data.ops.p1, data.ops.p2
-        if coarse is None:
-            coarse = _apply_ph(maps, p1, p2)
-        g += _apply_ph_t(_fit_grad(coarse, spectra, data.hsi_mat), p1, p2)
-        l += _sq_norm(spectra) * data.ph_gram_norm
-    return g, l
+    out = np.empty(maps.shape, order="F") if out is None else out
+    work = _Work(data, maps.shape[1]) if work is None else work
+    if data.ops is None:
+        out.fill(0.0)
+        l_hsi = 0.0
+    else:
+        # the HSI term is written over out first: P_H' has no form that adds
+        work.coarse_grad.fill(0.0)
+        hsi_grad = _add_fit_grad(coarse, spectra, data.hsi_mat, work.coarse_grad, work.chunk)
+        _apply_ph_t(hsi_grad, data.ops.p1, data.ops.p2, out, work.mid)
+        l_hsi = _sq_norm(spectra) * data.ph_gram_norm
+    g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], cfg,
+                        True, out, work.chunk)
+    return g, l + l_hsi
 
 
-def coarse_step_blind(coarse, spectra, data, cfg):
-    """Coarse-block gradient and curvature bound: HSI fit plus Schatten, no TV."""
-    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, cfg, with_tv=False)
+def coarse_step_blind(coarse, spectra, data, cfg, out=None, work=None):
+    """Coarse-block gradient and curvature bound: HSI fit plus Schatten, no
+    TV; ``out`` and ``work`` as in :func:`maps_step`."""
+    out = np.empty(coarse.shape, order="F") if out is None else out
+    work = _Work(data, coarse.shape[1]) if work is None else work
+    out.fill(0.0)
+    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, cfg, False, out,
+                        work.chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -368,28 +480,31 @@ def coarse_step_blind(coarse, spectra, data, cfg):
 def apg_step(x, grad, step, project=True):
     """One (projected) gradient step: max(x - step*grad, 0) or the unprojected move.
 
-    Returns a new array; (-step)*grad + x equals x - step*grad exactly.
+    The step is written into ``grad``, which is returned; (-step)*grad + x
+    equals x - step*grad exactly.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    y = np.multiply(grad, -step)
-    y += x
+    grad *= -step
+    grad += x
     if project:
-        np.maximum(y, 0.0, out=y)
-    return y
+        np.maximum(grad, 0.0, out=grad)
+    return grad
 
 
 def extrapolate(x_new, x_old, gamma_old):
     """Nesterov extrapolation; returns the look-ahead point and the new gamma.
 
     gamma_new = (1 + sqrt(1 + 4 gamma_old^2)) / 2, and the momentum
-    coefficient (gamma_old - 1)/gamma_new always lies in [0, 1).
+    coefficient (gamma_old - 1)/gamma_new always lies in [0, 1).  The
+    look-ahead point is written into ``x_old``, which must not be ``x_new``;
+    (x_old - x_new) * -coef is (x_new - x_old) * coef exactly.
     """
     gamma_new = (1.0 + math.sqrt(1.0 + 4.0 * gamma_old**2)) / 2.0
-    x_check = np.subtract(x_new, x_old)
-    x_check *= (gamma_old - 1.0) / gamma_new
-    x_check += x_new
-    return x_check, gamma_new
+    x_old -= x_new
+    x_old *= (1.0 - gamma_old) / gamma_new
+    x_old += x_new
+    return x_old, gamma_new
 
 
 class _Trace:
@@ -409,8 +524,10 @@ class _Trace:
         self.elapsed.append(time.perf_counter() - self._start)
 
     def stalled(self, rel_tol):
+        """Whether the last sweep lowered the objective by at most ``rel_tol``
+        relative; a sweep that raised it never counts as stalled."""
         prev, last = self.values[-2], self.values[-1]
-        return abs(prev - last) <= rel_tol * abs(prev)
+        return 0.0 <= prev - last <= rel_tol * abs(prev)
 
 
 def _run(factors, blocks, value, cfg, max_iters):
@@ -418,33 +535,49 @@ def _run(factors, blocks, value, cfg, max_iters):
 
     Each sweep updates ``factors[b]`` with ``blocks[b] = (step, project,
     image)`` in order.  ``image`` is None or a linear map the driver carries
-    with the block: ``images[b] = image(factors[b])`` is taken once per
+    with the block: ``images[b] = image(factors[b], out)`` is taken once per
     update, after projection, and the anchor's image is extrapolated from the
-    last two images with the anchor's own coefficient.  ``step(anchor,
-    anchor_image, factors, images)`` returns the gradient at the anchor and
-    its curvature bound L, the other factors at their current values; the
-    block moves 1/L from the anchor, projected onto x >= 0 if ``project``.
-    Returns the factors, the trace of ``value(factors, images)`` and whether
-    ``cfg.rel_tol`` stopped the run.
+    last two images with the anchor's own coefficient.  ``value(factors,
+    images)`` returns the objective and the Grams it formed on the way;
+    ``step(anchor, anchor_image, factors, images, grams, out)`` returns the
+    gradient at the anchor and its curvature bound L, the other factors at
+    their current values and ``grams`` those of the last objective, so they
+    hold for the factors no earlier block of the sweep has moved.  The block
+    moves 1/L from the anchor, projected onto x >= 0 if ``project``.
+
+    The driver owns three arrays per block (the factor, the anchor and a
+    spare) and two per image, and rotates them: ``step`` may write the
+    gradient into the spare ``out``, ``apg_step`` writes the new factor over
+    the gradient, ``image`` writes the new image over the anchor's image
+    (already read), and ``extrapolate`` writes each anchor over the factor or
+    image it retires; the old anchor is the next spare.  Returns the factors,
+    the trace of objective values and whether ``cfg.rel_tol`` stopped the run.
     """
-    images = [None if image is None else image(x) for x, (_, _, image) in zip(factors, blocks)]
-    anchors, anchor_images = list(factors), list(images)
+    images = [None if image is None else image(x, None)
+              for x, (_, _, image) in zip(factors, blocks)]
+    anchors = [x.copy(order="K") for x in factors]
+    anchor_images = [None if im is None else im.copy(order="K") for im in images]
+    spares = [np.empty_like(x) for x in factors]
     gammas = [1.0] * len(factors)
     trace = _Trace()
-    trace.record(value(factors, images))
+    f, grams = value(factors, images)
+    trace.record(f)
     for _ in range(max_iters):
         for b, (step, project, image) in enumerate(blocks):
-            grad, lip = step(anchors[b], anchor_images[b], factors, images)
+            grad, lip = step(anchors[b], anchor_images[b], factors, images, grams, spares[b])
             new = apg_step(anchors[b], grad, 1.0 / max(lip, _TINY), project)
-            new_image = None if image is None else image(new)
+            new_image = None if image is None else image(new, anchor_images[b])
             if cfg.accelerate:
+                spares[b] = anchors[b]
                 if image is not None:
                     anchor_images[b], _ = extrapolate(new_image, images[b], gammas[b])
                 anchors[b], gammas[b] = extrapolate(new, factors[b], gammas[b])
             else:
+                spares[b] = factors[b]
                 anchors[b], anchor_images[b] = new, new_image
             factors[b], images[b] = new, new_image
-        trace.record(value(factors, images))
+        f, grams = value(factors, images)
+        trace.record(f)
         if trace.stalled(cfg.rel_tol):
             return factors, trace, True
     return factors, trace, False
@@ -474,6 +607,27 @@ def _init_factor(rng, shape, given, label):
 # full solvers
 # ---------------------------------------------------------------------------
 
+def _blocks(data, cfg, n_terms):
+    """The blocks of ``data``'s problem and its objective, as :func:`_run`
+    takes them: spectra, maps and, when blind, the coarse maps, all writing
+    into one :class:`_Work`.  T is the coarse block when blind, else the image
+    (P2 kron P1) S that the driver carries with the maps."""
+    work = _Work(data, n_terms)
+    if data.ops is None:
+        ph, coarse_of = None, lambda f, im: f[2]
+    else:
+        p1, p2 = data.ops.p1, data.ops.p2
+        ph, coarse_of = lambda s, out: _apply_ph(s, p1, p2, out, work.mid), lambda f, im: im[1]
+    blocks = [
+        (lambda c, _, f, im, grams, out: spectra_step(c, grams, data, cfg), True, None),
+        (lambda s, t, f, im, grams, out: maps_step(s, f[0], data, cfg, t, out, work), True, ph),
+        (lambda t, _, f, im, grams, out: coarse_step_blind(t, f[0], data, cfg, out, work),
+         False, None),
+    ]
+    return (blocks[: 3 if data.ops is None else 2],
+            lambda f, im: objective(f[1], f[0], data, cfg, coarse_of(f, im), work.chunk))
+
+
 def _solve(data, n_terms, cfg, init):
     """Setup and run shared by both solvers.
 
@@ -500,20 +654,10 @@ def _solve(data, n_terms, cfg, init):
         _init_factor(rng, shape, given, label) for shape, given, label in zip(shapes, init, labels)
     ]
 
-    # T is the coarse block when blind, else the image (P2 kron P1) S that
-    # _run carries with the maps
-    if blind:
-        ph, coarse_of = None, lambda f, im: f[2]
-    else:
-        ph, coarse_of = lambda s: _apply_ph(s, data.ops.p1, data.ops.p2), lambda f, im: im[1]
-    blocks = [
-        (lambda c, _, f, im: spectra_step(c, f[1], data, cfg, coarse_of(f, im)), True, None),
-        (lambda s, t, f, im: maps_step(s, f[0], data, cfg, t), True, ph),
-        (lambda t, _, f, im: coarse_step_blind(t, f[0], data, cfg), False, None),
-    ]
+    # the blocks alone hold the solve's scratch arrays, so these are freed
+    # before the report allocates the SRI
     (spectra, maps, *_), trace, converged = _run(
-        [spectra, maps, *coarse], blocks[: len(labels)],
-        lambda f, im: objective(f[1], f[0], data, cfg, coarse_of(f, im)), cfg, max_iters,
+        [spectra, maps, *coarse], *_blocks(data, cfg, n_terms), cfg, max_iters
     )
     return _report(maps, spectra, data, trace, converged)
 

@@ -18,6 +18,7 @@ from hsrfuse.regularizers import SchattenConfig, TvConfig, schatten_value, tv_va
 from hsrfuse.solver import (
     FusionData,
     SolverConfig,
+    _apply_ph,
     coarse_step_blind,
     fuse,
     fuse_blind,
@@ -110,17 +111,22 @@ def test_criterion_3_gradients_match_finite_differences():
         maps = rng.uniform(0.1, 1.0, size=(30, 3))
         spectra = rng.uniform(0.1, 1.0, size=(4, 3))
         coarse = rng.normal(size=(9, 3))
+        # the known problem's T is (P2 kron P1) S; the spectra steps read the
+        # fit Grams the objective returns
+        tied = _apply_ph(maps, ops.p1, ops.p2)
         pairs = [
-            (spectra_step(spectra, maps, data, cfg)[0],
-             central_gradient(lambda c: objective(maps, c, data, cfg), spectra)),
-            (maps_step(maps, spectra, data, cfg)[0],
-             central_gradient(lambda s: objective(s, spectra, data, cfg), maps)),
-            (spectra_step(spectra, maps, blind, cfg, coarse)[0],
-             central_gradient(lambda c: objective(maps, c, blind, cfg, coarse), spectra)),
+            (spectra_step(spectra, objective(maps, spectra, data, cfg, tied)[1], data, cfg)[0],
+             central_gradient(lambda c: objective(maps, c, data, cfg, tied)[0], spectra)),
+            (maps_step(maps, spectra, data, cfg, tied)[0],
+             central_gradient(
+                 lambda s: objective(s, spectra, data, cfg, _apply_ph(s, ops.p1, ops.p2))[0],
+                 maps)),
+            (spectra_step(spectra, objective(maps, spectra, blind, cfg, coarse)[1], blind, cfg)[0],
+             central_gradient(lambda c: objective(maps, c, blind, cfg, coarse)[0], spectra)),
             (maps_step(maps, spectra, blind, cfg)[0],
-             central_gradient(lambda s: objective(s, spectra, blind, cfg, coarse), maps)),
+             central_gradient(lambda s: objective(s, spectra, blind, cfg, coarse)[0], maps)),
             (coarse_step_blind(coarse, spectra, blind, cfg)[0],
-             central_gradient(lambda t: objective(maps, spectra, blind, cfg, t), coarse)),
+             central_gradient(lambda t: objective(maps, spectra, blind, cfg, t)[0], coarse)),
         ]
         worst = max(worst, max(rel_error(g, fd) for g, fd in pairs))
     _verdict(
@@ -205,10 +211,11 @@ def test_criterion_6_lipschitz_bounds_dominate():
         maps = rng.uniform(0.1, 1.0, size=(30, 3))
         spectra = rng.uniform(0.1, 1.0, size=(4, 3))
         coarse = rng.normal(size=(9, 3))
-        l_c = spectra_step(spectra, maps, data, cfg)[1]
-        l_s = maps_step(maps, spectra, data, cfg)[1]
+        tied = _apply_ph(maps, ops.p1, ops.p2)
+        l_c = spectra_step(spectra, objective(maps, spectra, data, cfg, tied)[1], data, cfg)[1]
+        l_s = maps_step(maps, spectra, data, cfg, tied)[1]
         d_c, d_s = dense_curvatures_known(maps, spectra, data, cfg)
-        b_c = spectra_step(spectra, maps, blind, cfg, coarse)[1]
+        b_c = spectra_step(spectra, objective(maps, spectra, blind, cfg, coarse)[1], blind, cfg)[1]
         b_s = maps_step(maps, spectra, blind, cfg)[1]
         b_t = coarse_step_blind(coarse, spectra, blind, cfg)[1]
         e_c, e_s, e_t = dense_curvatures_blind(maps, coarse, spectra, blind, cfg, no_tv)
@@ -269,11 +276,13 @@ def test_criterion_8_recoverability_checker_against_arithmetic():
     agree = pavia.satisfied is True
     rng = np.random.default_rng(8)
     for _ in range(20):
+        msi_rows, msi_cols = int(rng.integers(1, 300)), int(rng.integers(1, 300))
         dims = {
-            "msi_rows": int(rng.integers(1, 300)),
-            "msi_cols": int(rng.integers(1, 300)),
-            "hsi_rows": int(rng.integers(1, 80)),
-            "hsi_cols": int(rng.integers(1, 80)),
+            "msi_rows": msi_rows,
+            "msi_cols": msi_cols,
+            # no instance has an HSI larger than its MSI, and no query may
+            "hsi_rows": int(rng.integers(1, min(80, msi_rows + 1))),
+            "hsi_cols": int(rng.integers(1, min(80, msi_cols + 1))),
             "msi_bands": int(rng.integers(1, 12)),
         }
         r = int(rng.integers(1, 9))

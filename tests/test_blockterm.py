@@ -137,6 +137,34 @@ def test_query_rejects_nonpositive():
                 RecoverabilityQuery(**{**good, name: bad})
 
 
+def test_query_rejects_hsi_larger_than_msi():
+    # no spatial operator maps an MSI onto a larger HSI, so such sizes
+    # describe no instance; the error names the fields and both sizes
+    good = dict(msi_rows=8, msi_cols=8, hsi_rows=4, hsi_cols=4,
+                msi_bands=2, n_terms=1, term_rank=1)
+    for hsi in ((9, 4), (4, 9), (16, 16)):
+        with pytest.raises(ValueError, match=r"hsi_rows/hsi_cols .* exceed the MSI size 8x8"):
+            RecoverabilityQuery(**{**good, "hsi_rows": hsi[0], "hsi_cols": hsi[1]})
+    assert RecoverabilityQuery(**{**good, "hsi_rows": 8, "hsi_cols": 8}).hsi_rows == 8
+    # the random queries acceptance criterion 8 drew before it bounded the
+    # HSI by the MSI: 8 of its 20 now raise
+    rng = np.random.default_rng(8)
+    raised = 0
+    for _ in range(20):
+        dims = dict(msi_rows=int(rng.integers(1, 300)), msi_cols=int(rng.integers(1, 300)),
+                    hsi_rows=int(rng.integers(1, 80)), hsi_cols=int(rng.integers(1, 80)),
+                    msi_bands=int(rng.integers(1, 12)))
+        order = dict(n_terms=int(rng.integers(1, 9)), term_rank=int(rng.integers(1, 9)),
+                     blind=bool(rng.integers(0, 2)))
+        if dims["hsi_rows"] > dims["msi_rows"] or dims["hsi_cols"] > dims["msi_cols"]:
+            raised += 1
+            with pytest.raises(ValueError, match="exceed the MSI size"):
+                RecoverabilityQuery(**dims, **order)
+        else:
+            RecoverabilityQuery(**dims, **order)
+    assert raised == 8
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     rows=st.integers(1, 64), cols=st.integers(1, 64),
@@ -148,6 +176,9 @@ def test_recoverability_monotone_in_term_rank(
     rows, cols, hsi_rows, hsi_cols, bands, n_terms, term_rank, blind
 ):
     # Shrinking L relaxes every condition, so satisfied stays satisfied.
+    # The HSI is clamped to the MSI size: no query may exceed it.
+    hsi_rows, hsi_cols = min(hsi_rows, rows), min(hsi_cols, cols)
+
     def verdict(l_val):
         return check_recoverability(
             RecoverabilityQuery(

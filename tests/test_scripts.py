@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -29,3 +30,34 @@ def test_script_runs_and_writes_its_csv(tmp_path, script, header, rows):
     lines = out.read_text().splitlines()
     assert lines[0] == header
     assert len(lines) == 1 + rows
+
+
+def test_trace_compare_fails_on_groups_above_the_tolerance(tmp_path):
+    # two recordings whose noisy traces differ by 1e-9 relative and whose
+    # cli96 estimates agree; a metric difference belongs to no group
+    old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+    trace = np.array([4.0, 2.0, 1.0])
+    arrays = {
+        "noisy0/fuse/accel/none/trace": trace,
+        "noisy0/fuse/accel/none/metrics/rsnr_db": np.array(20.0),
+        "cli96/estimate": np.ones((2, 2, 2)),
+    }
+    np.savez(old, **arrays)
+    np.savez(new, **{**arrays,
+                     "noisy0/fuse/accel/none/trace": trace * (1 + 1e-9),
+                     "noisy0/fuse/accel/none/metrics/rsnr_db": np.array(21.0)})
+
+    def compare(*extra):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "trace_compare.py"), "--compare", str(old), str(new),
+             *extra],
+            capture_output=True, text=True, timeout=120,
+        )
+
+    strict = compare("--max-rel-diff", "1e-12")
+    assert strict.returncode == 1, strict.stderr
+    failed = [line for line in strict.stdout.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL noisy traces:")
+    for run in (compare("--max-rel-diff", "1e-6"), compare()):
+        assert run.returncode == 0, run.stderr
+        assert not any(line.startswith("FAIL") for line in run.stdout.splitlines())

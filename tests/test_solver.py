@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ def random_instance(seed, dims=(6, 5, 4), hsi_dims=(3, 3), msi_bands=2, n_terms=
     return data, blind, maps, spectra, coarse
 
 
+def tied(maps, data):
+    """(P2 kron P1) S: the coarse factor T of the known-operator problem."""
+    return _apply_ph(maps, data.ops.p1, data.ops.p2)
+
+
+def value(maps, spectra, data, cfg, coarse=None):
+    """The objective alone; T is the tied image unless given (blind: required)."""
+    return objective(maps, spectra, data, cfg, tied(maps, data) if coarse is None else coarse)[0]
+
+
+def fit_grams(maps, spectra, data, coarse=None):
+    """The fit Grams the spectra step reads, as the objective returns them at (S, C, T)."""
+    coarse = tied(maps, data) if coarse is None else coarse
+    return objective(maps, spectra, data, SolverConfig(), coarse)[1]
+
+
 def consistent_instance(seed=0, dims=(24, 24, 16), n_terms=3, term_rank=2, snr_db=None):
     """Ground-truth block-term SRI degraded by the default small protocol."""
     factors = random_blockterm(dims, n_terms, term_rank, seed=seed)
@@ -132,19 +149,63 @@ def test_spatial_products_match_dense_kron(order):
 # objective
 # ---------------------------------------------------------------------------
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_terms=st.integers(1, 4),
+    bands=st.integers(1, 6),
+    rows=st.sampled_from(("one", "chunk-1", "chunk", "chunk+1", "several")),
+    f_order=st.booleans(),
+)
+def test_fit_pass_matches_dense_residual_and_grams(seed, n_terms, bands, rows, f_order):
+    # 2 KiB chunks hold 16 to 128 rows here, so every row count below is
+    # cheap and the chunk boundaries fall everywhere
+    with mock.patch.object(solver, "_CHUNK_BYTES", 2048):
+        chunk = 2048 // (8 * (n_terms + 2 * bands))
+        n = {"one": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
+             "several": 3 * chunk + 5}[rows]
+        rng = np.random.default_rng(seed)
+        order = "F" if f_order else "C"
+        x = np.asarray(rng.normal(size=(n, n_terms)), order=order)
+        target = np.asarray(rng.normal(size=(n, bands)), order=order)
+        m = rng.normal(size=(bands, n_terms))
+        assert solver._chunk_rows(target, n_terms) == min(n, chunk)
+        buffer = np.empty(solver._chunk_size(target, n_terms))
+        for scratch in (None, buffer):
+            half_sq, (gram, cross) = solver._fit_pass(x, m, target, scratch)
+            assert half_sq == pytest.approx(0.5 * np.sum((x @ m.T - target) ** 2), rel=1e-13)
+            assert rel_error(gram, x.T @ x) <= 1e-13
+            assert rel_error(cross, x.T @ target) <= 1e-13
+
+
+@pytest.mark.parametrize("rows", [1, 5, 6, 7, 23])
+def test_add_fit_grad_matches_dense_over_chunks(rows):
+    # a 12-entry buffer holds 6 rows of a 2-term gradient, so the row counts
+    # fall below, on and across chunk boundaries; the gradient is added to
+    # what ``out`` already holds
+    rng = np.random.default_rng(rows)
+    x = np.asfortranarray(rng.normal(size=(rows, 2)))
+    target = np.asfortranarray(rng.normal(size=(rows, 3)))
+    m = rng.normal(size=(3, 2))
+    start = np.asfortranarray(rng.normal(size=(rows, 2)))
+    out = start.copy(order="F")
+    assert solver._add_fit_grad(x, m, target, out, np.empty(12)) is out
+    assert rel_error(out, start + x @ m.T @ m - target @ m) <= 1e-14
+
+
 def test_objective_zero_at_exact_fit():
     sri, factors, ops, hsi, msi = consistent_instance(dims=(8, 8, 6), n_terms=2)
     data = FusionData.from_tensors(hsi, msi, ops)
     cfg = SolverConfig()
     maps = factors.maps_matrix()
-    val = objective(maps, factors.spectra, data, cfg)
+    val = value(maps, factors.spectra, data, cfg)
     assert 0.0 <= val <= 1e-20 * np.sum(hsi**2)
 
 
 def test_objective_zero_factors_is_data_energy():
     data, _, maps, spectra, _ = random_instance(0)
     cfg = SolverConfig()
-    val = objective(np.zeros_like(maps), np.zeros_like(spectra), data, cfg)
+    val = value(np.zeros_like(maps), np.zeros_like(spectra), data, cfg)
     expected = 0.5 * np.sum(data.hsi_mat**2) + 0.5 * np.sum(data.msi_mat**2)
     assert val == pytest.approx(expected, rel=1e-15)
 
@@ -168,7 +229,7 @@ def test_objective_matches_loop_oracle():
     hsi = data.hsi_mat.reshape(3, 3, 4, order="F")
     msi = data.msi_mat.reshape(6, 5, 2, order="F")
     expected = _objective_by_loops(maps, spectra, hsi, msi, data.ops, WEIGHTED, (6, 5, 4))
-    got = objective(maps, spectra, data, WEIGHTED)
+    got = value(maps, spectra, data, WEIGHTED)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -183,16 +244,18 @@ def test_blind_model_with_tied_coarse_block_is_the_known_model():
     cfg = SolverConfig(ridge_weight=0.3, tv_weight=0.2)
     for seed in range(8):
         data, blind, maps, spectra, _ = random_instance(seed + 30)
-        tied = _apply_ph(maps, data.ops.p1, data.ops.p2)
+        image = tied(maps, data)
+        known_f, known_grams = objective(maps, spectra, data, cfg, image)
+        blind_f, blind_grams = objective(maps, spectra, blind, cfg, image)
+        assert known_f == blind_f
         assert np.array_equal(
-            spectra_step(spectra, maps, data, cfg)[0],
-            spectra_step(spectra, maps, blind, cfg, tied)[0],
+            spectra_step(spectra, known_grams, data, cfg)[0],
+            spectra_step(spectra, blind_grams, blind, cfg)[0],
         )
-        assert objective(maps, spectra, data, cfg) == objective(maps, spectra, blind, cfg, tied)
 
-        g_known, l_known = maps_step(maps, spectra, data, cfg)
+        g_known, l_known = maps_step(maps, spectra, data, cfg, image)
         g_blind, l_blind = maps_step(maps, spectra, blind, cfg)
-        g_coarse = coarse_step_blind(tied, spectra, blind, cfg)[0]
+        g_coarse = coarse_step_blind(image, spectra, blind, cfg)[0]
         chained = g_blind + _apply_ph_t(g_coarse, data.ops.p1, data.ops.p2)
         assert rel_error(g_known, chained) <= 1e-12
         assert l_known == l_blind + _sq_norm(spectra) * data.ph_gram_norm
@@ -204,30 +267,30 @@ def test_blind_model_with_tied_coarse_block_is_the_known_model():
 
 def test_grad_spectra_finite_differences():
     data, _, maps, spectra, _ = random_instance(2)
-    grad = spectra_step(spectra, maps, data, WEIGHTED)[0]
-    fd = central_gradient(lambda c: objective(maps, c, data, WEIGHTED), spectra)
+    grad = spectra_step(spectra, fit_grams(maps, spectra, data), data, WEIGHTED)[0]
+    fd = central_gradient(lambda c: value(maps, c, data, WEIGHTED), spectra)
     assert rel_error(grad, fd) <= 1e-5
 
 
 def test_grad_maps_finite_differences():
     data, _, maps, spectra, _ = random_instance(3)
-    grad = maps_step(maps, spectra, data, WEIGHTED)[0]
-    fd = central_gradient(lambda s: objective(s, spectra, data, WEIGHTED), maps)
+    grad = maps_step(maps, spectra, data, WEIGHTED, tied(maps, data))[0]
+    fd = central_gradient(lambda s: value(s, spectra, data, WEIGHTED), maps)
     assert rel_error(grad, fd) <= 1e-5
 
 
 def test_blind_gradients_finite_differences():
     _, blind, maps, spectra, coarse = random_instance(4)
-    g_c = spectra_step(spectra, maps, blind, WEIGHTED, coarse)[0]
-    fd_c = central_gradient(lambda c: objective(maps, c, blind, WEIGHTED, coarse), spectra)
+    g_c = spectra_step(spectra, fit_grams(maps, spectra, blind, coarse), blind, WEIGHTED)[0]
+    fd_c = central_gradient(lambda c: value(maps, c, blind, WEIGHTED, coarse), spectra)
     assert rel_error(g_c, fd_c) <= 1e-5
 
     g_s = maps_step(maps, spectra, blind, WEIGHTED)[0]
-    fd_s = central_gradient(lambda s: objective(s, spectra, blind, WEIGHTED, coarse), maps)
+    fd_s = central_gradient(lambda s: value(s, spectra, blind, WEIGHTED, coarse), maps)
     assert rel_error(g_s, fd_s) <= 1e-5
 
     g_t = coarse_step_blind(coarse, spectra, blind, WEIGHTED)[0]
-    fd_t = central_gradient(lambda t: objective(maps, spectra, blind, WEIGHTED, t), coarse)
+    fd_t = central_gradient(lambda t: value(maps, spectra, blind, WEIGHTED, t), coarse)
     assert rel_error(g_t, fd_t) <= 1e-5
 
 
@@ -240,8 +303,8 @@ def test_blind_grad_spectra_with_identity_pm():
     maps = rng.uniform(0.1, 1.0, size=(30, 2))
     spectra = rng.uniform(0.1, 1.0, size=(4, 2))
     coarse = loop_unfold(hsi) @ np.linalg.pinv(spectra.T)
-    grad = spectra_step(spectra, maps, blind, WEIGHTED, coarse)[0]
-    fd = central_gradient(lambda c: objective(maps, c, blind, WEIGHTED, coarse), spectra)
+    grad = spectra_step(spectra, fit_grams(maps, spectra, blind, coarse), blind, WEIGHTED)[0]
+    fd = central_gradient(lambda c: value(maps, c, blind, WEIGHTED, coarse), spectra)
     assert rel_error(grad, fd) <= 1e-5
 
 
@@ -251,14 +314,16 @@ def test_gradients_vanish_at_exact_fit():
     cfg = SolverConfig()
     maps, spectra = factors.maps_matrix(), factors.spectra
     scale = max(np.max(np.abs(maps)), np.max(np.abs(spectra)))
-    assert np.max(np.abs(spectra_step(spectra, maps, data, cfg)[0])) <= 1e-10 * scale
-    assert np.max(np.abs(maps_step(maps, spectra, data, cfg)[0])) <= 1e-10 * scale
+    grams = fit_grams(maps, spectra, data)
+    assert np.max(np.abs(spectra_step(spectra, grams, data, cfg)[0])) <= 1e-10 * scale
+    assert np.max(np.abs(maps_step(maps, spectra, data, cfg, tied(maps, data))[0])) <= 1e-10 * scale
 
     # blind: the coarse block absorbing the true downsampled maps is also a fit
     blind = FusionData.from_tensors_blind(hsi, msi, ops.pm)
     down = np.einsum("ai,ijr,bj->abr", ops.p1, factors.maps, ops.p2)
     coarse = down.reshape(-1, 2, order="F")
-    assert np.max(np.abs(spectra_step(spectra, maps, blind, cfg, coarse)[0])) <= 1e-10 * scale
+    grams = fit_grams(maps, spectra, blind, coarse)
+    assert np.max(np.abs(spectra_step(spectra, grams, blind, cfg)[0])) <= 1e-10 * scale
     assert np.max(np.abs(maps_step(maps, spectra, blind, cfg)[0])) <= 1e-10 * scale
     assert np.max(np.abs(coarse_step_blind(coarse, spectra, blind, cfg)[0])) <= 1e-10 * scale
 
@@ -269,7 +334,7 @@ def test_grad_spectra_ridge_only():
     data.msi_mat[:] = 0.0
     cfg = SolverConfig(ridge_weight=0.7)
     zero_maps = np.zeros_like(maps)
-    grad = spectra_step(spectra, zero_maps, data, cfg)[0]
+    grad = spectra_step(spectra, fit_grams(zero_maps, spectra, data), data, cfg)[0]
     assert np.allclose(grad, 0.7 * spectra)
 
 
@@ -279,7 +344,7 @@ def test_grad_maps_schatten_only_reduction():
     data.msi_mat[:] = 0.0
     cfg = SolverConfig(lowrank_weight=0.4, schatten=SchattenConfig(p=0.5, tau=1.0))
     zero_spectra = np.zeros((4, maps.shape[1]))
-    grad = maps_step(maps, zero_spectra, data, cfg)[0]
+    grad = maps_step(maps, zero_spectra, data, cfg, tied(maps, data))[0]
     for r in range(maps.shape[1]):
         img = maps[:, r].reshape(6, 5, order="F")
         expected = 0.4 * schatten_gradient(img, cfg.schatten).ravel(order="F")
@@ -301,8 +366,8 @@ def test_grad_coarse_without_lowrank_weight():
 def test_step_bounds_dominate_dense_curvatures():
     for seed in range(8):
         data, _, maps, spectra, _ = random_instance(seed)
-        l_c = spectra_step(spectra, maps, data, WEIGHTED)[1]
-        l_s = maps_step(maps, spectra, data, WEIGHTED)[1]
+        l_c = spectra_step(spectra, fit_grams(maps, spectra, data), data, WEIGHTED)[1]
+        l_s = maps_step(maps, spectra, data, WEIGHTED, tied(maps, data))[1]
         d_c, d_s = dense_curvatures_known(maps, spectra, data, WEIGHTED)
         assert l_c >= d_c - 1e-9 * max(1.0, d_c)
         assert l_s >= d_s - 1e-9 * max(1.0, d_s)
@@ -311,7 +376,7 @@ def test_step_bounds_dominate_dense_curvatures():
 def test_step_bound_ridge_only():
     data, _, maps, spectra, _ = random_instance(9)
     cfg = SolverConfig(ridge_weight=0.5)
-    l_c = spectra_step(spectra, np.zeros_like(maps), data, cfg)[1]
+    l_c = spectra_step(spectra, fit_grams(np.zeros_like(maps), spectra, data), data, cfg)[1]
     assert l_c == pytest.approx(0.5, rel=1e-15)
 
 
@@ -320,7 +385,7 @@ def test_tv_curvature_bound_matches_dense_at_q2():
     # tv_weight * q * (sigma_max(H_cols)^2 + sigma_max(H_rows)^2), matching dense
     data, _, maps, spectra, _ = random_instance(10)
     cfg = SolverConfig(tv_weight=0.3, tv=TvConfig(q=2.0, epsilon=1e-3))
-    l_s = maps_step(maps, spectra, data, cfg)[1]
+    l_s = maps_step(maps, spectra, data, cfg, tied(maps, data))[1]
     _, d_s = dense_curvatures_known(maps, spectra, data, cfg)
     assert l_s == pytest.approx(d_s, rel=1e-9)
 
@@ -329,7 +394,7 @@ def test_blind_bounds_dominate_dense():
     no_tv = SolverConfig(lowrank_weight=WEIGHTED.lowrank_weight, schatten=WEIGHTED.schatten)
     for seed in range(6):
         _, blind, maps, spectra, coarse = random_instance(seed + 20)
-        l_c = spectra_step(spectra, maps, blind, WEIGHTED, coarse)[1]
+        l_c = spectra_step(spectra, fit_grams(maps, spectra, blind, coarse), blind, WEIGHTED)[1]
         l_s = maps_step(maps, spectra, blind, WEIGHTED)[1]
         l_t = coarse_step_blind(coarse, spectra, blind, WEIGHTED)[1]
         d_c, d_s, d_t = dense_curvatures_blind(maps, coarse, spectra, blind, WEIGHTED, no_tv)
@@ -345,32 +410,57 @@ def test_blind_bounds_dominate_dense():
 def test_apg_step_contracts():
     x = np.array([0.0, 1.0, 2.0])
     grad = np.array([0.0, 5.0, -1.0])
+    # the step is written into the gradient, so each call gets its own copy
     assert np.array_equal(apg_step(x, np.zeros(3), 0.5), x)
     assert np.array_equal(apg_step(np.zeros(3), np.ones(3), 1.0), np.zeros(3))
-    stepped = apg_step(x, grad, 1.0)
-    assert np.array_equal(stepped, [0.0, 0.0, 3.0])
-    unprojected = apg_step(x, grad, 1.0, project=False)
+    g = grad.copy()
+    stepped = apg_step(x, g, 1.0)
+    assert np.array_equal(stepped, [0.0, 0.0, 3.0]) and stepped is g
+    unprojected = apg_step(x, grad.copy(), 1.0, project=False)
     assert np.array_equal(unprojected, [0.0, -4.0, 3.0])
     rng = np.random.default_rng(0)
     y, g = rng.normal(size=50), rng.normal(size=50)
-    assert np.array_equal(apg_step(y, g, 0.3, project=False), y - 0.3 * g)
-    # the result is a new array: neither input is written
-    assert np.array_equal(x, [0.0, 1.0, 2.0]) and np.array_equal(grad, [0.0, 5.0, -1.0])
-    assert stepped is not x and unprojected is not x
+    assert np.array_equal(apg_step(y, g.copy(), 0.3, project=False), y - 0.3 * g)
+    # the point stepped from is not written
+    assert np.array_equal(x, [0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         apg_step(x, x, 0.0)
 
 
 def test_extrapolate_golden_ratio_start():
-    x = np.ones(3)
-    check, gamma = extrapolate(x, x, 1.0)
+    x, x_old = np.ones(3), np.ones(3)
+    check, gamma = extrapolate(x, x_old, 1.0)
     assert gamma == pytest.approx((1 + np.sqrt(5)) / 2, rel=1e-12)
     assert np.array_equal(check, x) and check is not x
-    # with momentum the look-ahead moves, and neither input is written
+    # with momentum the look-ahead moves; it is written over the retired
+    # iterate, bit for bit x_new + coef (x_new - x_old), and x_new is not written
     x_new, x_old = np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])
+    retired = x_old.copy()
     check, new_gamma = extrapolate(x_new, x_old, gamma)
-    assert np.array_equal(check, x_new + ((gamma - 1.0) / new_gamma) * (x_new - x_old))
-    assert np.array_equal(x_new, [1.0, 2.0, 3.0]) and np.array_equal(x_old, [3.0, 2.0, 1.0])
+    assert np.array_equal(check, x_new + ((gamma - 1.0) / new_gamma) * (x_new - retired))
+    assert check is x_old and np.array_equal(x_new, [1.0, 2.0, 3.0])
+
+
+def test_rel_tol_never_stops_on_a_rise():
+    trace = solver._Trace()
+    trace.record(10.0)
+    trace.record(10.0 + 1e-6)
+    assert not trace.stalled(1e-4)  # a rise, however small against rel_tol
+    assert not trace.stalled(1.0)
+    trace.record(10.0 - 1e-6)
+    assert trace.stalled(1e-4)  # a small drop
+    trace.record(9.0)
+    assert not trace.stalled(1e-4)  # a large drop
+
+
+def test_accelerated_run_does_not_stop_on_a_rise():
+    # on this instance an extrapolated sweep raises the objective by 9e-5
+    # relative at iteration 43; the run used to stop there, under
+    # rel_tol = 1e-4, about 12% above the objective it stops at now
+    _, _, ops, hsi, msi = consistent_instance(seed=0, dims=(8, 8, 8), snr_db=30.0)
+    report = fuse(hsi, msi, ops, 2, SolverConfig(ridge_weight=1e-4, max_iters=300))
+    trace = report.objective_trace
+    assert report.converged and trace[-1] <= trace[-2]
 
 
 def test_extrapolate_momentum_coefficient_bounded():
@@ -488,15 +578,17 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     def look_ahead(new, old, coef):
         return new if coef is None else (new - old) * coef + new
 
-    def sweeps(factors, steps, image=None):
+    def sweeps(factors, steps, value, image=None):
         # Nesterov momentum written out here, not taken from extrapolate; the
         # maps (b = 1) carry image(maps), moved with the maps' coefficient.
-        # A step reads (anchor, factors, anchor's image, maps' image).
+        # A step reads (anchor, factors, anchor's image, fit Grams); the Grams
+        # come from the objective at the end of the last sweep.
         anchors, gammas = list(factors), [1.0] * len(factors)
         carried = anchor_carried = None if image is None else image(factors[1])
         for _ in range(3):
+            grams = value(factors, carried)
             for b, step in enumerate(steps):
-                grad, lip = step(anchors[b], factors, anchor_carried, carried)
+                grad, lip = step(anchors[b], factors, anchor_carried, grams)
                 new = apg_step(anchors[b], grad, 1.0 / lip, project=b < 2)
                 coef = None
                 if accelerate:
@@ -511,17 +603,18 @@ def test_solvers_run_the_verified_block_steps(accelerate):
         return factors
 
     want = sweeps([spectra, maps], [
-        lambda c, f, t_anchor, t: spectra_step(c, f[1], data, cfg, t),
-        lambda s, f, t_anchor, t: maps_step(s, f[0], data, cfg, t_anchor),
-    ], image=lambda s: _apply_ph(s, ops.p1, ops.p2))
+        lambda c, f, t_anchor, grams: spectra_step(c, grams, data, cfg),
+        lambda s, f, t_anchor, grams: maps_step(s, f[0], data, cfg, t_anchor),
+    ], lambda f, t: objective(f[1], f[0], data, cfg, t)[1],
+        image=lambda s: _apply_ph(s, ops.p1, ops.p2))
     got = fuse(hsi, msi, ops, 2, cfg, init=(maps, spectra))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
     want = sweeps([spectra, maps, coarse], [
-        lambda c, f, *_: spectra_step(c, f[1], blind, cfg, f[2]),
+        lambda c, f, _, grams: spectra_step(c, grams, blind, cfg),
         lambda s, f, *_: maps_step(s, f[0], blind, cfg),
         lambda t, f, *_: coarse_step_blind(t, f[0], blind, cfg),
-    ])
+    ], lambda f, _: objective(f[1], f[0], blind, cfg, f[2])[1])
     got = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=(maps, spectra, coarse))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
@@ -532,9 +625,9 @@ def test_fuse_passes_maps_step_the_image_of_its_anchor(monkeypatch):
     _, _, ops, hsi, msi = consistent_instance(seed=13, dims=(8, 8, 8), snr_db=25.0)
     errors = []
 
-    def checked(maps, spectra, data, cfg, coarse=None):
+    def checked(maps, spectra, data, cfg, coarse, *buffers):
         errors.append(rel_error(coarse, _apply_ph(maps, ops.p1, ops.p2)))
-        return maps_step(maps, spectra, data, cfg, coarse)
+        return maps_step(maps, spectra, data, cfg, coarse, *buffers)
 
     monkeypatch.setattr(solver, "maps_step", checked)
     fuse(hsi, msi, ops, 2, SolverConfig(max_iters=20, rel_tol=0.0, accelerate=True, seed=3))
@@ -571,8 +664,29 @@ def test_last_trace_value_is_objective_at_returned_factors(accelerate):
             max_iters=iters, rel_tol=0.0, accelerate=accelerate, seed=4,
         )
         report = fuse(hsi, msi, ops, 2, cfg)
-        fresh = objective(report.maps, report.spectra, data, cfg)
+        fresh = value(report.maps, report.spectra, data, cfg)
         assert report.objective_trace[-1] == fresh
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+def test_solvers_own_their_buffers(accelerate):
+    # the driver rotates its buffers in place, so nothing it returns may be
+    # an input, and no input may be written
+    _, _, ops, hsi, msi = consistent_instance(seed=14, dims=(8, 6, 8), snr_db=25.0)
+    rng = np.random.default_rng(3)
+    init = tuple(np.asfortranarray(x) for x in (
+        rng.uniform(size=(48, 2)), rng.uniform(size=(8, 2)), rng.normal(size=(12, 2))))
+    cfg = property_config(True, max_iters=5, accelerate=accelerate)
+    for blind in (False, True):
+        given = init if blind else init[:2]
+        kept = [x.copy() for x in given]
+        inputs = (hsi, msi, *given)
+        report = run_solver(hsi, msi, ops, blind, cfg, init=given)
+        assert all(np.array_equal(x, y) for x, y in zip(given, kept))
+        outputs = (report.maps, report.spectra, report.sri)
+        for k, out in enumerate(outputs):
+            assert not any(np.shares_memory(out, x) for x in inputs)
+            assert not any(np.shares_memory(out, y) for y in outputs[k + 1:])
 
 
 def test_max_iters_zero_returns_initialization():
