@@ -19,12 +19,17 @@ the first instance of the benchmark's ``cli-roundtrip-96`` workload at seed 1,
 built by ``perfbench/workloads.py``, and the ``fuse`` solution that
 ``hsrfuse fuse`` returns for it; the pair itself is saved too.
 ``--compare`` prints, per trace or SRI, the largest elementwise relative
-difference and whether the arrays are ``np.array_equal``, then per metric the
-largest relative difference over all scored pairs.  It ends with four summary
-lines, the largest relative difference in each group: the noisy traces, the
-noisy SRIs, the criterion-1 traces and the ``cli96`` estimate.  With
-``--max-rel-diff TOL`` it then names each group whose difference exceeds TOL
-and exits 1 if there is one:
+difference and whether the arrays are ``np.array_equal`` (for a trace also
+how many iterations raised the objective in A and in B), then per metric the
+largest relative difference over all scored pairs.  It ends with summary
+lines, the largest relative difference in each group: the noisy traces and
+the noisy SRIs, each split into accelerated or plain runs without or with
+the regularizers (``accel/none``, ``accel/reg``, ``plain/none``,
+``plain/reg``), the criterion-1 traces and the ``cli96`` estimate; and, per
+group of traces, the objective rises summed over its traces in A and in B.  With ``--max-rel-diff TOL`` it then names each group whose difference
+exceeds TOL and exits 1 if there is one.  A change meant to move only one
+kind of run (say, accelerated regularized runs) is gated on the others this
+way, and the moved group is reported on its own line:
 
     python scripts/trace_compare.py --compare old.npz new.npz --max-rel-diff 1e-12
 """
@@ -121,10 +126,18 @@ def _max_rel_diff(a, b):
     return float(rel.max(initial=0.0))
 
 
-# The trace and SRI keys each summary line covers.
+def _rises(trace):
+    """Iterations that raised the objective."""
+    return int(np.count_nonzero(np.diff(trace) > 0))
+
+
+# The trace and SRI keys each summary line covers: the noisy runs by
+# extrapolation and regularization, as ``record`` tags them.
+RUN_TAGS = [f"{accel}/{reg}" for accel in ("accel", "plain") for reg in ("none", "reg")]
 SUMMARY_GROUPS = {
-    "noisy traces": lambda key: key.startswith("noisy") and key.endswith("/trace"),
-    "noisy SRIs": lambda key: key.startswith("noisy") and key.endswith("/sri"),
+    **{f"noisy {tag} {label}": (lambda key, suffix=f"/{tag}/{kind}":
+                                key.startswith("noisy") and key.endswith(suffix))
+       for kind, label in (("trace", "traces"), ("sri", "SRIs")) for tag in RUN_TAGS},
     "criterion1 traces": lambda key: key.startswith("criterion1/") and key.endswith("/trace"),
     "cli96 estimate": lambda key: key == "cli96/estimate",
 }
@@ -136,6 +149,7 @@ def compare(path_a, path_b):
     equal = 0
     worst = {}  # metric name -> (largest relative difference, key)
     groups = {}  # summary group -> (largest relative difference, key)
+    rises = {}  # summary group of traces -> (rises in A, rises in B)
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             print(f"{key:40s} only in {path_a if key in a else path_b}")
@@ -151,17 +165,26 @@ def compare(path_a, path_b):
             if metric not in worst or rel > worst[metric][0]:
                 worst[metric] = (rel, key)
         else:
-            print(f"{key:40s} max_rel_diff {rel:.3e}  array_equal {same}")
+            counts = (_rises(a[key]), _rises(b[key])) if key.endswith("/trace") else None
+            print(f"{key:40s} max_rel_diff {rel:.3e}  array_equal {same}"
+                  + (f"  rises {counts[0]} -> {counts[1]}" if counts else ""))
             for group, covers in SUMMARY_GROUPS.items():
-                if covers(key) and (group not in groups or rel > groups[group][0]):
+                if not covers(key):
+                    continue
+                if group not in groups or rel > groups[group][0]:
                     groups[group] = (rel, key)
+                if counts:
+                    total = rises.get(group, (0, 0))
+                    rises[group] = (total[0] + counts[0], total[1] + counts[1])
     for metric, (rel, key) in sorted(worst.items()):
         print(f"metric {metric:20s} max_rel_diff {rel:.3e}" + (f"  at {key}" if rel > 0 else ""))
     print(f"{equal} of {len(a.keys() | b.keys())} arrays np.array_equal")
     for group in SUMMARY_GROUPS:
         if group in groups:
             rel, key = groups[group]
-            print(f"summary {group:19s} max_rel_diff {rel:.3e}" + (f"  at {key}" if rel > 0 else ""))
+            print(f"summary {group:24s} max_rel_diff {rel:.3e}" + (f"  at {key}" if rel > 0 else ""))
+    for group, (in_a, in_b) in rises.items():
+        print(f"rises {group:26s} {in_a} -> {in_b}")
     return {group: rel for group, (rel, _) in groups.items()}
 
 

@@ -11,12 +11,15 @@ differentiable objective:
 Both admit quadratic majorizers that touch the function at the anchor point,
 with reweighting matrices (W for Schatten, diagonal U/V for TV) formed at the
 anchor.  Each penalty owns its majorizer: ``schatten_majorizer`` and
-``tv_majorizer`` return the majorizer's gradient at the anchor, which is the
-penalty's gradient there, and a bound on its curvature.  The solver only
-weights and sums them over the terms.  This module holds what the solver
-evaluates: the values, the majorizers and the matrix-free difference
-operators.  The reweighting matrices, the majorizer values and the dense
-circulant matrix that check them live with the tests.
+``tv_majorizer`` return, from one factorization of the anchor, the penalty's
+value there, the majorizer's weights and a bound on its curvature;
+``schatten_majorizer_grad`` and ``tv_majorizer_grad`` apply the weights at
+any point, giving the majorizer's gradient there (the penalty's own gradient
+at the anchor).  The solver anchors the majorizers at the iterate its
+objective scores and only weights and sums them over the terms.  This module
+holds what the solver evaluates: the majorizers, the matrix-free difference
+operators and the plain values.  The reweighting matrices, the majorizer
+values and the dense circulant matrix that check them live with the tests.
 """
 
 import math
@@ -94,17 +97,24 @@ def schatten_value(x, cfg):
 
 
 def schatten_majorizer(x, cfg):
-    """Gradient p W X of the Schatten majorizer at X and its curvature
-    p sigma_max(W), with W = (X X' + tau I)^((p-2)/2), from one factorization.
+    """Value at X, weight p W and curvature p sigma_max(W) of the Schatten
+    majorizer anchored at X, W = (X X' + tau I)^((p-2)/2), from one
+    factorization of X X'.
 
     All eigenvalues of the base matrix are >= tau, so the negative power is
-    well defined: W is symmetric PD with eigenvalues <= tau^((p-2)/2).
+    well defined: W is symmetric PD with eigenvalues <= tau^((p-2)/2).  The
+    majorizer's gradient at any Z is ``schatten_majorizer_grad(p W, Z)``.
     """
     x = np.atleast_2d(x)
     lam, vec = np.linalg.eigh(x @ x.T)
-    lam = np.maximum(lam + cfg.tau, cfg.tau) ** ((cfg.p - 2) / 2)
-    weight = (vec * lam) @ vec.T
-    return cfg.p * (weight @ x), cfg.p * float(lam[0])
+    lam = np.maximum(lam, 0.0) + cfg.tau
+    w = cfg.p * lam ** ((cfg.p - 2) / 2)
+    return float(np.sum(lam ** (cfg.p / 2))), (vec * w) @ vec.T, float(w[0])
+
+
+def schatten_majorizer_grad(weight, z):
+    """Gradient p W Z at Z of the Schatten majorizer of weight p W."""
+    return weight @ z
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +133,33 @@ def tv_value(img, cfg):
 
 
 def tv_majorizer(img, cfg):
-    """Gradient q (Hc' U Hc + Hr' V Hr) img of the TV majorizer at ``img`` and
-    its curvature q (|Hc|^2 max U + |Hr|^2 max V).
+    """Value at ``img``, weights (q U, q V) and curvature
+    q (|Hc|^2 max U + |Hr|^2 max V) of the TV majorizer anchored at ``img``,
+    from one pass over each difference image.
 
     Hc and Hr are the column- and row-direction differences; the diagonal
     weights (d^2 + eps)^((q-2)/2) of each difference image d lie in
-    (0, eps^((q-2)/2)] and shrink where the local difference is large.
+    (0, eps^((q-2)/2)] and shrink where the local difference is large.  The
+    value is sum u (d^2 + eps), one power per difference image.  The
+    majorizer's gradient at any point is :func:`tv_majorizer_grad`.
     """
     e = (cfg.q - 2) / 2
     i, j = img.shape
-    dc, dr = col_diff(img), row_diff(img)
-    u = (dc**2 + cfg.epsilon) ** e
-    v = (dr**2 + cfg.epsilon) ** e
+    value, weights = 0.0, []
+    for sq in (col_diff(img), row_diff(img)):
+        sq *= sq  # d^2 + eps, written over the difference image d
+        sq += cfg.epsilon
+        u = sq**e
+        value += float(np.vdot(u, sq))
+        u *= cfg.q
+        weights.append(u)
+    u, v = weights
     curv = diff_norm(j) ** 2 * float(u.max()) + diff_norm(i) ** 2 * float(v.max())
-    u *= dc
-    v *= dr
-    return cfg.q * (col_diff_adjoint(u) + row_diff_adjoint(v)), cfg.q * curv
+    return value, (u, v), curv
+
+
+def tv_majorizer_grad(weights, img):
+    """Gradient q (Hc' U Hc + Hr' V Hr) img at ``img`` of the TV majorizer of
+    weights (q U, q V)."""
+    u, v = weights
+    return col_diff_adjoint(u * col_diff(img)) + row_diff_adjoint(v * row_diff(img))

@@ -21,7 +21,14 @@ None or a linear map whose value the driver carries.  One driver serves both
 solvers: it moves each block 1/L from its anchor, projected onto the
 nonnegative orthant if ``project``, so the unaccelerated iteration decreases
 the objective monotonically.  Nesterov extrapolation is applied per block by
-default; gradients, reweighting and bounds are all evaluated at the anchor.
+default; gradients and bounds are evaluated at the anchor.  The penalties'
+majorizers are anchored at the iterate the objective last scored (block
+successive upper-bound minimization, Razaviyayn, Hong & Luo 2013; with
+extrapolation as in Xu & Yin 2013): without extrapolation that iterate is
+the anchor, so the plain iteration is the exact gradient step; with it the
+penalty gradient is p W(X) Z, that of the majorizer at X, where Z is the
+extrapolated anchor.  Accelerated regularized runs therefore differ from
+releases that reweighted at Z.
 
 The objective and every step take the factors (S, C, T) themselves; T is
 the coarse block in the blind problem and (P2 kron P1) S otherwise.  The maps
@@ -29,12 +36,13 @@ block and the coarse block share one image-block term, the Gram-form fit
 X M'M - Y M plus the map penalties, so no full-size residual is built for a
 gradient; both products are formed a chunk of rows at a time and added to
 the gradient while in cache.  Each penalty contributes through its own
-majorizer in ``regularizers``, which returns the gradient and curvature for
-one map; the solver only weights and sums them over the terms.  The maps step of the
-known problem adds the HSI fit carried back through (P2 kron P1)'; the
-coarse step is the same term without TV.
+majorizer in ``regularizers``, which gives a map's penalty value, weights
+and curvature from one factorization, and the majorizer's gradient at any
+point from the weights; the solver only weights and sums them over the
+terms.  The maps step of the known problem adds the HSI fit carried back
+through (P2 kron P1)'; the coarse step is the same term without TV.
 
-Two kinds of products are shared.  The driver carries (P2 kron P1) S as the
+Three kinds of products are shared.  The driver carries (P2 kron P1) S as the
 maps' image: it applies the operator once per maps update, to the new
 projected maps, and extrapolates the image with the maps' own coefficient,
 so the next maps step reads the anchor's image without applying the
@@ -48,7 +56,11 @@ image once for the objective and the spectra gradient together.  The
 objective returns these Grams and the driver hands them to the next sweep.
 The objective keeps the residual form: a Gram form cancels |Y|^2 against
 nearly equal terms and loses its accuracy, and even its sign, near an exact
-fit.
+fit.  And the objective forms each penalty's majorizer at the iterate it
+scores, from the factorization that gives the penalty's value (one eigh
+per map for Schatten, one pair of difference images for TV); the driver
+hands the weights to the next sweep, whose maps and coarse steps only apply
+them at their anchors.
 
 After the first sweep the iteration allocates no factor-sized array (the
 penalties' majorizers still allocate their own per-map arrays).  The driver
@@ -73,6 +85,7 @@ without a copy.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -85,9 +98,9 @@ from .regularizers import (
     SchattenConfig,
     TvConfig,
     schatten_majorizer,
-    schatten_value,
+    schatten_majorizer_grad,
     tv_majorizer,
-    tv_value,
+    tv_majorizer_grad,
 )
 from .tensors import check_int, ensure_finite, refold, unfold
 
@@ -120,8 +133,15 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("ridge_weight", "tv_weight", "lowrank_weight", "rel_tol"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value >= 0)):
+                raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
+        for name, kind in (("schatten", SchattenConfig), ("tv", TvConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(
+                    f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if not isinstance(self.accelerate, (bool, np.bool_)):
+            raise ValueError(f"accelerate must be a bool, got {self.accelerate!r}")
         if self.max_iters is not None:
             check_int("max_iters", self.max_iters, 0)
         check_int("seed", self.seed, 0)
@@ -266,49 +286,61 @@ def _maps_as_images(maps, shape):
 
 
 def _penalties(cfg, with_tv):
-    """The active map penalties as (weight, value, majorizer, params); the
-    coarse block (``with_tv`` False) carries no TV term."""
+    """The active map penalties as (weight, majorizer, majorizer gradient,
+    params); the coarse block (``with_tv`` False) carries no TV term."""
     return [
         term
         for term in (
-            (cfg.tv_weight if with_tv else 0.0, tv_value, tv_majorizer, cfg.tv),
-            (cfg.lowrank_weight, schatten_value, schatten_majorizer, cfg.schatten),
+            (cfg.tv_weight if with_tv else 0.0, tv_majorizer, tv_majorizer_grad, cfg.tv),
+            (cfg.lowrank_weight, schatten_majorizer, schatten_majorizer_grad, cfg.schatten),
         )
         if term[0] > 0
     ]
 
 
-def _penalty_value(maps, shape, cfg, with_tv=True):
+def _reweight(maps, shape, cfg, with_tv=True):
+    """Value of the map penalties at ``maps`` and their majorizers anchored
+    there, from one factorization per map and penalty.
+
+    Returns (value, majorizers) with ``majorizers`` = (terms, curvature):
+    one (weight, majorizer gradient, per-map weights) per active penalty, and
+    the sum over penalties of weight * max_r curvature_r.  With no penalty on
+    it is (0.0, ([], 0.0)) and the maps are not read.
+    """
     penalties = _penalties(cfg, with_tv)
     total = 0.0
     if not penalties:
-        return total
+        return total, ([], 0.0)
     cube = _maps_as_images(maps, shape)
-    for r in range(maps.shape[1]):
-        for weight, value, _, params in penalties:
-            total += weight * value(cube[:, :, r], params)
-    return total
-
-
-def _map_penalties(maps, shape, cfg, with_tv, grad):
-    """Add the regularizer gradient at ``maps`` into ``grad``; return the
-    curvature its majorizers induce.
-
-    The curvature is the sum over penalties of weight * max_r curvature_r,
-    each per-term pair from the penalty's majorizer; 0.0 with no penalty on.
-    """
-    penalties = _penalties(cfg, with_tv)
-    if not penalties:
-        return 0.0
-    cube = _maps_as_images(maps, shape)
-    grad_cube = _maps_as_images(grad, shape)  # a view: each term is written into grad
+    weights = [[] for _ in penalties]
     curvs = [0.0] * len(penalties)
     for r in range(maps.shape[1]):
-        for k, (weight, _, majorizer, params) in enumerate(penalties):
-            g, curv = majorizer(cube[:, :, r], params)
-            grad_cube[:, :, r] += weight * g
+        for k, (weight, majorizer, _, params) in enumerate(penalties):
+            value, w, curv = majorizer(cube[:, :, r], params)
+            total += weight * value
+            weights[k].append(w)
             curvs[k] = max(curvs[k], curv)
-    return sum(term[0] * curv for term, curv in zip(penalties, curvs))
+    terms = [(weight, grad, ws) for (weight, _, grad, _), ws in zip(penalties, weights)]
+    return total, (terms, sum(term[0] * curv for term, curv in zip(penalties, curvs)))
+
+
+def _map_penalties(maps, shape, cfg, with_tv, grad, majorizers=None):
+    """Add the gradient at ``maps`` of the penalties' majorizers into
+    ``grad``; return the curvature they induce.
+
+    ``majorizers`` are those :func:`_reweight` formed at an anchor (the
+    solver's last scored iterate); when None they are formed at ``maps``,
+    where their gradient is the penalties' own.
+    """
+    terms, curv = _reweight(maps, shape, cfg, with_tv)[1] if majorizers is None else majorizers
+    if not terms:
+        return curv
+    cube = _maps_as_images(maps, shape)
+    grad_cube = _maps_as_images(grad, shape)  # a view: each term is written into grad
+    for r in range(maps.shape[1]):
+        for weight, majorizer_grad, weights in terms:
+            grad_cube[:, :, r] += weight * majorizer_grad(weights[r], cube[:, :, r])
+    return curv
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +412,26 @@ class _Work:
 
 
 def objective(maps, spectra, data, cfg, coarse, chunk=None):
-    """Full objective at (S, C, T), and the fit Grams ((T'T, T'Yh), (S'S, S'Ym))
-    that :func:`spectra_step` reads.  T is (P2 kron P1) S with known
-    operators; in the blind problem it is the coarse block and carries its
-    own Schatten term.  Both fits are residual-form passes (:func:`_fit_pass`)."""
+    """Full objective at (S, C, T), the fit Grams ((T'T, T'Yh), (S'S, S'Ym))
+    that :func:`spectra_step` reads, and the penalties' majorizers anchored at
+    (S, T) that :func:`maps_step` and :func:`coarse_step_blind` read.
+
+    T is (P2 kron P1) S with known operators, and its majorizers are None; in
+    the blind problem it is the coarse block and carries its own Schatten
+    term.  Both fits are residual-form passes (:func:`_fit_pass`); each
+    penalty's value and majorizer come from one factorization
+    (:func:`_reweight`)."""
     f, hsi_grams = _fit_pass(coarse, spectra, data.hsi_mat, chunk)
     msi_fit, msi_grams = _fit_pass(maps, data.pm @ spectra, data.msi_mat, chunk)
     f += msi_fit
     f += 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
-    f += _penalty_value(maps, data.sri_dims[:2], cfg)
+    penalty, maps_majorizers = _reweight(maps, data.sri_dims[:2], cfg)
+    f += penalty
+    coarse_majorizers = None
     if data.ops is None:
-        f += _penalty_value(coarse, data.hsi_dims, cfg, with_tv=False)
-    return f, (hsi_grams, msi_grams)
+        penalty, coarse_majorizers = _reweight(coarse, data.hsi_dims, cfg, with_tv=False)
+        f += penalty
+    return f, (hsi_grams, msi_grams), (maps_majorizers, coarse_majorizers)
 
 
 def spectra_step(spectra, grams, data, cfg):
@@ -429,23 +469,26 @@ def _add_fit_grad(x, m, target, out, chunk):
     return out
 
 
-def _image_block(x, m, target, shape, cfg, with_tv, out, chunk):
+def _image_block(x, m, target, shape, cfg, with_tv, out, chunk, majorizers):
     """Gradient, added into ``out``, and curvature bound of an image block X
     (maps or coarse maps of size ``shape``): the fit 1/2 |target - X M'|^2 plus
     the map penalties, whose gradient and curvature are those of their
-    majorizers at X."""
+    ``majorizers`` (formed at X when None) at X."""
     _add_fit_grad(x, m, target, out, chunk)
-    curv = _map_penalties(x, shape, cfg, with_tv, out)
+    curv = _map_penalties(x, shape, cfg, with_tv, out, majorizers)
     return out, _sq_norm(m) + curv
 
 
-def maps_step(maps, spectra, data, cfg, coarse=None, out=None, work=None):
+def maps_step(maps, spectra, data, cfg, coarse=None, out=None, work=None, majorizers=None):
     """Maps-block gradient and curvature bound.
 
     The data gradient is S M'M - Ym M with M = PM C; with known spatial
     operators it adds P_H'(T C'C - Yh C), T = P_H S given as ``coarse``, and
-    the bound |C|^2 |P_H|^2.  The gradient is written into ``out`` and the
-    intermediates into ``work`` (a :class:`_Work`); either is allocated when None.
+    the bound |C|^2 |P_H|^2.  The penalties enter through ``majorizers``, as
+    :func:`objective` returns them for the maps; when None they are anchored
+    at ``maps``, so the gradient is the objective's.  The gradient is written
+    into ``out`` and the intermediates into ``work`` (a :class:`_Work`);
+    either is allocated when None.
     """
     out = np.empty(maps.shape, order="F") if out is None else out
     work = _Work(data, maps.shape[1]) if work is None else work
@@ -459,18 +502,18 @@ def maps_step(maps, spectra, data, cfg, coarse=None, out=None, work=None):
         _apply_ph_t(hsi_grad, data.ops.p1, data.ops.p2, out, work.mid)
         l_hsi = _sq_norm(spectra) * data.ph_gram_norm
     g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], cfg,
-                        True, out, work.chunk)
+                        True, out, work.chunk, majorizers)
     return g, l + l_hsi
 
 
-def coarse_step_blind(coarse, spectra, data, cfg, out=None, work=None):
+def coarse_step_blind(coarse, spectra, data, cfg, out=None, work=None, majorizers=None):
     """Coarse-block gradient and curvature bound: HSI fit plus Schatten, no
-    TV; ``out`` and ``work`` as in :func:`maps_step`."""
+    TV; ``out``, ``work`` and ``majorizers`` as in :func:`maps_step`."""
     out = np.empty(coarse.shape, order="F") if out is None else out
     work = _Work(data, coarse.shape[1]) if work is None else work
     out.fill(0.0)
     return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, cfg, False, out,
-                        work.chunk)
+                        work.chunk, majorizers)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +581,14 @@ def _run(factors, blocks, value, cfg, max_iters):
     with the block: ``images[b] = image(factors[b], out)`` is taken once per
     update, after projection, and the anchor's image is extrapolated from the
     last two images with the anchor's own coefficient.  ``value(factors,
-    images)`` returns the objective and the Grams it formed on the way;
-    ``step(anchor, anchor_image, factors, images, grams, out)`` returns the
-    gradient at the anchor and its curvature bound L, the other factors at
-    their current values and ``grams`` those of the last objective, so they
-    hold for the factors no earlier block of the sweep has moved.  The block
+    images)`` returns the objective and the Grams and majorizers it formed on
+    the way; ``step(anchor, anchor_image, factors, images, grams, majorizers,
+    out)`` returns the gradient at the anchor and its curvature bound L, the
+    other factors at their current values and ``grams`` and ``majorizers``
+    those of the last objective.  So the Grams hold for the factors no
+    earlier block of the sweep has moved, and each block's majorizers are
+    anchored at the block's last scored iterate, the point its anchor is
+    extrapolated from (the anchor itself without extrapolation).  The block
     moves 1/L from the anchor, projected onto x >= 0 if ``project``.
 
     The driver owns three arrays per block (the factor, the anchor and a
@@ -560,11 +606,12 @@ def _run(factors, blocks, value, cfg, max_iters):
     spares = [np.empty_like(x) for x in factors]
     gammas = [1.0] * len(factors)
     trace = _Trace()
-    f, grams = value(factors, images)
+    f, grams, majorizers = value(factors, images)
     trace.record(f)
     for _ in range(max_iters):
         for b, (step, project, image) in enumerate(blocks):
-            grad, lip = step(anchors[b], anchor_images[b], factors, images, grams, spares[b])
+            grad, lip = step(anchors[b], anchor_images[b], factors, images, grams, majorizers,
+                             spares[b])
             new = apg_step(anchors[b], grad, 1.0 / max(lip, _TINY), project)
             new_image = None if image is None else image(new, anchor_images[b])
             if cfg.accelerate:
@@ -576,7 +623,7 @@ def _run(factors, blocks, value, cfg, max_iters):
                 spares[b] = factors[b]
                 anchors[b], anchor_images[b] = new, new_image
             factors[b], images[b] = new, new_image
-        f, grams = value(factors, images)
+        f, grams, majorizers = value(factors, images)
         trace.record(f)
         if trace.stalled(cfg.rel_tol):
             return factors, trace, True
@@ -619,10 +666,11 @@ def _blocks(data, cfg, n_terms):
         p1, p2 = data.ops.p1, data.ops.p2
         ph, coarse_of = lambda s, out: _apply_ph(s, p1, p2, out, work.mid), lambda f, im: im[1]
     blocks = [
-        (lambda c, _, f, im, grams, out: spectra_step(c, grams, data, cfg), True, None),
-        (lambda s, t, f, im, grams, out: maps_step(s, f[0], data, cfg, t, out, work), True, ph),
-        (lambda t, _, f, im, grams, out: coarse_step_blind(t, f[0], data, cfg, out, work),
-         False, None),
+        (lambda c, _, f, im, grams, major, out: spectra_step(c, grams, data, cfg), True, None),
+        (lambda s, t, f, im, grams, major, out:
+         maps_step(s, f[0], data, cfg, t, out, work, major[0]), True, ph),
+        (lambda t, _, f, im, grams, major, out:
+         coarse_step_blind(t, f[0], data, cfg, out, work, major[1]), False, None),
     ]
     return (blocks[: 3 if data.ops is None else 2],
             lambda f, im: objective(f[1], f[0], data, cfg, coarse_of(f, im), work.chunk))

@@ -32,6 +32,24 @@ def central_gradient(fun, x, step=1e-6):
     return grad
 
 
+def dense_hessian(fun, x, step=1.0):
+    """Hessian of a quadratic scalar function over the entries of ``x``, by
+    central second differences, which are exact for a quadratic at any step."""
+    x = np.array(x, dtype=float)
+    n = x.size
+    hess = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a, n):
+            vals = []
+            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                y = x.flatten()
+                y[a] += sa * step
+                y[b] += sb * step
+                vals.append(fun(y.reshape(x.shape)))
+            hess[a, b] = hess[b, a] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4 * step**2)
+    return hess
+
+
 def rel_error(approx, exact):
     denom = max(float(np.linalg.norm(np.ravel(exact))), 1e-300)
     return float(np.linalg.norm(np.ravel(approx) - np.ravel(exact))) / denom

@@ -12,8 +12,10 @@ from hsrfuse.regularizers import (
     row_diff,
     row_diff_adjoint,
     schatten_majorizer,
+    schatten_majorizer_grad,
     schatten_value,
     tv_majorizer,
+    tv_majorizer_grad,
     tv_value,
 )
 
@@ -21,6 +23,7 @@ from _oracles import (
     central_gradient,
     circulant_diff,
     dense_diff,
+    dense_hessian,
     rel_error,
     schatten_by_svd,
     schatten_gradient,
@@ -132,7 +135,7 @@ def test_schatten_weight_spd_and_bounded():
     eigs = np.linalg.eigvalsh(w)
     assert eigs[0] > 0
     assert eigs[-1] <= CFG.tau ** ((CFG.p - 2) / 2) + 1e-12
-    assert schatten_majorizer(x, CFG)[1] == pytest.approx(CFG.p * eigs[-1], rel=1e-10)
+    assert schatten_majorizer(x, CFG)[2] == pytest.approx(CFG.p * eigs[-1], rel=1e-10)
 
 
 def test_schatten_majorizer_tangent_at_anchor():
@@ -271,14 +274,17 @@ def test_tv_majorizer_tangent_and_dominating():
 
 
 # ---------------------------------------------------------------------------
-# majorizers: gradient and curvature at the anchor
+# majorizers: value, weights and curvature at the anchor, gradient anywhere
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("sch", [CFG, SchattenConfig(p=0.8, tau=0.3)])
 def test_schatten_majorizer_gradient_and_curvature(sch):
     rng = np.random.default_rng(14)
     for x in (rng.normal(size=(4, 6)), rng.normal(size=(6, 3)) * 2):
-        grad, curv = schatten_majorizer(x, sch)
+        value, weight, curv = schatten_majorizer(x, sch)
+        assert value == pytest.approx(schatten_value(x, sch), rel=1e-12)
+        assert rel_error(weight, sch.p * schatten_weight(x, sch)) <= 1e-12
+        grad = schatten_majorizer_grad(weight, x)
         fd = central_gradient(lambda z: schatten_value(z, sch), x)
         assert rel_error(grad, fd) <= 1e-5
         assert rel_error(grad, schatten_gradient(x, sch)) <= 1e-12
@@ -290,14 +296,46 @@ def test_schatten_majorizer_gradient_and_curvature(sch):
 def test_tv_majorizer_gradient_and_curvature(tv):
     rng = np.random.default_rng(15)
     img = rng.normal(size=(5, 7))  # unequal sides: the row and column norms differ
-    grad, curv = tv_majorizer(img, tv)
+    value, weights, curv = tv_majorizer(img, tv)
+    assert value == pytest.approx(tv_value(img, tv), rel=1e-12)
+    u, v = tv_weights(img, tv)
+    assert rel_error(weights[0], tv.q * u) <= 1e-12 and rel_error(weights[1], tv.q * v) <= 1e-12
+    grad = tv_majorizer_grad(weights, img)
     fd = central_gradient(lambda z: tv_value(z, tv), img)
     assert rel_error(grad, fd) <= 1e-5
     assert rel_error(grad, tv_gradient(img, tv)) <= 1e-12
-    u, v = tv_weights(img, tv)
     rows_sq = np.linalg.svd(circulant_diff(5), compute_uv=False)[0] ** 2
     cols_sq = np.linalg.svd(circulant_diff(7), compute_uv=False)[0] ** 2
     assert curv == pytest.approx(tv.q * (cols_sq * u.max() + rows_sq * v.max()), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [16, 17])
+def test_majorizer_gradients_away_from_the_anchor(seed):
+    # the solver forms each majorizer at the iterate its objective scores and
+    # applies it at an extrapolated anchor: there the gradient is that of the
+    # surrogate anchored at the iterate, not the penalty's, and the returned
+    # curvature bounds the surrogate's Hessian everywhere
+    rng = np.random.default_rng(seed)
+    sch, tv = SchattenConfig(p=0.6, tau=0.5), TvConfig(q=0.7, epsilon=0.02)
+    x = rng.normal(size=(5, 6))
+    z = x + rng.normal(size=x.shape)
+
+    _, weight, curv = schatten_majorizer(x, sch)
+    w = schatten_weight(x, sch)
+    surrogate = lambda y: schatten_majorizer_value(y, w, sch)  # noqa: E731
+    grad = schatten_majorizer_grad(weight, z)
+    assert rel_error(grad, central_gradient(surrogate, z)) <= 1e-6
+    assert rel_error(grad, schatten_gradient(z, sch)) > 1e-3
+    hess = dense_hessian(surrogate, x)
+    assert curv >= np.linalg.eigvalsh(hess)[-1] * (1 - 1e-12)
+
+    _, weights, curv = tv_majorizer(x, tv)
+    surrogate = lambda y: tv_majorizer_value(y, x, tv)  # noqa: E731
+    grad = tv_majorizer_grad(weights, z)
+    assert rel_error(grad, central_gradient(surrogate, z)) <= 1e-6
+    assert rel_error(grad, tv_gradient(z, tv)) > 1e-3
+    hess = dense_hessian(surrogate, x)
+    assert curv >= np.linalg.eigvalsh(hess)[-1] * (1 - 1e-12)
 
 
 def test_tv_config_validation():

@@ -33,12 +33,14 @@ def test_script_runs_and_writes_its_csv(tmp_path, script, header, rows):
 
 
 def test_trace_compare_fails_on_groups_above_the_tolerance(tmp_path):
-    # two recordings whose noisy traces differ by 1e-9 relative and whose
+    # two recordings whose accelerated unregularized noisy traces differ by
+    # 1e-9 relative, whose regularized ones (rising once) agree and whose
     # cli96 estimates agree; a metric difference belongs to no group
     old, new = tmp_path / "old.npz", tmp_path / "new.npz"
     trace = np.array([4.0, 2.0, 1.0])
     arrays = {
         "noisy0/fuse/accel/none/trace": trace,
+        "noisy0/fuse_blind/accel/reg/trace": np.array([4.0, 2.0, 3.0]),
         "noisy0/fuse/accel/none/metrics/rsnr_db": np.array(20.0),
         "cli96/estimate": np.ones((2, 2, 2)),
     }
@@ -57,7 +59,9 @@ def test_trace_compare_fails_on_groups_above_the_tolerance(tmp_path):
     strict = compare("--max-rel-diff", "1e-12")
     assert strict.returncode == 1, strict.stderr
     failed = [line for line in strict.stdout.splitlines() if line.startswith("FAIL")]
-    assert len(failed) == 1 and failed[0].startswith("FAIL noisy traces:")
+    assert len(failed) == 1 and failed[0].startswith("FAIL noisy accel/none traces:")
+    rises = [line.split() for line in strict.stdout.splitlines() if line.startswith("rises")]
+    assert sorted(line[-3:] for line in rises) == [["0", "->", "0"], ["1", "->", "1"]]
     for run in (compare("--max-rel-diff", "1e-6"), compare()):
         assert run.returncode == 0, run.stderr
         assert not any(line.startswith("FAIL") for line in run.stdout.splitlines())

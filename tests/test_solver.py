@@ -245,8 +245,8 @@ def test_blind_model_with_tied_coarse_block_is_the_known_model():
     for seed in range(8):
         data, blind, maps, spectra, _ = random_instance(seed + 30)
         image = tied(maps, data)
-        known_f, known_grams = objective(maps, spectra, data, cfg, image)
-        blind_f, blind_grams = objective(maps, spectra, blind, cfg, image)
+        known_f, known_grams, _ = objective(maps, spectra, data, cfg, image)
+        blind_f, blind_grams, _ = objective(maps, spectra, blind, cfg, image)
         assert known_f == blind_f
         assert np.array_equal(
             spectra_step(spectra, known_grams, data, cfg)[0],
@@ -561,7 +561,9 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     # three sweeps by hand from the block steps the gradient and bound tests
     # check: the first momentum coefficient is 0, so only the third sweep
     # takes a gradient at an extrapolated anchor; the second makes the blind
-    # spectra depend on the coarse update
+    # spectra depend on the coarse update.  Accelerated, the map steps apply
+    # the majorizers the last objective formed at the iterate; plain, they
+    # form their own at the anchor, which is that iterate.
     _, _, ops, hsi, msi = consistent_instance(seed=11, dims=(8, 8, 8), snr_db=25.0)
     cfg = SolverConfig(
         ridge_weight=0.05, tv_weight=0.02, lowrank_weight=0.02,
@@ -581,14 +583,17 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     def sweeps(factors, steps, value, image=None):
         # Nesterov momentum written out here, not taken from extrapolate; the
         # maps (b = 1) carry image(maps), moved with the maps' coefficient.
-        # A step reads (anchor, factors, anchor's image, fit Grams); the Grams
-        # come from the objective at the end of the last sweep.
+        # A step reads (anchor, factors, anchor's image, fit Grams, majorizers);
+        # the Grams and majorizers come from the objective at the end of the
+        # last sweep.
         anchors, gammas = list(factors), [1.0] * len(factors)
         carried = anchor_carried = None if image is None else image(factors[1])
         for _ in range(3):
-            grams = value(factors, carried)
+            grams, majorizers = value(factors, carried)
+            if not accelerate:
+                majorizers = (None, None)
             for b, step in enumerate(steps):
-                grad, lip = step(anchors[b], factors, anchor_carried, grams)
+                grad, lip = step(anchors[b], factors, anchor_carried, grams, majorizers)
                 new = apg_step(anchors[b], grad, 1.0 / lip, project=b < 2)
                 coef = None
                 if accelerate:
@@ -603,18 +608,19 @@ def test_solvers_run_the_verified_block_steps(accelerate):
         return factors
 
     want = sweeps([spectra, maps], [
-        lambda c, f, t_anchor, grams: spectra_step(c, grams, data, cfg),
-        lambda s, f, t_anchor, grams: maps_step(s, f[0], data, cfg, t_anchor),
-    ], lambda f, t: objective(f[1], f[0], data, cfg, t)[1],
+        lambda c, f, t_anchor, grams, major: spectra_step(c, grams, data, cfg),
+        lambda s, f, t_anchor, grams, major:
+            maps_step(s, f[0], data, cfg, t_anchor, majorizers=major[0]),
+    ], lambda f, t: objective(f[1], f[0], data, cfg, t)[1:],
         image=lambda s: _apply_ph(s, ops.p1, ops.p2))
     got = fuse(hsi, msi, ops, 2, cfg, init=(maps, spectra))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
     want = sweeps([spectra, maps, coarse], [
-        lambda c, f, _, grams: spectra_step(c, grams, blind, cfg),
-        lambda s, f, *_: maps_step(s, f[0], blind, cfg),
-        lambda t, f, *_: coarse_step_blind(t, f[0], blind, cfg),
-    ], lambda f, _: objective(f[1], f[0], blind, cfg, f[2])[1])
+        lambda c, f, _, grams, major: spectra_step(c, grams, blind, cfg),
+        lambda s, f, _, grams, major: maps_step(s, f[0], blind, cfg, majorizers=major[0]),
+        lambda t, f, _, grams, major: coarse_step_blind(t, f[0], blind, cfg, majorizers=major[1]),
+    ], lambda f, _: objective(f[1], f[0], blind, cfg, f[2])[1:])
     got = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=(maps, spectra, coarse))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
@@ -649,6 +655,31 @@ def test_fuse_applies_each_spatial_product_once_per_iteration(monkeypatch, accel
     iters = 7
     fuse(hsi, msi, ops, 2, SolverConfig(max_iters=iters, rel_tol=0.0, accelerate=accelerate))
     assert calls == {"_apply_ph": iters + 1, "_apply_ph_t": iters}
+
+
+@pytest.mark.parametrize("accelerate", [False, True])
+def test_solvers_factor_each_map_once_per_objective(monkeypatch, accelerate):
+    # each objective forms every penalty's majorizer at the iterate it scores,
+    # from one eigh per map-sized (8 x 8) and, blind, per coarse-sized (4 x 4)
+    # Gram, and the steps of the next sweep only apply them; eigvalsh is left
+    # to the terms-sized (2 x 2) Grams of the step bounds
+    _, _, ops, hsi, msi = consistent_instance(seed=13, dims=(8, 8, 8), snr_db=25.0)
+    iters, n_terms = 5, 2
+    cfg = SolverConfig(ridge_weight=0.05, tv_weight=0.02, lowrank_weight=0.02,
+                       max_iters=iters, rel_tol=0.0, accelerate=accelerate)
+    for blind, want in ((False, {(8, 8): n_terms * (iters + 1)}),
+                        (True, {(8, 8): n_terms * (iters + 1), (4, 4): n_terms * (iters + 1)})):
+        calls = {"eigh": {}, "eigvalsh": {}}
+        for name, shapes in calls.items():
+            def counted(mat, *args, _shapes=shapes, _apply=getattr(np.linalg, name)):
+                _shapes[mat.shape] = _shapes.get(mat.shape, 0) + 1
+                return _apply(mat, *args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_solver(hsi, msi, ops, blind, cfg)
+        monkeypatch.undo()
+        assert calls["eigh"] == want
+        assert set(calls["eigvalsh"]) == {(n_terms, n_terms)}
 
 
 @pytest.mark.parametrize("accelerate", [False, True])
@@ -795,3 +826,26 @@ def test_solver_config_validation():
         fuse(hsi, msi, ops, 2.0, SolverConfig(max_iters=1))
     report = fuse(hsi, msi, ops, np.int32(2), SolverConfig(max_iters=np.int64(1), seed=np.int64(1)))
     assert report.maps.shape == (64, 2) and report.iterations == 1
+
+
+@pytest.mark.parametrize("name, fields", [
+    # each was accepted and either ran with another meaning (a truthy string
+    # turned extrapolation on, True was read as 1) or failed mid-solve
+    # without naming the field
+    ("accelerate", dict(accelerate="no")),
+    ("accelerate", dict(accelerate=1)),
+    ("schatten", dict(lowrank_weight=1, schatten=None)),
+    ("tv", dict(tv_weight=1, tv=None)),
+    ("schatten", dict(schatten=TvConfig())),
+    ("ridge_weight", dict(ridge_weight="1")),
+    ("tv_weight", dict(tv_weight=None)),
+    ("rel_tol", dict(rel_tol=True)),
+])
+def test_solver_config_rejects_wrong_types(name, fields):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**fields)
+
+
+def test_solver_config_accepts_numpy_scalars():
+    cfg = SolverConfig(ridge_weight=np.float32(0.5), rel_tol=1, accelerate=np.bool_(False))
+    assert cfg.rel_tol == 1 and not cfg.accelerate
