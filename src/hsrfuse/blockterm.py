@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .tensors import check_int, refold
+from .tensors import check_int, refold, unfold
 
 # Recovery condition labels, returned verbatim in failure lists.
 COND_MSI_PIXELS = "msi_pixels >= L**2 * R"
@@ -53,23 +53,14 @@ class BlockTermFactors:
             )
 
     @property
-    def n_terms(self):
-        return self.spectra.shape[1]
-
-    @property
     def dims(self):
         """(I, J, K) of the reconstructed tensor."""
         return (self.maps.shape[0], self.maps.shape[1], self.spectra.shape[0])
 
-    def maps_matrix(self):
-        """Stack the maps as an (I*J, R) matrix, column r = vec(maps[:, :, r])."""
-        i, j, r = self.maps.shape
-        return np.reshape(self.maps, (i * j, r), order="F")
-
 
 def reconstruct(factors):
     """Assemble the (I, J, K) tensor Y[i,j,k] = sum_r maps[i,j,r] spectra[k,r]."""
-    return refold(factors.maps_matrix() @ factors.spectra.T, factors.dims)
+    return refold(unfold(factors.maps) @ factors.spectra.T, factors.dims)
 
 
 def random_blockterm(dims, n_terms, term_rank, seed=0, nonneg=True):

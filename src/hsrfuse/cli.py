@@ -17,6 +17,7 @@ from .degradation import DegradationOps, add_noise, degrade_spatial, degrade_spe
 from .errors import ConfigError, DimensionError, NumericalError
 from .fileio import (
     load_config,
+    parse_dims,
     read_htf,
     read_matrix_csv,
     require_input,
@@ -226,7 +227,6 @@ def _run_fusion(cfg, solve, mode):
     if cfg.reference is not None:
         reference = read_htf(require_input(cfg.reference, "inputs.reference"))
         metrics = evaluate(reference, report.sri, ratio=cfg.blur.ratio)
-        report.metrics = metrics
     out = _outdir(cfg)
     write_htf(out / "SRI.htf", report.sri)
     _write_trace(out / "trace.csv", report.objective_trace, report.elapsed)
@@ -296,8 +296,13 @@ def cmd_evaluate(args):
 
 
 def cmd_check(args):
-    msi_rows, msi_cols = _parse_pair(args.msi_dims, "--msi-dims")
-    hsi_rows, hsi_cols = _parse_pair(args.hsi_dims, "--hsi-dims")
+    dims = []
+    for flag, text in (("--msi-dims", args.msi_dims), ("--hsi-dims", args.hsi_dims)):
+        try:
+            dims += parse_dims(text, 2)
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from exc
+    msi_rows, msi_cols, hsi_rows, hsi_cols = dims
     result = check_recoverability(
         RecoverabilityQuery(
             msi_rows=msi_rows,
@@ -322,16 +327,6 @@ def cmd_check(args):
         )
     )
     return 0
-
-
-def _parse_pair(text, what):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{what} expects two comma-separated integers, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
 
 
 if __name__ == "__main__":

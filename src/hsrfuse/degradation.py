@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensors import check_int, ensure_finite
+from .tensors import check_int, check_real, ensure_finite
 
 _RANK_TOL = 1e-10
 
@@ -37,7 +37,7 @@ class BlurSpec:
     def __post_init__(self):
         if check_int("kernel_width", self.kernel_width, 1) % 2 == 0:
             raise ValueError("kernel_width must be a positive odd integer")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
+        if not (math.isfinite(check_real("sigma", self.sigma)) and self.sigma > 0):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         check_int("ratio", self.ratio, 1)
         if self.boundary not in ("circular", "reflect"):
@@ -166,7 +166,7 @@ def degrade_spectral(sri, ops):
 
 def check_snr_db(snr_db):
     """Reject a noise level :func:`add_noise` cannot calibrate: NaN or -inf."""
-    if math.isnan(snr_db) or snr_db == -math.inf:
+    if math.isnan(check_real("snr_db", snr_db)) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
 
 

@@ -26,6 +26,7 @@ from .degradation import BlurSpec, check_snr_db
 from .errors import ConfigError, DimensionError, FileFormatError
 from .regularizers import SchattenConfig, TvConfig
 from .solver import SolverConfig
+from .tensors import check_int
 
 HTF_MAGIC = b"HTF1"
 
@@ -138,9 +139,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("rank", "term_rank"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value}")
+            if getattr(self, name) is not None:
+                check_int(name, getattr(self, name), 1)
         check_snr_db(self.snr_db)
 
     def fingerprint(self):
@@ -164,10 +164,11 @@ class RunConfig:
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def parse_dims(text):
+def parse_dims(text, count=3):
+    """Parse ``count`` comma-separated positive integers into a tuple."""
     parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"dims must be three comma-separated integers, got {text!r}")
+    if len(parts) != count:
+        raise ConfigError(f"dims must be {count} comma-separated integers, got {text!r}")
     try:
         dims = tuple(int(p) for p in parts)
     except ValueError as exc:

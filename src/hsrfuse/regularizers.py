@@ -17,15 +17,19 @@ value there, the majorizer's weights and a bound on its curvature;
 any point, giving the majorizer's gradient there (the penalty's own gradient
 at the anchor).  The solver anchors the majorizers at the iterate its
 objective scores and only weights and sums them over the terms.  This module
-holds what the solver evaluates: the majorizers, the matrix-free difference
-operators and the plain values.  The reweighting matrices, the majorizer
-values and the dense circulant matrix that check them live with the tests.
+holds what the solver evaluates: the majorizers and the matrix-free
+difference operator; a penalty's value is the first return of its majorizer.
+The reweighting matrices, the majorizer values, the penalty values by SVD
+and by loops, and the dense circulant matrix that check them live with the
+tests.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensors import check_real
 
 
 @dataclass
@@ -37,9 +41,9 @@ class SchattenConfig:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.p <= 1:
+        if not 0 < check_real("p", self.p) <= 1:
             raise ValueError("p must lie in (0, 1]")
-        if not (math.isfinite(self.tau) and self.tau > 0):
+        if not (math.isfinite(check_real("tau", self.tau)) and self.tau > 0):
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
 
 
@@ -51,9 +55,9 @@ class TvConfig:
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        if not 0 < self.q <= 2:
+        if not 0 < check_real("q", self.q) <= 2:
             raise ValueError("q must lie in (0, 2]")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+        if not (math.isfinite(check_real("epsilon", self.epsilon)) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
@@ -66,35 +70,19 @@ def diff_norm(n):
     return 2.0 * math.sin(math.pi * (n // 2) / n)
 
 
-def row_diff(img):
-    """Circular difference along the first (row) axis."""
-    return img - np.roll(img, -1, axis=0)
+def diff(img, axis):
+    """Circular first difference along ``axis``: img - roll(img, -1, axis)."""
+    return img - np.roll(img, -1, axis=axis)
 
 
-def row_diff_adjoint(img):
-    return img - np.roll(img, 1, axis=0)
-
-
-def col_diff(img):
-    """Circular difference along the second (column) axis."""
-    return img - np.roll(img, -1, axis=1)
-
-
-def col_diff_adjoint(img):
-    return img - np.roll(img, 1, axis=1)
+def diff_adjoint(img, axis):
+    """Adjoint of :func:`diff`: img - roll(img, 1, axis)."""
+    return img - np.roll(img, 1, axis=axis)
 
 
 # ---------------------------------------------------------------------------
 # smoothed Schatten-p penalty
 # ---------------------------------------------------------------------------
-
-def schatten_value(x, cfg):
-    """sum_i (sigma_i(X)^2 + tau)^(p/2) over all row-count many sigma_i."""
-    x = np.atleast_2d(x)
-    lam = np.linalg.eigvalsh(x @ x.T)
-    lam = np.maximum(lam, 0.0) + cfg.tau
-    return float(np.sum(lam ** (cfg.p / 2)))
-
 
 def schatten_majorizer(x, cfg):
     """Value at X, weight p W and curvature p sigma_max(W) of the Schatten
@@ -121,17 +109,6 @@ def schatten_majorizer_grad(weight, z):
 # smoothed lq total variation
 # ---------------------------------------------------------------------------
 
-def _lq_smooth(z, q, eps):
-    return float(np.sum((z * z + eps) ** (q / 2)))
-
-
-def tv_value(img, cfg):
-    """Smoothed lq penalty of both circular difference images of ``img``."""
-    return _lq_smooth(col_diff(img), cfg.q, cfg.epsilon) + _lq_smooth(
-        row_diff(img), cfg.q, cfg.epsilon
-    )
-
-
 def tv_majorizer(img, cfg):
     """Value at ``img``, weights (q U, q V) and curvature
     q (|Hc|^2 max U + |Hr|^2 max V) of the TV majorizer anchored at ``img``,
@@ -146,7 +123,7 @@ def tv_majorizer(img, cfg):
     e = (cfg.q - 2) / 2
     i, j = img.shape
     value, weights = 0.0, []
-    for sq in (col_diff(img), row_diff(img)):
+    for sq in (diff(img, 1), diff(img, 0)):
         sq *= sq  # d^2 + eps, written over the difference image d
         sq += cfg.epsilon
         u = sq**e
@@ -162,4 +139,4 @@ def tv_majorizer_grad(weights, img):
     """Gradient q (Hc' U Hc + Hr' V Hr) img at ``img`` of the TV majorizer of
     weights (q U, q V)."""
     u, v = weights
-    return col_diff_adjoint(u * col_diff(img)) + row_diff_adjoint(v * row_diff(img))
+    return diff_adjoint(u * diff(img, 1), 1) + diff_adjoint(v * diff(img, 0), 0)

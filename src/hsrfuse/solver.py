@@ -59,8 +59,9 @@ nearly equal terms and loses its accuracy, and even its sign, near an exact
 fit.  And the objective forms each penalty's majorizer at the iterate it
 scores, from the factorization that gives the penalty's value (one eigh
 per map for Schatten, one pair of difference images for TV); the driver
-hands the weights to the next sweep, whose maps and coarse steps only apply
-them at their anchors.
+hands the weights to the next sweep, whose maps and coarse steps take them
+as an argument and only apply them at their anchors.  No step forms a
+majorizer of its own.
 
 After the first sweep the iteration allocates no factor-sized array (the
 penalties' majorizers still allocate their own per-map arrays).  The driver
@@ -85,7 +86,6 @@ without a copy.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -93,7 +93,6 @@ import numpy as np
 
 from .degradation import DegradationOps, _check_full_row_rank
 from .errors import DimensionError, NumericalError
-from .metrics import MetricReport
 from .regularizers import (
     SchattenConfig,
     TvConfig,
@@ -102,7 +101,7 @@ from .regularizers import (
     tv_majorizer,
     tv_majorizer_grad,
 )
-from .tensors import check_int, ensure_finite, refold, unfold
+from .tensors import check_int, check_real, ensure_finite, refold, unfold
 
 _TINY = np.finfo(float).tiny
 
@@ -132,9 +131,8 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("ridge_weight", "tv_weight", "lowrank_weight", "rel_tol"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not (math.isfinite(value) and value >= 0)):
+            value = check_real(name, getattr(self, name))
+            if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
         for name, kind in (("schatten", SchattenConfig), ("tv", TvConfig)):
             if not isinstance(getattr(self, name), kind):
@@ -157,7 +155,6 @@ class FusionReport:
     objective_trace: np.ndarray
     elapsed: np.ndarray
     converged: bool
-    metrics: MetricReport = None
 
     @property
     def iterations(self):
@@ -324,15 +321,11 @@ def _reweight(maps, shape, cfg, with_tv=True):
     return total, (terms, sum(term[0] * curv for term, curv in zip(penalties, curvs)))
 
 
-def _map_penalties(maps, shape, cfg, with_tv, grad, majorizers=None):
-    """Add the gradient at ``maps`` of the penalties' majorizers into
-    ``grad``; return the curvature they induce.
-
-    ``majorizers`` are those :func:`_reweight` formed at an anchor (the
-    solver's last scored iterate); when None they are formed at ``maps``,
-    where their gradient is the penalties' own.
-    """
-    terms, curv = _reweight(maps, shape, cfg, with_tv)[1] if majorizers is None else majorizers
+def _map_penalties(maps, shape, grad, majorizers):
+    """Add the gradient at ``maps`` of the penalties' ``majorizers``, as
+    :func:`_reweight` formed them at an anchor (the solver's last scored
+    iterate), into ``grad``; return the curvature they induce."""
+    terms, curv = majorizers
     if not terms:
         return curv
     cube = _maps_as_images(maps, shape)
@@ -469,26 +462,26 @@ def _add_fit_grad(x, m, target, out, chunk):
     return out
 
 
-def _image_block(x, m, target, shape, cfg, with_tv, out, chunk, majorizers):
+def _image_block(x, m, target, shape, majorizers, out, chunk):
     """Gradient, added into ``out``, and curvature bound of an image block X
     (maps or coarse maps of size ``shape``): the fit 1/2 |target - X M'|^2 plus
     the map penalties, whose gradient and curvature are those of their
-    ``majorizers`` (formed at X when None) at X."""
+    ``majorizers`` at X."""
     _add_fit_grad(x, m, target, out, chunk)
-    curv = _map_penalties(x, shape, cfg, with_tv, out, majorizers)
+    curv = _map_penalties(x, shape, out, majorizers)
     return out, _sq_norm(m) + curv
 
 
-def maps_step(maps, spectra, data, cfg, coarse=None, out=None, work=None, majorizers=None):
+def maps_step(maps, spectra, data, majorizers, coarse=None, out=None, work=None):
     """Maps-block gradient and curvature bound.
 
     The data gradient is S M'M - Ym M with M = PM C; with known spatial
     operators it adds P_H'(T C'C - Yh C), T = P_H S given as ``coarse``, and
-    the bound |C|^2 |P_H|^2.  The penalties enter through ``majorizers``, as
-    :func:`objective` returns them for the maps; when None they are anchored
-    at ``maps``, so the gradient is the objective's.  The gradient is written
-    into ``out`` and the intermediates into ``work`` (a :class:`_Work`);
-    either is allocated when None.
+    the bound |C|^2 |P_H|^2.  The penalties enter through ``majorizers``, the
+    maps' entry of those :func:`objective` returns; anchored at ``maps``, the
+    gradient is the objective's.  The gradient is written into ``out`` and
+    the intermediates into ``work`` (a :class:`_Work`); either is allocated
+    when None.
     """
     out = np.empty(maps.shape, order="F") if out is None else out
     work = _Work(data, maps.shape[1]) if work is None else work
@@ -501,19 +494,20 @@ def maps_step(maps, spectra, data, cfg, coarse=None, out=None, work=None, majori
         hsi_grad = _add_fit_grad(coarse, spectra, data.hsi_mat, work.coarse_grad, work.chunk)
         _apply_ph_t(hsi_grad, data.ops.p1, data.ops.p2, out, work.mid)
         l_hsi = _sq_norm(spectra) * data.ph_gram_norm
-    g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], cfg,
-                        True, out, work.chunk, majorizers)
+    g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], majorizers,
+                        out, work.chunk)
     return g, l + l_hsi
 
 
-def coarse_step_blind(coarse, spectra, data, cfg, out=None, work=None, majorizers=None):
+def coarse_step_blind(coarse, spectra, data, majorizers, out=None, work=None):
     """Coarse-block gradient and curvature bound: HSI fit plus Schatten, no
-    TV; ``out``, ``work`` and ``majorizers`` as in :func:`maps_step`."""
+    TV; ``majorizers`` (the coarse entry of those :func:`objective` returns),
+    ``out`` and ``work`` as in :func:`maps_step`."""
     out = np.empty(coarse.shape, order="F") if out is None else out
     work = _Work(data, coarse.shape[1]) if work is None else work
     out.fill(0.0)
-    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, cfg, False, out,
-                        work.chunk, majorizers)
+    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, majorizers, out,
+                        work.chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +662,9 @@ def _blocks(data, cfg, n_terms):
     blocks = [
         (lambda c, _, f, im, grams, major, out: spectra_step(c, grams, data, cfg), True, None),
         (lambda s, t, f, im, grams, major, out:
-         maps_step(s, f[0], data, cfg, t, out, work, major[0]), True, ph),
+         maps_step(s, f[0], data, major[0], t, out, work), True, ph),
         (lambda t, _, f, im, grams, major, out:
-         coarse_step_blind(t, f[0], data, cfg, out, work, major[1]), False, None),
+         coarse_step_blind(t, f[0], data, major[1], out, work), False, None),
     ]
     return (blocks[: 3 if data.ops is None else 2],
             lambda f, im: objective(f[1], f[0], data, cfg, coarse_of(f, im), work.chunk))

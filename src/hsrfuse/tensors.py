@@ -48,3 +48,10 @@ def check_int(name, value, minimum):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def check_real(name, value):
+    """Reject anything but a real number (numpy's included); bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value

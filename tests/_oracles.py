@@ -13,7 +13,6 @@ import numpy as np
 import scipy.linalg
 
 from hsrfuse.errors import DimensionError
-from hsrfuse.regularizers import col_diff, row_diff
 
 
 def central_gradient(fun, x, step=1e-6):
@@ -171,8 +170,9 @@ def tv_majorizer_value(img, anchor, cfg):
     w*d^2 + eps*w + ((2-q)/2)(2w/q)^(q/(q-2)); tight at img == anchor.
     """
     q, eps = cfg.q, cfg.epsilon
+    h_rows, h_cols = dense_diff(img.shape[0]), dense_diff(img.shape[1])
     total = 0.0
-    for diff in (col_diff, row_diff):
+    for diff in (lambda x: x @ h_cols.T, lambda x: h_rows @ x):
         d = diff(img)
         w = q / 2 * (diff(anchor) ** 2 + eps) ** ((q - 2) / 2)
         total += float(

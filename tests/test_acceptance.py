@@ -14,7 +14,7 @@ from hsrfuse.cli import main as cli_main
 from hsrfuse.degradation import BlurSpec, DegradationOps, add_noise, degrade_spatial, degrade_spectral
 from hsrfuse.fileio import read_matrix_csv, write_matrix_csv
 from hsrfuse.metrics import evaluate
-from hsrfuse.regularizers import SchattenConfig, TvConfig, schatten_value, tv_value
+from hsrfuse.regularizers import SchattenConfig, TvConfig, schatten_majorizer, tv_majorizer
 from hsrfuse.solver import (
     FusionData,
     SolverConfig,
@@ -117,15 +117,17 @@ def test_criterion_3_gradients_match_finite_differences():
         pairs = [
             (spectra_step(spectra, objective(maps, spectra, data, cfg, tied)[1], data, cfg)[0],
              central_gradient(lambda c: objective(maps, c, data, cfg, tied)[0], spectra)),
-            (maps_step(maps, spectra, data, cfg, tied)[0],
+            (maps_step(maps, spectra, data, objective(maps, spectra, data, cfg, tied)[2][0],
+                       tied)[0],
              central_gradient(
                  lambda s: objective(s, spectra, data, cfg, _apply_ph(s, ops.p1, ops.p2))[0],
                  maps)),
             (spectra_step(spectra, objective(maps, spectra, blind, cfg, coarse)[1], blind, cfg)[0],
              central_gradient(lambda c: objective(maps, c, blind, cfg, coarse)[0], spectra)),
-            (maps_step(maps, spectra, blind, cfg)[0],
+            (maps_step(maps, spectra, blind, objective(maps, spectra, blind, cfg, coarse)[2][0])[0],
              central_gradient(lambda s: objective(s, spectra, blind, cfg, coarse)[0], maps)),
-            (coarse_step_blind(coarse, spectra, blind, cfg)[0],
+            (coarse_step_blind(coarse, spectra, blind,
+                               objective(maps, spectra, blind, cfg, coarse)[2][1])[0],
              central_gradient(lambda t: objective(maps, spectra, blind, cfg, t)[0], coarse)),
         ]
         worst = max(worst, max(rel_error(g, fd) for g, fd in pairs))
@@ -145,16 +147,17 @@ def test_criterion_4_majorizers_tight_and_dominating():
     for _ in range(10):
         anchor = rng.normal(size=(5, 7)) * rng.uniform(0.2, 3)
         w = schatten_weight(anchor, sch)
-        val = schatten_value(anchor, sch)
+        val = schatten_majorizer(anchor, sch)[0]
         worst_anchor = max(worst_anchor, abs(schatten_majorizer_value(anchor, w, sch) - val) / val)
-        tv_val = tv_value(anchor, tv)
+        tv_val = tv_majorizer(anchor, tv)[0]
         worst_anchor = max(
             worst_anchor, abs(tv_majorizer_value(anchor, anchor, tv) - tv_val) / tv_val
         )
         for _ in range(100):
             x = rng.normal(size=(5, 7)) * rng.uniform(0.05, 5)
-            worst_gap = min(worst_gap, schatten_majorizer_value(x, w, sch) - schatten_value(x, sch))
-            worst_gap = min(worst_gap, tv_majorizer_value(x, anchor, tv) - tv_value(x, tv))
+            worst_gap = min(worst_gap,
+                            schatten_majorizer_value(x, w, sch) - schatten_majorizer(x, sch)[0])
+            worst_gap = min(worst_gap, tv_majorizer_value(x, anchor, tv) - tv_majorizer(x, tv)[0])
     _verdict(
         4, "Schatten and TV majorizers",
         worst_anchor <= 1e-9 and worst_gap >= -1e-10,
@@ -213,11 +216,13 @@ def test_criterion_6_lipschitz_bounds_dominate():
         coarse = rng.normal(size=(9, 3))
         tied = _apply_ph(maps, ops.p1, ops.p2)
         l_c = spectra_step(spectra, objective(maps, spectra, data, cfg, tied)[1], data, cfg)[1]
-        l_s = maps_step(maps, spectra, data, cfg, tied)[1]
+        l_s = maps_step(maps, spectra, data, objective(maps, spectra, data, cfg, tied)[2][0],
+                        tied)[1]
         d_c, d_s = dense_curvatures_known(maps, spectra, data, cfg)
         b_c = spectra_step(spectra, objective(maps, spectra, blind, cfg, coarse)[1], blind, cfg)[1]
-        b_s = maps_step(maps, spectra, blind, cfg)[1]
-        b_t = coarse_step_blind(coarse, spectra, blind, cfg)[1]
+        b_s = maps_step(maps, spectra, blind, objective(maps, spectra, blind, cfg, coarse)[2][0])[1]
+        b_t = coarse_step_blind(coarse, spectra, blind,
+                                objective(maps, spectra, blind, cfg, coarse)[2][1])[1]
         e_c, e_s, e_t = dense_curvatures_blind(maps, coarse, spectra, blind, cfg, no_tv)
         for bound, exact in ((l_c, d_c), (l_s, d_s), (b_c, e_c), (b_s, e_s), (b_t, e_t)):
             worst_margin = min(worst_margin, (bound - exact) / max(1.0, exact))

@@ -44,10 +44,10 @@ def test_reconstruct_matches_loop_oracle():
 def test_reconstruct_matches_unfold_path():
     factors = random_blockterm((5, 6, 7), 2, 3, seed=3, nonneg=False)
     direct = reconstruct(factors)
-    via_matrix = refold(factors.maps_matrix() @ factors.spectra.T, (5, 6, 7))
+    via_matrix = refold(unfold(factors.maps) @ factors.spectra.T, (5, 6, 7))
     rel = np.linalg.norm(direct - via_matrix) / np.linalg.norm(direct)
     assert rel <= 1e-12
-    assert np.allclose(unfold(direct), factors.maps_matrix() @ factors.spectra.T)
+    assert np.allclose(unfold(direct), unfold(factors.maps) @ factors.spectra.T)
 
 
 def test_reconstruct_linear_in_factors():

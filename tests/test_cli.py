@@ -321,6 +321,21 @@ def test_check_command_rejects_hsi_larger_than_msi(capsys, hsi_dims):
     assert "hsi_rows/hsi_cols" in captured.err and "MSI size 8x8" in captured.err
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--msi-dims", "8"), ("--hsi-dims", "0,4"), ("--msi-dims", "a,b"),
+])
+def test_check_command_rejects_bad_dims(capsys, flag, text):
+    dims = {"--msi-dims": "8,8", "--hsi-dims": "4,4", flag: text}
+    code = main([
+        "check", "--msi-dims", dims["--msi-dims"], "--hsi-dims", dims["--hsi-dims"],
+        "--msi-bands", "4", "--rank", "2", "--term-rank", "2",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ")
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[solver]\nbogus = 1\n")

@@ -8,9 +8,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from hsrfuse.degradation import BlurSpec, add_noise
 from hsrfuse.errors import ConfigError, DimensionError, FileFormatError
 from hsrfuse.fileio import (
     HTF_MAGIC,
+    RunConfig,
     load_config,
     parse_band_ranges,
     parse_dims,
@@ -19,6 +21,7 @@ from hsrfuse.fileio import (
     write_htf,
     write_matrix_csv,
 )
+from hsrfuse.regularizers import SchattenConfig, TvConfig
 
 
 # every finite double, subnormals included; -0.0 and the extremes as examples
@@ -144,6 +147,38 @@ def test_parse_dims():
         parse_dims("24,24")
     with pytest.raises(ConfigError):
         parse_dims("24,24,0")
+    assert parse_dims("8, 6", 2) == (8, 6)
+    with pytest.raises(ConfigError, match="2 comma-separated"):
+        parse_dims("8,6,4", 2)
+
+
+@pytest.mark.parametrize("cls, fields, name", [
+    # True was read as 1; the others raised a TypeError naming no field or
+    # passed a non-integer rank on
+    (SchattenConfig, dict(p=True), "p"),
+    (TvConfig, dict(q=True), "q"),
+    (BlurSpec, dict(sigma=True), "sigma"),
+    (SchattenConfig, dict(p="0.5"), "p"),
+    (SchattenConfig, dict(tau=None), "tau"),
+    (TvConfig, dict(epsilon=None), "epsilon"),
+    (BlurSpec, dict(sigma=None), "sigma"),
+    (RunConfig, dict(snr_db="3"), "snr_db"),
+    (RunConfig, dict(rank=2.5), "rank"),
+    (RunConfig, dict(rank=True), "rank"),
+])
+def test_configs_reject_wrong_types(cls, fields, name):
+    with pytest.raises(ValueError, match=f"{name} must be an? (real number|integer)"):
+        cls(**fields)
+
+
+def test_configs_accept_numpy_scalars():
+    assert SchattenConfig(p=np.float32(0.5), tau=np.int64(2)).tau == 2
+    assert TvConfig(q=np.float64(1.0), epsilon=np.float32(0.01)).q == 1.0
+    assert BlurSpec(sigma=np.float32(1.5)).sigma == 1.5
+    run = RunConfig(rank=np.int64(3), term_rank=np.uint8(2), snr_db=np.float64(30.0))
+    assert (run.rank, run.term_rank, run.snr_db) == (3, 2, 30.0)
+    t = np.ones((2, 2, 2))
+    assert np.array_equal(add_noise(t, np.float64(np.inf)), t)
 
 
 CONFIG_TEXT = """

@@ -6,17 +6,13 @@ from hypothesis import strategies as st
 from hsrfuse.regularizers import (
     SchattenConfig,
     TvConfig,
-    col_diff,
-    col_diff_adjoint,
+    diff,
+    diff_adjoint,
     diff_norm,
-    row_diff,
-    row_diff_adjoint,
     schatten_majorizer,
     schatten_majorizer_grad,
-    schatten_value,
     tv_majorizer,
     tv_majorizer_grad,
-    tv_value,
 )
 
 from _oracles import (
@@ -55,22 +51,23 @@ def test_matrix_free_diffs_match_dense():
     img = rng.normal(size=(5, 7))
     h_rows = circulant_diff(5)
     h_cols = circulant_diff(7)
-    assert np.allclose(row_diff(img), h_rows @ img)
-    assert np.allclose(col_diff(img), img @ h_cols.T)
+    assert np.allclose(diff(img, 0), h_rows @ img)
+    assert np.allclose(diff(img, 1), img @ h_cols.T)
     # vectorized forms: H_y = I (x) H_rows, H_x = H_cols (x) I on vec(img)
     vec = img.ravel(order="F")
     hy = np.kron(np.eye(7), h_rows)
     hx = np.kron(h_cols, np.eye(5))
-    assert np.allclose(row_diff(img).ravel(order="F"), hy @ vec)
-    assert np.allclose(col_diff(img).ravel(order="F"), hx @ vec)
+    assert np.allclose(diff(img, 0).ravel(order="F"), hy @ vec)
+    assert np.allclose(diff(img, 1).ravel(order="F"), hx @ vec)
 
 
 def test_diff_adjoints():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(6, 4))
     b = rng.normal(size=(6, 4))
-    assert np.sum(row_diff(a) * b) == pytest.approx(np.sum(a * row_diff_adjoint(b)), rel=1e-12)
-    assert np.sum(col_diff(a) * b) == pytest.approx(np.sum(a * col_diff_adjoint(b)), rel=1e-12)
+    for axis in (0, 1):
+        assert np.sum(diff(a, axis) * b) == pytest.approx(
+            np.sum(a * diff_adjoint(b, axis)), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -85,35 +82,37 @@ def test_diff_norm_matches_dense_svd(n):
 # ---------------------------------------------------------------------------
 
 def test_schatten_value_zero_matrix():
-    assert schatten_value(np.zeros((3, 5)), CFG) == pytest.approx(3.0, rel=1e-14)
+    assert schatten_majorizer(np.zeros((3, 5)), CFG)[0] == pytest.approx(3.0, rel=1e-14)
     cfg2 = SchattenConfig(p=0.5, tau=4.0)
-    assert schatten_value(np.zeros((3, 5)), cfg2) == pytest.approx(3 * 4**0.25, rel=1e-14)
+    assert schatten_majorizer(np.zeros((3, 5)), cfg2)[0] == pytest.approx(3 * 4**0.25, rel=1e-14)
 
 
 def test_schatten_value_identity():
     m = 4
-    assert schatten_value(np.eye(m), CFG) == pytest.approx(m * 2**0.25, rel=1e-14)
+    assert schatten_majorizer(np.eye(m), CFG)[0] == pytest.approx(m * 2**0.25, rel=1e-14)
 
 
 def test_schatten_value_matches_svd_oracle():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 5))
-    assert schatten_value(x, CFG) == pytest.approx(schatten_by_svd(x, 0.5, 1.0), rel=1e-10)
+    assert schatten_majorizer(x, CFG)[0] == pytest.approx(schatten_by_svd(x, 0.5, 1.0), rel=1e-10)
     tall = rng.normal(size=(6, 3))  # more rows than columns: zero singular values count
-    assert schatten_value(tall, CFG) == pytest.approx(schatten_by_svd(tall, 0.5, 1.0), rel=1e-10)
+    assert schatten_majorizer(tall, CFG)[0] == pytest.approx(
+        schatten_by_svd(tall, 0.5, 1.0), rel=1e-10)
 
 
 def test_schatten_value_orthogonal_invariance():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 6))
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    assert schatten_value(q @ x, CFG) == pytest.approx(schatten_value(x, CFG), rel=1e-12)
+    assert schatten_majorizer(q @ x, CFG)[0] == pytest.approx(
+        schatten_majorizer(x, CFG)[0], rel=1e-12)
 
 
 def test_schatten_value_shrinks_toward_floor():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 4))
-    vals = [schatten_value(t * x, CFG) for t in (1.0, 0.5, 0.1, 0.0)]
+    vals = [schatten_majorizer(t * x, CFG)[0] for t in (1.0, 0.5, 0.1, 0.0)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(3.0, rel=1e-14)
 
@@ -143,7 +142,7 @@ def test_schatten_majorizer_tangent_at_anchor():
     for _ in range(10):
         anchor = rng.normal(size=(4, 6)) * rng.uniform(0.1, 3)
         w = schatten_weight(anchor, CFG)
-        value = schatten_value(anchor, CFG)
+        value = schatten_majorizer(anchor, CFG)[0]
         major = schatten_majorizer_value(anchor, w, CFG)
         assert abs(major - value) <= 1e-9 * abs(value)
 
@@ -154,21 +153,21 @@ def test_schatten_majorizer_dominates():
     w = schatten_weight(anchor, CFG)
     for _ in range(100):
         x = rng.normal(size=(4, 6)) * rng.uniform(0.05, 5)
-        assert schatten_majorizer_value(x, w, CFG) >= schatten_value(x, CFG) - 1e-10
+        assert schatten_majorizer_value(x, w, CFG) >= schatten_majorizer(x, CFG)[0] - 1e-10
 
 
 def test_schatten_majorizer_zero_case():
     z = np.zeros((3, 5))
     w = schatten_weight(z, CFG)
     assert schatten_majorizer_value(z, w, CFG) == pytest.approx(3.0, rel=1e-12)
-    assert schatten_value(z, CFG) == pytest.approx(3.0, rel=1e-14)
+    assert schatten_majorizer(z, CFG)[0] == pytest.approx(3.0, rel=1e-14)
 
 
 def test_schatten_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(4, 5))
     grad = schatten_gradient(x, CFG)
-    fd = central_gradient(lambda z: schatten_value(z, CFG), x)
+    fd = central_gradient(lambda z: schatten_majorizer(z, CFG)[0], x)
     assert rel_error(grad, fd) <= 1e-5
 
 
@@ -189,19 +188,20 @@ def test_schatten_config_validation():
 def test_tv_value_constant_image():
     img = np.full((4, 6), 2.5)
     expected = 2 * 4 * 6 * TV.epsilon ** (TV.q / 2)
-    assert tv_value(img, TV) == pytest.approx(expected, rel=1e-12)
+    assert tv_majorizer(img, TV)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_tv_value_matches_loop_oracle():
     rng = np.random.default_rng(9)
     img = rng.normal(size=(5, 7))
-    assert tv_value(img, TV) == pytest.approx(tv_by_loops(img, TV.q, TV.epsilon), rel=1e-12)
+    assert tv_majorizer(img, TV)[0] == pytest.approx(
+        tv_by_loops(img, TV.q, TV.epsilon), rel=1e-12)
 
 
 def test_tv_value_spike_enumeration():
     img = np.zeros((3, 3))
     img[1, 1] = 2.0
-    got = tv_value(img, TV)
+    got = tv_majorizer(img, TV)[0]
     assert got == pytest.approx(tv_by_loops(img, TV.q, TV.epsilon), rel=1e-12)
     # two nonzero differences per direction, the rest sit at the epsilon floor
     per_direction = 7 * TV.epsilon ** (TV.q / 2) + 2 * (4.0 + TV.epsilon) ** (TV.q / 2)
@@ -218,7 +218,7 @@ def test_tv_l1_limit_on_step_image():
     for a in range(6):
         for b in range(6):
             l1 += abs(img[a, b] - img[a, (b + 1) % 6]) + abs(img[a, b] - img[(a + 1) % 6, b])
-    assert abs(tv_value(img, cfg) - l1) <= 2 * 36 * np.sqrt(eps)
+    assert abs(tv_majorizer(img, cfg)[0] - l1) <= 2 * 36 * np.sqrt(eps)
 
 
 def test_tv_weights_constant_image():
@@ -259,18 +259,18 @@ def test_tv_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     img = rng.normal(size=(4, 5))
     grad = tv_gradient(img, TV)
-    fd = central_gradient(lambda z: tv_value(z, TV), img)
+    fd = central_gradient(lambda z: tv_majorizer(z, TV)[0], img)
     assert rel_error(grad, fd) <= 1e-5
 
 
 def test_tv_majorizer_tangent_and_dominating():
     rng = np.random.default_rng(13)
     anchor = rng.normal(size=(5, 4))
-    value = tv_value(anchor, TV)
+    value = tv_majorizer(anchor, TV)[0]
     assert abs(tv_majorizer_value(anchor, anchor, TV) - value) <= 1e-9 * abs(value)
     for _ in range(100):
         x = rng.normal(size=(5, 4)) * rng.uniform(0.05, 5)
-        assert tv_majorizer_value(x, anchor, TV) >= tv_value(x, TV) - 1e-10
+        assert tv_majorizer_value(x, anchor, TV) >= tv_majorizer(x, TV)[0] - 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +282,10 @@ def test_schatten_majorizer_gradient_and_curvature(sch):
     rng = np.random.default_rng(14)
     for x in (rng.normal(size=(4, 6)), rng.normal(size=(6, 3)) * 2):
         value, weight, curv = schatten_majorizer(x, sch)
-        assert value == pytest.approx(schatten_value(x, sch), rel=1e-12)
+        assert value == pytest.approx(schatten_by_svd(x, sch.p, sch.tau), rel=1e-12)
         assert rel_error(weight, sch.p * schatten_weight(x, sch)) <= 1e-12
         grad = schatten_majorizer_grad(weight, x)
-        fd = central_gradient(lambda z: schatten_value(z, sch), x)
+        fd = central_gradient(lambda z: schatten_by_svd(z, sch.p, sch.tau), x)
         assert rel_error(grad, fd) <= 1e-5
         assert rel_error(grad, schatten_gradient(x, sch)) <= 1e-12
         lam_max = np.linalg.eigvalsh(schatten_weight(x, sch))[-1]
@@ -297,11 +297,11 @@ def test_tv_majorizer_gradient_and_curvature(tv):
     rng = np.random.default_rng(15)
     img = rng.normal(size=(5, 7))  # unequal sides: the row and column norms differ
     value, weights, curv = tv_majorizer(img, tv)
-    assert value == pytest.approx(tv_value(img, tv), rel=1e-12)
+    assert value == pytest.approx(tv_by_loops(img, tv.q, tv.epsilon), rel=1e-12)
     u, v = tv_weights(img, tv)
     assert rel_error(weights[0], tv.q * u) <= 1e-12 and rel_error(weights[1], tv.q * v) <= 1e-12
     grad = tv_majorizer_grad(weights, img)
-    fd = central_gradient(lambda z: tv_value(z, tv), img)
+    fd = central_gradient(lambda z: tv_by_loops(z, tv.q, tv.epsilon), img)
     assert rel_error(grad, fd) <= 1e-5
     assert rel_error(grad, tv_gradient(img, tv)) <= 1e-12
     rows_sq = np.linalg.svd(circulant_diff(5), compute_uv=False)[0] ** 2
@@ -354,4 +354,4 @@ def test_schatten_majorizer_dominates_property(seed, scale):
     anchor = rng.normal(size=(3, 4))
     x = rng.normal(size=(3, 4)) * scale
     w = schatten_weight(anchor, CFG)
-    assert schatten_majorizer_value(x, w, CFG) >= schatten_value(x, CFG) - 1e-10
+    assert schatten_majorizer_value(x, w, CFG) >= schatten_majorizer(x, CFG)[0] - 1e-10

@@ -27,6 +27,7 @@ from hsrfuse.solver import (
     objective,
     spectra_step,
 )
+from hsrfuse.tensors import unfold
 
 from _oracles import (
     central_gradient,
@@ -82,6 +83,15 @@ def fit_grams(maps, spectra, data, coarse=None):
     """The fit Grams the spectra step reads, as the objective returns them at (S, C, T)."""
     coarse = tied(maps, data) if coarse is None else coarse
     return objective(maps, spectra, data, SolverConfig(), coarse)[1]
+
+
+def majorizers(maps, data, cfg, coarse=None):
+    """The penalties' majorizers (maps, coarse) the map steps read, as the
+    objective forms them at (S, T); T is the tied image unless given.  They
+    do not depend on the spectra."""
+    coarse = tied(maps, data) if coarse is None else coarse
+    spectra = np.zeros((data.sri_dims[2], maps.shape[1]))
+    return objective(maps, spectra, data, cfg, coarse)[2]
 
 
 def consistent_instance(seed=0, dims=(24, 24, 16), n_terms=3, term_rank=2, snr_db=None):
@@ -197,7 +207,7 @@ def test_objective_zero_at_exact_fit():
     sri, factors, ops, hsi, msi = consistent_instance(dims=(8, 8, 6), n_terms=2)
     data = FusionData.from_tensors(hsi, msi, ops)
     cfg = SolverConfig()
-    maps = factors.maps_matrix()
+    maps = unfold(factors.maps)
     val = value(maps, factors.spectra, data, cfg)
     assert 0.0 <= val <= 1e-20 * np.sum(hsi**2)
 
@@ -245,17 +255,17 @@ def test_blind_model_with_tied_coarse_block_is_the_known_model():
     for seed in range(8):
         data, blind, maps, spectra, _ = random_instance(seed + 30)
         image = tied(maps, data)
-        known_f, known_grams, _ = objective(maps, spectra, data, cfg, image)
-        blind_f, blind_grams, _ = objective(maps, spectra, blind, cfg, image)
+        known_f, known_grams, known_major = objective(maps, spectra, data, cfg, image)
+        blind_f, blind_grams, blind_major = objective(maps, spectra, blind, cfg, image)
         assert known_f == blind_f
         assert np.array_equal(
             spectra_step(spectra, known_grams, data, cfg)[0],
             spectra_step(spectra, blind_grams, blind, cfg)[0],
         )
 
-        g_known, l_known = maps_step(maps, spectra, data, cfg, image)
-        g_blind, l_blind = maps_step(maps, spectra, blind, cfg)
-        g_coarse = coarse_step_blind(image, spectra, blind, cfg)[0]
+        g_known, l_known = maps_step(maps, spectra, data, known_major[0], image)
+        g_blind, l_blind = maps_step(maps, spectra, blind, blind_major[0])
+        g_coarse = coarse_step_blind(image, spectra, blind, blind_major[1])[0]
         chained = g_blind + _apply_ph_t(g_coarse, data.ops.p1, data.ops.p2)
         assert rel_error(g_known, chained) <= 1e-12
         assert l_known == l_blind + _sq_norm(spectra) * data.ph_gram_norm
@@ -274,7 +284,7 @@ def test_grad_spectra_finite_differences():
 
 def test_grad_maps_finite_differences():
     data, _, maps, spectra, _ = random_instance(3)
-    grad = maps_step(maps, spectra, data, WEIGHTED, tied(maps, data))[0]
+    grad = maps_step(maps, spectra, data, majorizers(maps, data, WEIGHTED)[0], tied(maps, data))[0]
     fd = central_gradient(lambda s: value(s, spectra, data, WEIGHTED), maps)
     assert rel_error(grad, fd) <= 1e-5
 
@@ -285,11 +295,12 @@ def test_blind_gradients_finite_differences():
     fd_c = central_gradient(lambda c: value(maps, c, blind, WEIGHTED, coarse), spectra)
     assert rel_error(g_c, fd_c) <= 1e-5
 
-    g_s = maps_step(maps, spectra, blind, WEIGHTED)[0]
+    major = majorizers(maps, blind, WEIGHTED, coarse)
+    g_s = maps_step(maps, spectra, blind, major[0])[0]
     fd_s = central_gradient(lambda s: value(s, spectra, blind, WEIGHTED, coarse), maps)
     assert rel_error(g_s, fd_s) <= 1e-5
 
-    g_t = coarse_step_blind(coarse, spectra, blind, WEIGHTED)[0]
+    g_t = coarse_step_blind(coarse, spectra, blind, major[1])[0]
     fd_t = central_gradient(lambda t: value(maps, spectra, blind, WEIGHTED, t), coarse)
     assert rel_error(g_t, fd_t) <= 1e-5
 
@@ -312,11 +323,12 @@ def test_gradients_vanish_at_exact_fit():
     sri, factors, ops, hsi, msi = consistent_instance(dims=(8, 8, 6), n_terms=2)
     data = FusionData.from_tensors(hsi, msi, ops)
     cfg = SolverConfig()
-    maps, spectra = factors.maps_matrix(), factors.spectra
+    maps, spectra = unfold(factors.maps), factors.spectra
     scale = max(np.max(np.abs(maps)), np.max(np.abs(spectra)))
     grams = fit_grams(maps, spectra, data)
     assert np.max(np.abs(spectra_step(spectra, grams, data, cfg)[0])) <= 1e-10 * scale
-    assert np.max(np.abs(maps_step(maps, spectra, data, cfg, tied(maps, data))[0])) <= 1e-10 * scale
+    grad = maps_step(maps, spectra, data, majorizers(maps, data, cfg)[0], tied(maps, data))[0]
+    assert np.max(np.abs(grad)) <= 1e-10 * scale
 
     # blind: the coarse block absorbing the true downsampled maps is also a fit
     blind = FusionData.from_tensors_blind(hsi, msi, ops.pm)
@@ -324,8 +336,9 @@ def test_gradients_vanish_at_exact_fit():
     coarse = down.reshape(-1, 2, order="F")
     grams = fit_grams(maps, spectra, blind, coarse)
     assert np.max(np.abs(spectra_step(spectra, grams, blind, cfg)[0])) <= 1e-10 * scale
-    assert np.max(np.abs(maps_step(maps, spectra, blind, cfg)[0])) <= 1e-10 * scale
-    assert np.max(np.abs(coarse_step_blind(coarse, spectra, blind, cfg)[0])) <= 1e-10 * scale
+    major = majorizers(maps, blind, cfg, coarse)
+    assert np.max(np.abs(maps_step(maps, spectra, blind, major[0])[0])) <= 1e-10 * scale
+    assert np.max(np.abs(coarse_step_blind(coarse, spectra, blind, major[1])[0])) <= 1e-10 * scale
 
 
 def test_grad_spectra_ridge_only():
@@ -344,7 +357,7 @@ def test_grad_maps_schatten_only_reduction():
     data.msi_mat[:] = 0.0
     cfg = SolverConfig(lowrank_weight=0.4, schatten=SchattenConfig(p=0.5, tau=1.0))
     zero_spectra = np.zeros((4, maps.shape[1]))
-    grad = maps_step(maps, zero_spectra, data, cfg, tied(maps, data))[0]
+    grad = maps_step(maps, zero_spectra, data, majorizers(maps, data, cfg)[0], tied(maps, data))[0]
     for r in range(maps.shape[1]):
         img = maps[:, r].reshape(6, 5, order="F")
         expected = 0.4 * schatten_gradient(img, cfg.schatten).ravel(order="F")
@@ -354,7 +367,7 @@ def test_grad_maps_schatten_only_reduction():
 def test_grad_coarse_without_lowrank_weight():
     _, blind, maps, spectra, coarse = random_instance(8)
     cfg = SolverConfig()
-    grad = coarse_step_blind(coarse, spectra, blind, cfg)[0]
+    grad = coarse_step_blind(coarse, spectra, blind, majorizers(maps, blind, cfg, coarse)[1])[0]
     expected = (coarse @ spectra.T - blind.hsi_mat) @ spectra
     assert np.allclose(grad, expected)
 
@@ -367,7 +380,8 @@ def test_step_bounds_dominate_dense_curvatures():
     for seed in range(8):
         data, _, maps, spectra, _ = random_instance(seed)
         l_c = spectra_step(spectra, fit_grams(maps, spectra, data), data, WEIGHTED)[1]
-        l_s = maps_step(maps, spectra, data, WEIGHTED, tied(maps, data))[1]
+        l_s = maps_step(maps, spectra, data, majorizers(maps, data, WEIGHTED)[0],
+                        tied(maps, data))[1]
         d_c, d_s = dense_curvatures_known(maps, spectra, data, WEIGHTED)
         assert l_c >= d_c - 1e-9 * max(1.0, d_c)
         assert l_s >= d_s - 1e-9 * max(1.0, d_s)
@@ -385,7 +399,7 @@ def test_tv_curvature_bound_matches_dense_at_q2():
     # tv_weight * q * (sigma_max(H_cols)^2 + sigma_max(H_rows)^2), matching dense
     data, _, maps, spectra, _ = random_instance(10)
     cfg = SolverConfig(tv_weight=0.3, tv=TvConfig(q=2.0, epsilon=1e-3))
-    l_s = maps_step(maps, spectra, data, cfg, tied(maps, data))[1]
+    l_s = maps_step(maps, spectra, data, majorizers(maps, data, cfg)[0], tied(maps, data))[1]
     _, d_s = dense_curvatures_known(maps, spectra, data, cfg)
     assert l_s == pytest.approx(d_s, rel=1e-9)
 
@@ -395,8 +409,9 @@ def test_blind_bounds_dominate_dense():
     for seed in range(6):
         _, blind, maps, spectra, coarse = random_instance(seed + 20)
         l_c = spectra_step(spectra, fit_grams(maps, spectra, blind, coarse), blind, WEIGHTED)[1]
-        l_s = maps_step(maps, spectra, blind, WEIGHTED)[1]
-        l_t = coarse_step_blind(coarse, spectra, blind, WEIGHTED)[1]
+        major = majorizers(maps, blind, WEIGHTED, coarse)
+        l_s = maps_step(maps, spectra, blind, major[0])[1]
+        l_t = coarse_step_blind(coarse, spectra, blind, major[1])[1]
         d_c, d_s, d_t = dense_curvatures_blind(maps, coarse, spectra, blind, WEIGHTED, no_tv)
         assert l_c >= d_c - 1e-9 * max(1.0, d_c)
         assert l_s >= d_s - 1e-9 * max(1.0, d_s)
@@ -561,9 +576,9 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     # three sweeps by hand from the block steps the gradient and bound tests
     # check: the first momentum coefficient is 0, so only the third sweep
     # takes a gradient at an extrapolated anchor; the second makes the blind
-    # spectra depend on the coarse update.  Accelerated, the map steps apply
-    # the majorizers the last objective formed at the iterate; plain, they
-    # form their own at the anchor, which is that iterate.
+    # spectra depend on the coarse update.  The map steps apply the
+    # majorizers the last objective formed at the iterate, as the driver
+    # passes them; plain, that iterate is the anchor.
     _, _, ops, hsi, msi = consistent_instance(seed=11, dims=(8, 8, 8), snr_db=25.0)
     cfg = SolverConfig(
         ridge_weight=0.05, tv_weight=0.02, lowrank_weight=0.02,
@@ -589,11 +604,9 @@ def test_solvers_run_the_verified_block_steps(accelerate):
         anchors, gammas = list(factors), [1.0] * len(factors)
         carried = anchor_carried = None if image is None else image(factors[1])
         for _ in range(3):
-            grams, majorizers = value(factors, carried)
-            if not accelerate:
-                majorizers = (None, None)
+            grams, major = value(factors, carried)
             for b, step in enumerate(steps):
-                grad, lip = step(anchors[b], factors, anchor_carried, grams, majorizers)
+                grad, lip = step(anchors[b], factors, anchor_carried, grams, major)
                 new = apg_step(anchors[b], grad, 1.0 / lip, project=b < 2)
                 coef = None
                 if accelerate:
@@ -610,7 +623,7 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     want = sweeps([spectra, maps], [
         lambda c, f, t_anchor, grams, major: spectra_step(c, grams, data, cfg),
         lambda s, f, t_anchor, grams, major:
-            maps_step(s, f[0], data, cfg, t_anchor, majorizers=major[0]),
+            maps_step(s, f[0], data, major[0], t_anchor),
     ], lambda f, t: objective(f[1], f[0], data, cfg, t)[1:],
         image=lambda s: _apply_ph(s, ops.p1, ops.p2))
     got = fuse(hsi, msi, ops, 2, cfg, init=(maps, spectra))
@@ -618,8 +631,8 @@ def test_solvers_run_the_verified_block_steps(accelerate):
 
     want = sweeps([spectra, maps, coarse], [
         lambda c, f, _, grams, major: spectra_step(c, grams, blind, cfg),
-        lambda s, f, _, grams, major: maps_step(s, f[0], blind, cfg, majorizers=major[0]),
-        lambda t, f, _, grams, major: coarse_step_blind(t, f[0], blind, cfg, majorizers=major[1]),
+        lambda s, f, _, grams, major: maps_step(s, f[0], blind, major[0]),
+        lambda t, f, _, grams, major: coarse_step_blind(t, f[0], blind, major[1]),
     ], lambda f, _: objective(f[1], f[0], blind, cfg, f[2])[1:])
     got = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=(maps, spectra, coarse))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
@@ -631,9 +644,9 @@ def test_fuse_passes_maps_step_the_image_of_its_anchor(monkeypatch):
     _, _, ops, hsi, msi = consistent_instance(seed=13, dims=(8, 8, 8), snr_db=25.0)
     errors = []
 
-    def checked(maps, spectra, data, cfg, coarse, *buffers):
+    def checked(maps, spectra, data, major, coarse, *buffers):
         errors.append(rel_error(coarse, _apply_ph(maps, ops.p1, ops.p2)))
-        return maps_step(maps, spectra, data, cfg, coarse, *buffers)
+        return maps_step(maps, spectra, data, major, coarse, *buffers)
 
     monkeypatch.setattr(solver, "maps_step", checked)
     fuse(hsi, msi, ops, 2, SolverConfig(max_iters=20, rel_tol=0.0, accelerate=True, seed=3))
