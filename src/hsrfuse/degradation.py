@@ -67,20 +67,16 @@ def blur_downsample_matrix(n, spec):
     rows = math.ceil(n / spec.ratio)
     kernel = gaussian_kernel(spec.kernel_width, spec.sigma)
     half = (spec.kernel_width - 1) // 2
+    row = np.arange(rows)[:, None]
+    cols = row * spec.ratio + spec.offset + np.arange(-half, half + 1)
+    if spec.boundary == "circular":
+        cols %= n
+    else:  # symmetric reflection about the array edges has period 2n
+        cols %= 2 * n
+        cols = np.where(cols < n, cols, 2 * n - 1 - cols)
     op = np.zeros((rows, n))
-    for i in range(rows):
-        center = i * spec.ratio + spec.offset
-        for t in range(-half, half + 1):
-            col = center + t
-            if spec.boundary == "circular":
-                col %= n
-            else:  # symmetric reflection about the array edges
-                while col < 0 or col >= n:
-                    if col < 0:
-                        col = -col - 1
-                    else:
-                        col = 2 * n - col - 1
-            op[i, col] += kernel[t + half]
+    # unbuffered and row-major: taps folded onto one column add in tap order
+    np.add.at(op, (row, cols), kernel)
     return op
 
 

@@ -15,8 +15,11 @@ anchor.  Each penalty owns its majorizer: ``schatten_majorizer`` and
 value there, the majorizer's weights and a bound on its curvature;
 ``schatten_majorizer_grad`` and ``tv_majorizer_grad`` apply the weights at
 any point, giving the majorizer's gradient there (the penalty's own gradient
-at the anchor).  The solver anchors the majorizers at the iterate its
-objective scores and only weights and sums them over the terms.  This module
+at the anchor).  Every majorizer acts on the last two axes: it takes one
+(I, J) map or an (R, I, J) stack of maps, sums the value over the stack,
+returns the weights stacked and bounds the curvature by the largest of the
+maps' bounds.  The solver anchors the majorizers at the iterate its
+objective scores and calls each penalty once on the whole stack.  This module
 holds what the solver evaluates: the majorizers and the matrix-free
 difference operator; a penalty's value is the first return of its majorizer.
 The reweighting matrices, the majorizer values, the penalty values by SVD
@@ -92,12 +95,15 @@ def schatten_majorizer(x, cfg):
     All eigenvalues of the base matrix are >= tau, so the negative power is
     well defined: W is symmetric PD with eigenvalues <= tau^((p-2)/2).  The
     majorizer's gradient at any Z is ``schatten_majorizer_grad(p W, Z)``.
+    Given a stack of maps, the value is summed over it, the weights are
+    stacked and the curvature is the largest of the maps'.
     """
     x = np.atleast_2d(x)
-    lam, vec = np.linalg.eigh(x @ x.T)
+    lam, vec = np.linalg.eigh(x @ np.swapaxes(x, -1, -2))
     lam = np.maximum(lam, 0.0) + cfg.tau
     w = cfg.p * lam ** ((cfg.p - 2) / 2)
-    return float(np.sum(lam ** (cfg.p / 2))), (vec * w) @ vec.T, float(w[0])
+    weight = (vec * w[..., None, :]) @ np.swapaxes(vec, -1, -2)
+    return float(np.sum(lam ** (cfg.p / 2))), weight, float(w[..., 0].max())
 
 
 def schatten_majorizer_grad(weight, z):
@@ -117,13 +123,15 @@ def tv_majorizer(img, cfg):
     Hc and Hr are the column- and row-direction differences; the diagonal
     weights (d^2 + eps)^((q-2)/2) of each difference image d lie in
     (0, eps^((q-2)/2)] and shrink where the local difference is large.  The
-    value is sum u (d^2 + eps), one power per difference image.  The
-    majorizer's gradient at any point is :func:`tv_majorizer_grad`.
+    value is sum u (d^2 + eps), one power per difference image.  Given a
+    stack of maps, the value is summed over it, the weights are stacked and
+    the curvature is the largest of the maps' bounds.  The majorizer's
+    gradient at any point is :func:`tv_majorizer_grad`.
     """
     e = (cfg.q - 2) / 2
-    i, j = img.shape
+    i, j = img.shape[-2:]
     value, weights = 0.0, []
-    for sq in (diff(img, 1), diff(img, 0)):
+    for sq in (diff(img, -1), diff(img, -2)):
         sq *= sq  # d^2 + eps, written over the difference image d
         sq += cfg.epsilon
         u = sq**e
@@ -131,12 +139,13 @@ def tv_majorizer(img, cfg):
         u *= cfg.q
         weights.append(u)
     u, v = weights
-    curv = diff_norm(j) ** 2 * float(u.max()) + diff_norm(i) ** 2 * float(v.max())
-    return value, (u, v), curv
+    curv = (diff_norm(j) ** 2 * u.max(axis=(-2, -1))
+            + diff_norm(i) ** 2 * v.max(axis=(-2, -1)))
+    return value, (u, v), float(curv.max())
 
 
 def tv_majorizer_grad(weights, img):
     """Gradient q (Hc' U Hc + Hr' V Hr) img at ``img`` of the TV majorizer of
     weights (q U, q V)."""
     u, v = weights
-    return diff_adjoint(u * diff(img, 1), 1) + diff_adjoint(v * diff(img, 0), 0)
+    return diff_adjoint(u * diff(img, -1), -1) + diff_adjoint(v * diff(img, -2), -2)

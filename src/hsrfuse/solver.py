@@ -36,10 +36,11 @@ block and the coarse block share one image-block term, the Gram-form fit
 X M'M - Y M plus the map penalties, so no full-size residual is built for a
 gradient; both products are formed a chunk of rows at a time and added to
 the gradient while in cache.  Each penalty contributes through its own
-majorizer in ``regularizers``, which gives a map's penalty value, weights
-and curvature from one factorization, and the majorizer's gradient at any
-point from the weights; the solver only weights and sums them over the
-terms.  The maps step of the known problem adds the HSI fit carried back
+majorizer in ``regularizers``, which gives the penalty value, weights and
+curvature of a stack of maps from one factorization per map, and the
+majorizer's gradient at any point from the weights; the solver calls each
+penalty once on the (R, I, J) stack of a block's maps and weights the
+result.  The maps step of the known problem adds the HSI fit carried back
 through (P2 kron P1)'; the coarse step is the same term without TV.
 
 Three kinds of products are shared.  The driver carries (P2 kron P1) S as the
@@ -64,15 +65,16 @@ as an argument and only apply them at their anchors.  No step forms a
 majorizer of its own.
 
 After the first sweep the iteration allocates no factor-sized array (the
-penalties' majorizers still allocate their own per-map arrays).  The driver
-owns every factor, anchor and image and a spare per block, and rotates
-them: a step writes its gradient into the spare, ``apg_step`` writes the new
-factor over the gradient, ``extrapolate`` writes the anchor over the factor
-it retires, and the old anchor becomes the next spare.  The steps write
-their intermediates (the HSI-fit gradient, the (P2 kron P1) half products,
-the chunks of the fit passes and fit gradients) into one :class:`_Work` the
-solve allocates once.  Initial factors and warm starts are copied, so no
-input is written and nothing returned shares memory with an input.
+penalties' majorizers still allocate their own stacks of weights and
+differences).  The driver owns every factor, anchor and image and a spare
+per block, and rotates them: a step writes its gradient into the spare,
+``apg_step`` writes the new factor over the gradient, ``extrapolate`` writes
+the anchor over the factor it retires, and the old anchor becomes the next
+spare.  The steps write their intermediates (the HSI-fit gradient, the
+(P2 kron P1) half products, the chunks of the fit passes and fit gradients)
+into one :class:`_Work` the solve allocates once.  Initial factors and warm
+starts are copied, so no input is written and nothing returned shares
+memory with an input.
 
 Every factor is terms-major: an F-contiguous (rows, R) array, so a column
 (one map, one spectrum) is contiguous and the maps' transpose is a
@@ -81,8 +83,8 @@ warm starts are copied into that layout, ``apg_step`` and ``extrapolate``
 keep it, and every product whose result is a factor-sized array is computed
 transposed, ``small @ big.T`` into ``out.T``, because ``matmul`` writes C
 order.  So (P2 kron P1) and its transpose are two matmuls on free views, the
-per-term images the regularizers read are contiguous, and the SRI refolds
-without a copy.
+(R, I, J) stack the regularizers read is a view whose maps are each
+contiguous, and the SRI refolds without a copy.
 """
 
 import math
@@ -276,10 +278,10 @@ def _top_eigenvalue(gram):
 
 
 def _maps_as_images(maps, shape):
-    """The columns of ``maps`` as an (I, J, R) image stack; a view when
-    ``maps`` is terms-major, so writes to it reach ``maps``."""
+    """The columns of ``maps`` as an (R, I, J) stack of map images; a view,
+    so writes to it reach ``maps``."""
     i, j = shape
-    return maps.reshape(i, j, maps.shape[1], order="F")
+    return maps.reshape(i, j, maps.shape[1], order="F").transpose(2, 0, 1)
 
 
 def _penalties(cfg, with_tv):
@@ -297,28 +299,21 @@ def _penalties(cfg, with_tv):
 
 def _reweight(maps, shape, cfg, with_tv=True):
     """Value of the map penalties at ``maps`` and their majorizers anchored
-    there, from one factorization per map and penalty.
+    there, from one majorizer call per penalty on the stack of maps.
 
     Returns (value, majorizers) with ``majorizers`` = (terms, curvature):
-    one (weight, majorizer gradient, per-map weights) per active penalty, and
-    the sum over penalties of weight * max_r curvature_r.  With no penalty on
-    it is (0.0, ([], 0.0)) and the maps are not read.
+    one (weight, majorizer gradient, stacked weights) per active penalty, and
+    the sum over penalties of weight * max_r curvature_r; (0.0, ([], 0.0))
+    with no penalty on.
     """
-    penalties = _penalties(cfg, with_tv)
-    total = 0.0
-    if not penalties:
-        return total, ([], 0.0)
-    cube = _maps_as_images(maps, shape)
-    weights = [[] for _ in penalties]
-    curvs = [0.0] * len(penalties)
-    for r in range(maps.shape[1]):
-        for k, (weight, majorizer, _, params) in enumerate(penalties):
-            value, w, curv = majorizer(cube[:, :, r], params)
-            total += weight * value
-            weights[k].append(w)
-            curvs[k] = max(curvs[k], curv)
-    terms = [(weight, grad, ws) for (weight, _, grad, _), ws in zip(penalties, weights)]
-    return total, (terms, sum(term[0] * curv for term, curv in zip(penalties, curvs)))
+    stack = _maps_as_images(maps, shape)
+    total, terms, curv = 0.0, [], 0.0
+    for weight, majorizer, majorizer_grad, params in _penalties(cfg, with_tv):
+        value, w, c = majorizer(stack, params)
+        total += weight * value
+        terms.append((weight, majorizer_grad, w))
+        curv += weight * c
+    return total, (terms, curv)
 
 
 def _map_penalties(maps, shape, grad, majorizers):
@@ -326,13 +321,10 @@ def _map_penalties(maps, shape, grad, majorizers):
     :func:`_reweight` formed them at an anchor (the solver's last scored
     iterate), into ``grad``; return the curvature they induce."""
     terms, curv = majorizers
-    if not terms:
-        return curv
-    cube = _maps_as_images(maps, shape)
-    grad_cube = _maps_as_images(grad, shape)  # a view: each term is written into grad
-    for r in range(maps.shape[1]):
-        for weight, majorizer_grad, weights in terms:
-            grad_cube[:, :, r] += weight * majorizer_grad(weights[r], cube[:, :, r])
+    stack = _maps_as_images(maps, shape)
+    grad_stack = _maps_as_images(grad, shape)  # a view: each term is written into grad
+    for weight, majorizer_grad, w in terms:
+        grad_stack += weight * majorizer_grad(w, stack)
     return curv
 
 
@@ -576,10 +568,10 @@ def _run(factors, blocks, value, cfg, max_iters):
     update, after projection, and the anchor's image is extrapolated from the
     last two images with the anchor's own coefficient.  ``value(factors,
     images)`` returns the objective and the Grams and majorizers it formed on
-    the way; ``step(anchor, anchor_image, factors, images, grams, majorizers,
-    out)`` returns the gradient at the anchor and its curvature bound L, the
-    other factors at their current values and ``grams`` and ``majorizers``
-    those of the last objective.  So the Grams hold for the factors no
+    the way; ``step(anchor, anchor_image, factors, grams, majorizers, out)``
+    returns the gradient at the anchor and its curvature bound L, the other
+    factors at their current values and ``grams`` and ``majorizers`` those
+    of the last objective.  So the Grams hold for the factors no
     earlier block of the sweep has moved, and each block's majorizers are
     anchored at the block's last scored iterate, the point its anchor is
     extrapolated from (the anchor itself without extrapolation).  The block
@@ -604,8 +596,7 @@ def _run(factors, blocks, value, cfg, max_iters):
     trace.record(f)
     for _ in range(max_iters):
         for b, (step, project, image) in enumerate(blocks):
-            grad, lip = step(anchors[b], anchor_images[b], factors, images, grams, majorizers,
-                             spares[b])
+            grad, lip = step(anchors[b], anchor_images[b], factors, grams, majorizers, spares[b])
             new = apg_step(anchors[b], grad, 1.0 / max(lip, _TINY), project)
             new_image = None if image is None else image(new, anchor_images[b])
             if cfg.accelerate:
@@ -660,11 +651,11 @@ def _blocks(data, cfg, n_terms):
         p1, p2 = data.ops.p1, data.ops.p2
         ph, coarse_of = lambda s, out: _apply_ph(s, p1, p2, out, work.mid), lambda f, im: im[1]
     blocks = [
-        (lambda c, _, f, im, grams, major, out: spectra_step(c, grams, data, cfg), True, None),
-        (lambda s, t, f, im, grams, major, out:
-         maps_step(s, f[0], data, major[0], t, out, work), True, ph),
-        (lambda t, _, f, im, grams, major, out:
-         coarse_step_blind(t, f[0], data, major[1], out, work), False, None),
+        (lambda c, _, f, grams, major, out: spectra_step(c, grams, data, cfg), True, None),
+        (lambda s, t, f, grams, major, out: maps_step(s, f[0], data, major[0], t, out, work),
+         True, ph),
+        (lambda t, _, f, grams, major, out: coarse_step_blind(t, f[0], data, major[1], out, work),
+         False, None),
     ]
     return (blocks[: 3 if data.ops is None else 2],
             lambda f, im: objective(f[1], f[0], data, cfg, coarse_of(f, im), work.chunk))

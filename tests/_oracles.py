@@ -12,6 +12,7 @@ Khatri-Rao and Frobenius helpers at the end are used only by the tests.
 import numpy as np
 import scipy.linalg
 
+from hsrfuse.degradation import gaussian_kernel
 from hsrfuse.errors import DimensionError
 
 
@@ -52,6 +53,30 @@ def dense_hessian(fun, x, step=1.0):
 def rel_error(approx, exact):
     denom = max(float(np.linalg.norm(np.ravel(exact))), 1e-300)
     return float(np.linalg.norm(np.ravel(approx) - np.ravel(exact))) / denom
+
+
+def loop_blur_downsample_matrix(n, spec):
+    """Blur-and-downsample operator placed tap by tap: row i carries the
+    kernel centered at column i * ratio + offset, each tap wrapped or
+    reflected about the array edges one fold at a time."""
+    rows = -(-n // spec.ratio)
+    kernel = gaussian_kernel(spec.kernel_width, spec.sigma)
+    half = (spec.kernel_width - 1) // 2
+    op = np.zeros((rows, n))
+    for i in range(rows):
+        center = i * spec.ratio + spec.offset
+        for t in range(-half, half + 1):
+            col = center + t
+            if spec.boundary == "circular":
+                col %= n
+            else:
+                while col < 0 or col >= n:
+                    if col < 0:
+                        col = -col - 1
+                    else:
+                        col = 2 * n - col - 1
+            op[i, col] += kernel[t + half]
+    return op
 
 
 def loop_reconstruct(maps_list, spectra):

@@ -13,7 +13,6 @@ from hsrfuse.blockterm import (
     reconstruct,
 )
 from hsrfuse.errors import DimensionError
-from hsrfuse.tensors import refold, unfold
 
 from _oracles import loop_reconstruct
 
@@ -33,21 +32,14 @@ def test_reconstruct_zero_spectra():
 
 
 def test_reconstruct_matches_loop_oracle():
-    factors = random_blockterm((6, 5, 4), 3, 2, seed=11)
-    expected = loop_reconstruct(
-        [factors.maps[:, :, r] for r in range(3)], factors.spectra
-    )
-    got = reconstruct(factors)
-    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
-
-
-def test_reconstruct_matches_unfold_path():
-    factors = random_blockterm((5, 6, 7), 2, 3, seed=3, nonneg=False)
-    direct = reconstruct(factors)
-    via_matrix = refold(unfold(factors.maps) @ factors.spectra.T, (5, 6, 7))
-    rel = np.linalg.norm(direct - via_matrix) / np.linalg.norm(direct)
-    assert rel <= 1e-12
-    assert np.allclose(unfold(direct), unfold(factors.maps) @ factors.spectra.T)
+    for factors in (random_blockterm((6, 5, 4), 3, 2, seed=11),
+                    random_blockterm((5, 6, 7), 2, 3, seed=3, nonneg=False)):
+        n_terms = factors.maps.shape[2]
+        expected = loop_reconstruct(
+            [factors.maps[:, :, r] for r in range(n_terms)], factors.spectra
+        )
+        got = reconstruct(factors)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 def test_reconstruct_linear_in_factors():

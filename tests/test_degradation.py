@@ -17,7 +17,7 @@ from hsrfuse.degradation import (
 from hsrfuse.errors import DimensionError
 from hsrfuse.tensors import unfold
 
-from _oracles import kron
+from _oracles import kron, loop_blur_downsample_matrix
 
 
 def test_width_one_kernel_gives_identity():
@@ -59,6 +59,20 @@ def test_offset_moves_kernel_center():
     a = blur_downsample_matrix(8, base)
     b = blur_downsample_matrix(8, shifted)
     assert np.allclose(np.roll(a[0], 1), b[0])
+
+
+@pytest.mark.parametrize("boundary", ["circular", "reflect"])
+@pytest.mark.parametrize("width", [1, 3, 5, 7, 9, 11])
+def test_blur_downsample_matches_loop_oracle(width, boundary):
+    # every ratio and offset, down to n = width, where a reflected tap of a
+    # wide ratio folds past 2n more than once
+    for ratio in range(1, 8):
+        for offset in range(ratio):
+            for n in range(width, width + 20):
+                spec = BlurSpec(kernel_width=width, sigma=1.3, ratio=ratio,
+                                boundary=boundary, offset=offset)
+                assert np.array_equal(blur_downsample_matrix(n, spec),
+                                      loop_blur_downsample_matrix(n, spec)), (n, spec)
 
 
 def test_axis_shorter_than_kernel_rejected():

@@ -338,6 +338,35 @@ def test_majorizer_gradients_away_from_the_anchor(seed):
     assert curv >= np.linalg.eigvalsh(hess)[-1] * (1 - 1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_maps=st.integers(1, 4), rows=st.integers(2, 7), extra=st.integers(1, 4),
+       wide=st.booleans(), solver_layout=st.booleans(), seed=st.integers(0, 2**31))
+def test_majorizers_of_a_stack_are_the_per_map_majorizers(n_maps, rows, extra, wide,
+                                                          solver_layout, seed):
+    # a stack of R maps with I != J, C-contiguous or laid out as the solver's
+    # view of a terms-major factor: the value is the sum of the maps' values,
+    # the weights, the gradients at another point and the curvature (the
+    # largest of the maps') are those of one call per map
+    shape = (rows, rows + extra) if wide else (rows + extra, rows)
+    rng = np.random.default_rng(seed)
+    x, z = (rng.normal(size=(n_maps, *shape)) for _ in range(2))
+    if solver_layout:
+        x, z = (np.asfortranarray(a.transpose(1, 2, 0)).transpose(2, 0, 1) for a in (x, z))
+    for majorizer, majorizer_grad, params in (
+            (tv_majorizer, tv_majorizer_grad, TvConfig(q=0.7, epsilon=0.02)),
+            (schatten_majorizer, schatten_majorizer_grad, SchattenConfig(p=0.6, tau=0.5))):
+        value, weights, curv = majorizer(x, params)
+        per_map = [majorizer(x[r], params) for r in range(n_maps)]
+        total = sum(m[0] for m in per_map)
+        assert abs(value - total) <= 1e-13 * total
+        assert np.array_equal(np.asarray(weights),
+                              np.stack([np.asarray(m[1]) for m in per_map], axis=-3))
+        assert curv == max(m[2] for m in per_map)
+        grad = majorizer_grad(weights, z)
+        assert np.array_equal(grad, np.stack(
+            [majorizer_grad(m[1], z[r]) for r, m in enumerate(per_map)]))
+
+
 def test_tv_config_validation():
     with pytest.raises(ValueError):
         TvConfig(q=0.0)

@@ -675,7 +675,8 @@ def test_solvers_factor_each_map_once_per_objective(monkeypatch, accelerate):
     # each objective forms every penalty's majorizer at the iterate it scores,
     # from one eigh per map-sized (8 x 8) and, blind, per coarse-sized (4 x 4)
     # Gram, and the steps of the next sweep only apply them; eigvalsh is left
-    # to the terms-sized (2 x 2) Grams of the step bounds
+    # to the terms-sized (2 x 2) Grams of the step bounds.  A call on a stack
+    # counts once per matrix in it.
     _, _, ops, hsi, msi = consistent_instance(seed=13, dims=(8, 8, 8), snr_db=25.0)
     iters, n_terms = 5, 2
     cfg = SolverConfig(ridge_weight=0.05, tv_weight=0.02, lowrank_weight=0.02,
@@ -685,7 +686,8 @@ def test_solvers_factor_each_map_once_per_objective(monkeypatch, accelerate):
         calls = {"eigh": {}, "eigvalsh": {}}
         for name, shapes in calls.items():
             def counted(mat, *args, _shapes=shapes, _apply=getattr(np.linalg, name)):
-                _shapes[mat.shape] = _shapes.get(mat.shape, 0) + 1
+                key = mat.shape[-2:]
+                _shapes[key] = _shapes.get(key, 0) + math.prod(mat.shape[:-2])
                 return _apply(mat, *args)
 
             monkeypatch.setattr(np.linalg, name, counted)
