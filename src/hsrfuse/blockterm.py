@@ -79,7 +79,9 @@ def random_blockterm(dims, n_terms, term_rank, seed=0, nonneg=True):
     left = draw(size=(i, term_rank, n_terms))
     right = draw(size=(j, term_rank, n_terms))
     spectra = draw(size=(k, n_terms))
-    maps = np.einsum("ilr,jlr->ijr", left, right)
+    # term r of the (R, J, I) product is right_r @ left_r', so its transpose
+    # is the F-contiguous (I, J, R) stack that unfolds without a copy
+    maps = np.matmul(right.transpose(2, 0, 1), left.transpose(2, 1, 0)).transpose(2, 1, 0)
     return BlockTermFactors(maps=maps, spectra=spectra, left=left, right=right)
 
 

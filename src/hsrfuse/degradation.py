@@ -6,6 +6,13 @@ averages contiguous band ranges.  Both are materialized as small dense
 matrices: P1 (hsi_rows x sri_rows) and P2 (hsi_cols x sri_cols) act on the two
 spatial modes of every slab, PM (msi_bands x sri_bands) acts on every spectral
 fiber.  Calibrated i.i.d. Gaussian noise completes the simulation protocol.
+
+Both products are BLAS matrix products on the SRI's own memory: P1 first (one
+batched product over the SRI's columns), then P2, and the pixels-by-bands
+unfolding times PM'.  An SRI in C order, in F order or in the layout
+:func:`~hsrfuse.blockterm.reconstruct` returns (bands fastest, then rows, then
+columns) is read without an SRI-sized copy; any other strided SRI still gives
+the same result.
 """
 
 import math
@@ -142,22 +149,44 @@ def _check_full_row_rank(mat, name):
 
 
 def degrade_spatial(sri, ops):
-    """Apply P1 and P2 to the two spatial modes of every band: SRI -> HSI."""
-    i, j, _ = sri.shape
+    """Apply P1 and P2 to the two spatial modes of every band: SRI -> HSI.
+
+    P1 goes first, as one batched product over the (I, K) slab of every SRI
+    column, giving a (J, Hi, K) half product; P2 then acts on that half
+    product unfolded as (J, Hi*K).  BLAS reads each slab in place when its
+    bands or its rows are adjacent in memory, as they are in C order, in F
+    order and in the layout of :func:`~hsrfuse.blockterm.reconstruct`, so no
+    SRI-sized copy is made.  The HSI comes back in that last layout (bands
+    fastest, then rows, then columns).
+    """
+    i, j, k = sri.shape
     if ops.p1.shape[1] != i or ops.p2.shape[1] != j:
         raise DimensionError(
             f"spatial operators {ops.p1.shape}/{ops.p2.shape} do not match image dims {sri.shape}"
         )
-    return np.einsum("ai,ijk,bj->abk", ops.p1, sri, ops.p2, optimize=True)
+    hi, hj = ops.hsi_dims
+    half = np.matmul(ops.p1, sri.transpose(1, 0, 2))
+    return (ops.p2 @ half.reshape(j, hi * k)).reshape(hj, hi, k).transpose(1, 0, 2)
 
 
 def degrade_spectral(sri, ops):
-    """Apply PM to every spectral fiber: SRI -> MSI."""
-    if ops.pm.shape[1] != sri.shape[2]:
+    """Apply PM to every spectral fiber: SRI -> MSI.
+
+    The (pixels, K) unfolding times PM', refolded.  Pixels are enumerated in
+    whichever order makes the unfolding a view of the SRI (first spatial axis
+    fastest for F order and for the layout of
+    :func:`~hsrfuse.blockterm.reconstruct`, second fastest for C order), so
+    no SRI-sized copy is made; the MSI is refolded in that same order.
+    """
+    i, j, k = sri.shape
+    if ops.pm.shape[1] != k:
         raise DimensionError(
-            f"spectral operator {ops.pm.shape} does not match band count {sri.shape[2]}"
+            f"spectral operator {ops.pm.shape} does not match band count {k}"
         )
-    return np.einsum("ijk,mk->ijm", sri, ops.pm, optimize=True)
+    stride_i, stride_j, _ = sri.strides
+    order = "F" if min(i, j) == 1 or stride_j == i * stride_i else "C"
+    msi = sri.reshape(i * j, k, order=order) @ ops.pm.T
+    return msi.reshape(i, j, -1, order=order)
 
 
 def check_snr_db(snr_db):

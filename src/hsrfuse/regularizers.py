@@ -135,7 +135,8 @@ def tv_majorizer(img, cfg):
         sq *= sq  # d^2 + eps, written over the difference image d
         sq += cfg.epsilon
         u = sq**e
-        value += float(np.vdot(u, sq))
+        # u has the strides of sq, so both ravel to views in one element order
+        value += float(np.vdot(u.ravel(order="K"), sq.ravel(order="K")))
         u *= cfg.q
         weights.append(u)
     u, v = weights

@@ -13,6 +13,7 @@ from hsrfuse.blockterm import (
     reconstruct,
 )
 from hsrfuse.errors import DimensionError
+from hsrfuse.tensors import unfold
 
 from _oracles import loop_reconstruct
 
@@ -69,6 +70,15 @@ def test_random_blockterm_map_rank():
     for r in range(2):
         svals = np.linalg.svd(f.maps[:, :, r], compute_uv=False)
         assert np.sum(svals > 1e-10) == 3
+
+
+def test_random_blockterm_maps_are_factor_products():
+    f = random_blockterm((6, 7, 3), 4, 2, seed=4, nonneg=False)
+    for r in range(4):
+        expected = f.left[:, :, r] @ f.right[:, :, r].T
+        assert np.max(np.abs(f.maps[:, :, r] - expected)) <= 1e-14 * np.max(np.abs(expected))
+    # terms-major: the pixels-by-terms unfolding is a view, as the solver keeps it
+    assert np.shares_memory(unfold(f.maps), f.maps)
 
 
 def test_random_blockterm_rejects_large_rank():

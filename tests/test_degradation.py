@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hsrfuse.degradation import (
     gaussian_kernel,
 )
 from hsrfuse.errors import DimensionError
-from hsrfuse.tensors import unfold
+from hsrfuse.tensors import refold, unfold
 
 from _oracles import kron, loop_blur_downsample_matrix
 
@@ -182,6 +184,55 @@ def test_degrade_blockterm_factor_form():
         BlockTermFactors(maps=factors.maps, spectra=(ops.pm @ factors.spectra))
     )
     assert np.allclose(degrade_spectral(sri, ops), msi_expected, atol=1e-12)
+
+
+def _layouts(dims, seed):
+    """One SRI of shape ``dims`` in C order, in F order, in reconstruct's layout
+    (bands fastest, then rows, then columns) and as a strided view."""
+    i, j, k = dims
+    rng = np.random.default_rng(seed)
+    sri = rng.normal(size=dims)
+    wide = np.zeros((2 * i, j, 3 * k))
+    wide[::2, :, 1::3] = sri
+    return {
+        "C": np.ascontiguousarray(sri),
+        "F": np.asfortranarray(sri),
+        "reconstruct": refold(np.ascontiguousarray(unfold(sri)), dims),
+        "strided": wide[::2, :, 1::3],
+    }
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "reconstruct", "strided"])
+def test_degradations_match_dense_oracles_on_every_layout(layout):
+    # a non-square SRI, so a swap of the spatial axes cannot pass
+    dims = (12, 8, 5)
+    sri = _layouts(dims, 11)[layout]
+    spec = BlurSpec(kernel_width=3, sigma=1.0, ratio=2)
+    ops = DegradationOps.for_sri(dims, spec, [(0, 1), (2, 4)])
+    assert ops.hsi_dims == (6, 4)
+    hsi, msi = degrade_spatial(sri, ops), degrade_spectral(sri, ops)
+    assert hsi.shape == (6, 4, 5) and msi.shape == (12, 8, 2)
+    for got, dense in ((hsi, kron(ops.p2, ops.p1) @ unfold(sri)),
+                       (msi, unfold(sri) @ ops.pm.T)):
+        assert np.linalg.norm(unfold(got) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "reconstruct"])
+def test_degradations_make_no_sri_sized_copy(layout):
+    dims = (64, 64, 32)
+    sri = _layouts(dims, 12)[layout]
+    ops = DegradationOps.for_sri(dims, BlurSpec(), [(0, 7), (8, 15), (16, 23), (24, 31)])
+    hi, _ = ops.hsi_dims
+    half_nbytes = dims[1] * hi * dims[2] * 8  # the (J, Hi, K) product of P1
+    for degrade in (degrade_spatial, degrade_spectral):
+        tracemalloc.start()
+        try:
+            out = degrade(sri, ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of the SRI (1 MiB) would exceed this bound by far
+        assert peak <= out.nbytes + half_nbytes + 64 * 1024, (degrade.__name__, peak)
 
 
 def test_degradations_commute():

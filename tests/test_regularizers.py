@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,22 @@ def test_tv_majorizer_tangent_and_dominating():
     for _ in range(100):
         x = rng.normal(size=(5, 4)) * rng.uniform(0.05, 5)
         assert tv_majorizer_value(x, anchor, TV) >= tv_majorizer(x, TV)[0] - 1e-10
+
+
+def test_tv_majorizer_reads_the_solver_stack_without_copies():
+    # the solver's (R, I, J) view of a terms-major factor is not C-contiguous;
+    # the value's dot product must not ravel the weights and the squared
+    # differences into fresh arrays (six stack-sized arrays at peak, against
+    # four for the two difference images and their weights)
+    maps = np.asfortranarray(np.random.default_rng(16).uniform(size=(128 * 128, 6)))
+    stack = maps.reshape(128, 128, 6, order="F").transpose(2, 0, 1)
+    tracemalloc.start()
+    try:
+        tv_majorizer(stack, TV)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * stack.nbytes, peak
 
 
 # ---------------------------------------------------------------------------
