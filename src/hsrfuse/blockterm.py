@@ -68,8 +68,11 @@ def random_blockterm(dims, n_terms, term_rank, seed=0, nonneg=True):
 
     Entries come from uniform(0, 1) when ``nonneg`` (physical regime) and from
     the standard normal otherwise; identical seeds give bit-identical factors.
+    Every count is an integer >= 1; anything else raises ValueError naming it.
     """
-    i, j, k = dims
+    i, j, k = (check_int(f"dims[{n}]", d, 1) for n, d in enumerate(dims))
+    check_int("n_terms", n_terms, 1)
+    check_int("term_rank", term_rank, 1)
     if term_rank > min(i, j):
         raise DimensionError(
             f"term rank {term_rank} exceeds min spatial dim {min(i, j)}"

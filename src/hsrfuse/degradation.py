@@ -211,4 +211,6 @@ def add_noise(tensor, snr_db, seed=0):
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(tensor.shape)
     scale = math.sqrt(signal_energy / (np.sum(noise**2) * 10 ** (snr_db / 10)))
-    return tensor + scale * noise
+    noise *= scale
+    noise += tensor
+    return noise

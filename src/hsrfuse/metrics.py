@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .tensors import ensure_finite
+from .tensors import check_int, ensure_finite
 
 SSIM_WINDOW = 8
 UIQI_WINDOW = 10
@@ -77,8 +77,7 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
     as ``per_band``.
     """
     reference, estimate = _checked_pair(reference, estimate)
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
+    check_int("ratio", ratio, 1)
     ref_energy = float(np.sum(reference**2))
     if ref_energy == 0.0:
         raise ValueError("reference tensor has zero norm; R-SNR is undefined")

@@ -14,21 +14,23 @@ Schatten penalty eta sum_r schatten(T_r) but no TV term and no nonnegativity
 constraint.  One :class:`FusionData` holds either problem (``ops`` is None
 when blind), and one objective and one spectra step serve both.
 
-Each block is a triple (step, project, image): ``step`` returns the block
-gradient at an anchor and a cheap upper bound L on the block curvature (exact
-for the small Gram terms, operator-norm products elsewhere), and ``image`` is
-None or a linear map whose value the driver carries.  One driver serves both
-solvers: it moves each block 1/L from its anchor, projected onto the
-nonnegative orthant if ``project``, so the unaccelerated iteration decreases
-the objective monotonically.  Nesterov extrapolation is applied per block by
-default; gradients and bounds are evaluated at the anchor.  The penalties'
-majorizers are anchored at the iterate the objective last scored (block
-successive upper-bound minimization, Razaviyayn, Hong & Luo 2013; with
-extrapolation as in Xu & Yin 2013): without extrapolation that iterate is
-the anchor, so the plain iteration is the exact gradient step; with it the
-penalty gradient is p W(X) Z, that of the majorizer at X, where Z is the
-extrapolated anchor.  Accelerated regularized runs therefore differ from
-releases that reweighted at Z.
+Both problems have the same three blocks, C, S and T, and one driver,
+:func:`_run`, moves them in that order each sweep.  C and S move 1/L from
+their anchors, with L a cheap upper bound on the block curvature (exact for
+the small Gram terms, operator-norm products elsewhere), projected onto the
+nonnegative orthant, so the unaccelerated iteration decreases the objective
+monotonically.  The blind T takes the same step without projection; the tied
+T is (P2 kron P1) of the new maps.  Nesterov extrapolation, one momentum per
+sweep for every block, is on by default; gradients and bounds are evaluated
+at the anchor.  The tied T's anchor is then the image of the maps' anchor,
+since the operator is linear, so the maps step reads it without applying the
+operator.  The penalties' majorizers are anchored at the iterate the
+objective last scored (block successive upper-bound minimization,
+Razaviyayn, Hong & Luo 2013; with extrapolation as in Xu & Yin 2013):
+without extrapolation that iterate is the anchor, so the plain iteration is
+the exact gradient step; with it the penalty gradient is p W(X) Z, that of
+the majorizer at X, where Z is the extrapolated anchor.  Accelerated
+regularized runs therefore differ from releases that reweighted at Z.
 
 The objective and every step take the factors (S, C, T) themselves; T is
 the coarse block in the blind problem and (P2 kron P1) S otherwise.  The maps
@@ -43,38 +45,33 @@ penalty once on the (R, I, J) stack of a block's maps and weights the
 result.  The maps step of the known problem adds the HSI fit carried back
 through (P2 kron P1)'; the coarse step is the same term without TV.
 
-Three kinds of products are shared.  The driver carries (P2 kron P1) S as the
-maps' image: it applies the operator once per maps update, to the new
-projected maps, and extrapolates the image with the maps' own coefficient,
-so the next maps step reads the anchor's image without applying the
-operator again (exact up to rounding, since the operator is linear and the
-projection comes before it).  An iteration applies (P2 kron P1) once and its
-transpose once.  And one row-chunked pass per fit term serves both the
-objective after a sweep and the spectra step of the next: while a chunk of
-(X, Y) is in cache it adds the chunk's residual to 1/2 |X M' - Y|^2 and its
-rows to X'X and X'Y, for (S, Ym) and (T, Yh), so an iteration reads each
-image once for the objective and the spectra gradient together.  The
-objective returns these Grams and the driver hands them to the next sweep.
-The objective keeps the residual form: a Gram form cancels |Y|^2 against
-nearly equal terms and loses its accuracy, and even its sign, near an exact
-fit.  And the objective forms each penalty's majorizer at the iterate it
-scores, from the factorization that gives the penalty's value (one eigh
-per map for Schatten, one pair of difference images for TV); the driver
-hands the weights to the next sweep, whose maps and coarse steps take them
-as an argument and only apply them at their anchors.  No step forms a
-majorizer of its own.
+Products are shared.  An iteration applies (P2 kron P1) once, to the new
+maps for the tied T, and its transpose once, in the maps gradient.  And one
+row-chunked pass per fit term serves both the objective after a sweep and
+the spectra step of the next: while a chunk of (X, Y) is in cache it adds
+the chunk's residual to 1/2 |X M' - Y|^2 and its rows to X'X and X'Y, for
+(S, Ym) and (T, Yh), so an iteration reads each image once for the objective
+and the spectra gradient together.  The objective returns these Grams and
+the driver hands them to the next sweep.  The objective keeps the residual
+form: a Gram form cancels |Y|^2 against nearly equal terms and loses its
+accuracy, and even its sign, near an exact fit.  And the objective forms
+each penalty's majorizer at the iterate it scores, from the factorization
+that gives the penalty's value (one eigh per map for Schatten, one pair of
+difference images for TV); the driver hands the weights to the next sweep,
+whose maps and coarse steps take them as an argument and only apply them at
+their anchors.  No step forms a majorizer of its own.
 
 After the first sweep the iteration allocates no factor-sized array (the
 penalties' majorizers still allocate their own stacks of weights and
-differences).  The driver owns every factor, anchor and image and a spare
-per block, and rotates them: a step writes its gradient into the spare,
-``apg_step`` writes the new factor over the gradient, ``extrapolate`` writes
-the anchor over the factor it retires, and the old anchor becomes the next
-spare.  The steps write their intermediates (the HSI-fit gradient, the
-(P2 kron P1) half products, the chunks of the fit passes and fit gradients)
-into one :class:`_Work` the solve allocates once.  Initial factors and warm
-starts are copied, so no input is written and nothing returned shares
-memory with an input.
+differences).  The driver owns every factor and anchor and a spare per
+block, and rotates them: a step writes its gradient into the spare,
+``apg_step`` writes the new factor over the gradient (the tied T is written
+there directly), ``extrapolate`` writes the anchor over the factor it
+retires, and the old anchor becomes the next spare.  The steps write their
+intermediates (the HSI-fit gradient, the (P2 kron P1) half products, the
+chunks of the fit passes and fit gradients) into one :class:`_Work` the
+driver allocates once.  Initial factors and warm starts are copied, so no
+input is written and nothing returned shares memory with an input.
 
 Every factor is terms-major: an F-contiguous (rows, R) array, so a column
 (one map, one spectrum) is contiguous and the maps' transpose is a
@@ -559,60 +556,62 @@ class _Trace:
         return 0.0 <= prev - last <= rel_tol * abs(prev)
 
 
-def _run(factors, blocks, value, cfg, max_iters):
-    """Block-coordinate driver shared by both solvers.
+def _descend(anchor, step, project=True):
+    """Move ``anchor`` 1/L along a step's (gradient, L), as :func:`apg_step`."""
+    grad, lip = step
+    return apg_step(anchor, grad, 1.0 / max(lip, _TINY), project)
 
-    Each sweep updates ``factors[b]`` with ``blocks[b] = (step, project,
-    image)`` in order.  ``image`` is None or a linear map the driver carries
-    with the block: ``images[b] = image(factors[b], out)`` is taken once per
-    update, after projection, and the anchor's image is extrapolated from the
-    last two images with the anchor's own coefficient.  ``value(factors,
-    images)`` returns the objective and the Grams and majorizers it formed on
-    the way; ``step(anchor, anchor_image, factors, grams, majorizers, out)``
-    returns the gradient at the anchor and its curvature bound L, the other
-    factors at their current values and ``grams`` and ``majorizers`` those
-    of the last objective.  So the Grams hold for the factors no
-    earlier block of the sweep has moved, and each block's majorizers are
-    anchored at the block's last scored iterate, the point its anchor is
-    extrapolated from (the anchor itself without extrapolation).  The block
-    moves 1/L from the anchor, projected onto x >= 0 if ``project``.
 
-    The driver owns three arrays per block (the factor, the anchor and a
-    spare) and two per image, and rotates them: ``step`` may write the
-    gradient into the spare ``out``, ``apg_step`` writes the new factor over
-    the gradient, ``image`` writes the new image over the anchor's image
-    (already read), and ``extrapolate`` writes each anchor over the factor or
-    image it retires; the old anchor is the next spare.  Returns the factors,
-    the trace of objective values and whether ``cfg.rel_tol`` stopped the run.
+def _run(factors, data, cfg, max_iters):
+    """Block-coordinate driver shared by both solvers: each sweep moves the
+    spectra C, the maps S and the coarse factor T, in that order.
+
+    ``factors`` is [C, S, T] when blind and [C, S] with known operators, for
+    which T = (P2 kron P1) S is formed here and, each sweep, from the new S.
+    Each step reads the blocks before it at their new values and the Grams
+    and majorizers of the last objective: so the Grams hold for the blocks no
+    earlier step of the sweep has moved, and each block's majorizers are
+    anchored at its last scored iterate, the point its anchor is extrapolated
+    from.  The driver owns the steps' :class:`_Work` and a factor, an anchor
+    and a spare per block, rotated as the module docstring describes.
+    Returns the spectra and maps, the trace of objective values and whether
+    ``cfg.rel_tol`` stopped the run.
     """
-    images = [None if image is None else image(x, None)
-              for x, (_, _, image) in zip(factors, blocks)]
+    work = _Work(data, factors[0].shape[1])
+    known = data.ops is not None
+    if known:
+        p1, p2 = data.ops.p1, data.ops.p2
+        factors.append(_apply_ph(factors[1], p1, p2, None, work.mid))
     anchors = [x.copy(order="K") for x in factors]
-    anchor_images = [None if im is None else im.copy(order="K") for im in images]
     spares = [np.empty_like(x) for x in factors]
-    gammas = [1.0] * len(factors)
+    gamma = 1.0
     trace = _Trace()
-    f, grams, majorizers = value(factors, images)
+    c, s, t = factors
+    f, grams, (maps_major, coarse_major) = objective(s, c, data, cfg, t, work.chunk)
     trace.record(f)
     for _ in range(max_iters):
-        for b, (step, project, image) in enumerate(blocks):
-            grad, lip = step(anchors[b], anchor_images[b], factors, grams, majorizers, spares[b])
-            new = apg_step(anchors[b], grad, 1.0 / max(lip, _TINY), project)
-            new_image = None if image is None else image(new, anchor_images[b])
-            if cfg.accelerate:
-                spares[b] = anchors[b]
-                if image is not None:
-                    anchor_images[b], _ = extrapolate(new_image, images[b], gammas[b])
-                anchors[b], gammas[b] = extrapolate(new, factors[b], gammas[b])
-            else:
-                spares[b] = factors[b]
-                anchors[b], anchor_images[b] = new, new_image
-            factors[b], images[b] = new, new_image
-        f, grams, majorizers = value(factors, images)
+        c_anchor, s_anchor, t_anchor = anchors
+        c = _descend(c_anchor, spectra_step(c_anchor, grams, data, cfg))
+        s = _descend(s_anchor, maps_step(s_anchor, c, data, maps_major, t_anchor, spares[1], work))
+        if known:
+            t = _apply_ph(s, p1, p2, spares[2], work.mid)
+        else:
+            t = _descend(t_anchor, coarse_step_blind(t_anchor, c, data, coarse_major, spares[2],
+                                                     work), project=False)
+        if cfg.accelerate:
+            spares, anchors = anchors, []
+            for new, old in zip((c, s, t), factors):
+                anchor, next_gamma = extrapolate(new, old, gamma)
+                anchors.append(anchor)
+            gamma = next_gamma
+        else:
+            spares, anchors = factors, [c, s, t]
+        factors = [c, s, t]
+        f, grams, (maps_major, coarse_major) = objective(s, c, data, cfg, t, work.chunk)
         trace.record(f)
         if trace.stalled(cfg.rel_tol):
-            return factors, trace, True
-    return factors, trace, False
+            return (c, s), trace, True
+    return (c, s), trace, False
 
 
 def _report(maps, spectra, data, trace, converged):
@@ -639,34 +638,11 @@ def _init_factor(rng, shape, given, label):
 # full solvers
 # ---------------------------------------------------------------------------
 
-def _blocks(data, cfg, n_terms):
-    """The blocks of ``data``'s problem and its objective, as :func:`_run`
-    takes them: spectra, maps and, when blind, the coarse maps, all writing
-    into one :class:`_Work`.  T is the coarse block when blind, else the image
-    (P2 kron P1) S that the driver carries with the maps."""
-    work = _Work(data, n_terms)
-    if data.ops is None:
-        ph, coarse_of = None, lambda f, im: f[2]
-    else:
-        p1, p2 = data.ops.p1, data.ops.p2
-        ph, coarse_of = lambda s, out: _apply_ph(s, p1, p2, out, work.mid), lambda f, im: im[1]
-    blocks = [
-        (lambda c, _, f, grams, major, out: spectra_step(c, grams, data, cfg), True, None),
-        (lambda s, t, f, grams, major, out: maps_step(s, f[0], data, major[0], t, out, work),
-         True, ph),
-        (lambda t, _, f, grams, major, out: coarse_step_blind(t, f[0], data, major[1], out, work),
-         False, None),
-    ]
-    return (blocks[: 3 if data.ops is None else 2],
-            lambda f, im: objective(f[1], f[0], data, cfg, coarse_of(f, im), work.chunk))
-
-
 def _solve(data, n_terms, cfg, init):
     """Setup and run shared by both solvers.
 
-    The blocks are spectra, maps and, in the blind problem (``data.ops`` is
-    None), the coarse maps; factors are drawn in the order maps, spectra,
-    coarse maps.
+    Factors are drawn in the order maps, spectra and, in the blind problem
+    (``data.ops`` is None), coarse maps.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     check_int("n_terms", n_terms, 1)
@@ -687,11 +663,9 @@ def _solve(data, n_terms, cfg, init):
         _init_factor(rng, shape, given, label) for shape, given, label in zip(shapes, init, labels)
     ]
 
-    # the blocks alone hold the solve's scratch arrays, so these are freed
+    # the driver alone holds the solve's scratch arrays, so these are freed
     # before the report allocates the SRI
-    (spectra, maps, *_), trace, converged = _run(
-        [spectra, maps, *coarse], *_blocks(data, cfg, n_terms), cfg, max_iters
-    )
+    (spectra, maps), trace, converged = _run([spectra, maps, *coarse], data, cfg, max_iters)
     return _report(maps, spectra, data, trace, converged)
 
 

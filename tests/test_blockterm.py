@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,23 @@ def test_random_blockterm_maps_are_factor_products():
 def test_random_blockterm_rejects_large_rank():
     with pytest.raises(DimensionError):
         random_blockterm((3, 5, 4), 2, 4)
+
+
+@pytest.mark.parametrize("dims, n_terms, term_rank, name", [
+    # the first four returned empty factors, the fifth blamed the term rank
+    # for a negative dimension and the last two failed in numpy without
+    # naming the field
+    ((4, 4, 4), 2, 0, "term_rank"),
+    ((4, 4, 4), 0, 2, "n_terms"),
+    ((4, 4, 0), 2, 2, "dims[2]"),
+    ((0, 4, 4), 2, 0, "dims[0]"),
+    ((4, -4, 4), 2, 1, "dims[1]"),
+    ((4, 4, 4), 2, True, "term_rank"),
+    ((4, 4, 4), 2.0, 2, "n_terms"),
+])
+def test_random_blockterm_rejects_bad_counts(dims, n_terms, term_rank, name):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1")):
+        random_blockterm(dims, n_terms, term_rank)
 
 
 def test_factor_term_count_mismatch():

@@ -305,6 +305,16 @@ def test_add_noise_exact_snr():
     assert realized == pytest.approx(30.0, abs=1e-9)
 
 
+def test_add_noise_is_signal_plus_scaled_draw():
+    # the noise is scaled and the signal added in the draw's own array; the
+    # result is the out-of-place sum, bit for bit, in either signal layout
+    t = np.random.default_rng(11).normal(size=(6, 5, 4))
+    for signal in (t, np.asfortranarray(t)):
+        noise = np.random.default_rng(3).standard_normal(t.shape)
+        scale = np.sqrt(np.sum(t**2) / (np.sum(noise**2) * 10 ** (25.0 / 10)))
+        assert np.array_equal(add_noise(signal, 25.0, seed=3), signal + scale * noise)
+
+
 def test_add_noise_infinite_snr_is_copy():
     t = np.random.default_rng(8).normal(size=(3, 3, 3))
     noisy = add_noise(t, np.inf, seed=1)

@@ -105,6 +105,14 @@ def test_evaluate_validates_inputs():
         evaluate(ref, est, ratio=0)
 
 
+@pytest.mark.parametrize("ratio", [np.nan, True, 2.5, "4"])
+def test_evaluate_rejects_non_integer_ratio(ratio):
+    # nan passed a ``ratio < 1`` test and gave a NaN ERGAS; True was read as 1
+    ref, est = _random_pair()
+    with pytest.raises(ValueError, match="ratio must be an integer >= 1"):
+        evaluate(ref, est, ratio=ratio)
+
+
 def test_per_band_constant_difference_rows_identical():
     rng = np.random.default_rng(6)
     base = rng.uniform(0.5, 1.0, size=(6, 6))

@@ -595,45 +595,45 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     def look_ahead(new, old, coef):
         return new if coef is None else (new - old) * coef + new
 
-    def sweeps(factors, steps, value, image=None):
-        # Nesterov momentum written out here, not taken from extrapolate; the
-        # maps (b = 1) carry image(maps), moved with the maps' coefficient.
-        # A step reads (anchor, factors, anchor's image, fit Grams, majorizers);
-        # the Grams and majorizers come from the objective at the end of the
-        # last sweep.
-        anchors, gammas = list(factors), [1.0] * len(factors)
-        carried = anchor_carried = None if image is None else image(factors[1])
+    def descend(x, step, project=True):
+        grad, lip = step
+        return apg_step(x, grad, 1.0 / lip, project)
+
+    def sweeps(factors, steps, value):
+        # Nesterov momentum written out here, not taken from extrapolate: one
+        # coefficient per sweep for all three blocks (C, S, T).  A step reads
+        # (anchors, factors, fit Grams, majorizers) and returns the new block;
+        # the blocks before it have moved, and the Grams and majorizers come
+        # from the objective at the end of the last sweep.
+        anchors, gamma = list(factors), 1.0
         for _ in range(3):
-            grams, major = value(factors, carried)
+            grams, major = value(factors)
+            coef = None
+            if accelerate:
+                next_gamma = (1.0 + math.sqrt(1.0 + 4.0 * gamma**2)) / 2.0
+                coef, gamma = (gamma - 1.0) / next_gamma, next_gamma
             for b, step in enumerate(steps):
-                grad, lip = step(anchors[b], factors, anchor_carried, grams, major)
-                new = apg_step(anchors[b], grad, 1.0 / lip, project=b < 2)
-                coef = None
-                if accelerate:
-                    gamma = (1.0 + math.sqrt(1.0 + 4.0 * gammas[b] ** 2)) / 2.0
-                    coef, gammas[b] = (gammas[b] - 1.0) / gamma, gamma
+                new = step(anchors, factors, grams, major)
                 anchors[b] = look_ahead(new, factors[b], coef)
-                if b == 1 and image is not None:
-                    new_carried = image(new)
-                    anchor_carried = look_ahead(new_carried, carried, coef)
-                    carried = new_carried
                 factors[b] = new
         return factors
 
-    want = sweeps([spectra, maps], [
-        lambda c, f, t_anchor, grams, major: spectra_step(c, grams, data, cfg),
-        lambda s, f, t_anchor, grams, major:
-            maps_step(s, f[0], data, major[0], t_anchor),
-    ], lambda f, t: objective(f[1], f[0], data, cfg, t)[1:],
-        image=lambda s: _apply_ph(s, ops.p1, ops.p2))
+    # with known operators T is (P2 kron P1) S of the new maps, and the maps
+    # step reads T's anchor
+    want = sweeps([spectra, maps, _apply_ph(maps, ops.p1, ops.p2)], [
+        lambda a, f, grams, major: descend(a[0], spectra_step(a[0], grams, data, cfg)),
+        lambda a, f, grams, major: descend(a[1], maps_step(a[1], f[0], data, major[0], a[2])),
+        lambda a, f, grams, major: _apply_ph(f[1], ops.p1, ops.p2),
+    ], lambda f: objective(f[1], f[0], data, cfg, f[2])[1:])
     got = fuse(hsi, msi, ops, 2, cfg, init=(maps, spectra))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
     want = sweeps([spectra, maps, coarse], [
-        lambda c, f, _, grams, major: spectra_step(c, grams, blind, cfg),
-        lambda s, f, _, grams, major: maps_step(s, f[0], blind, major[0]),
-        lambda t, f, _, grams, major: coarse_step_blind(t, f[0], blind, major[1]),
-    ], lambda f, _: objective(f[1], f[0], blind, cfg, f[2])[1:])
+        lambda a, f, grams, major: descend(a[0], spectra_step(a[0], grams, blind, cfg)),
+        lambda a, f, grams, major: descend(a[1], maps_step(a[1], f[0], blind, major[0])),
+        lambda a, f, grams, major:
+            descend(a[2], coarse_step_blind(a[2], f[0], blind, major[1]), project=False),
+    ], lambda f: objective(f[1], f[0], blind, cfg, f[2])[1:])
     got = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=(maps, spectra, coarse))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
