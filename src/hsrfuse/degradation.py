@@ -138,6 +138,8 @@ class DegradationOps:
 
 
 def _check_full_row_rank(mat, name):
+    if mat.ndim != 2 or mat.size == 0:
+        raise DimensionError(f"{name} must be a nonempty 2-d matrix, got shape {mat.shape}")
     rows, cols = mat.shape
     if rows > cols:
         raise DimensionError(f"{name} must not have more rows than columns, got {mat.shape}")
@@ -146,6 +148,12 @@ def _check_full_row_rank(mat, name):
     if svals[-1] <= _RANK_TOL:
         raise ValueError(f"{name} is row-rank deficient (smallest singular value {svals[-1]:.2e})")
     return float(svals[0])
+
+
+def _sri_shape(sri):
+    if np.ndim(sri) != 3:
+        raise DimensionError(f"SRI must be a 3-d tensor, got shape {np.shape(sri)}")
+    return sri.shape
 
 
 def degrade_spatial(sri, ops):
@@ -159,7 +167,7 @@ def degrade_spatial(sri, ops):
     SRI-sized copy is made.  The HSI comes back in that last layout (bands
     fastest, then rows, then columns).
     """
-    i, j, k = sri.shape
+    i, j, k = _sri_shape(sri)
     if ops.p1.shape[1] != i or ops.p2.shape[1] != j:
         raise DimensionError(
             f"spatial operators {ops.p1.shape}/{ops.p2.shape} do not match image dims {sri.shape}"
@@ -178,7 +186,7 @@ def degrade_spectral(sri, ops):
     :func:`~hsrfuse.blockterm.reconstruct`, second fastest for C order), so
     no SRI-sized copy is made; the MSI is refolded in that same order.
     """
-    i, j, k = sri.shape
+    i, j, k = _sri_shape(sri)
     if ops.pm.shape[1] != k:
         raise DimensionError(
             f"spectral operator {ops.pm.shape} does not match band count {k}"

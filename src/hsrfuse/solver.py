@@ -46,7 +46,8 @@ result.  The maps step of the known problem adds the HSI fit carried back
 through (P2 kron P1)'; the coarse step is the same term without TV.
 
 Products are shared.  An iteration applies (P2 kron P1) once, to the new
-maps for the tied T, and its transpose once, in the maps gradient.  And one
+maps for the tied T, and its transpose once, in the maps gradient; both
+are :func:`_apply_ph`, given P1' and P2' for the transpose.  And one
 row-chunked pass per fit term serves both the objective after a sweep and
 the spectra step of the next: while a chunk of (X, Y) is in cache it adds
 the chunk's residual to 1/2 |X M' - Y|^2 and its rows to X'X and X'Y, for
@@ -64,14 +65,15 @@ their anchors.  No step forms a majorizer of its own.
 After the first sweep the iteration allocates no factor-sized array (the
 penalties' majorizers still allocate their own stacks of weights and
 differences).  The driver owns every factor and anchor and a spare per
-block, and rotates them: a step writes its gradient into the spare,
-``apg_step`` writes the new factor over the gradient (the tied T is written
-there directly), ``extrapolate`` writes the anchor over the factor it
-retires, and the old anchor becomes the next spare.  The steps write their
-intermediates (the HSI-fit gradient, the (P2 kron P1) half products, the
-chunks of the fit passes and fit gradients) into one :class:`_Work` the
-driver allocates once.  Initial factors and warm starts are copied, so no
-input is written and nothing returned shares memory with an input.
+block, and every block follows one protocol: its step writes its gradient
+into the spare, ``apg_step`` writes the new factor over the gradient (the
+tied T is written there directly), ``extrapolate`` writes the anchor over the
+factor it retires, and the old anchor becomes the next spare.  The steps
+write their intermediates (the HSI-fit gradient, the half products of
+(P2 kron P1) and its transpose, the chunks of the fit passes and fit
+gradients) into one :class:`_Work` the driver allocates once.  Initial
+factors and warm starts are copied, so no input is written and nothing
+returned shares memory with an input.
 
 Every factor is terms-major: an F-contiguous (rows, R) array, so a column
 (one map, one spectrum) is contiguous and the maps' transpose is a
@@ -179,6 +181,8 @@ class FusionData:
     @classmethod
     def from_tensors(cls, hsi, msi, ops):
         """Known-operator problem: ``ops`` is a :class:`DegradationOps`."""
+        if not isinstance(ops, DegradationOps):
+            raise ValueError(f"ops must be a DegradationOps, got {type(ops).__name__}")
         data = cls._unfold(hsi, msi, ops.pm, ops.pm_norm, ops)
         if data.hsi_dims != ops.hsi_dims:
             raise DimensionError(
@@ -232,7 +236,8 @@ class FusionData:
 # ---------------------------------------------------------------------------
 
 def _apply_ph(mat, p1, p2, out=None, mid=None):
-    """(P2 kron P1) @ mat for mat with I*J rows (columns are vec'd images).
+    """(P2 kron P1) @ mat for mat with P1.shape[1]*P2.shape[1] rows (columns
+    are vec'd images); given P1' and P2' it is the transpose product.
 
     ``mat.T`` read as an (R, J, I) stack holds the transposed images X_r', so
     P1 X_r P2' is computed transposed, as (P2 X_r') P1': one product with P2
@@ -250,27 +255,12 @@ def _apply_ph(mat, p1, p2, out=None, mid=None):
     return out
 
 
-def _apply_ph_t(mat, p1, p2, out=None, mid=None):
-    """(P2 kron P1)' @ mat for mat with Ih*Jh rows, as :func:`_apply_ph` with
-    P2' and P1 (``mid``: at least R*J*Ih entries)."""
-    cols = mat.shape[1]
-    (hi, i), (hj, j) = p1.shape, p2.shape
-    out = np.empty((i * j, cols), order="F") if out is None else out
-    mid = np.empty(cols * j * hi) if mid is None else mid
-    mid = mid[: cols * j * hi].reshape(cols, j, hi)
-    np.matmul(p2.T, mat.T.reshape(cols, hj, hi), out=mid)
-    np.matmul(mid.reshape(cols * j, hi), p1, out=out.T.reshape(cols * j, i))
-    return out
-
-
 def _sq_norm(mat):
     """sigma_max(M)^2 via the small Gram matrix."""
     return _top_eigenvalue(mat.T @ mat)
 
 
 def _top_eigenvalue(gram):
-    if gram.size == 0:
-        return 0.0
     return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 
@@ -379,9 +369,10 @@ def _fit_pass(x, m, target, chunk=None):
 class _Work:
     """The scratch arrays of one solve, allocated once and rewritten by every
     sweep: the HSI-fit gradient of the known maps step (``coarse_grad``), the
-    half products of (P2 kron P1) and its transpose (``mid``), both None when
-    blind, and the chunks of the fit passes and of the fit gradients
-    (``chunk``)."""
+    half product of :func:`_apply_ph` (``mid``, sized for (P2 kron P1) and
+    its transpose alike), both None when blind, and the chunks of the fit
+    passes and of the fit gradients (``chunk``).  The steps' gradients go
+    into the driver's spares, not here."""
 
     def __init__(self, data, n_terms):
         i, j, _ = data.sri_dims
@@ -416,21 +407,24 @@ def objective(maps, spectra, data, cfg, coarse, chunk=None):
     return f, (hsi_grams, msi_grams), (maps_majorizers, coarse_majorizers)
 
 
-def spectra_step(spectra, grams, data, cfg):
-    """Spectra-block gradient and curvature bound from the fit Grams
-    ((T'T, T'Yh), (S'S, S'Ym)) that :func:`objective` returns at (S, T)."""
+def spectra_step(spectra, grams, data, cfg, out=None):
+    """Spectra-block gradient, written into ``out`` (allocated when None) as
+    the maps and coarse steps write theirs, and curvature bound, from the fit
+    Grams ((T'T, T'Yh), (S'S, S'Ym)) that :func:`objective` returns at (S, T)."""
     (coarse_gram, coarse_cross), (gram, cross) = grams
     pm = data.pm
     if data.ops is None:
         curv = data.pm_gram_norm * _top_eigenvalue(gram) + _top_eigenvalue(coarse_gram)
     else:
+        # the tighter blind form ended 13 of 14 benchmark instances at a higher objective
         curv = _top_eigenvalue(gram) * (data.ph_gram_norm + data.pm_gram_norm)
-    g = (coarse_gram @ spectra.T).T
-    g += pm.T @ (pm @ spectra) @ gram
-    g += cfg.ridge_weight * spectra
-    g -= coarse_cross.T
-    g -= pm.T @ cross.T
-    return g, curv + cfg.ridge_weight
+    out = np.empty(spectra.shape, order="F") if out is None else out
+    np.matmul(coarse_gram, spectra.T, out=out.T)
+    out += pm.T @ (pm @ spectra) @ gram
+    out += cfg.ridge_weight * spectra
+    out -= coarse_cross.T
+    out -= pm.T @ cross.T
+    return out, curv + cfg.ridge_weight
 
 
 def _add_fit_grad(x, m, target, out, chunk):
@@ -481,7 +475,7 @@ def maps_step(maps, spectra, data, majorizers, coarse=None, out=None, work=None)
         # the HSI term is written over out first: P_H' has no form that adds
         work.coarse_grad.fill(0.0)
         hsi_grad = _add_fit_grad(coarse, spectra, data.hsi_mat, work.coarse_grad, work.chunk)
-        _apply_ph_t(hsi_grad, data.ops.p1, data.ops.p2, out, work.mid)
+        _apply_ph(hsi_grad, data.ops.p1.T, data.ops.p2.T, out, work.mid)
         l_hsi = _sq_norm(spectra) * data.ph_gram_norm
     g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], majorizers,
                         out, work.chunk)
@@ -591,7 +585,7 @@ def _run(factors, data, cfg, max_iters):
     trace.record(f)
     for _ in range(max_iters):
         c_anchor, s_anchor, t_anchor = anchors
-        c = _descend(c_anchor, spectra_step(c_anchor, grams, data, cfg))
+        c = _descend(c_anchor, spectra_step(c_anchor, grams, data, cfg, spares[0]))
         s = _descend(s_anchor, maps_step(s_anchor, c, data, maps_major, t_anchor, spares[1], work))
         if known:
             t = _apply_ph(s, p1, p2, spares[2], work.mid)
@@ -645,6 +639,8 @@ def _solve(data, n_terms, cfg, init):
     (``data.ops`` is None), coarse maps.
     """
     cfg = cfg if cfg is not None else SolverConfig()
+    if not isinstance(cfg, SolverConfig):
+        raise ValueError(f"cfg must be a SolverConfig, got {type(cfg).__name__}")
     check_int("n_terms", n_terms, 1)
     blind = data.ops is None
     labels = ("maps", "spectra", "coarse maps")[: 3 if blind else 2]
@@ -654,6 +650,8 @@ def _solve(data, n_terms, cfg, init):
         max_iters = DEFAULT_MAX_ITERS_BLIND if blind else DEFAULT_MAX_ITERS
     if init is None:
         init = (None,) * len(labels)
+    elif not isinstance(init, (list, tuple)):
+        raise ValueError(f"init must be a sequence of factors, got {type(init).__name__}")
     elif len(init) != len(labels):
         raise DimensionError(f"warm start has {len(init)} factors, expected ({', '.join(labels)})")
     i, j, k = data.sri_dims

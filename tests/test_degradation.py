@@ -17,6 +17,7 @@ from hsrfuse.degradation import (
     gaussian_kernel,
 )
 from hsrfuse.errors import DimensionError
+from hsrfuse.solver import fuse_blind
 from hsrfuse.tensors import refold, unfold
 
 from _oracles import kron, loop_blur_downsample_matrix
@@ -250,6 +251,11 @@ def test_dimension_mismatch_raises():
         degrade_spatial(np.zeros((7, 8, 6)), ops)
     with pytest.raises(DimensionError):
         degrade_spectral(np.zeros((8, 8, 5)), ops)
+    # an SRI that is not 3-d is refused by name before its shape is unpacked
+    for shape in ((8, 8), (8, 8, 6, 1)):
+        for degrade in (degrade_spatial, degrade_spectral):
+            with pytest.raises(DimensionError, match="SRI must be a 3-d tensor"):
+                degrade(np.zeros(shape), ops)
 
 
 @settings(max_examples=30, deadline=None)
@@ -290,6 +296,31 @@ def test_non_finite_operator_rejected():
         mats[name][0, 0] = np.inf
         with pytest.raises(ValueError, match=f"{name} contains non-finite"):
             DegradationOps(**mats)
+
+
+def _ops_with(name, mat):
+    mats = dict(p1=np.eye(2, 3), p2=np.eye(3), pm=np.eye(2, 3))
+    mats[name] = mat
+    return DegradationOps(**mats)
+
+
+def _blind_with_pm(name, mat):
+    return fuse_blind(np.ones((2, 3, 3)), np.ones((3, 3, 2)), mat, 1)
+
+
+_BAD_OPERATORS = [("p1", (2, 3, 1)), ("p2", (3, 3, 2)), ("pm", (2, 3, 1)),
+                  ("p1", (0, 3)), ("p2", (0, 3)), ("pm", (0, 3)), ("pm", (0, 0))]
+
+
+@pytest.mark.parametrize("build, name, shape", [
+    *[(_ops_with, name, shape) for name, shape in _BAD_OPERATORS],
+    *[(_blind_with_pm, name, shape) for name, shape in _BAD_OPERATORS if name == "pm"],
+])
+def test_operator_must_be_a_nonempty_matrix(build, name, shape):
+    # refused by name before its shape is unpacked or its singular values
+    # are indexed
+    with pytest.raises(DimensionError, match=f"{name} must be a nonempty 2-d matrix"):
+        build(name, np.ones(shape))
 
 
 def test_tall_operator_rejected():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,6 @@ from hsrfuse.solver import (
     FusionData,
     SolverConfig,
     _apply_ph,
-    _apply_ph_t,
     _sq_norm,
     apg_step,
     coarse_step_blind,
@@ -147,7 +147,8 @@ def test_spatial_products_match_dense_kron(order):
     ph = kron(p2, p1)
     x = np.asarray(rng.normal(size=(35, 4)), order=order)
     y = np.asarray(rng.normal(size=(6, 4)), order=order)
-    px, pty = _apply_ph(x, p1, p2), _apply_ph_t(y, p1, p2)
+    # one function forms both products: the transpose from P1' and P2'
+    px, pty = _apply_ph(x, p1, p2), _apply_ph(y, p1.T, p2.T)
     assert rel_error(px, ph @ x) <= 1e-14
     assert rel_error(pty, ph.T @ y) <= 1e-14
     assert px.flags.f_contiguous and pty.flags.f_contiguous
@@ -266,7 +267,7 @@ def test_blind_model_with_tied_coarse_block_is_the_known_model():
         g_known, l_known = maps_step(maps, spectra, data, known_major[0], image)
         g_blind, l_blind = maps_step(maps, spectra, blind, blind_major[0])
         g_coarse = coarse_step_blind(image, spectra, blind, blind_major[1])[0]
-        chained = g_blind + _apply_ph_t(g_coarse, data.ops.p1, data.ops.p2)
+        chained = g_blind + _apply_ph(g_coarse, data.ops.p1.T, data.ops.p2.T)
         assert rel_error(g_known, chained) <= 1e-12
         assert l_known == l_blind + _sq_norm(spectra) * data.ph_gram_norm
 
@@ -280,6 +281,20 @@ def test_grad_spectra_finite_differences():
     grad = spectra_step(spectra, fit_grams(maps, spectra, data), data, WEIGHTED)[0]
     fd = central_gradient(lambda c: value(maps, c, data, WEIGHTED), spectra)
     assert rel_error(grad, fd) <= 1e-5
+
+
+def test_spectra_step_writes_its_gradient_into_out():
+    # the driver hands every step a spare to write its gradient into; the
+    # spectra step, too, returns that very array, with the values it
+    # allocates for itself
+    data, blind, maps, spectra, coarse = random_instance(2)
+    for d, image in ((data, tied(maps, data)), (blind, coarse)):
+        grams = fit_grams(maps, spectra, d, image)
+        want, l_want = spectra_step(spectra, grams, d, WEIGHTED)
+        out = np.full(spectra.shape, np.nan, order="F")
+        got, l_got = spectra_step(spectra, grams, d, WEIGHTED, out)
+        assert got is out
+        assert np.array_equal(got, want) and l_got == l_want
 
 
 def test_grad_maps_finite_differences():
@@ -656,18 +671,20 @@ def test_fuse_passes_maps_step_the_image_of_its_anchor(monkeypatch):
 @pytest.mark.parametrize("accelerate", [False, True])
 def test_fuse_applies_each_spatial_product_once_per_iteration(monkeypatch, accelerate):
     # P_H once for the initial objective and once per maps update; its
-    # transpose once per maps gradient
+    # transpose, the same function given P1' and P2', once per maps gradient
     _, _, ops, hsi, msi = consistent_instance(seed=13, dims=(8, 8, 8), snr_db=25.0)
-    calls = {"_apply_ph": 0, "_apply_ph_t": 0}
-    for name in calls:
-        def counted(*args, _name=name, _apply=getattr(solver, name)):
-            calls[_name] += 1
-            return _apply(*args)
+    calls = {"all": 0, "transpose": 0}
+    apply_ph = solver._apply_ph
 
-        monkeypatch.setattr(solver, name, counted)
+    def counted(mat, p1, p2, *buffers):
+        calls["all"] += 1
+        calls["transpose"] += p1.shape == ops.p1.T.shape and p2.shape == ops.p2.T.shape
+        return apply_ph(mat, p1, p2, *buffers)
+
+    monkeypatch.setattr(solver, "_apply_ph", counted)
     iters = 7
     fuse(hsi, msi, ops, 2, SolverConfig(max_iters=iters, rel_tol=0.0, accelerate=accelerate))
-    assert calls == {"_apply_ph": iters + 1, "_apply_ph_t": iters}
+    assert calls == {"all": 2 * iters + 1, "transpose": iters}
 
 
 @pytest.mark.parametrize("accelerate", [False, True])
@@ -735,6 +752,34 @@ def test_solvers_own_their_buffers(accelerate):
             assert not any(np.shares_memory(out, y) for y in outputs[k + 1:])
 
 
+@pytest.mark.parametrize("accelerate", [False, True])
+@pytest.mark.parametrize("blind", [False, True])
+def test_sweeps_after_the_first_allocate_no_factor(monkeypatch, blind, accelerate):
+    # every block writes its step into a spare the driver rotates, so no
+    # sweep after the first allocates a factor-sized array: the peak each
+    # later sweep adds to what was live when it began stays below one maps
+    # factor (the steps' small Grams and spectra-sized products remain)
+    _, _, ops, hsi, msi = consistent_instance(seed=15, dims=(32, 32, 16), snr_db=30.0)
+    marks = []
+    record = solver._Trace.record
+
+    def marked(self, value):
+        record(self, value)
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(solver._Trace, "record", marked)
+    cfg = SolverConfig(max_iters=6, rel_tol=0.0, accelerate=accelerate)
+    tracemalloc.start()
+    try:
+        report = run_solver(hsi, msi, ops, blind, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == 7
+    added = [peak - start for (start, _), (_, peak) in zip(marks[1:], marks[2:])]
+    assert max(added) < report.maps.nbytes, added
+
+
 def test_max_iters_zero_returns_initialization():
     _, _, ops, hsi, msi = consistent_instance(seed=5, dims=(8, 8, 8))
     rng = np.random.default_rng(1)
@@ -800,6 +845,20 @@ def test_data_shape_validation():
         FusionData.from_tensors(hsi[:3], msi, ops)
     with pytest.raises(DimensionError):
         FusionData.from_tensors_blind(hsi, msi[:, :, :1], ops.pm)
+
+
+@pytest.mark.parametrize("name, call", [
+    # each is refused by name before the solver reads it
+    ("cfg", lambda ops, hsi, msi: fuse(hsi, msi, ops, 2, {"max_iters": 1})),
+    ("cfg", lambda ops, hsi, msi: fuse_blind(hsi, msi, ops.pm, 2, {"max_iters": 1})),
+    ("ops", lambda ops, hsi, msi: fuse(hsi, msi, (ops.p1, ops.p2, ops.pm), 2)),
+    ("init", lambda ops, hsi, msi: fuse(hsi, msi, ops, 2, init=3)),
+    ("init", lambda ops, hsi, msi: fuse_blind(hsi, msi, ops.pm, 2, init=3)),
+], ids=["fuse-cfg", "blind-cfg", "ops", "fuse-init", "blind-init"])
+def test_solver_arguments_of_the_wrong_kind_rejected(name, call):
+    _, _, ops, hsi, msi = consistent_instance(seed=10, dims=(8, 8, 8))
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        call(ops, hsi, msi)
 
 
 def test_non_finite_observations_rejected():
