@@ -241,6 +241,9 @@ def _run_fusion(cfg, solve, mode):
             "n_terms": cfg.rank,
             "iterations": report.iterations,
             "converged": report.converged,
+            "stop_reason": report.stop_reason,
+            "noise_energy": None if report.noise_energy is None else dict(
+                zip(("hsi", "msi"), report.noise_energy)),
             "final_objective": float(report.objective_trace[-1]),
             "weights": {
                 "ridge": cfg.solver.ridge_weight,

@@ -150,10 +150,12 @@ def _check_full_row_rank(mat, name):
     return float(svals[0])
 
 
-def _sri_shape(sri):
-    if np.ndim(sri) != 3:
-        raise DimensionError(f"SRI must be a 3-d tensor, got shape {np.shape(sri)}")
-    return sri.shape
+def _as_sri(sri):
+    """``sri`` as an array (a view when it is one already), refused unless 3-d."""
+    sri = np.asarray(sri)
+    if sri.ndim != 3:
+        raise DimensionError(f"SRI must be a 3-d tensor, got shape {sri.shape}")
+    return sri
 
 
 def degrade_spatial(sri, ops):
@@ -167,7 +169,8 @@ def degrade_spatial(sri, ops):
     SRI-sized copy is made.  The HSI comes back in that last layout (bands
     fastest, then rows, then columns).
     """
-    i, j, k = _sri_shape(sri)
+    sri = _as_sri(sri)
+    i, j, k = sri.shape
     if ops.p1.shape[1] != i or ops.p2.shape[1] != j:
         raise DimensionError(
             f"spatial operators {ops.p1.shape}/{ops.p2.shape} do not match image dims {sri.shape}"
@@ -186,7 +189,8 @@ def degrade_spectral(sri, ops):
     :func:`~hsrfuse.blockterm.reconstruct`, second fastest for C order), so
     no SRI-sized copy is made; the MSI is refolded in that same order.
     """
-    i, j, k = _sri_shape(sri)
+    sri = _as_sri(sri)
+    i, j, k = sri.shape
     if ops.pm.shape[1] != k:
         raise DimensionError(
             f"spectral operator {ops.pm.shape} does not match band count {k}"

@@ -32,6 +32,15 @@ the exact gradient step; with it the penalty gradient is p W(X) Z, that of
 the majorizer at X, where Z is the extrapolated anchor.  Accelerated
 regularized runs therefore differ from releases that reweighted at Z.
 
+A run ends after ``max_iters`` sweeps, or after a sweep that lowers the
+objective by at most ``rel_tol`` relative, or, with no TV or Schatten
+penalty, after the first sweep whose fit 1/2 |Yh - T C'|^2 +
+1/2 |Ym - S (PM C)'|^2 is at most half the noise energy of the two images:
+Morozov's discrepancy principle (1966).  An unpenalized fit that goes on
+fits the noise, and its error grows.  Each image's noise energy is read at
+setup from the eigenvalues of its band Gram beyond the R-dimensional signal
+subspace (:func:`_noise_energy`); a penalized run keeps the other two rules.
+
 The objective and every step take the factors (S, C, T) themselves; T is
 the coarse block in the blind problem and (P2 kron P1) S otherwise.  The maps
 block and the coarse block share one image-block term, the Gram-form fit
@@ -117,7 +126,12 @@ class SolverConfig:
     The TV and low-rank weights are uniform across terms.  ``max_iters=None``
     falls back to 300 (known operators) or 600 (blind).  A run stops after a
     sweep that lowers the objective by at most ``rel_tol`` relative (a sweep
-    that raises it never stops the run); ``rel_tol=0`` disables the rule.
+    that raises it never stops the run).  A run with neither TV nor Schatten
+    weight (the ridge does not count) also stops after the first sweep whose
+    fit reaches the noise level the data show (see :func:`_noise_energy`):
+    without a penalty nothing else keeps the fit from fitting the noise.
+    ``rel_tol=0`` disables both rules, so the run takes exactly ``max_iters``
+    sweeps.
     """
 
     ridge_weight: float = 0.0
@@ -148,18 +162,30 @@ class SolverConfig:
 
 @dataclass
 class FusionReport:
-    """Solver output: recovered tensor, factors, and the objective trace."""
+    """Solver output: recovered tensor, factors, and the objective trace.
+
+    ``stop_reason`` is ``"noise_level"``, ``"rel_tol"`` or ``"max_iters"``,
+    whichever rule ended the run.  ``noise_energy`` holds the (HSI, MSI)
+    noise energies the noise-level rule compared the fit with, or None when
+    the rule was off.
+    """
 
     sri: np.ndarray
     maps: np.ndarray
     spectra: np.ndarray
     objective_trace: np.ndarray
     elapsed: np.ndarray
-    converged: bool
+    stop_reason: str
+    noise_energy: tuple = None
 
     @property
     def iterations(self):
         return len(self.objective_trace) - 1
+
+    @property
+    def converged(self):
+        """Whether a stop rule, not the iteration cap, ended the run."""
+        return self.stop_reason != "max_iters"
 
 
 @dataclass
@@ -262,6 +288,17 @@ def _sq_norm(mat):
 
 def _top_eigenvalue(gram):
     return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+
+
+def _noise_energy(mat, n_terms):
+    """Noise energy |N|^2 of a pixels-by-bands image Y = X + N whose signal X
+    spans R = ``n_terms`` dimensions of its K bands, read from the band Gram
+    beyond that subspace (as HySime, Bioucas-Dias & Nascimento 2008): white
+    noise adds |N|^2/K to every eigenvalue of Y'Y, and the K - R smallest
+    hold nothing else, so K times their mean, clamped at 0.  Needs K > R."""
+    bands = mat.shape[1]
+    tail = np.linalg.eigvalsh(mat.T @ mat)[: bands - n_terms]
+    return max(bands * float(np.mean(tail)), 0.0)
 
 
 def _maps_as_images(maps, shape):
@@ -386,25 +423,26 @@ class _Work:
 
 def objective(maps, spectra, data, cfg, coarse, chunk=None):
     """Full objective at (S, C, T), the fit Grams ((T'T, T'Yh), (S'S, S'Ym))
-    that :func:`spectra_step` reads, and the penalties' majorizers anchored at
-    (S, T) that :func:`maps_step` and :func:`coarse_step_blind` read.
+    that :func:`spectra_step` reads, the penalties' majorizers anchored at
+    (S, T) that :func:`maps_step` and :func:`coarse_step_blind` read, and the
+    sum of the two fit terms, which the noise-level stop reads.
 
     T is (P2 kron P1) S with known operators, and its majorizers are None; in
     the blind problem it is the coarse block and carries its own Schatten
     term.  Both fits are residual-form passes (:func:`_fit_pass`); each
     penalty's value and majorizer come from one factorization
     (:func:`_reweight`)."""
-    f, hsi_grams = _fit_pass(coarse, spectra, data.hsi_mat, chunk)
+    fit, hsi_grams = _fit_pass(coarse, spectra, data.hsi_mat, chunk)
     msi_fit, msi_grams = _fit_pass(maps, data.pm @ spectra, data.msi_mat, chunk)
-    f += msi_fit
-    f += 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
+    fit += msi_fit
+    f = fit + 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
     penalty, maps_majorizers = _reweight(maps, data.sri_dims[:2], cfg)
     f += penalty
     coarse_majorizers = None
     if data.ops is None:
         penalty, coarse_majorizers = _reweight(coarse, data.hsi_dims, cfg, with_tv=False)
         f += penalty
-    return f, (hsi_grams, msi_grams), (maps_majorizers, coarse_majorizers)
+    return f, (hsi_grams, msi_grams), (maps_majorizers, coarse_majorizers), fit
 
 
 def spectra_step(spectra, grams, data, cfg, out=None):
@@ -556,7 +594,7 @@ def _descend(anchor, step, project=True):
     return apg_step(anchor, grad, 1.0 / max(lip, _TINY), project)
 
 
-def _run(factors, data, cfg, max_iters):
+def _run(factors, data, cfg, max_iters, noise_level):
     """Block-coordinate driver shared by both solvers: each sweep moves the
     spectra C, the maps S and the coarse factor T, in that order.
 
@@ -568,8 +606,10 @@ def _run(factors, data, cfg, max_iters):
     anchored at its last scored iterate, the point its anchor is extrapolated
     from.  The driver owns the steps' :class:`_Work` and a factor, an anchor
     and a spare per block, rotated as the module docstring describes.
-    Returns the spectra and maps, the trace of objective values and whether
-    ``cfg.rel_tol`` stopped the run.
+    The run stops after the first sweep whose fit is at most
+    ``noise_level`` (None: never), or that ``cfg.rel_tol`` calls stalled.
+    Returns the spectra and maps, the trace of objective values and the
+    stop reason.
     """
     work = _Work(data, factors[0].shape[1])
     known = data.ops is not None
@@ -581,7 +621,7 @@ def _run(factors, data, cfg, max_iters):
     gamma = 1.0
     trace = _Trace()
     c, s, t = factors
-    f, grams, (maps_major, coarse_major) = objective(s, c, data, cfg, t, work.chunk)
+    f, grams, (maps_major, coarse_major), _ = objective(s, c, data, cfg, t, work.chunk)
     trace.record(f)
     for _ in range(max_iters):
         c_anchor, s_anchor, t_anchor = anchors
@@ -601,21 +641,24 @@ def _run(factors, data, cfg, max_iters):
         else:
             spares, anchors = factors, [c, s, t]
         factors = [c, s, t]
-        f, grams, (maps_major, coarse_major) = objective(s, c, data, cfg, t, work.chunk)
+        f, grams, (maps_major, coarse_major), fit = objective(s, c, data, cfg, t, work.chunk)
         trace.record(f)
+        if noise_level is not None and fit <= noise_level:
+            return (c, s), trace, "noise_level"
         if trace.stalled(cfg.rel_tol):
-            return (c, s), trace, True
-    return (c, s), trace, False
+            return (c, s), trace, "rel_tol"
+    return (c, s), trace, "max_iters"
 
 
-def _report(maps, spectra, data, trace, converged):
+def _report(maps, spectra, data, trace, stop_reason, noise):
     return FusionReport(
         sri=refold((spectra @ maps.T).T, data.sri_dims),
         maps=maps,
         spectra=spectra,
         objective_trace=np.asarray(trace.values),
         elapsed=np.asarray(trace.elapsed),
-        converged=converged,
+        stop_reason=stop_reason,
+        noise_energy=noise,
     )
 
 
@@ -661,10 +704,17 @@ def _solve(data, n_terms, cfg, init):
         _init_factor(rng, shape, given, label) for shape, given, label in zip(shapes, init, labels)
     ]
 
+    noise, noise_level = None, None
+    if (cfg.tv_weight == cfg.lowrank_weight == 0 and cfg.rel_tol > 0
+            and min(data.hsi_mat.shape[1], data.msi_mat.shape[1]) > n_terms):
+        noise = (_noise_energy(data.hsi_mat, n_terms), _noise_energy(data.msi_mat, n_terms))
+        noise_level = 0.5 * (noise[0] + noise[1])
+
     # the driver alone holds the solve's scratch arrays, so these are freed
     # before the report allocates the SRI
-    (spectra, maps), trace, converged = _run([spectra, maps, *coarse], data, cfg, max_iters)
-    return _report(maps, spectra, data, trace, converged)
+    (spectra, maps), trace, stop_reason = _run([spectra, maps, *coarse], data, cfg, max_iters,
+                                               noise_level)
+    return _report(maps, spectra, data, trace, stop_reason, noise)
 
 
 def fuse(hsi, msi, ops, n_terms, cfg=None, init=None):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from hsrfuse.cli import OVERRIDES, _build_parser, _run_config, main
 from hsrfuse.fileio import read_htf, write_htf
+from hsrfuse.solver import _noise_energy
+from hsrfuse.tensors import unfold
 
 SIMULATE_CFG = """
 [synthesis]
@@ -147,8 +149,26 @@ def test_fuse_end_to_end_with_metrics(tmp_path):
     trace = (fused / "trace.csv").read_text().strip().splitlines()
     assert trace[0] == "iteration,objective,elapsed"
     assert len(trace) == report["iterations"] + 2
+    # rel_tol = 0 runs every sweep and estimates no noise
+    assert report["iterations"] == 400 and report["stop_reason"] == "max_iters"
+    assert report["converged"] is False and report["noise_energy"] is None
     sri = read_htf(fused / "SRI.htf")
     assert sri.shape == (16, 16, 8)
+
+
+def test_fuse_reports_the_noise_level_stop(tmp_path):
+    sim = _simulate(tmp_path, snr="30")
+    cfg = _fuse_config(tmp_path, sim)
+    cfg.write_text(cfg.read_text().replace("rel_tol = 0\n", ""))
+    assert main(["fuse", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "fused" / "report.json").read_text())
+    assert report["stop_reason"] == "noise_level" and report["converged"] is True
+    assert report["iterations"] < 400
+    # the estimates the run compared its fit with, one per image
+    assert report["noise_energy"] == {
+        name: _noise_energy(unfold(read_htf(sim / f"{name.upper()}.htf")), 2)
+        for name in ("hsi", "msi")
+    }
 
 
 def test_fuse_same_seed_deterministic_results(tmp_path):

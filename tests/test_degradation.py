@@ -258,6 +258,17 @@ def test_dimension_mismatch_raises():
                 degrade(np.zeros(shape), ops)
 
 
+def test_nested_list_sri_is_converted():
+    # a nested-list SRI is read as the array it spells, not refused by its
+    # missing .shape
+    ops = _default_ops()
+    sri = np.random.default_rng(5).uniform(size=(8, 8, 6))
+    for degrade in (degrade_spatial, degrade_spectral):
+        assert np.array_equal(degrade(sri.tolist(), ops), degrade(sri, ops))
+    with pytest.raises(DimensionError, match="SRI must be a 3-d tensor"):
+        degrade_spatial(sri[0].tolist(), ops)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(6, 32), ratio=st.integers(2, 4))
 def test_default_operators_full_row_rank(n, ratio):

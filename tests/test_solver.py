@@ -17,6 +17,7 @@ from hsrfuse.solver import (
     FusionData,
     SolverConfig,
     _apply_ph,
+    _noise_energy,
     _sq_norm,
     apg_step,
     coarse_step_blind,
@@ -256,8 +257,8 @@ def test_blind_model_with_tied_coarse_block_is_the_known_model():
     for seed in range(8):
         data, blind, maps, spectra, _ = random_instance(seed + 30)
         image = tied(maps, data)
-        known_f, known_grams, known_major = objective(maps, spectra, data, cfg, image)
-        blind_f, blind_grams, blind_major = objective(maps, spectra, blind, cfg, image)
+        known_f, known_grams, known_major, _ = objective(maps, spectra, data, cfg, image)
+        blind_f, blind_grams, blind_major, _ = objective(maps, spectra, blind, cfg, image)
         assert known_f == blind_f
         assert np.array_equal(
             spectra_step(spectra, known_grams, data, cfg)[0],
@@ -483,14 +484,18 @@ def test_rel_tol_never_stops_on_a_rise():
     assert not trace.stalled(1e-4)  # a large drop
 
 
-def test_accelerated_run_does_not_stop_on_a_rise():
+def test_accelerated_run_does_not_stop_on_a_rise(monkeypatch):
     # on this instance an extrapolated sweep raises the objective by 9e-5
     # relative at iteration 43; the run used to stop there, under
-    # rel_tol = 1e-4, about 12% above the objective it stops at now
+    # rel_tol = 1e-4, about 12% above the objective it stops at now.  The
+    # noise-level stop would end the run at iteration 29, before the rise, so
+    # its noise estimates are set to zero here
+    monkeypatch.setattr(solver, "_noise_energy", lambda mat, n_terms: 0.0)
     _, _, ops, hsi, msi = consistent_instance(seed=0, dims=(8, 8, 8), snr_db=30.0)
     report = fuse(hsi, msi, ops, 2, SolverConfig(ridge_weight=1e-4, max_iters=300))
     trace = report.objective_trace
-    assert report.converged and trace[-1] <= trace[-2]
+    assert np.any(np.diff(trace[:44]) > 0)
+    assert report.stop_reason == "rel_tol" and trace[-1] <= trace[-2]
 
 
 def test_extrapolate_momentum_coefficient_bounded():
@@ -501,6 +506,68 @@ def test_extrapolate_momentum_coefficient_bounded():
         assert 0.0 <= coeff < 1.0
         assert new_gamma > gamma  # strictly increasing sequence
         gamma = new_gamma
+
+
+# ---------------------------------------------------------------------------
+# the noise-level stop
+# ---------------------------------------------------------------------------
+
+def test_noise_energy_estimate_matches_the_noise():
+    # white noise raises every eigenvalue of Y'Y by |N|^2/K, and the K - R
+    # smallest hold nothing else; both images of 48x48x32 instances, R = 3
+    blur = BlurSpec(kernel_width=5, sigma=1.0, ratio=2)
+    bands = [(4 * m, 4 * m + 3) for m in range(8)]
+    for seed in range(6):
+        sri = reconstruct(random_blockterm((48, 48, 32), 3, 2, seed=seed))
+        ops = DegradationOps.for_sri(sri.shape, blur, bands)
+        rng = np.random.default_rng(seed + 50)
+        for clean in (degrade_spatial(sri, ops), degrade_spectral(sri, ops)):
+            noisy = add_noise(clean, 30.0, rng)
+            truth = float(np.sum((noisy - clean) ** 2))
+            assert _noise_energy(unfold(noisy), 3) == pytest.approx(truth, rel=0.03)
+    # noiseless, the instance of acceptance criterion 1: rounding level
+    _, _, _, hsi, msi = consistent_instance(seed=42, dims=(24, 24, 16))
+    for image in (hsi, msi):
+        assert _noise_energy(unfold(image), 3) <= 1e-12 * float(np.sum(image**2))
+
+
+def _solve_noisy(blind, n_terms=3, **settings):
+    _, _, ops, hsi, msi = consistent_instance(seed=0, dims=(24, 24, 16), snr_db=30.0)
+    cfg = SolverConfig(**settings)
+    if blind:
+        return fuse_blind(hsi, msi, ops.pm, n_terms, cfg), hsi, msi
+    return fuse(hsi, msi, ops, n_terms, cfg), hsi, msi
+
+
+@pytest.mark.parametrize("blind", [False, True])
+def test_unpenalized_run_stops_at_the_noise_level(blind):
+    # with no ridge the trace is the fit itself: the run ends after the first
+    # sweep whose fit is at most half the two images' noise energies
+    report, hsi, msi = _solve_noisy(blind, max_iters=400)
+    noise = (_noise_energy(unfold(hsi), 3), _noise_energy(unfold(msi), 3))
+    trace = report.objective_trace
+    assert report.stop_reason == "noise_level" and report.converged
+    assert report.noise_energy == noise
+    assert trace[-1] <= 0.5 * (noise[0] + noise[1]) < trace[-2]
+    # rel_tol = 0 runs every sweep of the same trajectory and estimates nothing
+    full, _, _ = _solve_noisy(blind, max_iters=report.iterations + 20, rel_tol=0.0)
+    assert full.iterations == report.iterations + 20 and full.stop_reason == "max_iters"
+    assert full.noise_energy is None and not full.converged
+    assert np.array_equal(full.objective_trace[: len(trace)], trace)
+
+
+@pytest.mark.parametrize("blind", [False, True])
+@pytest.mark.parametrize("n_terms, weights", [
+    (3, dict(tv_weight=1e-3)), (3, dict(lowrank_weight=1e-3)), (4, {}), (5, {}),
+])
+def test_no_noise_level_stop_with_a_penalty_or_few_msi_bands(blind, n_terms, weights):
+    # a TV or Schatten penalty keeps the fit off the noise in the stop's place,
+    # and an MSI of 4 bands shows no noise beyond 4 or more terms: such runs
+    # neither estimate the noise nor stop on it
+    with mock.patch.object(solver, "_noise_energy", wraps=solver._noise_energy) as spy:
+        report, _, _ = _solve_noisy(blind, n_terms, max_iters=100, **weights)
+    assert not spy.called and report.noise_energy is None
+    assert report.stop_reason in ("rel_tol", "max_iters")
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +706,7 @@ def test_solvers_run_the_verified_block_steps(accelerate):
         lambda a, f, grams, major: descend(a[0], spectra_step(a[0], grams, data, cfg)),
         lambda a, f, grams, major: descend(a[1], maps_step(a[1], f[0], data, major[0], a[2])),
         lambda a, f, grams, major: _apply_ph(f[1], ops.p1, ops.p2),
-    ], lambda f: objective(f[1], f[0], data, cfg, f[2])[1:])
+    ], lambda f: objective(f[1], f[0], data, cfg, f[2])[1:3])
     got = fuse(hsi, msi, ops, 2, cfg, init=(maps, spectra))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
@@ -648,7 +715,7 @@ def test_solvers_run_the_verified_block_steps(accelerate):
         lambda a, f, grams, major: descend(a[1], maps_step(a[1], f[0], blind, major[0])),
         lambda a, f, grams, major:
             descend(a[2], coarse_step_blind(a[2], f[0], blind, major[1]), project=False),
-    ], lambda f: objective(f[1], f[0], blind, cfg, f[2])[1:])
+    ], lambda f: objective(f[1], f[0], blind, cfg, f[2])[1:3])
     got = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=(maps, spectra, coarse))
     assert np.array_equal(got.spectra, want[0]) and np.array_equal(got.maps, want[1])
 
