@@ -114,9 +114,24 @@ def _add_config_flags(parser, *flags):
 
 def _run_config(args):
     flags = vars(args)
-    return load_config(args.config, {
+    cfg = load_config(args.config, {
         key: flags[key] for key in OVERRIDES.values() if flags.get(key) is not None
     })
+    _check_out(cfg.out, "run.out")
+    return cfg
+
+
+def _check_out(path, name):
+    """Refuse an output directory that is a file or passes through one, before
+    any compute; the directory itself is made only when the results are
+    written."""
+    path = Path(path)
+    for part in (path, *path.parents):
+        if part.exists():
+            if part.is_dir():
+                return
+            through = "" if part == path else f" passes through {part}, which"
+            raise ConfigError(f"{name}: {path}{through} is not a directory")
 
 
 def _outdir(cfg):
@@ -286,6 +301,8 @@ def cmd_blind_fuse(args):
 
 
 def cmd_evaluate(args):
+    if args.out is not None:
+        _check_out(args.out, "--out")
     reference = read_htf(require_input(args.reference, "reference"))
     estimate = read_htf(require_input(args.estimate, "estimate"))
     report = evaluate(reference, estimate, ratio=args.ratio, per_band=args.per_band)

@@ -45,24 +45,21 @@ The objective and every step take the factors (S, C, T) themselves; T is
 the coarse block in the blind problem and (P2 kron P1) S otherwise.  The maps
 block and the coarse block share one image-block term, the Gram-form fit
 X M'M - Y M plus the map penalties, so no full-size residual is built for a
-gradient; both products are formed a chunk of rows at a time and added to
-the gradient while in cache.  Each penalty contributes through its own
-majorizer in ``regularizers``, which gives the penalty value, weights and
-curvature of a stack of maps from one factorization per map, and the
-majorizer's gradient at any point from the weights; the solver calls each
-penalty once on the (R, I, J) stack of a block's maps and weights the
-result.  The maps step of the known problem adds the HSI fit carried back
+gradient, and M'M is formed once per step for the gradient and the bound.
+Each penalty contributes through its own majorizer in ``regularizers``,
+which gives the penalty value, weights and curvature of a stack of maps from
+one factorization per map, and the majorizer's gradient at any point from
+the weights; the solver calls each penalty once on the (R, I, J) stack of a
+block's maps and weights the result.  The maps step of the known problem adds the HSI fit carried back
 through (P2 kron P1)'; the coarse step is the same term without TV.
 
 Products are shared.  An iteration applies (P2 kron P1) once, to the new
 maps for the tied T, and its transpose once, in the maps gradient; both
-are :func:`_apply_ph`, given P1' and P2' for the transpose.  And one
-row-chunked pass per fit term serves both the objective after a sweep and
-the spectra step of the next: while a chunk of (X, Y) is in cache it adds
-the chunk's residual to 1/2 |X M' - Y|^2 and its rows to X'X and X'Y, for
-(S, Ym) and (T, Yh), so an iteration reads each image once for the objective
-and the spectra gradient together.  The objective returns these Grams and
-the driver hands them to the next sweep.  The objective keeps the residual
+are :func:`_apply_ph`, given P1' and P2' for the transpose.  And one pass
+per fit term serves both the objective after a sweep and the spectra step of
+the next: it forms the residual of 1/2 |X M' - Y|^2 and the Grams X'X and
+X'Y, for (S, Ym) and (T, Yh).  The objective returns these Grams and the
+driver hands them to the next sweep.  The objective keeps the residual
 form: a Gram form cancels |Y|^2 against nearly equal terms and loses its
 accuracy, and even its sign, near an exact fit.  And the objective forms
 each penalty's majorizer at the iterate it scores, from the factorization
@@ -78,11 +75,14 @@ block, and every block follows one protocol: its step writes its gradient
 into the spare, ``apg_step`` writes the new factor over the gradient (the
 tied T is written there directly), ``extrapolate`` writes the anchor over the
 factor it retires, and the old anchor becomes the next spare.  The steps
-write their intermediates (the HSI-fit gradient, the half products of
-(P2 kron P1) and its transpose, the chunks of the fit passes and fit
-gradients) into one :class:`_Work` the driver allocates once.  Initial
-factors and warm starts are copied, so no input is written and nothing
-returned shares memory with an input.
+write their intermediates into one :class:`_Work` the driver allocates once:
+the HSI-fit gradient, and one flat buffer that each product uses in turn, a
+fit residual, a fit gradient's two products or a half product of
+(P2 kron P1) or its transpose.  Each is a whole-array BLAS product: passes
+over cache-sized blocks of rows ran no faster at 256x256x128 with two BLAS
+threads (13.7 against 13.9 ms per sweep, 2-vCPU VM), though about a fifth
+faster with one.  Initial factors and warm starts are copied, so no input is
+written and nothing returned shares memory with an input.
 
 Every factor is terms-major: an F-contiguous (rows, R) array, so a column
 (one map, one spectrum) is contiguous and the maps' transpose is a
@@ -281,12 +281,8 @@ def _apply_ph(mat, p1, p2, out=None, mid=None):
     return out
 
 
-def _sq_norm(mat):
-    """sigma_max(M)^2 via the small Gram matrix."""
-    return _top_eigenvalue(mat.T @ mat)
-
-
 def _top_eigenvalue(gram):
+    """sigma_max(M)^2 of any M whose Gram M'M is ``gram``."""
     return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 
@@ -356,72 +352,38 @@ def _map_penalties(maps, shape, grad, majorizers):
 # objectives and block steps: each step returns (gradient, curvature bound)
 # ---------------------------------------------------------------------------
 
-# A fit pass reads a chunk of factor and target rows and writes the chunk's
-# residual and a copy of its factor rows: about this many bytes in all, so
-# the Grams read them from cache.
-_CHUNK_BYTES = 1 << 20
+def _fit_pass(x, m, target, buf=None):
+    """1/2 |X M' - Y|^2 with X'X and X'Y.
 
-
-def _chunk_rows(target, n_terms):
-    """Rows per chunk of a fit pass over ``target``: at least one, at most all."""
-    rows, bands = target.shape
-    return min(rows, max(1, _CHUNK_BYTES // (8 * (n_terms + 2 * bands))))
-
-
-def _chunk_size(target, n_terms):
-    """Entries of the scratch buffer a fit pass over ``target`` needs."""
-    return _chunk_rows(target, n_terms) * (target.shape[1] + n_terms)
-
-
-def _fit_pass(x, m, target, chunk=None):
-    """1/2 |X M' - Y|^2 with X'X and X'Y, from one row-chunked pass over X, Y.
-
-    Each chunk's residual is formed transposed in the flat buffer ``chunk``
-    (:func:`_chunk_size` entries, allocated when None) and summed by ``vdot``
-    in place; the Grams are summed chunk by chunk while its rows are in cache.
-    X_c'X_c is taken against a copy of X_c, because ``matmul`` hands a product
-    of an array with itself to a symmetric rank-k update, which runs this tall,
-    narrow shape several times slower than a general product; X'Y is taken
-    as X_c'Y_c, which also runs faster than Y_c'X_c.
+    The residual is formed transposed, M X' - Y', in the flat buffer ``buf``
+    (at least Y.size entries, allocated when None) and summed by ``vdot`` in
+    place.
     """
-    rows, bands = target.shape
-    n_terms = x.shape[1]
-    step = _chunk_rows(target, n_terms)
-    chunk = np.empty(_chunk_size(target, n_terms)) if chunk is None else chunk
-    half_sq, gram, cross = 0.0, 0.0, 0.0
-    for start in range(0, rows, step):
-        xc, yc = x[start:start + step], target[start:start + step]
-        n = xc.shape[0]
-        res = chunk[: n * bands].reshape(bands, n)
-        np.matmul(m, xc.T, out=res)
-        res -= yc.T
-        half_sq += 0.5 * float(np.vdot(res, res))
-        x_copy = chunk[step * bands: step * bands + n * n_terms].reshape(n, n_terms, order="F")
-        np.copyto(x_copy, xc)
-        gram = gram + x_copy.T @ xc
-        cross = cross + xc.T @ yc
-    return half_sq, (gram, cross)
+    shape = target.shape[::-1]
+    res = np.empty(shape) if buf is None else buf[: target.size].reshape(shape)
+    np.matmul(m, x.T, out=res)
+    res -= target.T
+    return 0.5 * float(np.vdot(res, res)), (x.T @ x, x.T @ target)
 
 
 class _Work:
     """The scratch arrays of one solve, allocated once and rewritten by every
-    sweep: the HSI-fit gradient of the known maps step (``coarse_grad``), the
-    half product of :func:`_apply_ph` (``mid``, sized for (P2 kron P1) and
-    its transpose alike), both None when blind, and the chunks of the fit
-    passes and of the fit gradients (``chunk``).  The steps' gradients go
-    into the driver's spares, not here."""
+    sweep: the HSI-fit gradient of the known maps step (``coarse_grad``, None
+    when blind) and one flat buffer (``buf``) that each product uses in turn:
+    a fit residual (image-sized), a fit gradient's products (maps- or
+    coarse-sized) or a half product of :func:`_apply_ph`.  The steps'
+    gradients go into the driver's spares, not here."""
 
     def __init__(self, data, n_terms):
         i, j, _ = data.sri_dims
         hi, hj = data.hsi_dims
         known = data.ops is not None
         self.coarse_grad = np.empty((hi * hj, n_terms), order="F") if known else None
-        self.mid = np.empty(n_terms * max(j * hi, hj * i)) if known else None
-        self.chunk = np.empty(max(_chunk_size(data.hsi_mat, n_terms),
-                                  _chunk_size(data.msi_mat, n_terms)))
+        rows = (i * j, hi * hj) + ((j * hi, hj * i) if known else ())
+        self.buf = np.empty(max(data.hsi_mat.size, data.msi_mat.size, n_terms * max(rows)))
 
 
-def objective(maps, spectra, data, cfg, coarse, chunk=None):
+def objective(maps, spectra, data, cfg, coarse, buf=None):
     """Full objective at (S, C, T), the fit Grams ((T'T, T'Yh), (S'S, S'Ym))
     that :func:`spectra_step` reads, the penalties' majorizers anchored at
     (S, T) that :func:`maps_step` and :func:`coarse_step_blind` read, and the
@@ -432,8 +394,8 @@ def objective(maps, spectra, data, cfg, coarse, chunk=None):
     term.  Both fits are residual-form passes (:func:`_fit_pass`); each
     penalty's value and majorizer come from one factorization
     (:func:`_reweight`)."""
-    fit, hsi_grams = _fit_pass(coarse, spectra, data.hsi_mat, chunk)
-    msi_fit, msi_grams = _fit_pass(maps, data.pm @ spectra, data.msi_mat, chunk)
+    fit, hsi_grams = _fit_pass(coarse, spectra, data.hsi_mat, buf)
+    msi_fit, msi_grams = _fit_pass(maps, data.pm @ spectra, data.msi_mat, buf)
     fit += msi_fit
     f = fit + 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
     penalty, maps_majorizers = _reweight(maps, data.sri_dims[:2], cfg)
@@ -465,32 +427,28 @@ def spectra_step(spectra, grams, data, cfg, out=None):
     return out, curv + cfg.ridge_weight
 
 
-def _add_fit_grad(x, m, target, out, chunk):
+def _add_fit_grad(x, m, mtm, target, out, buf):
     """Add the gradient in X of 1/2 |target - X M'|^2, in Gram form
-    X M'M - target M, into the terms-major ``out``, a chunk of rows at a time:
-    both products of a chunk are formed in the flat buffer ``chunk`` and added
-    while they are in cache."""
-    mtm = m.T @ m
-    rows, n_terms = out.shape
-    step = max(1, chunk.size // n_terms)
-    for start in range(0, rows, step):
-        part = out[start:start + step]
-        prod = chunk[: part.size].reshape(n_terms, part.shape[0])
-        np.matmul(mtm, x[start:start + step].T, out=prod)
-        part += prod.T
-        np.matmul(m.T, target[start:start + step].T, out=prod)
-        part -= prod.T
+    X M'M - target M with ``mtm`` = M'M, into the terms-major ``out``:
+    M'M X' and M' target' are formed in turn in the flat buffer ``buf`` and
+    added transposed."""
+    prod = buf[: out.size].reshape(out.shape[::-1])
+    np.matmul(mtm, x.T, out=prod)
+    out += prod.T
+    np.matmul(m.T, target.T, out=prod)
+    out -= prod.T
     return out
 
 
-def _image_block(x, m, target, shape, majorizers, out, chunk):
+def _image_block(x, m, target, shape, majorizers, out, buf):
     """Gradient, added into ``out``, and curvature bound of an image block X
     (maps or coarse maps of size ``shape``): the fit 1/2 |target - X M'|^2 plus
     the map penalties, whose gradient and curvature are those of their
     ``majorizers`` at X."""
-    _add_fit_grad(x, m, target, out, chunk)
+    mtm = m.T @ m
+    _add_fit_grad(x, m, mtm, target, out, buf)
     curv = _map_penalties(x, shape, out, majorizers)
-    return out, _sq_norm(m) + curv
+    return out, _top_eigenvalue(mtm) + curv
 
 
 def maps_step(maps, spectra, data, majorizers, coarse=None, out=None, work=None):
@@ -511,12 +469,13 @@ def maps_step(maps, spectra, data, majorizers, coarse=None, out=None, work=None)
         l_hsi = 0.0
     else:
         # the HSI term is written over out first: P_H' has no form that adds
+        ctc = spectra.T @ spectra
         work.coarse_grad.fill(0.0)
-        hsi_grad = _add_fit_grad(coarse, spectra, data.hsi_mat, work.coarse_grad, work.chunk)
-        _apply_ph(hsi_grad, data.ops.p1.T, data.ops.p2.T, out, work.mid)
-        l_hsi = _sq_norm(spectra) * data.ph_gram_norm
+        hsi_grad = _add_fit_grad(coarse, spectra, ctc, data.hsi_mat, work.coarse_grad, work.buf)
+        _apply_ph(hsi_grad, data.ops.p1.T, data.ops.p2.T, out, work.buf)
+        l_hsi = _top_eigenvalue(ctc) * data.ph_gram_norm
     g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], majorizers,
-                        out, work.chunk)
+                        out, work.buf)
     return g, l + l_hsi
 
 
@@ -527,8 +486,7 @@ def coarse_step_blind(coarse, spectra, data, majorizers, out=None, work=None):
     out = np.empty(coarse.shape, order="F") if out is None else out
     work = _Work(data, coarse.shape[1]) if work is None else work
     out.fill(0.0)
-    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, majorizers, out,
-                        work.chunk)
+    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, majorizers, out, work.buf)
 
 
 # ---------------------------------------------------------------------------
@@ -615,20 +573,20 @@ def _run(factors, data, cfg, max_iters, noise_level):
     known = data.ops is not None
     if known:
         p1, p2 = data.ops.p1, data.ops.p2
-        factors.append(_apply_ph(factors[1], p1, p2, None, work.mid))
+        factors.append(_apply_ph(factors[1], p1, p2, None, work.buf))
     anchors = [x.copy(order="K") for x in factors]
     spares = [np.empty_like(x) for x in factors]
     gamma = 1.0
     trace = _Trace()
     c, s, t = factors
-    f, grams, (maps_major, coarse_major), _ = objective(s, c, data, cfg, t, work.chunk)
+    f, grams, (maps_major, coarse_major), _ = objective(s, c, data, cfg, t, work.buf)
     trace.record(f)
     for _ in range(max_iters):
         c_anchor, s_anchor, t_anchor = anchors
         c = _descend(c_anchor, spectra_step(c_anchor, grams, data, cfg, spares[0]))
         s = _descend(s_anchor, maps_step(s_anchor, c, data, maps_major, t_anchor, spares[1], work))
         if known:
-            t = _apply_ph(s, p1, p2, spares[2], work.mid)
+            t = _apply_ph(s, p1, p2, spares[2], work.buf)
         else:
             t = _descend(t_anchor, coarse_step_blind(t_anchor, c, data, coarse_major, spares[2],
                                                      work), project=False)
@@ -641,7 +599,7 @@ def _run(factors, data, cfg, max_iters, noise_level):
         else:
             spares, anchors = factors, [c, s, t]
         factors = [c, s, t]
-        f, grams, (maps_major, coarse_major), fit = objective(s, c, data, cfg, t, work.chunk)
+        f, grams, (maps_major, coarse_major), fit = objective(s, c, data, cfg, t, work.buf)
         trace.record(f)
         if noise_level is not None and fit <= noise_level:
             return (c, s), trace, "noise_level"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsrfuse import cli
 from hsrfuse.cli import OVERRIDES, _build_parser, _run_config, main
 from hsrfuse.fileio import read_htf, write_htf
 from hsrfuse.solver import _noise_energy
@@ -225,6 +226,49 @@ def test_bad_flag_value_is_config_error_before_any_write(
     assert main([command, "--config", str(cfg), flag, value]) == 2
     assert f"{setting} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _refuse_compute(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    for name in ("random_blockterm", "reconstruct", "fuse", "fuse_blind", "evaluate"):
+        monkeypatch.setattr(cli, name, refused)
+
+
+@pytest.mark.parametrize("through", [False, True])
+@pytest.mark.parametrize("command", ["simulate", "fuse", "blind-fuse"])
+def test_out_naming_a_file_is_config_error_before_any_compute(
+        tmp_path, capsys, monkeypatch, command, through):
+    # run.out that is a file, or a path through one, exits 2 naming the key
+    # before anything is computed, and the file is left as it was
+    if command == "simulate":
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIMULATE_CFG.format(out=tmp_path / "out", seed=1, snr="inf"))
+    else:
+        cfg = _fuse_config(tmp_path, _simulate(tmp_path))
+    _refuse_compute(monkeypatch)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "sub" if through else afile
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"run.out: {out}" in capsys.readouterr().err
+    assert afile.read_text() == "kept"
+
+
+@pytest.mark.parametrize("through", [False, True])
+def test_evaluate_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatch, through):
+    t = np.random.default_rng(0).uniform(0.1, 1.0, size=(6, 6, 4))
+    write_htf(tmp_path / "ref.htf", t)
+    _refuse_compute(monkeypatch)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "sub" if through else afile
+    ref = str(tmp_path / "ref.htf")
+    assert main(["evaluate", ref, ref, "--out", str(out)]) == 2
+    assert f"--out: {out}" in capsys.readouterr().err
+    assert afile.read_text() == "kept"
 
 
 # valid text for every override flag; --no-accel takes no text and means false

@@ -18,7 +18,7 @@ from hsrfuse.solver import (
     SolverConfig,
     _apply_ph,
     _noise_energy,
-    _sq_norm,
+    _top_eigenvalue,
     apg_step,
     coarse_step_blind,
     extrapolate,
@@ -166,43 +166,55 @@ def test_spatial_products_match_dense_kron(order):
     seed=st.integers(0, 2**32 - 1),
     n_terms=st.integers(1, 4),
     bands=st.integers(1, 6),
-    rows=st.sampled_from(("one", "chunk-1", "chunk", "chunk+1", "several")),
+    rows=st.integers(1, 400),
     f_order=st.booleans(),
 )
 def test_fit_pass_matches_dense_residual_and_grams(seed, n_terms, bands, rows, f_order):
-    # 2 KiB chunks hold 16 to 128 rows here, so every row count below is
-    # cheap and the chunk boundaries fall everywhere
-    with mock.patch.object(solver, "_CHUNK_BYTES", 2048):
-        chunk = 2048 // (8 * (n_terms + 2 * bands))
-        n = {"one": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
-             "several": 3 * chunk + 5}[rows]
-        rng = np.random.default_rng(seed)
-        order = "F" if f_order else "C"
-        x = np.asarray(rng.normal(size=(n, n_terms)), order=order)
-        target = np.asarray(rng.normal(size=(n, bands)), order=order)
-        m = rng.normal(size=(bands, n_terms))
-        assert solver._chunk_rows(target, n_terms) == min(n, chunk)
-        buffer = np.empty(solver._chunk_size(target, n_terms))
-        for scratch in (None, buffer):
-            half_sq, (gram, cross) = solver._fit_pass(x, m, target, scratch)
-            assert half_sq == pytest.approx(0.5 * np.sum((x @ m.T - target) ** 2), rel=1e-13)
-            assert rel_error(gram, x.T @ x) <= 1e-13
-            assert rel_error(cross, x.T @ target) <= 1e-13
+    # with its own residual or in a larger buffer whose stale entries it
+    # must not read, as the solver's shared buffer holds
+    rng = np.random.default_rng(seed)
+    order = "F" if f_order else "C"
+    x = np.asarray(rng.normal(size=(rows, n_terms)), order=order)
+    target = np.asarray(rng.normal(size=(rows, bands)), order=order)
+    m = rng.normal(size=(bands, n_terms))
+    for buf in (None, np.full(target.size + 7, np.nan)):
+        half_sq, (gram, cross) = solver._fit_pass(x, m, target, buf)
+        assert half_sq == pytest.approx(0.5 * np.sum((x @ m.T - target) ** 2), rel=1e-13)
+        assert rel_error(gram, x.T @ x) <= 1e-13
+        assert rel_error(cross, x.T @ target) <= 1e-13
 
 
 @pytest.mark.parametrize("rows", [1, 5, 6, 7, 23])
 def test_add_fit_grad_matches_dense_over_chunks(rows):
-    # a 12-entry buffer holds 6 rows of a 2-term gradient, so the row counts
-    # fall below, on and across chunk boundaries; the gradient is added to
-    # what ``out`` already holds
+    # the gradient is added to what ``out`` already holds, through a buffer
+    # larger than the products whose stale entries must not reach ``out``
     rng = np.random.default_rng(rows)
     x = np.asfortranarray(rng.normal(size=(rows, 2)))
     target = np.asfortranarray(rng.normal(size=(rows, 3)))
     m = rng.normal(size=(3, 2))
     start = np.asfortranarray(rng.normal(size=(rows, 2)))
     out = start.copy(order="F")
-    assert solver._add_fit_grad(x, m, target, out, np.empty(12)) is out
+    assert solver._add_fit_grad(x, m, m.T @ m, target, out, np.full(3 * rows, np.nan)) is out
     assert rel_error(out, start + x @ m.T @ m - target @ m) <= 1e-14
+
+
+def test_blind_buffer_holds_a_coarse_factor_larger_than_the_images():
+    # HSI 12x12x3 and MSI 6x6x2 with 4 terms: the coarse factor (144 x 4) is
+    # larger than either image and than the maps, and the coarse step forms
+    # its products in the solver's one buffer
+    rng = np.random.default_rng(21)
+    hsi, msi = rng.uniform(size=(12, 12, 3)), rng.uniform(size=(6, 6, 2))
+    pm = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+    cfg = SolverConfig(max_iters=5, rel_tol=0.0)
+    report = fuse_blind(hsi, msi, pm, 4, cfg)
+    assert report.iterations == 5 and np.all(np.isfinite(report.objective_trace))
+
+    data = FusionData.from_tensors_blind(hsi, msi, pm)
+    spectra = np.asfortranarray(rng.uniform(size=(3, 4)))
+    coarse = np.asfortranarray(rng.normal(size=(144, 4)))
+    grad, _ = coarse_step_blind(coarse, spectra, data, ([], 0.0), work=solver._Work(data, 4))
+    dense = coarse @ spectra.T @ spectra - data.hsi_mat @ spectra
+    assert rel_error(grad, dense) <= 1e-13
 
 
 def test_objective_zero_at_exact_fit():
@@ -270,7 +282,7 @@ def test_blind_model_with_tied_coarse_block_is_the_known_model():
         g_coarse = coarse_step_blind(image, spectra, blind, blind_major[1])[0]
         chained = g_blind + _apply_ph(g_coarse, data.ops.p1.T, data.ops.p2.T)
         assert rel_error(g_known, chained) <= 1e-12
-        assert l_known == l_blind + _sq_norm(spectra) * data.ph_gram_norm
+        assert l_known == l_blind + _top_eigenvalue(spectra.T @ spectra) * data.ph_gram_norm
 
 
 # ---------------------------------------------------------------------------
