@@ -213,11 +213,11 @@ def add_noise(tensor, snr_db, seed=0):
 
     ``seed`` may be an integer or a numpy Generator.
     """
-    ensure_finite(tensor, "signal tensor")
+    tensor = ensure_finite(np.asarray(tensor, dtype=float), "signal tensor")
     check_snr_db(snr_db)
     if math.isinf(snr_db):
-        return np.array(tensor, dtype=float)
-    signal_energy = float(np.sum(np.square(tensor, dtype=float)))
+        return tensor.copy()
+    signal_energy = float(np.sum(np.square(tensor)))
     if signal_energy == 0.0:
         raise ValueError("cannot calibrate noise against an all-zero tensor")
     rng = np.random.default_rng(seed)

@@ -209,6 +209,12 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_seed(text):
+    # validated here, so the message names run.seed: the seed also seeds the
+    # solver, whose own check would name [solver]
+    return check_int("seed", int(text), 0)
+
+
 # Every configuration key, once: "section.key" -> (parser, target, ...).  A
 # target is a RunConfig field, or a dotted path through its nested configs.
 _KEYS = {
@@ -240,7 +246,7 @@ _KEYS = {
     "solver.max_iters": (int, "solver.max_iters"),
     "solver.rel_tol": (float, "solver.rel_tol"),
     "solver.accelerate": (_parse_bool, "solver.accelerate"),
-    "run.seed": (int, "seed", "solver.seed"),
+    "run.seed": (_parse_seed, "seed", "solver.seed"),
     "run.out": (str, "out"),
 }
 _SECTIONS = {key.split(".")[0] for key in _KEYS}

@@ -68,28 +68,24 @@ difference images for TV); the driver hands the weights to the next sweep,
 whose maps and coarse steps take them as an argument and only apply them at
 their anchors.  No step forms a majorizer of its own.
 
-After the first sweep the iteration allocates no factor-sized array (the
-penalties' majorizers still allocate their own stacks of weights and
-differences).  The driver owns every factor and anchor and a spare per
-block, and every block follows one protocol: its step writes its gradient
-into the spare, ``apg_step`` writes the new factor over the gradient (the
-tied T is written there directly), ``extrapolate`` writes the anchor over the
-factor it retires, and the old anchor becomes the next spare.  The steps
-write their intermediates into one :class:`_Work` the driver allocates once:
-the HSI-fit gradient, and one flat buffer that each product uses in turn, a
-fit residual, a fit gradient's two products or a half product of
-(P2 kron P1) or its transpose.  Each is a whole-array BLAS product: passes
-over cache-sized blocks of rows ran no faster at 256x256x128 with two BLAS
-threads (13.7 against 13.9 ms per sweep, 2-vCPU VM), though about a fifth
-faster with one.  Initial factors and warm starts are copied, so no input is
-written and nothing returned shares memory with an input.
+Every product allocates its result as a plain numpy expression: a scratch
+buffer shared by the products and a spare gradient per block, rotated by
+the driver, gave the same traces bit for bit and ran no faster (median
+13.8 against 13.4 ms per sweep of 100-sweep solves at 256x256x128, six
+alternated pairs, 2-vCPU VM).  Each is a whole-array BLAS product: passes
+over cache-sized blocks of rows ran no faster with two BLAS threads (13.7
+against 13.9 ms per sweep), though about a fifth faster with one.  A step's
+gradient is a fresh array, so ``apg_step`` writes the new factor over it
+and ``extrapolate`` writes the next anchor over the factor it retires.  No
+step writes its input and initial factors and warm starts are copied, so
+no input is written and nothing returned shares memory with an input.
 
 Every factor is terms-major: an F-contiguous (rows, R) array, so a column
 (one map, one spectrum) is contiguous and the maps' transpose is a
 C-contiguous (R, J, I) stack of transposed map images.  Initial factors and
 warm starts are copied into that layout, ``apg_step`` and ``extrapolate``
 keep it, and every product whose result is a factor-sized array is computed
-transposed, ``small @ big.T`` into ``out.T``, because ``matmul`` writes C
+transposed, as ``(small @ big.T).T``, because ``matmul`` returns C
 order.  So (P2 kron P1) and its transpose are two matmuls on free views, the
 (R, I, J) stack the regularizers read is a view whose maps are each
 contiguous, and the SRI refolds without a copy.
@@ -261,24 +257,20 @@ class FusionData:
 # structured matrix-free products
 # ---------------------------------------------------------------------------
 
-def _apply_ph(mat, p1, p2, out=None, mid=None):
+def _apply_ph(mat, p1, p2):
     """(P2 kron P1) @ mat for mat with P1.shape[1]*P2.shape[1] rows (columns
     are vec'd images); given P1' and P2' it is the transpose product.
 
     ``mat.T`` read as an (R, J, I) stack holds the transposed images X_r', so
     P1 X_r P2' is computed transposed, as (P2 X_r') P1': one product with P2
-    per term, into ``mid`` (a flat buffer of at least R*Jh*I entries), then
-    one with P1' for all terms, into the terms-major ``out``.  Either is
-    allocated when None; every reshape is a view.
+    per term, then one with P1' for all terms, whose C-order result read
+    transposed is the terms-major product.  Every reshape of a terms-major
+    ``mat`` is a view.
     """
     cols = mat.shape[1]
     (hi, i), (hj, j) = p1.shape, p2.shape
-    out = np.empty((hi * hj, cols), order="F") if out is None else out
-    mid = np.empty(cols * hj * i) if mid is None else mid
-    mid = mid[: cols * hj * i].reshape(cols, hj, i)
-    np.matmul(p2, mat.T.reshape(cols, j, i), out=mid)
-    np.matmul(mid.reshape(cols * hj, i), p1.T, out=out.T.reshape(cols * hj, hi))
-    return out
+    mid = p2 @ mat.T.reshape(cols, j, i)
+    return (mid.reshape(cols * hj, i) @ p1.T).reshape(cols, hi * hj).T
 
 
 def _top_eigenvalue(gram):
@@ -352,38 +344,18 @@ def _map_penalties(maps, shape, grad, majorizers):
 # objectives and block steps: each step returns (gradient, curvature bound)
 # ---------------------------------------------------------------------------
 
-def _fit_pass(x, m, target, buf=None):
+def _fit_pass(x, m, target):
     """1/2 |X M' - Y|^2 with X'X and X'Y.
 
-    The residual is formed transposed, M X' - Y', in the flat buffer ``buf``
-    (at least Y.size entries, allocated when None) and summed by ``vdot`` in
-    place.
+    The residual is formed transposed, M X' - Y': X' of a terms-major X is
+    C-contiguous, and so is the product, which ``vdot`` sums.
     """
-    shape = target.shape[::-1]
-    res = np.empty(shape) if buf is None else buf[: target.size].reshape(shape)
-    np.matmul(m, x.T, out=res)
+    res = m @ x.T
     res -= target.T
     return 0.5 * float(np.vdot(res, res)), (x.T @ x, x.T @ target)
 
 
-class _Work:
-    """The scratch arrays of one solve, allocated once and rewritten by every
-    sweep: the HSI-fit gradient of the known maps step (``coarse_grad``, None
-    when blind) and one flat buffer (``buf``) that each product uses in turn:
-    a fit residual (image-sized), a fit gradient's products (maps- or
-    coarse-sized) or a half product of :func:`_apply_ph`.  The steps'
-    gradients go into the driver's spares, not here."""
-
-    def __init__(self, data, n_terms):
-        i, j, _ = data.sri_dims
-        hi, hj = data.hsi_dims
-        known = data.ops is not None
-        self.coarse_grad = np.empty((hi * hj, n_terms), order="F") if known else None
-        rows = (i * j, hi * hj) + ((j * hi, hj * i) if known else ())
-        self.buf = np.empty(max(data.hsi_mat.size, data.msi_mat.size, n_terms * max(rows)))
-
-
-def objective(maps, spectra, data, cfg, coarse, buf=None):
+def objective(maps, spectra, data, cfg, coarse):
     """Full objective at (S, C, T), the fit Grams ((T'T, T'Yh), (S'S, S'Ym))
     that :func:`spectra_step` reads, the penalties' majorizers anchored at
     (S, T) that :func:`maps_step` and :func:`coarse_step_blind` read, and the
@@ -394,8 +366,8 @@ def objective(maps, spectra, data, cfg, coarse, buf=None):
     term.  Both fits are residual-form passes (:func:`_fit_pass`); each
     penalty's value and majorizer come from one factorization
     (:func:`_reweight`)."""
-    fit, hsi_grams = _fit_pass(coarse, spectra, data.hsi_mat, buf)
-    msi_fit, msi_grams = _fit_pass(maps, data.pm @ spectra, data.msi_mat, buf)
+    fit, hsi_grams = _fit_pass(coarse, spectra, data.hsi_mat)
+    msi_fit, msi_grams = _fit_pass(maps, data.pm @ spectra, data.msi_mat)
     fit += msi_fit
     f = fit + 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
     penalty, maps_majorizers = _reweight(maps, data.sri_dims[:2], cfg)
@@ -407,10 +379,9 @@ def objective(maps, spectra, data, cfg, coarse, buf=None):
     return f, (hsi_grams, msi_grams), (maps_majorizers, coarse_majorizers), fit
 
 
-def spectra_step(spectra, grams, data, cfg, out=None):
-    """Spectra-block gradient, written into ``out`` (allocated when None) as
-    the maps and coarse steps write theirs, and curvature bound, from the fit
-    Grams ((T'T, T'Yh), (S'S, S'Ym)) that :func:`objective` returns at (S, T)."""
+def spectra_step(spectra, grams, data, cfg):
+    """Spectra-block gradient and curvature bound, from the fit Grams
+    ((T'T, T'Yh), (S'S, S'Ym)) that :func:`objective` returns at (S, T)."""
     (coarse_gram, coarse_cross), (gram, cross) = grams
     pm = data.pm
     if data.ops is None:
@@ -418,75 +389,64 @@ def spectra_step(spectra, grams, data, cfg, out=None):
     else:
         # the tighter blind form ended 13 of 14 benchmark instances at a higher objective
         curv = _top_eigenvalue(gram) * (data.ph_gram_norm + data.pm_gram_norm)
-    out = np.empty(spectra.shape, order="F") if out is None else out
-    np.matmul(coarse_gram, spectra.T, out=out.T)
-    out += pm.T @ (pm @ spectra) @ gram
-    out += cfg.ridge_weight * spectra
-    out -= coarse_cross.T
-    out -= pm.T @ cross.T
-    return out, curv + cfg.ridge_weight
+    grad = (coarse_gram @ spectra.T).T
+    grad += pm.T @ (pm @ spectra) @ gram
+    grad += cfg.ridge_weight * spectra
+    grad -= coarse_cross.T
+    grad -= pm.T @ cross.T
+    return grad, curv + cfg.ridge_weight
 
 
-def _add_fit_grad(x, m, mtm, target, out, buf):
+def _add_fit_grad(x, m, mtm, target, grad):
     """Add the gradient in X of 1/2 |target - X M'|^2, in Gram form
-    X M'M - target M with ``mtm`` = M'M, into the terms-major ``out``:
-    M'M X' and M' target' are formed in turn in the flat buffer ``buf`` and
-    added transposed."""
-    prod = buf[: out.size].reshape(out.shape[::-1])
-    np.matmul(mtm, x.T, out=prod)
-    out += prod.T
-    np.matmul(m.T, target.T, out=prod)
-    out -= prod.T
-    return out
+    X M'M - target M with ``mtm`` = M'M, into the terms-major ``grad``:
+    M'M X' and M' target' are added transposed, in that order."""
+    grad += (mtm @ x.T).T
+    grad -= (m.T @ target.T).T
+    return grad
 
 
-def _image_block(x, m, target, shape, majorizers, out, buf):
-    """Gradient, added into ``out``, and curvature bound of an image block X
+def _image_block(x, m, target, shape, majorizers, grad):
+    """Gradient, added into ``grad``, and curvature bound of an image block X
     (maps or coarse maps of size ``shape``): the fit 1/2 |target - X M'|^2 plus
     the map penalties, whose gradient and curvature are those of their
     ``majorizers`` at X."""
     mtm = m.T @ m
-    _add_fit_grad(x, m, mtm, target, out, buf)
-    curv = _map_penalties(x, shape, out, majorizers)
-    return out, _top_eigenvalue(mtm) + curv
+    _add_fit_grad(x, m, mtm, target, grad)
+    curv = _map_penalties(x, shape, grad, majorizers)
+    return grad, _top_eigenvalue(mtm) + curv
 
 
-def maps_step(maps, spectra, data, majorizers, coarse=None, out=None, work=None):
+def maps_step(maps, spectra, data, majorizers, coarse=None):
     """Maps-block gradient and curvature bound.
 
     The data gradient is S M'M - Ym M with M = PM C; with known spatial
     operators it adds P_H'(T C'C - Yh C), T = P_H S given as ``coarse``, and
     the bound |C|^2 |P_H|^2.  The penalties enter through ``majorizers``, the
     maps' entry of those :func:`objective` returns; anchored at ``maps``, the
-    gradient is the objective's.  The gradient is written into ``out`` and
-    the intermediates into ``work`` (a :class:`_Work`); either is allocated
-    when None.
+    gradient is the objective's.  The HSI term comes first, carried back by
+    :func:`_apply_ph`, and the MSI term and the penalties are added into it;
+    the result is a fresh array the caller may write over.
     """
-    out = np.empty(maps.shape, order="F") if out is None else out
-    work = _Work(data, maps.shape[1]) if work is None else work
     if data.ops is None:
-        out.fill(0.0)
+        grad = np.zeros(maps.shape, order="F")
         l_hsi = 0.0
     else:
-        # the HSI term is written over out first: P_H' has no form that adds
         ctc = spectra.T @ spectra
-        work.coarse_grad.fill(0.0)
-        hsi_grad = _add_fit_grad(coarse, spectra, ctc, data.hsi_mat, work.coarse_grad, work.buf)
-        _apply_ph(hsi_grad, data.ops.p1.T, data.ops.p2.T, out, work.buf)
+        hsi_grad = _add_fit_grad(coarse, spectra, ctc, data.hsi_mat,
+                                 np.zeros(coarse.shape, order="F"))
+        grad = _apply_ph(hsi_grad, data.ops.p1.T, data.ops.p2.T)
         l_hsi = _top_eigenvalue(ctc) * data.ph_gram_norm
-    g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], majorizers,
-                        out, work.buf)
+    g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], majorizers, grad)
     return g, l + l_hsi
 
 
-def coarse_step_blind(coarse, spectra, data, majorizers, out=None, work=None):
+def coarse_step_blind(coarse, spectra, data, majorizers):
     """Coarse-block gradient and curvature bound: HSI fit plus Schatten, no
-    TV; ``majorizers`` (the coarse entry of those :func:`objective` returns),
-    ``out`` and ``work`` as in :func:`maps_step`."""
-    out = np.empty(coarse.shape, order="F") if out is None else out
-    work = _Work(data, coarse.shape[1]) if work is None else work
-    out.fill(0.0)
-    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, majorizers, out, work.buf)
+    TV; ``majorizers`` is the coarse entry of those :func:`objective`
+    returns."""
+    grad = np.zeros(coarse.shape, order="F")
+    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, majorizers, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -562,44 +522,43 @@ def _run(factors, data, cfg, max_iters, noise_level):
     and majorizers of the last objective: so the Grams hold for the blocks no
     earlier step of the sweep has moved, and each block's majorizers are
     anchored at its last scored iterate, the point its anchor is extrapolated
-    from.  The driver owns the steps' :class:`_Work` and a factor, an anchor
-    and a spare per block, rotated as the module docstring describes.
+    from.  Each step returns a fresh gradient, ``apg_step`` writes the new
+    factor over it and ``extrapolate`` writes the next anchor over the factor
+    it retires, so a sweep keeps two arrays per block: factor and anchor.
     The run stops after the first sweep whose fit is at most
     ``noise_level`` (None: never), or that ``cfg.rel_tol`` calls stalled.
     Returns the spectra and maps, the trace of objective values and the
     stop reason.
     """
-    work = _Work(data, factors[0].shape[1])
     known = data.ops is not None
     if known:
         p1, p2 = data.ops.p1, data.ops.p2
-        factors.append(_apply_ph(factors[1], p1, p2, None, work.buf))
-    anchors = [x.copy(order="K") for x in factors]
-    spares = [np.empty_like(x) for x in factors]
+        factors.append(_apply_ph(factors[1], p1, p2))
+    anchors = list(factors)
     gamma = 1.0
     trace = _Trace()
     c, s, t = factors
-    f, grams, (maps_major, coarse_major), _ = objective(s, c, data, cfg, t, work.buf)
+    f, grams, (maps_major, coarse_major), _ = objective(s, c, data, cfg, t)
     trace.record(f)
     for _ in range(max_iters):
         c_anchor, s_anchor, t_anchor = anchors
-        c = _descend(c_anchor, spectra_step(c_anchor, grams, data, cfg, spares[0]))
-        s = _descend(s_anchor, maps_step(s_anchor, c, data, maps_major, t_anchor, spares[1], work))
+        c = _descend(c_anchor, spectra_step(c_anchor, grams, data, cfg))
+        s = _descend(s_anchor, maps_step(s_anchor, c, data, maps_major, t_anchor))
         if known:
-            t = _apply_ph(s, p1, p2, spares[2], work.buf)
+            t = _apply_ph(s, p1, p2)
         else:
-            t = _descend(t_anchor, coarse_step_blind(t_anchor, c, data, coarse_major, spares[2],
-                                                     work), project=False)
+            t = _descend(t_anchor, coarse_step_blind(t_anchor, c, data, coarse_major),
+                         project=False)
         if cfg.accelerate:
-            spares, anchors = anchors, []
+            anchors = []
             for new, old in zip((c, s, t), factors):
                 anchor, next_gamma = extrapolate(new, old, gamma)
                 anchors.append(anchor)
             gamma = next_gamma
         else:
-            spares, anchors = factors, [c, s, t]
+            anchors = [c, s, t]
         factors = [c, s, t]
-        f, grams, (maps_major, coarse_major), fit = objective(s, c, data, cfg, t, work.buf)
+        f, grams, (maps_major, coarse_major), fit = objective(s, c, data, cfg, t)
         trace.record(f)
         if noise_level is not None and fit <= noise_level:
             return (c, s), trace, "noise_level"
@@ -668,8 +627,8 @@ def _solve(data, n_terms, cfg, init):
         noise = (_noise_energy(data.hsi_mat, n_terms), _noise_energy(data.msi_mat, n_terms))
         noise_level = 0.5 * (noise[0] + noise[1])
 
-    # the driver alone holds the solve's scratch arrays, so these are freed
-    # before the report allocates the SRI
+    # the driver alone holds the solve's factors and anchors, so these are
+    # freed before the report allocates the SRI
     (spectra, maps), trace, stop_reason = _run([spectra, maps, *coarse], data, cfg, max_iters,
                                                noise_level)
     return _report(maps, spectra, data, trace, stop_reason, noise)

@@ -228,6 +228,19 @@ def test_bad_flag_value_is_config_error_before_any_write(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("in_file", [True, False])
+def test_bad_run_seed_error_names_run_seed(tmp_path, capsys, in_file):
+    # the run seed also seeds the solver, but the message names the key that
+    # was given, here in a file with no [solver] section
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIMULATE_CFG.format(out=tmp_path / "out", seed=-3 if in_file else 1, snr="inf"))
+    flags = [] if in_file else ["--seed", "-1"]
+    assert main(["simulate", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "run.seed" in err and "[solver]" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _refuse_compute(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("computed before the output path was checked")

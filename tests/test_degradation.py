@@ -364,6 +364,14 @@ def test_add_noise_infinite_snr_is_copy():
     assert noisy is not t
 
 
+def test_add_noise_accepts_a_nested_list():
+    # a list is converted at entry, at a finite SNR as at an infinite one:
+    # bit for bit the array's result for the same seed
+    t = np.random.default_rng(12).normal(size=(4, 3, 2))
+    assert np.array_equal(add_noise(t.tolist(), 25.0, seed=5), add_noise(t, 25.0, seed=5))
+    assert np.array_equal(add_noise(t.tolist(), np.inf), t)
+
+
 def test_add_noise_seeds_differ_same_norm():
     t = np.random.default_rng(9).normal(size=(5, 5, 5))
     n1 = add_noise(t, 20.0, seed=1) - t
