@@ -23,13 +23,16 @@ difference and whether the arrays are ``np.array_equal`` (for a trace also
 how many iterations raised the objective in A and in B), then per metric the
 largest relative difference over all scored pairs.  It ends with summary
 lines, the largest relative difference in each group: the noisy traces and
-the noisy SRIs, each split into accelerated or plain runs without or with
-the regularizers (``accel/none``, ``accel/reg``, ``plain/none``,
-``plain/reg``), the criterion-1 traces and the ``cli96`` estimate; and, per
-group of traces, the objective rises summed over its traces in A and in B.  With ``--max-rel-diff TOL`` it then names each group whose difference
+the noisy SRIs of each solver, each split into accelerated or plain runs
+without or with the regularizers (``noisy fuse accel/none traces``, ...,
+``noisy fuse_blind plain/reg SRIs``), the criterion-1 traces of each solver
+(``criterion1 fuse_blind traces``) and the ``cli96`` estimate; and, per
+group of traces, the objective rises summed over its traces in A and in B.
+With ``--max-rel-diff TOL`` it then names each group whose difference
 exceeds TOL and exits 1 if there is one.  A change meant to move only one
-kind of run (say, accelerated regularized runs) is gated on the others this
-way, and the moved group is reported on its own line:
+kind of run (say, accelerated regularized runs, or only ``fuse``) is gated
+on the others this way, and the moved groups are reported on their own
+lines:
 
     python scripts/trace_compare.py --compare old.npz new.npz --max-rel-diff 1e-12
 """
@@ -131,14 +134,18 @@ def _rises(trace):
     return int(np.count_nonzero(np.diff(trace) > 0))
 
 
-# The trace and SRI keys each summary line covers: the noisy runs by
-# extrapolation and regularization, as ``record`` tags them.
+# The trace and SRI keys each summary line covers: the runs by solver and the
+# noisy ones also by extrapolation and regularization, as ``record`` tags them.
+SOLVERS = ("fuse", "fuse_blind")
 RUN_TAGS = [f"{accel}/{reg}" for accel in ("accel", "plain") for reg in ("none", "reg")]
 SUMMARY_GROUPS = {
-    **{f"noisy {tag} {label}": (lambda key, suffix=f"/{tag}/{kind}":
-                                key.startswith("noisy") and key.endswith(suffix))
-       for kind, label in (("trace", "traces"), ("sri", "SRIs")) for tag in RUN_TAGS},
-    "criterion1 traces": lambda key: key.startswith("criterion1/") and key.endswith("/trace"),
+    **{f"noisy {solver} {tag} {label}": (lambda key, suffix=f"/{solver}/{tag}/{kind}":
+                                         key.startswith("noisy") and key.endswith(suffix))
+       for kind, label in (("trace", "traces"), ("sri", "SRIs"))
+       for solver in SOLVERS for tag in RUN_TAGS},
+    **{f"criterion1 {solver} traces": (lambda key, prefix=f"criterion1/{solver}/":
+                                       key.startswith(prefix) and key.endswith("/trace"))
+       for solver in SOLVERS},
     "cli96 estimate": lambda key: key == "cli96/estimate",
 }
 
@@ -182,9 +189,9 @@ def compare(path_a, path_b):
     for group in SUMMARY_GROUPS:
         if group in groups:
             rel, key = groups[group]
-            print(f"summary {group:24s} max_rel_diff {rel:.3e}" + (f"  at {key}" if rel > 0 else ""))
+            print(f"summary {group:34s} max_rel_diff {rel:.3e}" + (f"  at {key}" if rel > 0 else ""))
     for group, (in_a, in_b) in rises.items():
-        print(f"rises {group:26s} {in_a} -> {in_b}")
+        print(f"rises {group:36s} {in_a} -> {in_b}")
     return {group: rel for group, (rel, _) in groups.items()}
 
 

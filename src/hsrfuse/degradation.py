@@ -202,9 +202,11 @@ def degrade_spectral(sri, ops):
 
 
 def check_snr_db(snr_db):
-    """Reject a noise level :func:`add_noise` cannot calibrate: NaN or -inf."""
+    """Reject a noise level :func:`add_noise` cannot calibrate: NaN or -inf;
+    return it."""
     if math.isnan(check_real("snr_db", snr_db)) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    return snr_db
 
 
 def add_noise(tensor, snr_db, seed=0):

@@ -209,10 +209,11 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_seed(text):
-    # validated here, so the message names run.seed: the seed also seeds the
-    # solver, whose own check would name [solver]
-    return check_int("seed", int(text), 0)
+def _int_at_least(name, minimum):
+    # a parser that validates, so load_config's message names the key: the
+    # run seed also seeds the solver, whose own check would name [solver],
+    # and RunConfig's checks would name only the field
+    return lambda text: check_int(name, int(text), minimum)
 
 
 # Every configuration key, once: "section.key" -> (parser, target, ...).  A
@@ -225,8 +226,8 @@ _KEYS = {
     "inputs.p2": (str, "p2"),
     "inputs.pm": (str, "pm"),
     "inputs.reference": (str, "reference"),
-    "model.rank": (int, "rank"),
-    "model.term_rank": (int, "term_rank"),
+    "model.rank": (_int_at_least("rank", 1), "rank"),
+    "model.term_rank": (_int_at_least("term_rank", 1), "term_rank"),
     "synthesis.dims": (parse_dims, "dims"),
     "synthesis.nonneg": (_parse_bool, "nonneg"),
     "blur.kernel_width": (int, "blur.kernel_width"),
@@ -235,7 +236,7 @@ _KEYS = {
     "blur.boundary": (str.strip, "blur.boundary"),
     "blur.offset": (int, "blur.offset"),
     "spectral.bands": (parse_band_ranges, "bands"),
-    "noise.snr_db": (float, "snr_db"),
+    "noise.snr_db": (lambda text: check_snr_db(float(text)), "snr_db"),
     "solver.ridge_weight": (float, "solver.ridge_weight"),
     "solver.tv_weight": (float, "solver.tv_weight"),
     "solver.lowrank_weight": (float, "solver.lowrank_weight"),
@@ -246,7 +247,7 @@ _KEYS = {
     "solver.max_iters": (int, "solver.max_iters"),
     "solver.rel_tol": (float, "solver.rel_tol"),
     "solver.accelerate": (_parse_bool, "solver.accelerate"),
-    "run.seed": (_parse_seed, "seed", "solver.seed"),
+    "run.seed": (_int_at_least("seed", 0), "seed", "solver.seed"),
     "run.out": (str, "out"),
 }
 _SECTIONS = {key.split(".")[0] for key in _KEYS}

@@ -112,7 +112,6 @@ from .tensors import check_int, check_real, ensure_finite, refold, unfold
 _TINY = np.finfo(float).tiny
 
 DEFAULT_MAX_ITERS = 300
-DEFAULT_MAX_ITERS_BLIND = 600
 
 
 @dataclass
@@ -120,7 +119,7 @@ class SolverConfig:
     """Weights, smoothing constants and run controls for both solvers.
 
     The TV and low-rank weights are uniform across terms.  ``max_iters=None``
-    falls back to 300 (known operators) or 600 (blind).  A run stops after a
+    falls back to ``DEFAULT_MAX_ITERS`` for both solvers.  A run stops after a
     sweep that lowers the objective by at most ``rel_tol`` relative (a sweep
     that raises it never stops the run).  A run with neither TV nor Schatten
     weight (the ridge does not count) also stops after the first sweep whose
@@ -384,11 +383,8 @@ def spectra_step(spectra, grams, data, cfg):
     ((T'T, T'Yh), (S'S, S'Ym)) that :func:`objective` returns at (S, T)."""
     (coarse_gram, coarse_cross), (gram, cross) = grams
     pm = data.pm
-    if data.ops is None:
-        curv = data.pm_gram_norm * _top_eigenvalue(gram) + _top_eigenvalue(coarse_gram)
-    else:
-        # the tighter blind form ended 13 of 14 benchmark instances at a higher objective
-        curv = _top_eigenvalue(gram) * (data.ph_gram_norm + data.pm_gram_norm)
+    # C's Hessian is T'T + S'S kron PM'PM whether T is free or T = P_H S
+    curv = data.pm_gram_norm * _top_eigenvalue(gram) + _top_eigenvalue(coarse_gram)
     grad = (coarse_gram @ spectra.T).T
     grad += pm.T @ (pm @ spectra) @ gram
     grad += cfg.ridge_weight * spectra
@@ -602,12 +598,8 @@ def _solve(data, n_terms, cfg, init):
     if not isinstance(cfg, SolverConfig):
         raise ValueError(f"cfg must be a SolverConfig, got {type(cfg).__name__}")
     check_int("n_terms", n_terms, 1)
-    blind = data.ops is None
-    labels = ("maps", "spectra", "coarse maps")[: 3 if blind else 2]
-    if cfg.max_iters is not None:
-        max_iters = cfg.max_iters
-    else:
-        max_iters = DEFAULT_MAX_ITERS_BLIND if blind else DEFAULT_MAX_ITERS
+    labels = ("maps", "spectra", "coarse maps")[: 3 if data.ops is None else 2]
+    max_iters = DEFAULT_MAX_ITERS if cfg.max_iters is None else cfg.max_iters
     if init is None:
         init = (None,) * len(labels)
     elif not isinstance(init, (list, tuple)):

@@ -241,6 +241,27 @@ def test_bad_run_seed_error_names_run_seed(tmp_path, capsys, in_file):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("in_file", [True, False])
+@pytest.mark.parametrize("key, flag, value", [("model.rank", "--rank", "0"),
+                                              ("model.term_rank", "--term-rank", "-2"),
+                                              ("noise.snr_db", "--snr", "nan")])
+def test_bad_model_and_noise_values_name_their_key(tmp_path, capsys, key, flag, value, in_file):
+    # a value is checked as its key is parsed, so the message names the key
+    # and not only the setting, from the file and from the flag alike
+    section, name = key.split(".")
+    cfg = tmp_path / "sim.cfg"
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(SIMULATE_CFG.format(out=tmp_path / "out", seed=1, snr="inf"))
+    if in_file:
+        parser[section][name] = value
+    with open(cfg, "w") as handle:
+        parser.write(handle)
+    flags = [] if in_file else [flag, value]
+    assert main(["simulate", "--config", str(cfg), *flags]) == 2
+    assert f"{key}: {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _refuse_compute(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("computed before the output path was checked")

@@ -59,7 +59,7 @@ def test_trace_compare_fails_on_groups_above_the_tolerance(tmp_path):
     strict = compare("--max-rel-diff", "1e-12")
     assert strict.returncode == 1, strict.stderr
     failed = [line for line in strict.stdout.splitlines() if line.startswith("FAIL")]
-    assert len(failed) == 1 and failed[0].startswith("FAIL noisy accel/none traces:")
+    assert len(failed) == 1 and failed[0].startswith("FAIL noisy fuse accel/none traces:")
     rises = [line.split() for line in strict.stdout.splitlines() if line.startswith("rises")]
     assert sorted(line[-3:] for line in rises) == [["0", "->", "0"], ["1", "->", "1"]]
     for run in (compare("--max-rel-diff", "1e-6"), compare()):
