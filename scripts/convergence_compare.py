@@ -50,7 +50,7 @@ def main():
     for label, accelerate in (("plain", False), ("accelerated", True)):
         cfg = SolverConfig(
             ridge_weight=1e-6, max_iters=args.iters, rel_tol=0.0,
-            accelerate=accelerate, seed=args.seed,
+            accelerate=accelerate,
         )
         traces[label] = fuse(hsi, msi, ops, args.rank, cfg).objective_trace
 

@@ -37,7 +37,7 @@ def run_level(sri, ops, snr_db, args, rng):
     msi = add_noise(degrade_spectral(sri, ops), snr_db, rng)
     cfg = SolverConfig(
         ridge_weight=args.ridge, tv_weight=args.tv, lowrank_weight=args.lowrank,
-        max_iters=args.iters, rel_tol=1e-6, seed=args.seed,
+        max_iters=args.iters, rel_tol=1e-6,
     )
     rows = []
     report = fuse(hsi, msi, ops, args.rank, cfg)
@@ -45,7 +45,7 @@ def run_level(sri, ops, snr_db, args, rng):
     if not args.skip_blind:
         blind_cfg = SolverConfig(
             ridge_weight=args.ridge, tv_weight=args.tv, lowrank_weight=args.lowrank,
-            max_iters=2 * args.iters, rel_tol=1e-6, seed=args.seed,
+            max_iters=2 * args.iters, rel_tol=1e-6,
         )
         report = fuse_blind(hsi, msi, ops.pm, args.rank, blind_cfg)
         rows.append(("blind", evaluate(sri, report.sri, ratio=args.ratio)))

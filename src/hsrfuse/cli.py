@@ -30,6 +30,8 @@ from .solver import fuse, fuse_blind
 
 # Each override flag and the config key it replaces.  The flag's text goes to
 # load_config with the file's text, so it is parsed and validated the same way.
+# run.seed seeds simulate only; fuse and blind-fuse record it in report.json,
+# but their solvers start from the data and draw nothing.
 OVERRIDES = {
     "--seed": "run.seed",
     "--out": "run.out",
@@ -259,6 +261,7 @@ def _run_fusion(cfg, solve, mode):
             "stop_reason": report.stop_reason,
             "noise_energy": None if report.noise_energy is None else dict(
                 zip(("hsi", "msi"), report.noise_energy)),
+            "data_scale": report.data_scale,
             "final_objective": float(report.objective_trace[-1]),
             "weights": {
                 "ridge": cfg.solver.ridge_weight,

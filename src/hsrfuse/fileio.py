@@ -210,14 +210,13 @@ def _parse_bool(text):
 
 
 def _int_at_least(name, minimum):
-    # a parser that validates, so load_config's message names the key: the
-    # run seed also seeds the solver, whose own check would name [solver],
-    # and RunConfig's checks would name only the field
+    # a parser that validates, so load_config's message names the key;
+    # RunConfig's checks would name only the field
     return lambda text: check_int(name, int(text), minimum)
 
 
-# Every configuration key, once: "section.key" -> (parser, target, ...).  A
-# target is a RunConfig field, or a dotted path through its nested configs.
+# Every configuration key, once: "section.key" -> (parser, target).  A target
+# is a RunConfig field, or a dotted path through its nested configs.
 _KEYS = {
     "inputs.sri": (str, "sri"),
     "inputs.hsi": (str, "hsi"),
@@ -247,7 +246,8 @@ _KEYS = {
     "solver.max_iters": (int, "solver.max_iters"),
     "solver.rel_tol": (float, "solver.rel_tol"),
     "solver.accelerate": (_parse_bool, "solver.accelerate"),
-    "run.seed": (_int_at_least("seed", 0), "seed", "solver.seed"),
+    # seeds simulate's draws only: the solvers start from the data
+    "run.seed": (_int_at_least("seed", 0), "seed"),
     "run.out": (str, "out"),
 }
 _SECTIONS = {key.split(".")[0] for key in _KEYS}
@@ -287,17 +287,16 @@ def load_config(path, overrides=None):
 
     fields = {"blur": {}, "solver": {"schatten": {}, "tv": {}}}
     for key, text in raw.items():
-        parse, *targets = _KEYS[key]
+        parse, target = _KEYS[key]
         try:
             value = parse(text)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-        for target in targets:
-            *parents, name = target.split(".")
-            node = fields
-            for parent in parents:
-                node = node[parent]
-            node[name] = value
+        *parents, name = target.split(".")
+        node = fields
+        for parent in parents:
+            node = node[parent]
+        node[name] = value
 
     solver = fields["solver"]
     fields["blur"] = _build(BlurSpec, fields["blur"], f"{path}: [blur]")

@@ -14,6 +14,21 @@ Schatten penalty eta sum_r schatten(T_r) but no TV term and no nonnegativity
 constraint.  One :class:`FusionData` holds either problem (``ops`` is None
 when blind), and one objective and one spectra step serve both.
 
+Both solvers run on unit-scale data and start from it.  Setup divides both
+images by s, the RMS of the MSI: the weights, ``tau``, ``epsilon`` and the
+ridge act on unit-RMS data, and scaling both images by a scales the SRI by
+a (bit for bit when a is a power of two, since every rounding scales with
+it).  A factor not warm-started is derived from the scaled data
+(:func:`_solve`): the spectra C by successive projection (SPA) on the HSI
+pixels (:func:`_spa`), the maps S by projected gradient steps on the MSI fit
+at C, and, blind, T by gradient steps on the HSI fit at C, all through the
+steps the sweeps use (:func:`_fit_steps`); nothing is drawn at random.  SPA
+assumes that pure pixels exist; on a scene without them it picks the most
+extreme pixels, and the sweeps carry the fit from there.  The objective
+trace is the unit-scale problem's.  The returned spectra are multiplied
+back by s, so they are in the images' units and the maps are unit-free, and
+the SRI is formed once, from them.
+
 Both problems have the same three blocks, C, S and T, and one driver,
 :func:`_run`, moves them in that order each sweep.  C and S move 1/L from
 their anchors, with L a cheap upper bound on the block curvature (exact for
@@ -93,7 +108,7 @@ contiguous, and the SRI refolds without a copy.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,7 +133,10 @@ DEFAULT_MAX_ITERS = 300
 class SolverConfig:
     """Weights, smoothing constants and run controls for both solvers.
 
-    The TV and low-rank weights are uniform across terms.  ``max_iters=None``
+    The TV and low-rank weights are uniform across terms.  The weights, the
+    smoothing constants (``tau``, ``epsilon``) and the ridge act on the
+    images divided by the RMS of the MSI, that is on unit-RMS data, so their
+    meaning does not depend on the images' unit.  ``max_iters=None``
     falls back to ``DEFAULT_MAX_ITERS`` for both solvers.  A run stops after a
     sweep that lowers the objective by at most ``rel_tol`` relative (a sweep
     that raises it never stops the run).  A run with neither TV nor Schatten
@@ -126,7 +144,8 @@ class SolverConfig:
     fit reaches the noise level the data show (see :func:`_noise_energy`):
     without a penalty nothing else keeps the fit from fitting the noise.
     ``rel_tol=0`` disables both rules, so the run takes exactly ``max_iters``
-    sweeps.
+    sweeps.  ``seed`` is accepted and validated but has no effect: the
+    solvers start from the data and draw nothing at random.
     """
 
     ridge_weight: float = 0.0
@@ -159,10 +178,15 @@ class SolverConfig:
 class FusionReport:
     """Solver output: recovered tensor, factors, and the objective trace.
 
-    ``stop_reason`` is ``"noise_level"``, ``"rel_tol"`` or ``"max_iters"``,
-    whichever rule ended the run.  ``noise_energy`` holds the (HSI, MSI)
-    noise energies the noise-level rule compared the fit with, or None when
-    the rule was off.
+    ``elapsed`` holds the seconds from the start of the solve, the
+    data-derived start included, to each trace entry.  ``stop_reason`` is
+    ``"noise_level"``, ``"rel_tol"`` or ``"max_iters"``, whichever rule ended
+    the run.  ``noise_energy`` holds the (HSI, MSI) noise energies the
+    noise-level rule compared the fit with, in the images' units, or None
+    when the rule was off.  ``data_scale`` is the RMS of the MSI, which both
+    images were divided by for the solve: the spectra are in the images'
+    units and the maps are unit-free, but the objective trace is the
+    unit-scale problem's (times ``data_scale**2`` for the images' units).
     """
 
     sri: np.ndarray
@@ -172,6 +196,7 @@ class FusionReport:
     elapsed: np.ndarray
     stop_reason: str
     noise_energy: tuple = None
+    data_scale: float = 1.0
 
     @property
     def iterations(self):
@@ -228,6 +253,10 @@ class FusionData:
         msi = ensure_finite(np.asarray(msi, dtype=float), "MSI")
         if hsi.ndim != 3 or msi.ndim != 3:
             raise DimensionError("HSI and MSI must be 3-d tensors")
+        for label, image in (("HSI", hsi), ("MSI", msi)):
+            # the solvers scale by the MSI's RMS and start from HSI pixels
+            if not image.any():
+                raise ValueError(f"{label} is all zero: there is nothing to fuse")
         if hsi.shape[2] != pm.shape[1]:
             raise DimensionError(
                 f"HSI band count {hsi.shape[2]} does not match pm columns {pm.shape[1]}"
@@ -393,22 +422,26 @@ def spectra_step(spectra, grams, data, cfg):
     return grad, curv + cfg.ridge_weight
 
 
-def _add_fit_grad(x, m, mtm, target, grad):
-    """Add the gradient in X of 1/2 |target - X M'|^2, in Gram form
-    X M'M - target M with ``mtm`` = M'M, into the terms-major ``grad``:
-    M'M X' and M' target' are added transposed, in that order."""
-    grad += (mtm @ x.T).T
-    grad -= (m.T @ target.T).T
+def _add_fit_grad(x, mtm, ym, grad=None):
+    """Add the gradient in X of 1/2 |Y - X M'|^2, in Gram form X M'M - Y M
+    with ``mtm`` = M'M and ``ym`` = Y M (terms-major), into the terms-major
+    ``grad``, or return it as a fresh array when ``grad`` is None: M'M X' is
+    added transposed, then Y M subtracted."""
+    if grad is None:
+        grad = (mtm @ x.T).T
+    else:
+        grad += (mtm @ x.T).T
+    grad -= ym
     return grad
 
 
-def _image_block(x, m, target, shape, majorizers, grad):
-    """Gradient, added into ``grad``, and curvature bound of an image block X
-    (maps or coarse maps of size ``shape``): the fit 1/2 |target - X M'|^2 plus
-    the map penalties, whose gradient and curvature are those of their
-    ``majorizers`` at X."""
+def _image_block(x, m, target, shape, majorizers, grad=None):
+    """Gradient, added into ``grad`` (None: a fresh array), and curvature
+    bound of an image block X (maps or coarse maps of size ``shape``): the
+    fit 1/2 |target - X M'|^2 plus the map penalties, whose gradient and
+    curvature are those of their ``majorizers`` at X."""
     mtm = m.T @ m
-    _add_fit_grad(x, m, mtm, target, grad)
+    grad = _add_fit_grad(x, mtm, (m.T @ target.T).T, grad)
     curv = _map_penalties(x, shape, grad, majorizers)
     return grad, _top_eigenvalue(mtm) + curv
 
@@ -425,12 +458,10 @@ def maps_step(maps, spectra, data, majorizers, coarse=None):
     the result is a fresh array the caller may write over.
     """
     if data.ops is None:
-        grad = np.zeros(maps.shape, order="F")
-        l_hsi = 0.0
+        grad, l_hsi = None, 0.0
     else:
         ctc = spectra.T @ spectra
-        hsi_grad = _add_fit_grad(coarse, spectra, ctc, data.hsi_mat,
-                                 np.zeros(coarse.shape, order="F"))
+        hsi_grad = _add_fit_grad(coarse, ctc, (spectra.T @ data.hsi_mat.T).T)
         grad = _apply_ph(hsi_grad, data.ops.p1.T, data.ops.p2.T)
         l_hsi = _top_eigenvalue(ctc) * data.ph_gram_norm
     g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], majorizers, grad)
@@ -441,8 +472,7 @@ def coarse_step_blind(coarse, spectra, data, majorizers):
     """Coarse-block gradient and curvature bound: HSI fit plus Schatten, no
     TV; ``majorizers`` is the coarse entry of those :func:`objective`
     returns."""
-    grad = np.zeros(coarse.shape, order="F")
-    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, majorizers, grad)
+    return _image_block(coarse, spectra, data.hsi_mat, data.hsi_dims, majorizers)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +538,7 @@ def _descend(anchor, step, project=True):
     return apg_step(anchor, grad, 1.0 / max(lip, _TINY), project)
 
 
-def _run(factors, data, cfg, max_iters, noise_level):
+def _run(factors, data, cfg, max_iters, noise_level, trace):
     """Block-coordinate driver shared by both solvers: each sweep moves the
     spectra C, the maps S and the coarse factor T, in that order.
 
@@ -523,7 +553,7 @@ def _run(factors, data, cfg, max_iters, noise_level):
     it retires, so a sweep keeps two arrays per block: factor and anchor.
     The run stops after the first sweep whose fit is at most
     ``noise_level`` (None: never), or that ``cfg.rel_tol`` calls stalled.
-    Returns the spectra and maps, the trace of objective values and the
+    Objective values go to ``trace``.  Returns the spectra and maps and the
     stop reason.
     """
     known = data.ops is not None
@@ -532,7 +562,6 @@ def _run(factors, data, cfg, max_iters, noise_level):
         factors.append(_apply_ph(factors[1], p1, p2))
     anchors = list(factors)
     gamma = 1.0
-    trace = _Trace()
     c, s, t = factors
     f, grams, (maps_major, coarse_major), _ = objective(s, c, data, cfg, t)
     trace.record(f)
@@ -557,13 +586,13 @@ def _run(factors, data, cfg, max_iters, noise_level):
         f, grams, (maps_major, coarse_major), fit = objective(s, c, data, cfg, t)
         trace.record(f)
         if noise_level is not None and fit <= noise_level:
-            return (c, s), trace, "noise_level"
+            return (c, s), "noise_level"
         if trace.stalled(cfg.rel_tol):
-            return (c, s), trace, "rel_tol"
-    return (c, s), trace, "max_iters"
+            return (c, s), "rel_tol"
+    return (c, s), "max_iters"
 
 
-def _report(maps, spectra, data, trace, stop_reason, noise):
+def _report(maps, spectra, data, trace, stop_reason, noise, scale):
     return FusionReport(
         sri=refold((spectra @ maps.T).T, data.sri_dims),
         maps=maps,
@@ -572,12 +601,11 @@ def _report(maps, spectra, data, trace, stop_reason, noise):
         elapsed=np.asarray(trace.elapsed),
         stop_reason=stop_reason,
         noise_energy=noise,
+        data_scale=scale,
     )
 
 
-def _init_factor(rng, shape, given, label):
-    if given is None:
-        return np.asfortranarray(rng.uniform(size=shape))
+def _warm_start(given, shape, label):
     arr = np.array(given, dtype=float, order="F")
     if arr.shape != shape:
         raise DimensionError(f"warm start {label} has shape {arr.shape}, expected {shape}")
@@ -585,15 +613,67 @@ def _init_factor(rng, shape, given, label):
 
 
 # ---------------------------------------------------------------------------
+# the data-derived start
+# ---------------------------------------------------------------------------
+
+_INIT_STEPS = 100
+
+
+def _spa(mat, n_terms):
+    """Endmember spectra by successive projection (SPA; Gillis & Vavasis,
+    IEEE TPAMI 36(4), 2014) on preconditioned pixels: R times, pick the pixel
+    (row of ``mat``) whose residual has the largest norm, then project every
+    residual off it.
+
+    SPA assumes that pure pixels exist and that a pixel's abundances sum to
+    one.  So each pixel is first divided by its l1 norm, and the normalized
+    pixels are whitened in their top-R band subspace (SVD preconditioning,
+    Gillis & Ma, SIAM J. Imaging Sci. 8(2), 2015), which keeps the picks
+    apart when the spectra are close or the pixels mixed.  Returns the
+    picked pixels, as given, as the columns of a terms-major (bands, R)
+    array, clipped at 0.
+    """
+    sums = np.abs(mat).sum(axis=1)
+    pixels = mat / np.where(sums > 0, sums, 1.0)[:, None]
+    w, v = np.linalg.eigh(pixels.T @ pixels)
+    w, v = w[-n_terms:], v[:, -n_terms:]
+    res = (pixels @ v) / np.sqrt(np.maximum(w, np.finfo(float).eps * w[-1]))
+    picks = []
+    for _ in range(n_terms):
+        norms = np.einsum("ij,ij->i", res, res)
+        pick = int(np.argmax(norms))
+        picks.append(pick)
+        if norms[pick] > 0:
+            u = res[pick] / math.sqrt(norms[pick])
+            res -= np.outer(res @ u, u)
+    return np.maximum(mat[picks].T, 0.0)
+
+
+def _fit_steps(m, target, project):
+    """``_INIT_STEPS`` gradient steps from zero on 1/2 |target - X M'|^2 at
+    step 1/sigma_max(M)^2, projected onto X >= 0 if ``project``, through
+    :func:`_add_fit_grad` and :func:`apg_step` with M'M and target M formed
+    once."""
+    mtm = m.T @ m
+    ym = (m.T @ target.T).T
+    step = 1.0 / max(_top_eigenvalue(mtm), _TINY)
+    x = np.zeros(ym.shape, order="F")
+    for _ in range(_INIT_STEPS):
+        x = apg_step(x, _add_fit_grad(x, mtm, ym), step, project)
+    return x
+
+
+# ---------------------------------------------------------------------------
 # full solvers
 # ---------------------------------------------------------------------------
 
 def _solve(data, n_terms, cfg, init):
-    """Setup and run shared by both solvers.
-
-    Factors are drawn in the order maps, spectra and, in the blind problem
-    (``data.ops`` is None), coarse maps.
-    """
+    """Setup and run shared by both solvers, on the images divided by the
+    RMS s of the MSI.  A factor not warm-started is derived from the scaled
+    data: the spectra first, then the maps and, in the blind problem
+    (``data.ops`` is None), the coarse maps from them.  Warm-start spectra
+    are divided by s, and the returned spectra and noise energies are
+    multiplied back."""
     cfg = cfg if cfg is not None else SolverConfig()
     if not isinstance(cfg, SolverConfig):
         raise ValueError(f"cfg must be a SolverConfig, got {type(cfg).__name__}")
@@ -608,30 +688,53 @@ def _solve(data, n_terms, cfg, init):
         raise DimensionError(f"warm start has {len(init)} factors, expected ({', '.join(labels)})")
     i, j, k = data.sri_dims
     shapes = ((i * j, n_terms), (k, n_terms), (math.prod(data.hsi_dims), n_terms))
-    rng = np.random.default_rng(cfg.seed)
     maps, spectra, *coarse = [
-        _init_factor(rng, shape, given, label) for shape, given, label in zip(shapes, init, labels)
+        None if given is None else _warm_start(given, shape, label)
+        for shape, given, label in zip(shapes, init, labels)
     ]
+
+    trace = _Trace()  # the clock runs from here: the timings include the start
+    # s > 0: FusionData refuses an all-zero image
+    scale = float(np.linalg.norm(data.msi_mat)) / math.sqrt(data.msi_mat.size)
+    data = replace(data, hsi_mat=data.hsi_mat / scale, msi_mat=data.msi_mat / scale)
+    if spectra is None:
+        spectra = _spa(data.hsi_mat, n_terms)
+    else:
+        spectra /= scale
+    if maps is None:
+        maps = _fit_steps(data.pm @ spectra, data.msi_mat, project=True)
+    if coarse and coarse[0] is None:
+        coarse = [_fit_steps(spectra, data.hsi_mat, project=False)]
 
     noise, noise_level = None, None
     if (cfg.tv_weight == cfg.lowrank_weight == 0 and cfg.rel_tol > 0
             and min(data.hsi_mat.shape[1], data.msi_mat.shape[1]) > n_terms):
         noise = (_noise_energy(data.hsi_mat, n_terms), _noise_energy(data.msi_mat, n_terms))
         noise_level = 0.5 * (noise[0] + noise[1])
+        noise = (noise[0] * scale**2, noise[1] * scale**2)
 
     # the driver alone holds the solve's factors and anchors, so these are
     # freed before the report allocates the SRI
-    (spectra, maps), trace, stop_reason = _run([spectra, maps, *coarse], data, cfg, max_iters,
-                                               noise_level)
-    return _report(maps, spectra, data, trace, stop_reason, noise)
+    (spectra, maps), stop_reason = _run([spectra, maps, *coarse], data, cfg, max_iters,
+                                        noise_level, trace)
+    spectra *= scale
+    return _report(maps, spectra, data, trace, stop_reason, noise, scale)
 
 
 def fuse(hsi, msi, ops, n_terms, cfg=None, init=None):
     """Recover the super-resolution tensor with known degradation operators.
 
-    ``init`` optionally warm-starts (maps, spectra); otherwise both are drawn
-    uniform(0, 1) from ``cfg.seed``.  Returns a :class:`FusionReport` whose
-    trace holds the objective at the initializer and after every iteration.
+    ``init`` optionally warm-starts (maps, spectra), the spectra in the
+    images' units; a factor not given, or given as None, is derived from the
+    data (see :func:`_solve`), so the run draws nothing at random.  The
+    derived spectra are HSI pixels picked by successive projection, which
+    assumes that pure pixels exist; on a scene without them the picks are
+    the most extreme pixels, and the sweeps carry the fit.  The solve runs
+    on the images divided by the RMS of the MSI: the weights, ``tau``,
+    ``epsilon`` and the ridge act on that unit-RMS data, and the objective
+    trace is that unit-scale problem's.  Returns a :class:`FusionReport`
+    whose trace holds the objective at the start and after every iteration,
+    whose spectra are in the images' units and whose maps are unit-free.
     """
     return _solve(FusionData.from_tensors(hsi, msi, ops), n_terms, cfg, init)
 
@@ -641,9 +744,10 @@ def fuse_blind(hsi, msi, pm, n_terms, cfg=None, init=None):
 
     Three-block iteration: spectra and maps are projected onto the
     nonnegative orthant, the coarse block is updated without projection.
-    ``init`` optionally warm-starts (maps, spectra, coarse maps), the last an
-    (Ih*Jh, n_terms) array; an entry of None is drawn as in :func:`fuse`.  The
-    output tensor is rebuilt from (maps, spectra) only; the coarse factors are
-    an internal device and are discarded.
+    ``init`` optionally warm-starts (maps, spectra, coarse maps), the last a
+    unit-free (Ih*Jh, n_terms) array; an entry of None is derived from the
+    data, and the units are as in :func:`fuse`.  The output tensor is
+    rebuilt from (maps, spectra) only; the coarse factors are an internal
+    device and are discarded.
     """
     return _solve(FusionData.from_tensors_blind(hsi, msi, pm), n_terms, cfg, init)

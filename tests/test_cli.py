@@ -165,9 +165,11 @@ def test_fuse_reports_the_noise_level_stop(tmp_path):
     report = json.loads((tmp_path / "fused" / "report.json").read_text())
     assert report["stop_reason"] == "noise_level" and report["converged"] is True
     assert report["iterations"] < 400
-    # the estimates the run compared its fit with, one per image
+    # the estimates the run compared its fit with, one per image: read from
+    # the images divided by the data scale, and reported in the images' units
+    scale = report["data_scale"]
     assert report["noise_energy"] == {
-        name: _noise_energy(unfold(read_htf(sim / f"{name.upper()}.htf")), 2)
+        name: _noise_energy(unfold(read_htf(sim / f"{name.upper()}.htf")) / scale, 2) * scale**2
         for name in ("hsi", "msi")
     }
 
@@ -230,8 +232,8 @@ def test_bad_flag_value_is_config_error_before_any_write(
 
 @pytest.mark.parametrize("in_file", [True, False])
 def test_bad_run_seed_error_names_run_seed(tmp_path, capsys, in_file):
-    # the run seed also seeds the solver, but the message names the key that
-    # was given, here in a file with no [solver] section
+    # the message names the key that was given, here in a file with no
+    # [solver] section, and not a field of any config it feeds
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(SIMULATE_CFG.format(out=tmp_path / "out", seed=-3 if in_file else 1, snr="inf"))
     flags = [] if in_file else ["--seed", "-1"]
