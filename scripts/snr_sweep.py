@@ -43,11 +43,7 @@ def run_level(sri, ops, snr_db, args, rng):
     report = fuse(hsi, msi, ops, args.rank, cfg)
     rows.append(("known", evaluate(sri, report.sri, ratio=args.ratio)))
     if not args.skip_blind:
-        blind_cfg = SolverConfig(
-            ridge_weight=args.ridge, tv_weight=args.tv, lowrank_weight=args.lowrank,
-            max_iters=2 * args.iters, rel_tol=1e-6,
-        )
-        report = fuse_blind(hsi, msi, ops.pm, args.rank, blind_cfg)
+        report = fuse_blind(hsi, msi, ops.pm, args.rank, cfg)
         rows.append(("blind", evaluate(sri, report.sri, ratio=args.ratio)))
     return rows
 

@@ -137,23 +137,15 @@ def check_recoverability(query):
     """
     q = query
     big_l, big_r = q.term_rank, q.n_terms
+    rows, cols = (q.hsi_rows, q.hsi_cols) if q.blind else (q.msi_rows, q.msi_cols)
+    diversity = min(rows // big_l, big_r) + min(cols // big_l, big_r) + min(q.msi_bands, big_r)
     if q.blind:
-        diversity = (
-            min(q.hsi_rows // big_l, big_r)
-            + min(q.hsi_cols // big_l, big_r)
-            + min(q.msi_bands, big_r)
-        )
         conditions = {
             COND_HSI_PIXELS_BLIND: q.hsi_rows * q.hsi_cols >= big_l**2 * big_r,
             COND_HSI_DIVERSITY: diversity >= 2 * big_r + 2,
             COND_MSI_BANDS: q.msi_bands >= 2,
         }
     else:
-        diversity = (
-            min(q.msi_rows // big_l, big_r)
-            + min(q.msi_cols // big_l, big_r)
-            + min(q.msi_bands, big_r)
-        )
         conditions = {
             COND_MSI_PIXELS: q.msi_rows * q.msi_cols >= big_l**2 * big_r,
             COND_HSI_PIXELS: q.hsi_rows * q.hsi_cols >= big_l * big_r,

@@ -48,9 +48,6 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DimensionError as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
         return 3
@@ -58,7 +55,8 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
-        # remaining validation failures (rank-deficient operators, bad values)
+        # ConfigError and the remaining validation failures (rank-deficient
+        # operators, bad values)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -76,13 +74,13 @@ def _build_parser():
     _add_config_flags(sim, "--seed", "--out", "--snr", "--ratio", "--rank", "--term-rank")
     sim.set_defaults(func=cmd_simulate)
 
-    for name, help_text, func in (
-        ("fuse", "recover the SRI with known degradation operators", cmd_fuse),
-        ("blind-fuse", "recover the SRI without the spatial operators", cmd_blind_fuse),
+    for name, help_text in (
+        ("fuse", "recover the SRI with known degradation operators"),
+        ("blind-fuse", "recover the SRI without the spatial operators"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         _add_config_flags(cmd, "--seed", "--out", "--rank", "--max-iters", "--no-accel")
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=cmd_fuse, mode=name)
 
     ev = sub.add_parser("evaluate", help="score an estimate against a reference")
     ev.add_argument("reference", help="reference tensor (.htf)")
@@ -233,9 +231,29 @@ def _write_trace(path, trace, elapsed):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _run_fusion(cfg, solve, mode):
+def cmd_fuse(args):
+    """``fuse`` or, with ``args.mode`` "blind-fuse", ``blind-fuse``: solve,
+    then write SRI.htf, trace.csv and report.json (on a numerical failure,
+    the trace so far)."""
+    cfg = _run_config(args)
+    mode = args.mode
+    if cfg.rank is None:
+        raise ConfigError(f"{mode} needs model.rank (or --rank)")
+    blind = mode == "blind-fuse"
+    if blind and (cfg.p1 is not None or cfg.p2 is not None):
+        print("warning: blind-fuse ignores the provided p1/p2 operators", file=sys.stderr)
+    hsi = read_htf(require_input(cfg.hsi, "inputs.hsi"))
+    msi = read_htf(require_input(cfg.msi, "inputs.msi"))
+    if blind:
+        solve, ops = fuse_blind, read_matrix_csv(require_input(cfg.pm, "inputs.pm"))
+    else:
+        solve, ops = fuse, DegradationOps(
+            p1=read_matrix_csv(require_input(cfg.p1, "inputs.p1")),
+            p2=read_matrix_csv(require_input(cfg.p2, "inputs.p2")),
+            pm=read_matrix_csv(require_input(cfg.pm, "inputs.pm")),
+        )
     try:
-        report = solve()
+        report = solve(hsi, msi, ops, cfg.rank, cfg.solver)
     except NumericalError as exc:
         if exc.trace is not None:
             _write_trace(_outdir(cfg) / "trace.csv", exc.trace, exc.elapsed)
@@ -275,32 +293,6 @@ def _run_fusion(cfg, solve, mode):
     for name in ("SRI.htf", "trace.csv", "report.json"):
         print(f"wrote {out / name}")
     return 0
-
-
-def cmd_fuse(args):
-    cfg = _run_config(args)
-    if cfg.rank is None:
-        raise ConfigError("fuse needs model.rank (or --rank)")
-    hsi = read_htf(require_input(cfg.hsi, "inputs.hsi"))
-    msi = read_htf(require_input(cfg.msi, "inputs.msi"))
-    ops = DegradationOps(
-        p1=read_matrix_csv(require_input(cfg.p1, "inputs.p1")),
-        p2=read_matrix_csv(require_input(cfg.p2, "inputs.p2")),
-        pm=read_matrix_csv(require_input(cfg.pm, "inputs.pm")),
-    )
-    return _run_fusion(cfg, lambda: fuse(hsi, msi, ops, cfg.rank, cfg.solver), "fuse")
-
-
-def cmd_blind_fuse(args):
-    cfg = _run_config(args)
-    if cfg.rank is None:
-        raise ConfigError("blind-fuse needs model.rank (or --rank)")
-    if cfg.p1 is not None or cfg.p2 is not None:
-        print("warning: blind-fuse ignores the provided p1/p2 operators", file=sys.stderr)
-    hsi = read_htf(require_input(cfg.hsi, "inputs.hsi"))
-    msi = read_htf(require_input(cfg.msi, "inputs.msi"))
-    pm = read_matrix_csv(require_input(cfg.pm, "inputs.pm"))
-    return _run_fusion(cfg, lambda: fuse_blind(hsi, msi, pm, cfg.rank, cfg.solver), "blind-fuse")
 
 
 def cmd_evaluate(args):

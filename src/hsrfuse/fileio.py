@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -146,19 +146,17 @@ class RunConfig:
     def fingerprint(self):
         """Stable hash of every computation-relevant setting, for run manifests.
 
-        The output directory is deliberately excluded so runs that differ only
-        in placement produce identical manifests.
+        Every field of the run, the blur and the solver enters in declaration
+        order, except the output directory, so runs that differ only in
+        placement produce identical manifests, and the solver seed, which has
+        no effect.  The run's own fields come first, then the blur's and the
+        solver's, then the whole Schatten and TV configs.
         """
-        parts = []
-        for name in ("sri", "hsi", "msi", "p1", "p2", "pm", "reference",
-                     "rank", "term_rank", "dims", "nonneg", "bands",
-                     "snr_db", "seed"):
-            parts.append(f"{name}={getattr(self, name)!r}")
-        for name in ("kernel_width", "sigma", "ratio", "boundary", "offset"):
-            parts.append(f"blur.{name}={getattr(self.blur, name)!r}")
-        for name in ("ridge_weight", "tv_weight", "lowrank_weight",
-                     "max_iters", "rel_tol", "accelerate"):
-            parts.append(f"solver.{name}={getattr(self.solver, name)!r}")
+        parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
+                 if f.name not in ("blur", "solver", "out")]
+        parts += [f"blur.{f.name}={getattr(self.blur, f.name)!r}" for f in fields(self.blur)]
+        parts += [f"solver.{f.name}={getattr(self.solver, f.name)!r}" for f in fields(self.solver)
+                  if f.name not in ("schatten", "tv", "seed")]
         parts.append(f"solver.schatten={self.solver.schatten!r}")
         parts.append(f"solver.tv={self.solver.tv!r}")
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()

@@ -15,11 +15,13 @@ here and documented so numbers are comparable across runs of this tool):
 * SSIM    : mean over bands of single-scale SSIM, 8x8 uniform sliding window,
             stabilizers c1=(0.01*D)^2, c2=(0.03*D)^2 with D the global
             dynamic range of the reference.
-* UIQI    : mean over bands of the Q index, 10x10 sliding window (stride 1),
-            sample statistics; a window is skipped as degenerate when its
-            variance sum or its luminance sum is at most 1e-12 of that
-            term's largest value in the band (each term against its own
-            scale, so a large common offset does not mask the variances).
+* UIQI    : mean over bands of the Q index, 10x10 sliding window (stride 1);
+            Q is a ratio of second moments, so the variance convention
+            (ddof 0 or 1) does not change it.  A window is skipped as
+            degenerate when its variance sum or its luminance sum is at
+            most 1e-12 of that term's largest value in the band (each term
+            against its own scale, so a large common offset does not mask
+            the variances).
 
 Windows shrink to the image when a spatial axis is smaller than the nominal
 window.  The window statistics are computed band by band: both bands are
@@ -237,11 +239,11 @@ def _window_stats(ref, est, width):
     vy -= my * my
     cov = _box_mean(x * y, wi, wj)
     cov -= mx * my
-    return wi * wj, mx + shift, my + shift, vx, vy, cov
+    return mx + shift, my + shift, vx, vy, cov
 
 
 def _ssim_band(ref, est, drange):
-    _, mx, my, vx, vy, cov = _window_stats(ref, est, SSIM_WINDOW)
+    mx, my, vx, vy, cov = _window_stats(ref, est, SSIM_WINDOW)
     c1 = (0.01 * drange) ** 2
     c2 = (0.03 * drange) ** 2
     num = (2 * mx * my + c1) * (2 * cov + c2)
@@ -250,22 +252,17 @@ def _ssim_band(ref, est, drange):
 
 
 def _uiqi_band(ref, est):
-    n, mx, my, vx, vy, cov = _window_stats(ref, est, UIQI_WINDOW)
-    if n < 2:
-        return 1.0 if np.array_equal(ref, est) else 0.0
-    # sample (ddof=1) statistics, in the factored Q form so an exact match
-    # evaluates to exactly 1 in floating point
-    corr = n / (n - 1) * cov
-    sx2 = n / (n - 1) * vx
-    sy2 = n / (n - 1) * vy
+    mx, my, vx, vy, cov = _window_stats(ref, est, UIQI_WINDOW)
+    # the factored Q form, so an exact match evaluates to exactly 1
     lum_den = mx * mx + my * my
-    var_den = sx2 + sy2
+    var_den = vx + vy
     # each term against its own scale: a large common offset inflates the
-    # luminance term, which must not mark the variances degenerate
+    # luminance term, which must not mark the variances degenerate; a 1-pixel
+    # window has variance exactly 0 and is skipped too
     alive = (var_den > 1e-12 * float(np.max(var_den))) & (
         lum_den > 1e-12 * float(np.max(lum_den))
     )
     if not alive.any():
         return 1.0 if np.array_equal(ref, est) else 0.0
-    q = (2 * mx * my)[alive] / lum_den[alive] * (2 * corr)[alive] / var_den[alive]
+    q = (2 * mx * my)[alive] / lum_den[alive] * (2 * cov)[alive] / var_den[alive]
     return float(np.mean(q))

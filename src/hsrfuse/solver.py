@@ -44,8 +44,7 @@ objective last scored (block successive upper-bound minimization,
 Razaviyayn, Hong & Luo 2013; with extrapolation as in Xu & Yin 2013):
 without extrapolation that iterate is the anchor, so the plain iteration is
 the exact gradient step; with it the penalty gradient is p W(X) Z, that of
-the majorizer at X, where Z is the extrapolated anchor.  Accelerated
-regularized runs therefore differ from releases that reweighted at Z.
+the majorizer at X, where Z is the extrapolated anchor.
 
 A run ends after ``max_iters`` sweeps, or after a sweep that lowers the
 objective by at most ``rel_tol`` relative, or, with no TV or Schatten
@@ -65,8 +64,9 @@ Each penalty contributes through its own majorizer in ``regularizers``,
 which gives the penalty value, weights and curvature of a stack of maps from
 one factorization per map, and the majorizer's gradient at any point from
 the weights; the solver calls each penalty once on the (R, I, J) stack of a
-block's maps and weights the result.  The maps step of the known problem adds the HSI fit carried back
-through (P2 kron P1)'; the coarse step is the same term without TV.
+block's maps and weights the result.  The maps step of the known problem
+adds the coarse step's fit term, without penalties, carried back through
+(P2 kron P1)'.
 
 Products are shared.  An iteration applies (P2 kron P1) once, to the new
 maps for the tied T, and its transpose once, in the maps gradient; both
@@ -324,22 +324,10 @@ def _maps_as_images(maps, shape):
     return maps.reshape(i, j, maps.shape[1], order="F").transpose(2, 0, 1)
 
 
-def _penalties(cfg, with_tv):
-    """The active map penalties as (weight, majorizer, majorizer gradient,
-    params); the coarse block (``with_tv`` False) carries no TV term."""
-    return [
-        term
-        for term in (
-            (cfg.tv_weight if with_tv else 0.0, tv_majorizer, tv_majorizer_grad, cfg.tv),
-            (cfg.lowrank_weight, schatten_majorizer, schatten_majorizer_grad, cfg.schatten),
-        )
-        if term[0] > 0
-    ]
-
-
 def _reweight(maps, shape, cfg, with_tv=True):
     """Value of the map penalties at ``maps`` and their majorizers anchored
-    there, from one majorizer call per penalty on the stack of maps.
+    there, from one majorizer call per penalty on the stack of maps; the
+    coarse block (``with_tv`` False) carries no TV term.
 
     Returns (value, majorizers) with ``majorizers`` = (terms, curvature):
     one (weight, majorizer gradient, stacked weights) per active penalty, and
@@ -348,7 +336,12 @@ def _reweight(maps, shape, cfg, with_tv=True):
     """
     stack = _maps_as_images(maps, shape)
     total, terms, curv = 0.0, [], 0.0
-    for weight, majorizer, majorizer_grad, params in _penalties(cfg, with_tv):
+    for weight, majorizer, majorizer_grad, params in (
+        (cfg.tv_weight if with_tv else 0.0, tv_majorizer, tv_majorizer_grad, cfg.tv),
+        (cfg.lowrank_weight, schatten_majorizer, schatten_majorizer_grad, cfg.schatten),
+    ):
+        if weight <= 0:
+            continue
         value, w, c = majorizer(stack, params)
         total += weight * value
         terms.append((weight, majorizer_grad, w))
@@ -449,21 +442,22 @@ def _image_block(x, m, target, shape, majorizers, grad=None):
 def maps_step(maps, spectra, data, majorizers, coarse=None):
     """Maps-block gradient and curvature bound.
 
-    The data gradient is S M'M - Ym M with M = PM C; with known spatial
-    operators it adds P_H'(T C'C - Yh C), T = P_H S given as ``coarse``, and
-    the bound |C|^2 |P_H|^2.  The penalties enter through ``majorizers``, the
-    maps' entry of those :func:`objective` returns; anchored at ``maps``, the
-    gradient is the objective's.  The HSI term comes first, carried back by
-    :func:`_apply_ph`, and the MSI term and the penalties are added into it;
-    the result is a fresh array the caller may write over.
+    The data gradient is S M'M - Ym M with M = PM C.  With known spatial
+    operators the HSI term is the coarse step's fit term: the gradient
+    T C'C - Yh C and bound |C|^2 of :func:`coarse_step_blind` without
+    penalties, at T = P_H S given as ``coarse``, carried back through P_H'
+    (:func:`_apply_ph`) and its bound times |P_H|^2.  The penalties enter
+    through ``majorizers``, the maps' entry of those :func:`objective`
+    returns; anchored at ``maps``, the gradient is the objective's.  The MSI
+    term and the penalties are added into the HSI term; the result is a
+    fresh array the caller may write over.
     """
     if data.ops is None:
         grad, l_hsi = None, 0.0
     else:
-        ctc = spectra.T @ spectra
-        hsi_grad = _add_fit_grad(coarse, ctc, (spectra.T @ data.hsi_mat.T).T)
+        hsi_grad, l_hsi = coarse_step_blind(coarse, spectra, data, ([], 0.0))
         grad = _apply_ph(hsi_grad, data.ops.p1.T, data.ops.p2.T)
-        l_hsi = _top_eigenvalue(ctc) * data.ph_gram_norm
+        l_hsi *= data.ph_gram_norm
     g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], majorizers, grad)
     return g, l + l_hsi
 

@@ -2,6 +2,9 @@ import configparser
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -533,3 +536,13 @@ def test_numerical_failure_flushes_trace(tmp_path, monkeypatch, capsys):
     assert trace[0] == "iteration,objective,elapsed"
     assert len(trace) == 4  # header + the three flushed entries
     assert not (tmp_path / "diverged" / "SRI.htf").exists()
+
+
+def test_module_entry_point_prints_the_version():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    run = subprocess.run([sys.executable, "-m", "hsrfuse", "--version"],
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "hsrfuse 0.1.0"

@@ -1,6 +1,8 @@
+import copy
 import math
 import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hsrfuse.fileio import (
     write_matrix_csv,
 )
 from hsrfuse.regularizers import SchattenConfig, TvConfig
+from hsrfuse.solver import SolverConfig
 
 
 # every finite double, subnormals included; -0.0 and the extremes as examples
@@ -266,3 +269,24 @@ def test_fingerprint_tracks_overrides(tmp_path):
     assert a.fingerprint() == "e13969f48d6815f775b5943b06cc6802f21ace8236273c53360cd26a1b108e24"
     b.seed = 4
     assert a.fingerprint() != b.fingerprint()
+
+
+def test_fingerprint_covers_every_computation_field():
+    # each field of the run and of its nested configs, set to a value no
+    # default has, moves the hash, except the output directory and the
+    # solver seed, which change no result
+    base = RunConfig()
+    owners = {(): RunConfig, ("blur",): BlurSpec, ("solver",): SolverConfig,
+              ("solver", "schatten"): SchattenConfig, ("solver", "tv"): TvConfig}
+    inert = {((), "out"), (("solver",), "seed")}
+    for path, owner in owners.items():
+        for f in fields(owner):
+            if path + (f.name,) in owners:
+                continue  # a nested config, checked field by field
+            cfg = copy.deepcopy(base)
+            target = cfg
+            for name in path:
+                target = getattr(target, name)
+            setattr(target, f.name, "<changed>")
+            moved = cfg.fingerprint() != base.fingerprint()
+            assert moved == ((path, f.name) not in inert), (path, f.name)

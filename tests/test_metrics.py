@@ -209,6 +209,14 @@ def test_window_metrics_match_two_pass_oracle(rows, cols, offset, noise, seed):
     assert same.uiqi == 1.0
 
 
+def test_uiqi_single_pixel_windows():
+    # a 1x1 image has one 1-pixel window, whose variance is exactly 0
+    ref = np.array([[[0.2, 0.5]]])
+    assert evaluate(ref, ref.copy(), ratio=1).uiqi == 1.0
+    table = evaluate(ref, np.array([[[0.3, 0.5]]]), ratio=1, per_band=True).per_band
+    assert table["uiqi"].tolist() == [0.0, 1.0]
+
+
 def test_small_images_shrink_windows():
     ref = np.random.default_rng(10).uniform(0.1, 1.0, size=(3, 3, 2))
     report = evaluate(ref, ref.copy(), ratio=1)
