@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 configuration error, 3 dimension error,
 """
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from .blockterm import RecoverabilityQuery, check_recoverability, random_blockte
 from .degradation import DegradationOps, add_noise, degrade_spatial, degrade_spectral
 from .errors import ConfigError, DimensionError, NumericalError
 from .fileio import (
+    _json_text,
     load_config,
     parse_dims,
     read_htf,
@@ -25,7 +26,7 @@ from .fileio import (
     write_json,
     write_matrix_csv,
 )
-from .metrics import evaluate
+from .metrics import _db, evaluate
 from .solver import fuse, fuse_blind
 
 # Each override flag and the config key it replaces.  The flag's text goes to
@@ -134,17 +135,24 @@ def _check_out(path, name):
             raise ConfigError(f"{name}: {path}{through} is not a directory")
 
 
-def _outdir(cfg):
-    out = Path(cfg.out)
+def _outdir(path):
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+def _run_record(cfg):
+    """The fields that open both manifest.json and report.json."""
+    return {
+        "tool": "hsrfuse",
+        "version": __version__,
+        "config_sha256": cfg.fingerprint(),
+        "seed": cfg.seed,
+    }
+
+
 def _realized_snr(clean, noisy):
-    err = float(np.sum((noisy - clean) ** 2))
-    if err == 0.0:
-        return float("inf")
-    return 10.0 * float(np.log10(np.sum(clean**2) / err))
+    return float(_db(np.sum(clean**2), np.sum((noisy - clean) ** 2)))
 
 
 def cmd_simulate(args):
@@ -190,7 +198,7 @@ def cmd_simulate(args):
     hsi = add_noise(hsi_clean, cfg.snr_db, rng)
     msi = add_noise(msi_clean, cfg.snr_db, rng)
 
-    out = _outdir(cfg)
+    out = _outdir(cfg.out)
     write_htf(out / "SRI.htf", sri)
     write_htf(out / "HSI.htf", hsi)
     write_htf(out / "MSI.htf", msi)
@@ -200,10 +208,7 @@ def cmd_simulate(args):
     write_json(
         out / "manifest.json",
         {
-            "tool": "hsrfuse",
-            "version": __version__,
-            "config_sha256": cfg.fingerprint(),
-            "seed": cfg.seed,
+            **_run_record(cfg),
             "sri_dims": list(sri.shape),
             "hsi_dims": list(hsi.shape),
             "msi_dims": list(msi.shape),
@@ -256,23 +261,20 @@ def cmd_fuse(args):
         report = solve(hsi, msi, ops, cfg.rank, cfg.solver)
     except NumericalError as exc:
         if exc.trace is not None:
-            _write_trace(_outdir(cfg) / "trace.csv", exc.trace, exc.elapsed)
+            _write_trace(_outdir(cfg.out) / "trace.csv", exc.trace, exc.elapsed)
         raise
     metrics = None
     if cfg.reference is not None:
         reference = read_htf(require_input(cfg.reference, "inputs.reference"))
         metrics = evaluate(reference, report.sri, ratio=cfg.blur.ratio)
-    out = _outdir(cfg)
+    out = _outdir(cfg.out)
     write_htf(out / "SRI.htf", report.sri)
     _write_trace(out / "trace.csv", report.objective_trace, report.elapsed)
     write_json(
         out / "report.json",
         {
-            "tool": "hsrfuse",
-            "version": __version__,
-            "config_sha256": cfg.fingerprint(),
+            **_run_record(cfg),
             "mode": mode,
-            "seed": cfg.seed,
             "n_terms": cfg.rank,
             "iterations": report.iterations,
             "converged": report.converged,
@@ -302,11 +304,9 @@ def cmd_evaluate(args):
     estimate = read_htf(require_input(args.estimate, "estimate"))
     report = evaluate(reference, estimate, ratio=args.ratio, per_band=args.per_band)
     payload = report.to_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "metrics.json", payload)
+        write_json(_outdir(args.out) / "metrics.json", payload)
     return 0
 
 
@@ -330,17 +330,7 @@ def cmd_check(args):
             blind=args.blind,
         )
     )
-    print(
-        json.dumps(
-            {
-                "satisfied": result.satisfied,
-                "failed_conditions": result.failed_conditions,
-                "conditions": result.conditions,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    print(_json_text(asdict(result)))
     return 0
 
 

@@ -107,8 +107,12 @@ def read_matrix_csv(path):
     return np.asarray(rows, dtype=float)
 
 
+def _json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_json_text(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,20 @@ here and documented so numbers are comparable across runs of this tool):
             against its own scale, so a large common offset does not mask
             the variances).
 
-Windows shrink to the image when a spatial axis is smaller than the nominal
-window.  The window statistics are computed band by band: both bands are
-centred on the reference band's mean, and every window mean of the centred
-values and their products is a separable box sum (a window sum down the
-first axis, then along the second), O(I*J*w) per band for a w x w window.
-Centring keeps the one-pass variances E[x^2] - E[x]^2 exact to rounding for
-data on a large offset.
+A score with nothing left to score (CC with every band skipped, a UIQI band
+with every window skipped) reads 1 for an exact match and 0 otherwise.
+
+One loop over the bands scores CC, SSIM and UIQI.  Windows shrink to the
+image when a spatial axis is smaller than the nominal window.  The window
+statistics are computed band by band: both bands are centred on the
+reference band's mean, and every window mean of the centred values and their
+products is a separable box sum (a window sum down the first axis, then
+along the second), O(I*J*w) per band for a w x w window.  Centring keeps the
+one-pass variances E[x^2] - E[x]^2 exact to rounding for data on a large
+offset.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,16 +60,7 @@ class MetricReport:
     per_band: dict = field(default=None, repr=False)
 
     def to_dict(self):
-        out = {
-            "rsnr_db": self.rsnr_db,
-            "ssim": self.ssim,
-            "cc": self.cc,
-            "uiqi": self.uiqi,
-            "rmse": self.rmse,
-            "ergas": self.ergas,
-            "sam_rad": self.sam_rad,
-            "sam_skipped": self.sam_skipped,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_band"}
         if self.per_band is not None:
             out["per_band"] = {k: np.asarray(v).tolist() for k, v in self.per_band.items()}
         return out
@@ -76,9 +71,17 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
 
     ``ratio`` is the spatial downsampling factor entering the ERGAS scale.
     ``per_band=True`` attaches the per-band R-SNR, SSIM, UIQI and RMSE curves
-    as ``per_band``.
+    as ``per_band``.  A band fitted exactly reads +inf dB; a zero-energy
+    reference band with a nonzero estimate reads -inf dB.
     """
-    reference, estimate = _checked_pair(reference, estimate)
+    reference = np.asarray(reference, dtype=float)
+    estimate = np.asarray(estimate, dtype=float)
+    if reference.shape != estimate.shape or reference.ndim != 3:
+        raise DimensionError(
+            f"need two equal-shape 3-d tensors, got {reference.shape} and {estimate.shape}"
+        )
+    ensure_finite(reference, "reference")
+    ensure_finite(estimate, "estimate")
     check_int("ratio", ratio, 1)
     ref_energy = float(np.sum(reference**2))
     if ref_energy == 0.0:
@@ -91,7 +94,6 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
     band_err = np.sum(sq_err, axis=(0, 1))
     band_rmse = np.sqrt(band_err / (i * j))
     del sq_err  # free the cube before _sam allocates its own
-    rsnr = np.inf if err_energy == 0.0 else 10.0 * np.log10(ref_energy / err_energy)
     rmse = np.sqrt(err_energy / (i * j * k))
 
     sam, skipped = _sam(reference, estimate)
@@ -104,14 +106,29 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
         else 0.0
     )
 
-    cc = _mean_over_bands(_pearson, reference, estimate)
-    band_ssim, band_uiqi = _window_scores(reference, estimate)
+    drange = float(reference.max() - reference.min()) or 1.0
+    band_cc, band_ssim, band_uiqi = [], [], []
+    for b in range(k):
+        ref, est = reference[:, :, b], estimate[:, :, b]
+        corr = _pearson(ref, est)
+        if corr is not None:
+            band_cc.append(corr)
+        band_ssim.append(_ssim_band(ref, est, drange))
+        band_uiqi.append(_uiqi_band(ref, est))
 
-    table = _band_table(reference, band_err, band_rmse, band_ssim, band_uiqi) if per_band else None
+    table = None
+    if per_band:
+        table = {
+            "band": np.arange(k),
+            "rsnr_db": _db(np.sum(reference**2, axis=(0, 1)), band_err),
+            "ssim": np.asarray(band_ssim),
+            "uiqi": np.asarray(band_uiqi),
+            "rmse": band_rmse,
+        }
     return MetricReport(
-        rsnr_db=float(rsnr),
+        rsnr_db=float(_db(ref_energy, err_energy)),
         ssim=float(np.mean(band_ssim)),
-        cc=cc,
+        cc=float(np.mean(band_cc)) if band_cc else _exact_score(reference, estimate),
         uiqi=float(np.mean(band_uiqi)),
         rmse=float(rmse),
         ergas=float(ergas),
@@ -121,43 +138,15 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
     )
 
 
-def _checked_pair(reference, estimate):
-    reference = np.asarray(reference, dtype=float)
-    estimate = np.asarray(estimate, dtype=float)
-    if reference.shape != estimate.shape or reference.ndim != 3:
-        raise DimensionError(
-            f"need two equal-shape 3-d tensors, got {reference.shape} and {estimate.shape}"
-        )
-    ensure_finite(reference, "reference")
-    ensure_finite(estimate, "estimate")
-    return reference, estimate
-
-
-def _window_scores(reference, estimate):
-    """SSIM and UIQI of every band, as two arrays."""
-    drange = float(reference.max() - reference.min()) or 1.0
-    bands = range(reference.shape[2])
-    ssim = [_ssim_band(reference[:, :, b], estimate[:, :, b], drange) for b in bands]
-    uiqi = [_uiqi_band(reference[:, :, b], estimate[:, :, b]) for b in bands]
-    return np.asarray(ssim), np.asarray(uiqi)
-
-
-def _band_table(reference, band_err, band_rmse, ssim, uiqi):
-    """Per-band curves from the per-band error energies ``evaluate`` summed.
-
-    A band fitted exactly reads +inf dB; a zero-energy reference band with a
-    nonzero estimate reads -inf dB.
-    """
-    sig = np.sum(reference**2, axis=(0, 1))
+def _db(signal, error):
+    """10*log10(signal / error) in dB, elementwise; +inf where the error is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rsnr_db = np.where(band_err == 0.0, np.inf, 10.0 * np.log10(sig / band_err))
-    return {
-        "band": np.arange(reference.shape[2]),
-        "rsnr_db": rsnr_db,
-        "ssim": ssim,
-        "uiqi": uiqi,
-        "rmse": band_rmse,
-    }
+        return np.where(error == 0, np.inf, 10.0 * np.log10(np.divide(signal, error)))
+
+
+def _exact_score(ref, est):
+    """The score of a pair with nothing to score: 1 for an exact match, else 0."""
+    return 1.0 if np.array_equal(ref, est) else 0.0
 
 
 def _sam(reference, estimate):
@@ -188,17 +177,6 @@ def _pearson(ref, est):
     if sx == 0.0 or sy == 0.0:
         return None
     return float(np.dot(xc, yc) / (sx * sy))
-
-
-def _mean_over_bands(band_fn, reference, estimate):
-    vals = []
-    for b in range(reference.shape[2]):
-        val = band_fn(reference[:, :, b], estimate[:, :, b])
-        if val is not None:
-            vals.append(val)
-    if not vals:
-        return 1.0 if np.array_equal(reference, estimate) else 0.0
-    return float(np.mean(vals))
 
 
 def _box_mean(img, wi, wj):
@@ -263,6 +241,6 @@ def _uiqi_band(ref, est):
         lum_den > 1e-12 * float(np.max(lum_den))
     )
     if not alive.any():
-        return 1.0 if np.array_equal(ref, est) else 0.0
+        return _exact_score(ref, est)
     q = (2 * mx * my)[alive] / lum_den[alive] * (2 * cov)[alive] / var_den[alive]
     return float(np.mean(q))

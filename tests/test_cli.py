@@ -95,6 +95,8 @@ def test_simulate_writes_expected_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["op_dims"]["p1"] == [8, 16]
     assert manifest["recoverability"]["satisfied"] is True
+    # noiseless images: zero noise energy reads +inf dB
+    assert manifest["snr_db_realized"] == {"hsi": math.inf, "msi": math.inf}
 
 
 def test_simulate_same_seed_byte_identical(tmp_path):
@@ -386,9 +388,10 @@ def test_evaluate_per_band_flag(tmp_path, capsys):
         "--ratio", "2", "--per-band", "--out", str(out),
     ])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    stdout = capsys.readouterr().out
+    payload = json.loads(stdout)
     assert len(payload["per_band"]["rmse"]) == 4
-    assert json.loads((out / "metrics.json").read_text()) == payload
+    assert (out / "metrics.json").read_text() == stdout
 
 
 def test_check_command_pavia(tmp_path, capsys):
@@ -398,6 +401,7 @@ def test_check_command_pavia(tmp_path, capsys):
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"satisfied", "failed_conditions", "conditions"}
     assert payload["satisfied"] is True
 
 

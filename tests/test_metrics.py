@@ -230,7 +230,10 @@ def test_report_dataclass_roundtrip():
     )
     payload = report.to_dict()
     assert payload["rsnr_db"] == 1.0
-    assert "per_band" not in payload
+    keys = {"rsnr_db", "ssim", "cc", "uiqi", "rmse", "ergas", "sam_rad", "sam_skipped"}
+    assert set(payload) == keys
+    report.per_band = {"band": np.arange(2)}
+    assert set(report.to_dict()) == keys | {"per_band"}
 
 
 def test_zero_energy_band_handled():

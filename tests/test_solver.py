@@ -191,9 +191,9 @@ def test_fit_pass_matches_dense_residual_and_grams(seed, n_terms, bands, rows, f
 
 
 @pytest.mark.parametrize("rows", [1, 5, 6, 7, 23])
-def test_add_fit_grad_matches_dense_over_chunks(rows):
-    # the gradient is added to what ``out`` already holds: the known maps
-    # step sums its HSI term in that order; with no ``out`` it is a fresh
+def test_add_fit_grad_adds_into_grad_or_returns_fresh(rows):
+    # the gradient is added to what ``grad`` already holds: the known maps
+    # step sums its HSI term in that order; with no ``grad`` it is a fresh
     # array.  M'M and Y M come in formed, as the start's steps form them once
     rng = np.random.default_rng(rows)
     x = np.asfortranarray(rng.normal(size=(rows, 2)))
@@ -207,10 +207,10 @@ def test_add_fit_grad_matches_dense_over_chunks(rows):
     assert rel_error(fresh, x @ m.T @ m - target @ m) <= 1e-14
 
 
-def test_blind_buffer_holds_a_coarse_factor_larger_than_the_images():
+def test_blind_runs_with_a_coarse_factor_larger_than_the_images():
     # HSI 12x12x3 and MSI 6x6x2 with 4 terms: the coarse factor (144 x 4) is
-    # larger than either image and than the maps, the case a scratch buffer
-    # sized by the images and the maps once failed
+    # larger than either image and than the maps; the solve stays finite and
+    # the coarse step matches the dense gradient at that size
     rng = np.random.default_rng(21)
     hsi, msi = rng.uniform(size=(12, 12, 3)), rng.uniform(size=(6, 6, 2))
     pm = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
@@ -914,9 +914,9 @@ def test_last_trace_value_is_objective_at_returned_factors(accelerate):
 
 
 @pytest.mark.parametrize("accelerate", [False, True])
-def test_solvers_own_their_buffers(accelerate):
-    # the driver rotates its buffers in place, so nothing it returns may be
-    # an input, and no input may be written
+def test_solvers_return_fresh_arrays_and_write_no_input(accelerate):
+    # nothing a solver returns may share memory with an input or with another
+    # output, and no input, the warm start included, may be written
     _, _, ops, hsi, msi = consistent_instance(seed=14, dims=(8, 6, 8), snr_db=25.0)
     rng = np.random.default_rng(3)
     init = tuple(np.asfortranarray(x) for x in (
