@@ -28,8 +28,9 @@ without or with the regularizers (``noisy fuse accel/none traces``, ...,
 ``noisy fuse_blind plain/reg SRIs``), the criterion-1 traces of each solver
 (``criterion1 fuse_blind traces``) and the ``cli96`` estimate; and, per
 group of traces, the objective rises summed over its traces in A and in B.
-With ``--max-rel-diff TOL`` it then names each group whose difference
-exceeds TOL and exits 1 if there is one.  A change meant to move only one
+With ``--max-rel-diff TOL`` it then names each summary group, and each
+metric (``metric ssim``, ``metric per_band/uiqi``, ...), whose difference
+exceeds TOL, and exits 1 if there is one.  A change meant to move only one
 kind of run (say, accelerated regularized runs, or only ``fuse``) is gated
 on the others this way, and the moved groups are reported on their own
 lines:
@@ -192,7 +193,8 @@ def compare(path_a, path_b):
             print(f"summary {group:34s} max_rel_diff {rel:.3e}" + (f"  at {key}" if rel > 0 else ""))
     for group, (in_a, in_b) in rises.items():
         print(f"rises {group:36s} {in_a} -> {in_b}")
-    return {group: rel for group, (rel, _) in groups.items()}
+    return {**{group: rel for group, (rel, _) in groups.items()},
+            **{f"metric {metric}": rel for metric, (rel, _) in worst.items()}}
 
 
 def main():
@@ -203,7 +205,8 @@ def main():
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree holding the hsrfuse package (default: this repo's src)")
     ap.add_argument("--max-rel-diff", type=float, metavar="TOL",
-                    help="with --compare: exit 1 if a summary group differs by more than TOL")
+                    help="with --compare: exit 1 if a summary group or a metric differs "
+                         "by more than TOL")
     args = ap.parse_args()
     if args.out:
         if args.max_rel_diff is not None:

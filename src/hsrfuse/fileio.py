@@ -16,6 +16,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -36,35 +37,51 @@ HTF_MAGIC = b"HTF1"
 # ---------------------------------------------------------------------------
 
 def write_htf(path, tensor):
-    """Write a 3-d tensor; the round trip through :func:`read_htf` is bit-exact."""
-    t = np.asarray(tensor, dtype=float)
+    """Write a 3-d tensor; the round trip through :func:`read_htf` is bit-exact.
+
+    The payload is written from the tensor's own memory when it is an
+    F-ordered little-endian float64 array; any other input is converted once.
+    """
+    t = np.asarray(tensor, dtype="<f8", order="F")
     if t.ndim != 3 or t.size == 0:
         raise DimensionError(f"HTF stores nonempty 3-d tensors, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("refusing to write a tensor with non-finite entries")
-    header = HTF_MAGIC + struct.pack("<III", *t.shape)
-    Path(path).write_bytes(header + t.astype("<f8").tobytes(order="F"))
+    with open(path, "wb") as handle:
+        handle.write(HTF_MAGIC + struct.pack("<III", *t.shape))
+        # the C-ordered transpose of an F-ordered array holds its values first index fastest
+        handle.write(memoryview(t.T).cast("B"))
 
 
 def read_htf(path):
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise FileFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    if raw[:4] != HTF_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {raw[:4]!r}, expected {HTF_MAGIC!r}")
-    dims = struct.unpack("<III", raw[4:16])
-    if min(dims) == 0:
-        raise FileFormatError(f"{path}: zero dimension in header {dims}")
-    expected = 16 + 8 * dims[0] * dims[1] * dims[2]
-    if len(raw) < expected:
-        raise FileFormatError(
-            f"{path}: payload truncated, header promises {expected - 16} bytes "
-            f"but only {len(raw) - 16} present"
-        )
-    if len(raw) > expected:
-        raise FileFormatError(f"{path}: {len(raw) - expected} trailing bytes after payload")
-    flat = np.frombuffer(raw, dtype="<f8", offset=16)
-    tensor = np.array(np.reshape(flat, dims, order="F"), dtype=float, order="F")
+    """Read a tensor written by :func:`write_htf` as an F-ordered float64 array.
+
+    The header and the file size are checked before the payload is read, in
+    one pass, into the memory of the array returned.
+    """
+    with open(path, "rb") as handle:
+        header = handle.read(16)
+        if len(header) < 16:
+            raise FileFormatError(f"{path}: truncated header ({len(header)} bytes)")
+        if header[:4] != HTF_MAGIC:
+            raise FileFormatError(f"{path}: bad magic {header[:4]!r}, expected {HTF_MAGIC!r}")
+        dims = struct.unpack("<III", header[4:16])
+        if min(dims) == 0:
+            raise FileFormatError(f"{path}: zero dimension in header {dims}")
+        expected = 8 * dims[0] * dims[1] * dims[2]
+        present = os.fstat(handle.fileno()).st_size - 16
+        if present > expected:
+            raise FileFormatError(f"{path}: {present - expected} trailing bytes after payload")
+        if present == expected:
+            payload = np.empty(dims[::-1], dtype="<f8")
+            # a short read (the file shrank since the size check) is a truncation too
+            present = handle.readinto(memoryview(payload).cast("B"))
+        if present < expected:
+            raise FileFormatError(
+                f"{path}: payload truncated, header promises {expected} bytes "
+                f"but only {present} present"
+            )
+    tensor = payload.T.astype(float, copy=False)
     if not np.all(np.isfinite(tensor)):
         raise FileFormatError(f"{path}: tensor contains non-finite entries")
     return tensor

@@ -28,10 +28,12 @@ with every window skipped) reads 1 for an exact match and 0 otherwise.
 
 One loop over the bands scores CC, SSIM and UIQI.  Windows shrink to the
 image when a spatial axis is smaller than the nominal window.  The window
-statistics are computed band by band: both bands are centred on the
-reference band's mean, and every window mean of the centred values and their
-products is a separable box sum (a window sum down the first axis, then
-along the second), O(I*J*w) per band for a w x w window.  Centring keeps the
+statistics of both widths come from one pass per band: both bands are
+centred on the reference band's mean, the centred values and their products
+are formed once, and every window sum of both widths is built from
+power-of-two sums (a sum over 2^k entries is two sums over 2^(k-1); a width
+of 10 is 8 + 2), down the first axis for both widths at once, then along the
+second.  A band costs O(I*J*log w) for a w x w window.  Centring keeps the
 one-pass variances E[x^2] - E[x]^2 exact to rounding for data on a large
 offset.
 """
@@ -39,6 +41,7 @@ offset.
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError
 from .tensors import check_int, ensure_finite
@@ -113,8 +116,9 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
         corr = _pearson(ref, est)
         if corr is not None:
             band_cc.append(corr)
-        band_ssim.append(_ssim_band(ref, est, drange))
-        band_uiqi.append(_uiqi_band(ref, est))
+        ssim_stats, uiqi_stats = _window_stats(ref, est)
+        band_ssim.append(_ssim_band(ssim_stats, drange))
+        band_uiqi.append(_uiqi_band(uiqi_stats, ref, est))
 
     table = None
     if per_band:
@@ -179,49 +183,74 @@ def _pearson(ref, est):
     return float(np.dot(xc, yc) / (sx * sy))
 
 
-def _box_mean(img, wi, wj):
-    """Mean of every wi x wj window: a window sum down axis 0, then along axis 1.
+def _run_sums(flat, step, widths):
+    """Sums of every run of ``w`` entries ``step`` apart in 1-d ``flat``, per ``w``.
 
-    Each window sum adds shifted slices, so a window costs wi + wj adds, not
-    wi * wj, and no partial sum grows past one window's sum, as the prefix
-    sums of a cumulative-sum difference would.
+    Sums over 2^k entries are formed by doubling, two sums over 2^(k-1)
+    entries each, and a run of ``w`` entries adds the power-of-two sums of
+    w's binary digits, largest first.  So every partial sum is a pairwise sum
+    over part of one run, and no partial sum grows past one run's sum, as the
+    prefix sums of a cumulative-sum difference would.  Every pass is one
+    contiguous 1-d add.  A result may be a view of the doubling sums, shared
+    with another width of the same size.
     """
-    rows = img[: img.shape[0] - wi + 1].copy()
-    for s in range(1, wi):
-        rows += img[s : s + rows.shape[0]]
-    out = rows[:, : rows.shape[1] - wj + 1].copy()
-    for s in range(1, wj):
-        out += rows[:, s : s + out.shape[1]]
-    out /= wi * wj
-    return out
+    doubled = [flat]  # doubled[k][n] sums flat[n + m * step] over m < 2^k
+    while 2 ** len(doubled) <= max(widths):
+        shift = 2 ** (len(doubled) - 1) * step
+        doubled.append(doubled[-1][:-shift] + doubled[-1][shift:])
+    sums = []
+    for w in widths:
+        count = flat.size - (w - 1) * step
+        total, start = None, 0
+        for k in reversed(range(len(doubled))):
+            if w & 2**k:
+                piece = doubled[k][start : start + count]
+                total = piece if total is None else total + piece
+                start += 2**k * step
+        sums.append(total)
+    return sums
 
 
-def _window_stats(ref, est, width):
-    """Means, variances and covariance over every width x width window.
+def _window_stats(ref, est):
+    """Means, variances and covariance over every SSIM and every UIQI window.
 
-    Both bands are centred on the reference band's mean first.  Variances and
-    the covariance do not change under a common shift, but their one-pass form
-    E[x^2] - E[x]^2 loses digits in proportion to the square of the offset, so
-    only the means get the shift back.
+    Returns one ``(mx, my, vx, vy, cov)`` tuple per window width, each entry
+    an array over the window grid.  Both bands are centred on the reference
+    band's mean first.  Variances and the covariance do not change under a
+    common shift, but their one-pass form E[x^2] - E[x]^2 loses digits in
+    proportion to the square of the offset, so only the means get the shift
+    back.
+
+    The five moments (x, y, x^2, y^2, xy) are one C-ordered (5, I, J) stack,
+    summed flat: down the first axis is ``step=J``, along the second
+    ``step=1``.  The window sum at row r, column c of moment m lands at flat
+    index (m*I + r)*J + c, as in the stack; sums that run past a row or a
+    moment's end land elsewhere and are never read.
     """
-    wi = min(width, ref.shape[0])
-    wj = min(width, ref.shape[1])
+    i, j = ref.shape
     shift = ref.mean()
-    x = ref - shift
-    y = est - shift
-    mx = _box_mean(x, wi, wj)
-    my = _box_mean(y, wi, wj)
-    vx = _box_mean(x * x, wi, wj)
-    vx -= mx * mx
-    vy = _box_mean(y * y, wi, wj)
-    vy -= my * my
-    cov = _box_mean(x * y, wi, wj)
-    cov -= mx * my
-    return mx + shift, my + shift, vx, vy, cov
+    moments = np.empty((5, i, j))
+    x, y, xx, yy, xy = moments
+    np.subtract(ref, shift, out=x)
+    np.subtract(est, shift, out=y)
+    np.multiply(x, x, out=xx)
+    np.multiply(y, y, out=yy)
+    np.multiply(x, y, out=xy)
+    heights = [min(width, i) for width in (SSIM_WINDOW, UIQI_WINDOW)]
+    stats = []
+    for width, wi, rows in zip((SSIM_WINDOW, UIQI_WINDOW), heights,
+                               _run_sums(moments.ravel(), j, heights)):
+        wj = min(width, j)
+        (flat,) = _run_sums(rows, 1, (wj,))
+        # read-only: the two widths may share one array of sums
+        sums = as_strided(flat, (5, i - wi + 1, j - wj + 1), moments.strides, writeable=False)
+        mx, my, mxx, myy, mxy = sums / (wi * wj)
+        stats.append((mx + shift, my + shift, mxx - mx * mx, myy - my * my, mxy - mx * my))
+    return stats
 
 
-def _ssim_band(ref, est, drange):
-    mx, my, vx, vy, cov = _window_stats(ref, est, SSIM_WINDOW)
+def _ssim_band(stats, drange):
+    mx, my, vx, vy, cov = stats
     c1 = (0.01 * drange) ** 2
     c2 = (0.03 * drange) ** 2
     num = (2 * mx * my + c1) * (2 * cov + c2)
@@ -229,8 +258,8 @@ def _ssim_band(ref, est, drange):
     return float(np.mean(num / den))
 
 
-def _uiqi_band(ref, est):
-    mx, my, vx, vy, cov = _window_stats(ref, est, UIQI_WINDOW)
+def _uiqi_band(stats, ref, est):
+    mx, my, vx, vy, cov = stats
     # the factored Q form, so an exact match evaluates to exactly 1
     lum_den = mx * mx + my * my
     var_den = vx + vy

@@ -25,6 +25,7 @@ from hsrfuse.fileio import (
 )
 from hsrfuse.regularizers import SchattenConfig, TvConfig
 from hsrfuse.solver import SolverConfig
+from hsrfuse.tensors import unfold
 
 
 # every finite double, subnormals included; -0.0 and the extremes as examples
@@ -96,6 +97,51 @@ def test_htf_payload_order_is_first_index_fastest(tmp_path):
     raw = path.read_bytes()[16:]
     values = struct.unpack("<4d", raw)
     assert values == (1.0, 2.0, 3.0, 4.0)
+
+
+_BASE = np.arange(60, dtype=float).reshape(3, 4, 5) / 7 - 2
+HTF_INPUTS = {
+    "C-ordered": np.ascontiguousarray(_BASE),
+    "F-ordered": np.asfortranarray(_BASE),
+    "strided": np.arange(480, dtype=float).reshape(6, 8, 10)[::2, 1::2, ::2] / 3,
+    "reversed": _BASE[::-1, :, ::-1],
+    "transposed": _BASE.transpose(2, 0, 1),
+    "big-endian": _BASE.astype(">f8"),
+    "float32": _BASE.astype(np.float32),
+    "int": np.arange(60).reshape(3, 4, 5) - 30,
+    "nested list": _BASE.tolist(),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(HTF_INPUTS))
+def test_htf_every_input_layout_writes_first_index_fastest_doubles(tmp_path, layout):
+    tensor = HTF_INPUTS[layout]
+    values = np.asarray(tensor, dtype=float)
+    expected = (HTF_MAGIC + struct.pack("<III", *values.shape)
+                + struct.pack(f"<{values.size}d", *values.ravel(order="F")))
+    path = tmp_path / "t.htf"
+    write_htf(path, tensor)
+    assert path.read_bytes() == expected
+    back = read_htf(path)
+    # F-ordered, writeable native float64: unfold stays a view of it
+    assert back.flags.f_contiguous and back.flags.writeable
+    assert back.dtype == np.float64 and back.dtype.isnative
+    assert np.shares_memory(unfold(back), back)
+    assert np.array_equal(back, values)
+
+
+def test_htf_short_header(tmp_path):
+    path = tmp_path / "stub.htf"
+    path.write_bytes(HTF_MAGIC + struct.pack("<I", 2) + b"\x00")
+    with pytest.raises(FileFormatError, match=re.escape("truncated header (9 bytes)")):
+        read_htf(path)
+
+
+def test_htf_zero_dimension_in_header(tmp_path):
+    path = tmp_path / "zero.htf"
+    path.write_bytes(HTF_MAGIC + struct.pack("<III", 2, 0, 1))
+    with pytest.raises(FileFormatError, match=re.escape("zero dimension in header (2, 0, 1)")):
+        read_htf(path)
 
 
 @ROUND_TRIP

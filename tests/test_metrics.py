@@ -209,6 +209,25 @@ def test_window_metrics_match_two_pass_oracle(rows, cols, offset, noise, seed):
     assert same.uiqi == 1.0
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(1, 1), (1, 9), (2, 1), (4, 4), (7, 9), (8, 8), (8, 10), (10, 8), (9, 17), (16, 3)],
+)
+def test_clipped_windows_match_two_pass_oracle(rows, cols, offset):
+    # one or both windows clip to the image on an axis; where both clip to
+    # the same size, the two widths may share one window sum
+    rng = np.random.default_rng(rows * 100 + cols)
+    ref = offset + rng.uniform(size=(rows, cols, 2))
+    est = ref + 0.1 * rng.standard_normal(ref.shape)
+    report = evaluate(ref, est, ratio=1)
+    assert report.ssim == pytest.approx(ssim_two_pass(ref, est), rel=1e-9)
+    assert report.uiqi == pytest.approx(uiqi_two_pass(ref, est), rel=1e-9)
+    same = evaluate(ref, ref.copy(), ratio=1)
+    assert same.ssim == 1.0
+    assert same.uiqi == 1.0
+
+
 def test_uiqi_single_pixel_windows():
     # a 1x1 image has one 1-pixel window, whose variance is exactly 0
     ref = np.array([[[0.2, 0.5]]])
