@@ -157,6 +157,8 @@ def _realized_snr(clean, noisy):
 
 def cmd_simulate(args):
     cfg = _run_config(args)
+    if cfg.bands is None:
+        raise ConfigError("simulate needs spectral.bands")
     rng = np.random.default_rng(cfg.seed)
     if cfg.sri is not None:
         sri = read_htf(require_input(cfg.sri, "inputs.sri"))
@@ -168,8 +170,6 @@ def cmd_simulate(args):
         sri = reconstruct(
             random_blockterm(cfg.dims, cfg.rank, cfg.term_rank, seed=rng, nonneg=cfg.nonneg)
         )
-    if cfg.bands is None:
-        raise ConfigError("simulate needs spectral.bands")
 
     ops = DegradationOps.for_sri(sri.shape, cfg.blur, cfg.bands)
     recovery = None

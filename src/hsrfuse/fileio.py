@@ -93,32 +93,43 @@ def read_htf(path):
 
 def write_matrix_csv(path, matrix):
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(f"{x:.17g}" for x in row) for row in m]
+    row_format = ",".join(["%.17g"] * m.shape[1])
+    lines = [row_format % tuple(row) for row in m.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_text(path, error):
+    """The text of the file at ``path``, decoded as UTF-8, with universal
+    newlines as a file opened in text mode reads them; a byte that is not
+    UTF-8 raises ``error`` naming the path and the byte's offset."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_matrix_csv(path):
     rows = []
     width = None
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise FileFormatError(
-                    f"{path}: row {lineno} has {len(cells)} cells, expected {width}"
-                )
-            try:
-                row = [float(c) for c in cells]
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: row {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, row)):
-                raise FileFormatError(f"{path}: row {lineno}: non-finite entry")
-            rows.append(row)
+    for lineno, line in enumerate(_read_text(path, FileFormatError).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise FileFormatError(
+                f"{path}: row {lineno} has {len(cells)} cells, expected {width}"
+            )
+        try:
+            row = [float(c) for c in cells]
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: row {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise FileFormatError(f"{path}: row {lineno}: non-finite entry")
+        rows.append(row)
     if not rows:
         raise FileFormatError(f"{path}: no numeric rows")
     return np.asarray(rows, dtype=float)
@@ -214,8 +225,6 @@ def parse_band_ranges(text):
         if first > last or first < 0:
             raise ConfigError(f"bad band range {part!r}")
         ranges.append((first, last))
-    if not ranges:
-        raise ConfigError("band list is empty")
     return ranges
 
 
@@ -290,7 +299,7 @@ def load_config(path, overrides=None):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        parser.read_string(_read_text(path, ConfigError), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
@@ -310,7 +319,7 @@ def load_config(path, overrides=None):
         try:
             value = parse(text)
         except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+            raise ConfigError(f"{path}: {key}: {exc}") from exc
         *parents, name = target.split(".")
         node = fields
         for parent in parents:

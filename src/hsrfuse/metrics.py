@@ -11,7 +11,9 @@ here and documented so numbers are comparable across runs of this tool):
 * ERGAS   : 100/ratio * sqrt(mean_k(rmse_k^2 / mu_k^2)) with mu_k the
             reference band mean; bands with zero mean are skipped.
 * CC      : mean over bands of the Pearson correlation of the band slabs;
-            zero-variance bands are skipped.
+            a band constant in the reference or the estimate is skipped
+            (an exact test: the centred values of a constant band can keep
+            a rounding residue of its mean).
 * SSIM    : mean over bands of single-scale SSIM, 8x8 uniform sliding window,
             stabilizers c1=(0.01*D)^2, c2=(0.03*D)^2 with D the global
             dynamic range of the reference.
@@ -174,10 +176,13 @@ def _sam(reference, estimate):
 
 
 def _pearson(ref, est):
+    if np.ptp(ref) == 0.0 or np.ptp(est) == 0.0:
+        return None
     xc = ref.ravel() - ref.mean()
     yc = est.ravel() - est.mean()
     sx = float(np.sqrt(np.sum(xc * xc)))
     sy = float(np.sqrt(np.sum(yc * yc)))
+    # a band that is not constant can still have centred squares that underflow
     if sx == 0.0 or sy == 0.0:
         return None
     return float(np.dot(xc, yc) / (sx * sy))

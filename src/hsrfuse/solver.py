@@ -30,12 +30,13 @@ back by s, so they are in the images' units and the maps are unit-free, and
 the SRI is formed once, from them.
 
 Both problems have the same three blocks, C, S and T, and one driver,
-:func:`_run`, moves them in that order each sweep.  C and S move 1/L from
-their anchors, with L a cheap upper bound on the block curvature (exact for
-the small Gram terms, operator-norm products elsewhere), projected onto the
-nonnegative orthant, so the unaccelerated iteration decreases the objective
-monotonically.  The blind T takes the same step without projection; the tied
-T is (P2 kron P1) of the new maps.  Nesterov extrapolation, one momentum per
+:func:`_run`, moves them in that order each sweep.  Each block step returns
+its gradient and L, a cheap upper bound on the block curvature (exact for
+the small Gram terms, operator-norm products elsewhere), and the driver hands
+both to :func:`apg_step`, which moves C and S 1/L from their anchors,
+projected onto the nonnegative orthant, so the unaccelerated iteration
+decreases the objective monotonically.  The blind T takes the same step
+without projection; the tied T is (P2 kron P1) of the new maps.  Nesterov extrapolation, one momentum per
 sweep for every block, is on by default; gradients and bounds are evaluated
 at the anchor.  The tied T's anchor is then the image of the maps' anchor,
 since the operator is linear, so the maps step reads it without applying the
@@ -275,11 +276,6 @@ class FusionData:
             ops=ops,
         )
 
-    @property
-    def ph_gram_norm(self):
-        """sigma_max(P2 kron P1)^2 (known-operator problem only)."""
-        return (self.ops.p1_norm * self.ops.p2_norm) ** 2
-
 
 # ---------------------------------------------------------------------------
 # structured matrix-free products
@@ -347,18 +343,6 @@ def _reweight(maps, shape, cfg, with_tv=True):
         terms.append((weight, majorizer_grad, w))
         curv += weight * c
     return total, (terms, curv)
-
-
-def _map_penalties(maps, shape, grad, majorizers):
-    """Add the gradient at ``maps`` of the penalties' ``majorizers``, as
-    :func:`_reweight` formed them at an anchor (the solver's last scored
-    iterate), into ``grad``; return the curvature they induce."""
-    terms, curv = majorizers
-    stack = _maps_as_images(maps, shape)
-    grad_stack = _maps_as_images(grad, shape)  # a view: each term is written into grad
-    for weight, majorizer_grad, w in terms:
-        grad_stack += weight * majorizer_grad(w, stack)
-    return curv
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +416,15 @@ def _image_block(x, m, target, shape, majorizers, grad=None):
     """Gradient, added into ``grad`` (None: a fresh array), and curvature
     bound of an image block X (maps or coarse maps of size ``shape``): the
     fit 1/2 |target - X M'|^2 plus the map penalties, whose gradient and
-    curvature are those of their ``majorizers`` at X."""
+    curvature are those of their ``majorizers`` at X, as :func:`_reweight`
+    formed them at the solver's last scored iterate."""
     mtm = m.T @ m
     grad = _add_fit_grad(x, mtm, (m.T @ target.T).T, grad)
-    curv = _map_penalties(x, shape, grad, majorizers)
+    terms, curv = majorizers
+    stack = _maps_as_images(x, shape)
+    grad_stack = _maps_as_images(grad, shape)  # a view: each term is written into grad
+    for weight, majorizer_grad, w in terms:
+        grad_stack += weight * majorizer_grad(w, stack)
     return grad, _top_eigenvalue(mtm) + curv
 
 
@@ -457,7 +446,7 @@ def maps_step(maps, spectra, data, majorizers, coarse=None):
     else:
         hsi_grad, l_hsi = coarse_step_blind(coarse, spectra, data, ([], 0.0))
         grad = _apply_ph(hsi_grad, data.ops.p1.T, data.ops.p2.T)
-        l_hsi *= data.ph_gram_norm
+        l_hsi *= (data.ops.p1_norm * data.ops.p2_norm) ** 2
     g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], majorizers, grad)
     return g, l + l_hsi
 
@@ -473,15 +462,16 @@ def coarse_step_blind(coarse, spectra, data, majorizers):
 # iteration primitives
 # ---------------------------------------------------------------------------
 
-def apg_step(x, grad, step, project=True):
-    """One (projected) gradient step: max(x - step*grad, 0) or the unprojected move.
+def apg_step(x, grad, lip, project=True):
+    """One (projected) gradient step of length 1/L along ``grad``, with L the
+    curvature bound ``lip`` a block step returns (floored at the smallest
+    normal double, so a zero bound gives a finite step):
+    max(x - grad/L, 0), or the unprojected move.
 
-    The step is written into ``grad``, which is returned; (-step)*grad + x
-    equals x - step*grad exactly.
+    The step is written into ``grad``, which is returned; (-1/L)*grad + x
+    equals x - (1/L)*grad exactly.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    grad *= -step
+    grad *= -(1.0 / max(lip, _TINY))
     grad += x
     if project:
         np.maximum(grad, 0.0, out=grad)
@@ -526,12 +516,6 @@ class _Trace:
         return 0.0 <= prev - last <= rel_tol * abs(prev)
 
 
-def _descend(anchor, step, project=True):
-    """Move ``anchor`` 1/L along a step's (gradient, L), as :func:`apg_step`."""
-    grad, lip = step
-    return apg_step(anchor, grad, 1.0 / max(lip, _TINY), project)
-
-
 def _run(factors, data, cfg, max_iters, noise_level, trace):
     """Block-coordinate driver shared by both solvers: each sweep moves the
     spectra C, the maps S and the coarse factor T, in that order.
@@ -561,12 +545,12 @@ def _run(factors, data, cfg, max_iters, noise_level, trace):
     trace.record(f)
     for _ in range(max_iters):
         c_anchor, s_anchor, t_anchor = anchors
-        c = _descend(c_anchor, spectra_step(c_anchor, grams, data, cfg))
-        s = _descend(s_anchor, maps_step(s_anchor, c, data, maps_major, t_anchor))
+        c = apg_step(c_anchor, *spectra_step(c_anchor, grams, data, cfg))
+        s = apg_step(s_anchor, *maps_step(s_anchor, c, data, maps_major, t_anchor))
         if known:
             t = _apply_ph(s, p1, p2)
         else:
-            t = _descend(t_anchor, coarse_step_blind(t_anchor, c, data, coarse_major),
+            t = apg_step(t_anchor, *coarse_step_blind(t_anchor, c, data, coarse_major),
                          project=False)
         if cfg.accelerate:
             anchors = []
@@ -584,19 +568,6 @@ def _run(factors, data, cfg, max_iters, noise_level, trace):
         if trace.stalled(cfg.rel_tol):
             return (c, s), "rel_tol"
     return (c, s), "max_iters"
-
-
-def _report(maps, spectra, data, trace, stop_reason, noise, scale):
-    return FusionReport(
-        sri=refold((spectra @ maps.T).T, data.sri_dims),
-        maps=maps,
-        spectra=spectra,
-        objective_trace=np.asarray(trace.values),
-        elapsed=np.asarray(trace.elapsed),
-        stop_reason=stop_reason,
-        noise_energy=noise,
-        data_scale=scale,
-    )
 
 
 def _warm_start(given, shape, label):
@@ -646,14 +617,14 @@ def _spa(mat, n_terms):
 def _fit_steps(m, target, project):
     """``_INIT_STEPS`` gradient steps from zero on 1/2 |target - X M'|^2 at
     step 1/sigma_max(M)^2, projected onto X >= 0 if ``project``, through
-    :func:`_add_fit_grad` and :func:`apg_step` with M'M and target M formed
-    once."""
+    :func:`_add_fit_grad` and :func:`apg_step` with M'M, target M and
+    sigma_max(M)^2 formed once."""
     mtm = m.T @ m
     ym = (m.T @ target.T).T
-    step = 1.0 / max(_top_eigenvalue(mtm), _TINY)
+    lip = _top_eigenvalue(mtm)
     x = np.zeros(ym.shape, order="F")
     for _ in range(_INIT_STEPS):
-        x = apg_step(x, _add_fit_grad(x, mtm, ym), step, project)
+        x = apg_step(x, _add_fit_grad(x, mtm, ym), lip, project)
     return x
 
 
@@ -712,7 +683,16 @@ def _solve(data, n_terms, cfg, init):
     (spectra, maps), stop_reason = _run([spectra, maps, *coarse], data, cfg, max_iters,
                                         noise_level, trace)
     spectra *= scale
-    return _report(maps, spectra, data, trace, stop_reason, noise, scale)
+    return FusionReport(
+        sri=refold((spectra @ maps.T).T, data.sri_dims),
+        maps=maps,
+        spectra=spectra,
+        objective_trace=np.asarray(trace.values),
+        elapsed=np.asarray(trace.elapsed),
+        stop_reason=stop_reason,
+        noise_energy=noise,
+        data_scale=scale,
+    )
 
 
 def fuse(hsi, msi, ops, n_terms, cfg=None, init=None):

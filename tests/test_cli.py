@@ -277,6 +277,28 @@ def _refuse_compute(monkeypatch):
         monkeypatch.setattr(cli, name, refused)
 
 
+@pytest.mark.parametrize("from_file", [False, True])
+def test_simulate_without_bands_is_config_error_before_any_compute(
+        tmp_path, capsys, monkeypatch, from_file):
+    # spectral.bands is checked before simulate reads inputs.sri or draws a model
+    text = SIMULATE_CFG.format(out=tmp_path / "out", seed=1, snr="inf")
+    text = text.replace("[spectral]\nbands = 0-1,2-3,4-5,6-7\n", "")
+    if from_file:
+        write_htf(tmp_path / "sri.htf", np.ones((16, 16, 8)))
+        text += f"\n[inputs]\nsri = {tmp_path / 'sri.htf'}\n"
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("computed before spectral.bands was checked")
+
+    for name in ("random_blockterm", "read_htf"):
+        monkeypatch.setattr(cli, name, refused)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "spectral.bands" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("through", [False, True])
 @pytest.mark.parametrize("command", ["simulate", "fuse", "blind-fuse"])
 def test_out_naming_a_file_is_config_error_before_any_compute(

@@ -336,3 +336,79 @@ def test_fingerprint_covers_every_computation_field():
             setattr(target, f.name, "<changed>")
             moved = cfg.fingerprint() != base.fingerprint()
             assert moved == ((path, f.name) not in inert), (path, f.name)
+
+
+def test_csv_writes_each_value_at_17_significant_digits(tmp_path):
+    # one row per line, each value as format(x, ".17g"), comma-separated
+    path = tmp_path / "m.csv"
+    for matrix, text in (
+        ([[0.0, -0.0]], "0,-0\n"),
+        ([5e-324, np.finfo(float).max], "4.9406564584124654e-324,1.7976931348623157e+308\n"),
+        (1 / 3, "0.33333333333333331\n"),
+        (np.eye(3), "1,0,0\n0,1,0\n0,0,1\n"),
+        (np.arange(3) / 4, "0,0.25,0.5\n"),
+        ([[1, 2], [3, 4]], "1,2\n3,4\n"),
+    ):
+        write_matrix_csv(path, matrix)
+        assert path.read_bytes() == text.encode()
+    m = np.random.default_rng(0).normal(size=(24, 96))
+    write_matrix_csv(path, m)
+    lines = [",".join(format(x, ".17g") for x in row) for row in m]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("reader, error", [(read_matrix_csv, FileFormatError),
+                                           (load_config, ConfigError)])
+def test_text_readers_name_the_file_and_the_byte_that_is_not_utf8(tmp_path, reader, error):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"[run]\nseed = 1\n# caf\xe9\n")
+    with pytest.raises(error, match=re.escape(f"{path}: not UTF-8 text at byte 20")):
+        reader(path)
+
+
+def _damaged(valid):
+    """Random bytes, ``valid`` with a few bytes overwritten, or ``valid`` cut short."""
+    def overwrite(edits):
+        damaged = bytearray(valid)
+        for at, byte in edits:
+            damaged[at] = byte
+        return bytes(damaged)
+
+    n = len(valid)
+    return st.one_of(
+        st.binary(max_size=2 * n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 255)),
+                 min_size=1, max_size=8).map(overwrite),
+        st.integers(0, n - 1).map(lambda cut: valid[:cut]),
+    )
+
+
+def _valid_csv(path):
+    write_matrix_csv(path, np.arange(6.0).reshape(2, 3) / 7)
+
+
+def _valid_config(path):
+    path.write_text(CONFIG_TEXT)
+
+
+def _valid_htf(path):
+    write_htf(path, np.arange(12.0).reshape(2, 3, 2) / 7)
+
+
+@settings(ROUND_TRIP, max_examples=200)
+@pytest.mark.parametrize("reader, write_valid", [
+    (read_matrix_csv, _valid_csv),
+    (load_config, _valid_config),
+    (read_htf, _valid_htf),
+])
+@given(data=st.data())
+def test_readers_fail_by_name_on_any_bytes(tmp_path, reader, write_valid, data):
+    # whatever the bytes, a reader returns or raises the package's error for
+    # malformed input (FileFormatError is a ConfigError), naming the file
+    path = tmp_path / "input"
+    write_valid(path)
+    path.write_bytes(data.draw(_damaged(path.read_bytes())))
+    try:
+        reader(path)
+    except ConfigError as exc:
+        assert str(path) in str(exc)

@@ -281,3 +281,24 @@ def test_metrics_finite_property(seed, noise):
     for name in ("ssim", "cc", "uiqi", "rmse", "ergas", "sam_rad"):
         assert np.isfinite(getattr(report, name)), name
     assert report.rsnr_db == np.inf or np.isfinite(report.rsnr_db)
+
+
+@pytest.mark.parametrize("side", [7, 96, 97])
+@pytest.mark.parametrize("c", [0.1, 0.3, 0.7, 1 / 3, 123.456])
+def test_cc_skips_every_constant_band(side, c):
+    # the centred values of a constant band can keep a rounding residue of
+    # its mean (0.1 at 96 x 96 does), so a band constant in the reference or
+    # the estimate is skipped by an exact test: CC is the mean over the
+    # textured bands, and exactly 0 for a noisy pair with none
+    rng = np.random.default_rng(side)
+    textured = rng.uniform(0.2, 1.0, size=(side, side, 3))
+    noisy = textured + 0.05 * rng.standard_normal(textured.shape)
+    want = evaluate(textured[..., :2], noisy[..., :2]).cc
+    ref, est = textured.copy(), noisy.copy()
+    ref[..., 2] = c
+    assert evaluate(ref, est).cc == want
+    ref, est = textured.copy(), noisy.copy()
+    est[..., 2] = c
+    assert evaluate(ref, est).cc == want
+    flat = np.full(textured.shape, c)
+    assert evaluate(flat, flat + noisy - textured).cc == 0.0

@@ -291,7 +291,8 @@ def test_blind_model_with_tied_coarse_block_is_the_known_model():
         g_coarse = coarse_step_blind(image, spectra, blind, blind_major[1])[0]
         chained = g_blind + _apply_ph(g_coarse, data.ops.p1.T, data.ops.p2.T)
         assert rel_error(g_known, chained) <= 1e-12
-        assert l_known == l_blind + _top_eigenvalue(spectra.T @ spectra) * data.ph_gram_norm
+        ph_gram_norm = (data.ops.p1_norm * data.ops.p2_norm) ** 2
+        assert l_known == l_blind + _top_eigenvalue(spectra.T @ spectra) * ph_gram_norm
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +447,11 @@ def test_blind_bounds_dominate_dense():
 # ---------------------------------------------------------------------------
 
 def test_apg_step_contracts():
+    # apg_step takes the curvature bound L and moves 1/L
     x = np.array([0.0, 1.0, 2.0])
     grad = np.array([0.0, 5.0, -1.0])
     # the step is written into the gradient, so each call gets its own copy
-    assert np.array_equal(apg_step(x, np.zeros(3), 0.5), x)
+    assert np.array_equal(apg_step(x, np.zeros(3), 2.0), x)
     assert np.array_equal(apg_step(np.zeros(3), np.ones(3), 1.0), np.zeros(3))
     g = grad.copy()
     stepped = apg_step(x, g, 1.0)
@@ -458,11 +460,13 @@ def test_apg_step_contracts():
     assert np.array_equal(unprojected, [0.0, -4.0, 3.0])
     rng = np.random.default_rng(0)
     y, g = rng.normal(size=50), rng.normal(size=50)
-    assert np.array_equal(apg_step(y, g.copy(), 0.3, project=False), y - 0.3 * g)
+    assert np.array_equal(apg_step(y, g.copy(), 3.0, project=False), y - (1.0 / 3.0) * g)
     # the point stepped from is not written
     assert np.array_equal(x, [0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        apg_step(x, x, 0.0)
+    # a zero bound is floored at the smallest normal double: a finite step
+    tiny = np.finfo(float).tiny
+    assert np.array_equal(apg_step(np.zeros(2), np.array([tiny, -tiny]), 0.0, project=False),
+                          [-1.0, 1.0])
 
 
 def test_extrapolate_golden_ratio_start():
@@ -788,7 +792,7 @@ def test_solvers_run_the_verified_block_steps(accelerate):
 
     def descend(x, step, project=True):
         grad, lip = step
-        return apg_step(x, grad, 1.0 / lip, project)
+        return apg_step(x, grad, lip, project)
 
     def sweeps(factors, steps, value):
         # Nesterov momentum written out here, not taken from extrapolate: one
