@@ -202,10 +202,20 @@ def degrade_spectral(sri, ops):
 
 
 def check_snr_db(snr_db):
-    """Reject a noise level :func:`add_noise` cannot calibrate: NaN or -inf;
-    return it."""
+    """Reject a noise level :func:`add_noise` cannot calibrate: NaN, -inf, or
+    a finite level whose power ratio 10^(snr_db/10) is not a finite nonzero
+    double; return it."""
     if math.isnan(check_real("snr_db", snr_db)) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    if math.isfinite(snr_db):
+        try:
+            ratio = 10.0 ** (float(snr_db) / 10)
+        except OverflowError:
+            ratio = math.inf
+        if not 0.0 < ratio < math.inf:
+            raise ValueError(
+                f"snr_db must give a finite nonzero power ratio 10^(snr_db/10), got {snr_db}"
+            )
     return snr_db
 
 
@@ -224,7 +234,10 @@ def add_noise(tensor, snr_db, seed=0):
         raise ValueError("cannot calibrate noise against an all-zero tensor")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(tensor.shape)
-    scale = math.sqrt(signal_energy / (np.sum(noise**2) * 10 ** (snr_db / 10)))
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = math.sqrt(signal_energy / (np.sum(noise**2) * 10 ** (snr_db / 10)))
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"snr_db={snr_db} gives a noise scale of {scale} for this tensor")
     noise *= scale
     noise += tensor
     return noise

@@ -27,7 +27,7 @@ from .degradation import BlurSpec, check_snr_db
 from .errors import ConfigError, DimensionError, FileFormatError
 from .regularizers import SchattenConfig, TvConfig
 from .solver import SolverConfig
-from .tensors import check_int
+from .tensors import check_int, ensure_finite
 
 HTF_MAGIC = b"HTF1"
 
@@ -45,8 +45,10 @@ def write_htf(path, tensor):
     t = np.asarray(tensor, dtype="<f8", order="F")
     if t.ndim != 3 or t.size == 0:
         raise DimensionError(f"HTF stores nonempty 3-d tensors, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("refusing to write a tensor with non-finite entries")
+    try:
+        ensure_finite(t)
+    except ValueError:
+        raise ValueError("refusing to write a tensor with non-finite entries") from None
     with open(path, "wb") as handle:
         handle.write(HTF_MAGIC + struct.pack("<III", *t.shape))
         # the C-ordered transpose of an F-ordered array holds its values first index fastest
@@ -82,9 +84,10 @@ def read_htf(path):
                 f"but only {present} present"
             )
     tensor = payload.T.astype(float, copy=False)
-    if not np.all(np.isfinite(tensor)):
-        raise FileFormatError(f"{path}: tensor contains non-finite entries")
-    return tensor
+    try:
+        return ensure_finite(tensor, f"{path}: tensor")
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ here and documented so numbers are comparable across runs of this tool):
             a rounding residue of its mean).
 * SSIM    : mean over bands of single-scale SSIM, 8x8 uniform sliding window,
             stabilizers c1=(0.01*D)^2, c2=(0.03*D)^2 with D the global
-            dynamic range of the reference.
+            dynamic range of the reference (1 for a constant reference).
 * UIQI    : mean over bands of the Q index, 10x10 sliding window (stride 1);
             Q is a ratio of second moments, so the variance convention
             (ddof 0 or 1) does not change it.  A window is skipped as
@@ -28,18 +28,29 @@ here and documented so numbers are comparable across runs of this tool):
 A score with nothing left to score (CC with every band skipped, a UIQI band
 with every window skipped) reads 1 for an exact match and 0 otherwise.
 
-One loop over the bands scores CC, SSIM and UIQI.  Windows shrink to the
-image when a spatial axis is smaller than the nominal window.  The window
-statistics of both widths come from one pass per band: both bands are
-centred on the reference band's mean, the centred values and their products
-are formed once, and every window sum of both widths is built from
-power-of-two sums (a sum over 2^k entries is two sums over 2^(k-1); a width
-of 10 is 8 + 2), down the first axis for both widths at once, then along the
-second.  A band costs O(I*J*log w) for a w x w window.  Centring keeps the
-one-pass variances E[x^2] - E[x]^2 exact to rounding for data on a large
-offset.
+Scoring runs in band-sized memory.  Both cubes are read one band at a time,
+each band times 2^-e, the power of two that brings the pair's largest
+magnitude into [0.5, 1).  The scaling is exact, so every score is that of the
+unscaled pair (RMSE is scaled back), and no square, product or stabilizer
+under- or overflows for data anywhere in the float range.  One loop over the
+bands scores CC, SSIM and UIQI and accumulates each band's reference energy,
+squared error and sum and each pixel's two squared fiber norms; a second loop
+accumulates each pixel's unit-fiber gap for SAM.  No cube-sized array is
+formed: the scratch is about 25 band-sized (I x J) arrays whatever the band
+count, most of them window sums.
+
+Windows shrink to the image when a spatial axis is smaller than the nominal
+window.  The window statistics of both widths come from one pass per band:
+both bands are centred on the reference band's mean, the centred values and
+their products are formed once, and every window sum of both widths is built
+from power-of-two sums (a sum over 2^k entries is two sums over 2^(k-1); a
+width of 10 is 8 + 2), down the first axis for both widths at once, then
+along the second, one width at a time.  A band costs O(I*J*log w) for a
+w x w window.  Centring keeps the one-pass variances E[x^2] - E[x]^2 exact to
+rounding for data on a large offset.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -88,60 +99,83 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
     ensure_finite(reference, "reference")
     ensure_finite(estimate, "estimate")
     check_int("ratio", ratio, 1)
-    ref_energy = float(np.sum(reference**2))
-    if ref_energy == 0.0:
+    ref_max = ref_min = 0.0
+    if reference.size:
+        ref_max, ref_min = float(reference.max()), float(reference.min())
+    if ref_max == ref_min == 0.0:
         raise ValueError("reference tensor has zero norm; R-SNR is undefined")
 
+    # every band is scored times 2^-e, which brings the pair's largest
+    # magnitude into [0.5, 1); RMSE alone is scaled back
+    e = math.frexp(max(ref_max, -ref_min, float(estimate.max()), -float(estimate.min())))[1]
+    # a constant reference takes D = 1; capped at 2^64 times the pair's
+    # magnitude, where the stabilizers already swamp every window, so that
+    # they stay finite
+    drange = math.ldexp(ref_max, -e) - math.ldexp(ref_min, -e) or math.ldexp(1.0, min(-e, 64))
     i, j, k = reference.shape
-    sq_err = reference - estimate
-    sq_err *= sq_err
-    err_energy = float(np.sum(sq_err))
-    band_err = np.sum(sq_err, axis=(0, 1))
+    band_energy, band_err, band_sum = np.empty(k), np.empty(k), np.empty(k)
+    # per pixel, the squared norms of the two spectral fibers
+    ref_sq = np.zeros_like(reference[:, :, 0])
+    est_sq = np.zeros_like(ref_sq)
+    band_cc, band_ssim, band_uiqi = [], [], []
+    for b, (ref, est) in enumerate(_scaled_bands(reference, estimate, -e)):
+        sq = ref * ref
+        band_energy[b] = sq.sum()
+        ref_sq += sq
+        np.multiply(est, est, out=sq)
+        est_sq += sq
+        np.subtract(ref, est, out=sq)
+        sq *= sq
+        band_err[b] = sq.sum()
+        del sq
+        band_sum[b] = ref.sum()
+        corr = _pearson(ref, est)
+        if corr is not None:
+            band_cc.append(corr)
+        windows = _window_stats(ref, est)
+        band_ssim.append(_ssim_band(next(windows), drange))
+        band_uiqi.append(_uiqi_band(next(windows), ref, est))
+
+    sam, skipped = _sam(reference, estimate, -e, ref_sq, est_sq)
     band_rmse = np.sqrt(band_err / (i * j))
-    del sq_err  # free the cube before _sam allocates its own
-    rmse = np.sqrt(err_energy / (i * j * k))
-
-    sam, skipped = _sam(reference, estimate)
-
-    mu = reference.mean(axis=(0, 1))
+    mu = band_sum / (i * j)
     live = mu != 0.0
     ergas = (
         100.0 / ratio * float(np.sqrt(np.mean((band_rmse[live] / mu[live]) ** 2)))
         if live.any()
         else 0.0
     )
-
-    drange = float(reference.max() - reference.min()) or 1.0
-    band_cc, band_ssim, band_uiqi = [], [], []
-    for b in range(k):
-        ref, est = reference[:, :, b], estimate[:, :, b]
-        corr = _pearson(ref, est)
-        if corr is not None:
-            band_cc.append(corr)
-        ssim_stats, uiqi_stats = _window_stats(ref, est)
-        band_ssim.append(_ssim_band(ssim_stats, drange))
-        band_uiqi.append(_uiqi_band(uiqi_stats, ref, est))
+    err_energy = float(np.sum(band_err))
+    with np.errstate(over="ignore"):  # an RMSE past the float range reads inf
+        rmse = float(np.ldexp(np.sqrt(err_energy / (i * j * k)), e))
+        band_rmse = np.ldexp(band_rmse, e)
 
     table = None
     if per_band:
         table = {
             "band": np.arange(k),
-            "rsnr_db": _db(np.sum(reference**2, axis=(0, 1)), band_err),
+            "rsnr_db": _db(band_energy, band_err),
             "ssim": np.asarray(band_ssim),
             "uiqi": np.asarray(band_uiqi),
             "rmse": band_rmse,
         }
     return MetricReport(
-        rsnr_db=float(_db(ref_energy, err_energy)),
+        rsnr_db=float(_db(float(np.sum(band_energy)), err_energy)),
         ssim=float(np.mean(band_ssim)),
         cc=float(np.mean(band_cc)) if band_cc else _exact_score(reference, estimate),
         uiqi=float(np.mean(band_uiqi)),
-        rmse=float(rmse),
+        rmse=rmse,
         ergas=float(ergas),
         sam_rad=sam,
         sam_skipped=skipped,
         per_band=table,
     )
+
+
+def _scaled_bands(reference, estimate, exponent):
+    """Each band of the pair, both times 2^exponent: two new band-sized arrays."""
+    for b in range(reference.shape[2]):
+        yield np.ldexp(reference[:, :, b], exponent), np.ldexp(estimate[:, :, b], exponent)
 
 
 def _db(signal, error):
@@ -151,27 +185,44 @@ def _db(signal, error):
 
 
 def _exact_score(ref, est):
-    """The score of a pair with nothing to score: 1 for an exact match, else 0."""
-    return 1.0 if np.array_equal(ref, est) else 0.0
+    """The score of a pair with nothing to score: 1 for an exact match, else 0.
+
+    A cube is compared band by band, so no cube-sized mask is formed.
+    """
+    ref, est = np.atleast_3d(ref, est)
+    return float(all(np.array_equal(ref[:, :, b], est[:, :, b]) for b in range(ref.shape[2])))
 
 
-def _sam(reference, estimate):
-    i, j, k = reference.shape
-    ref = reference.reshape(i * j, k, order="F")
-    est = estimate.reshape(i * j, k, order="F")
-    ref_norm = np.linalg.norm(ref, axis=1)
-    est_norm = np.linalg.norm(est, axis=1)
-    alive = (ref_norm > 0) & (est_norm > 0)
-    skipped = int(np.size(ref_norm) - np.count_nonzero(alive))
-    if not alive.any():
+def _sam(reference, estimate, exponent, ref_sq, est_sq):
+    """Mean spectral angle over the pixels whose fibers are nonzero on both
+    sides, and the count of the others.
+
+    ``ref_sq`` and ``est_sq`` hold each pixel's squared fiber norm (of the
+    pair times 2^exponent) and are overwritten.  The unit-fiber gap
+    accumulates band by band, in the band order of a per-pixel norm.
+    """
+    alive = (ref_sq > 0) & (est_sq > 0)
+    skipped = int(alive.size - np.count_nonzero(alive))
+    if skipped == alive.size:
         return 0.0, skipped
+    ref_norm = np.sqrt(ref_sq, out=ref_sq)
+    est_norm = np.sqrt(est_sq, out=est_sq)
+    # a dead pixel's fibers divide to 0 and its angle is dropped below
+    ref_norm[~alive] = np.inf
+    est_norm[~alive] = np.inf
+    gap = np.zeros_like(ref_norm)
+    for ref, est in _scaled_bands(reference, estimate, exponent):
+        ref /= ref_norm
+        est /= est_norm
+        ref -= est
+        ref *= ref
+        gap += ref
+    angles = 2.0 * np.arcsin(np.clip(0.5 * np.sqrt(gap), 0.0, 1.0))
+    # pixels in unfolding order (down the first axis), the order of a
+    # pixels-by-bands mean
+    angles = angles.ravel(order="F")
     if skipped:
-        ref, est = ref[alive], est[alive]
-        ref_norm, est_norm = ref_norm[alive], est_norm[alive]
-    gap = ref / ref_norm[:, None]
-    gap -= est / est_norm[:, None]
-    unit_gap = np.linalg.norm(gap, axis=1)
-    angles = 2.0 * np.arcsin(np.clip(0.5 * unit_gap, 0.0, 1.0))
+        angles = angles[alive.ravel(order="F")]
     return float(np.mean(angles)), skipped
 
 
@@ -196,18 +247,21 @@ def _run_sums(flat, step, widths):
     w's binary digits, largest first.  So every partial sum is a pairwise sum
     over part of one run, and no partial sum grows past one run's sum, as the
     prefix sums of a cumulative-sum difference would.  Every pass is one
-    contiguous 1-d add.  A result may be a view of the doubling sums, shared
-    with another width of the same size.
+    contiguous 1-d add, and a doubling level is kept only while the next
+    level or a width's digit still needs it.  A result may be a view of the
+    doubling sums, shared with another width of the same size.
     """
-    doubled = [flat]  # doubled[k][n] sums flat[n + m * step] over m < 2^k
-    while 2 ** len(doubled) <= max(widths):
-        shift = 2 ** (len(doubled) - 1) * step
-        doubled.append(doubled[-1][:-shift] + doubled[-1][shift:])
+    doubled = {0: flat}  # doubled[k][n] sums flat[n + m * step] over m < 2^k
+    for k in range(1, max(widths).bit_length()):
+        shift = 2 ** (k - 1) * step
+        doubled[k] = doubled[k - 1][:-shift] + doubled[k - 1][shift:]
+        if not any(w & 2 ** (k - 1) for w in widths):
+            del doubled[k - 1]
     sums = []
     for w in widths:
         count = flat.size - (w - 1) * step
         total, start = None, 0
-        for k in reversed(range(len(doubled))):
+        for k in reversed(range(w.bit_length())):
             if w & 2**k:
                 piece = doubled[k][start : start + count]
                 total = piece if total is None else total + piece
@@ -217,14 +271,16 @@ def _run_sums(flat, step, widths):
 
 
 def _window_stats(ref, est):
-    """Means, variances and covariance over every SSIM and every UIQI window.
+    """Means, variances and covariance over every SSIM window, then over
+    every UIQI window.
 
-    Returns one ``(mx, my, vx, vy, cov)`` tuple per window width, each entry
-    an array over the window grid.  Both bands are centred on the reference
-    band's mean first.  Variances and the covariance do not change under a
-    common shift, but their one-pass form E[x^2] - E[x]^2 loses digits in
-    proportion to the square of the offset, so only the means get the shift
-    back.
+    Yields one (5, ...) stack per window width, read as
+    ``mx, my, vx, vy, cov``, each entry an array over the window grid; a
+    width's column sums are formed only after the previous stack is
+    released.  Both bands are centred on the reference band's mean first.
+    Variances and the covariance do not change under a common shift, but
+    their one-pass form E[x^2] - E[x]^2 loses digits in proportion to the
+    square of the offset, so only the means get the shift back.
 
     The five moments (x, y, x^2, y^2, xy) are one C-ordered (5, I, J) stack,
     summed flat: down the first axis is ``step=J``, along the second
@@ -241,17 +297,26 @@ def _window_stats(ref, est):
     np.multiply(x, x, out=xx)
     np.multiply(y, y, out=yy)
     np.multiply(x, y, out=xy)
+    strides = moments.strides
     heights = [min(width, i) for width in (SSIM_WINDOW, UIQI_WINDOW)]
-    stats = []
-    for width, wi, rows in zip((SSIM_WINDOW, UIQI_WINDOW), heights,
-                               _run_sums(moments.ravel(), j, heights)):
+    rows = _run_sums(moments.ravel(), j, heights)
+    del moments, x, y, xx, yy, xy
+    for width, wi in zip((SSIM_WINDOW, UIQI_WINDOW), heights):
         wj = min(width, j)
-        (flat,) = _run_sums(rows, 1, (wj,))
+        (flat,) = _run_sums(rows.pop(0), 1, (wj,))
         # read-only: the two widths may share one array of sums
-        sums = as_strided(flat, (5, i - wi + 1, j - wj + 1), moments.strides, writeable=False)
-        mx, my, mxx, myy, mxy = sums / (wi * wj)
-        stats.append((mx + shift, my + shift, mxx - mx * mx, myy - my * my, mxy - mx * my))
-    return stats
+        sums = as_strided(flat, (5, i - wi + 1, j - wj + 1), strides, writeable=False)
+        stats = sums / (wi * wj)
+        del flat, sums
+        mx, my, vx, vy, cov = stats
+        vx -= mx * mx
+        vy -= my * my
+        cov -= mx * my
+        mx += shift
+        my += shift
+        del mx, my, vx, vy, cov
+        yield stats
+        del stats
 
 
 def _ssim_band(stats, drange):

@@ -37,9 +37,16 @@ def refold(matrix, dims):
 
 
 def ensure_finite(arr, label="array"):
-    """Raise ValueError if ``arr`` contains NaN or infinities."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{label} contains non-finite entries")
+    """Raise ValueError if the array ``arr`` contains NaN or infinities.
+
+    NaN propagates through ``min`` and ``max``, and an infinity is one of the
+    two, so the test reads the array twice and forms no mask of it.
+    """
+    if arr.size:
+        with np.errstate(invalid="ignore"):  # a NaN reduction may flag invalid
+            lo, hi = arr.min(), arr.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"{label} contains non-finite entries")
     return arr
 
 

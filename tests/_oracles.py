@@ -284,9 +284,11 @@ def window_stats_two_pass(ref, est, width):
     return wi * wj, stats
 
 
-def ssim_two_pass(reference, estimate, width=8):
-    """Mean over bands and windows of SSIM, c1=(0.01*D)^2, c2=(0.03*D)^2."""
-    drange = float(reference.max() - reference.min()) or 1.0
+def ssim_two_pass(reference, estimate, width=8, drange=None):
+    """Mean over bands and windows of SSIM, c1=(0.01*D)^2, c2=(0.03*D)^2, with
+    D the reference's dynamic range unless ``drange`` is given."""
+    if drange is None:
+        drange = float(reference.max() - reference.min()) or 1.0
     c1, c2 = (0.01 * drange) ** 2, (0.03 * drange) ** 2
     bands = []
     for band in range(reference.shape[2]):

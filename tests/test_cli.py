@@ -132,6 +132,18 @@ def test_simulate_rejects_undefined_noise_level_before_writing(tmp_path, capsys)
         assert not out.exists()
 
 
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+def test_simulate_refuses_snr_beyond_double_range(tmp_path, capsys, snr):
+    # 10^(snr/10) is no finite nonzero double: refused by name before any compute
+    cfg = tmp_path / "sim.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(SIMULATE_CFG.format(out=out, seed=1, snr="30"))
+    assert main(["simulate", "--config", str(cfg), f"--snr={snr}"]) == 2
+    err = capsys.readouterr().err
+    assert "noise.snr_db" in err and snr in err
+    assert not out.exists()
+
+
 def test_simulate_warns_when_unrecoverable(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     text = SIMULATE_CFG.format(out=tmp_path / "w", seed=1, snr="inf")
@@ -338,7 +350,8 @@ def test_evaluate_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatc
 FLAG_VALUES = {
     "--seed": st.integers(0, 2**63 - 1).map(str),
     "--out": st.from_regex(r"[A-Za-z0-9_.][A-Za-z0-9_./-]{0,15}", fullmatch=True),
-    "--snr": st.floats(allow_nan=False).filter(lambda x: x != -math.inf).map(repr),
+    # +inf, or a level whose power ratio 10^(snr/10) is a finite nonzero double
+    "--snr": st.one_of(st.floats(-3000, 3000), st.just(math.inf)).map(repr),
     "--ratio": st.integers(1, 64).map(str),
     "--rank": st.integers(1, 1000).map(str),
     "--term-rank": st.integers(1, 1000).map(str),

@@ -10,6 +10,7 @@ from hsrfuse.degradation import (
     BlurSpec,
     DegradationOps,
     add_noise,
+    check_snr_db,
     band_aggregation_matrix,
     blur_downsample_matrix,
     degrade_spatial,
@@ -390,3 +391,20 @@ def test_add_noise_rejects_nan_and_negative_infinite_snr():
     for snr_db in (np.nan, -np.inf):
         with pytest.raises(ValueError, match="snr_db"):
             add_noise(t, snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [4000, -4000, 3083, -3250, np.float64(1e300)])
+def test_snr_without_a_double_power_ratio_is_refused(snr_db):
+    # 10^(snr_db/10) overflows or underflows a double
+    with pytest.raises(ValueError, match="snr_db"):
+        check_snr_db(snr_db)
+    with pytest.raises(ValueError, match="snr_db"):
+        add_noise(np.ones((2, 2, 2)), snr_db)
+    assert check_snr_db(3082) == 3082 and check_snr_db(-3233) == -3233
+
+
+@pytest.mark.parametrize("snr_db", [3080.0, -3230.0])
+def test_add_noise_refuses_a_scale_out_of_range(snr_db):
+    # the power ratio is a double, but the noise scale is 0 or inf
+    with pytest.raises(ValueError, match=f"snr_db={snr_db} gives a noise scale"):
+        add_noise(np.ones((4, 4, 2)), snr_db, seed=1)

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import ssim_two_pass, uiqi_two_pass
@@ -302,3 +304,109 @@ def test_cc_skips_every_constant_band(side, c):
     assert evaluate(ref, est).cc == want
     flat = np.full(textured.shape, c)
     assert evaluate(flat, flat + noisy - textured).cc == 0.0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dims", [(32, 32, 256), (96, 96, 48)])
+def test_evaluate_scratch_is_band_sized(dims, order):
+    # every score is formed band by band, so the scratch is a few dozen
+    # band-sized arrays whatever the band count; one cube-sized temporary
+    # would be 256 or 48 of them here
+    ref, est = _random_pair(seed=14, dims=dims)
+    ref, est = np.asarray(ref, order=order), np.asarray(est, order=order)
+    evaluate(ref, est, per_band=True)
+    tracemalloc.start()
+    try:
+        evaluate(ref, est, per_band=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * dims[0] * dims[1] * 8, peak / (dims[0] * dims[1] * 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(-1000, 1000),
+    dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4)),
+    noise=st.floats(0.0, 0.5),
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=st.integers(0, 2**31),
+)
+def test_scores_are_exact_under_power_of_two_scaling(k, dims, noise, sign, seed):
+    # a pair times 2^k scores bit for bit as the pair itself, RMSE times 2^k,
+    # from 2^-1000 to 2^1000: no square, product or stabilizer under- or
+    # overflows
+    # a constant reference has no dynamic range, and SSIM's stabilizers fall
+    # back to an absolute one
+    assume(np.prod(dims) > 1)
+    rng = np.random.default_rng(seed)
+    ref = sign * rng.uniform(0.2, 1.0, size=dims)
+    est = ref * (1.0 + noise * rng.uniform(-1.0, 1.0, size=dims))
+    want = evaluate(ref, est, ratio=2, per_band=True).to_dict()
+    got = evaluate(np.ldexp(ref, k), np.ldexp(est, k), ratio=2, per_band=True).to_dict()
+    want["rmse"] = float(np.ldexp(want["rmse"], k))
+    want["per_band"]["rmse"] = np.ldexp(want["per_band"]["rmse"], k).tolist()
+    assert got == want
+
+
+@pytest.mark.parametrize("scale", [1e-165, 1e-160, 1e155, 1e160, 1e300])
+def test_scores_hold_at_extreme_magnitudes(scale):
+    # the products of unscaled values would under- or overflow here: SSIM
+    # read NaN, R-SNR and CC drifted or a zero-norm error was raised
+    ref, est = _random_pair(seed=17, dims=(8, 8, 2), noise=0.3)
+    want = evaluate(ref, est, ratio=2, per_band=True)
+    got = evaluate(ref * scale, est * scale, ratio=2, per_band=True)
+    for name in ("rsnr_db", "ssim", "cc", "uiqi", "ergas", "sam_rad"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-15), name
+    assert got.rmse / scale == pytest.approx(want.rmse, rel=1e-15)
+
+
+def _sam_per_pixel(ref, est):
+    """Mean angle and skip count from one fiber pair at a time."""
+    angles, skipped = [], 0
+    for a, b in zip(ref.reshape(-1, ref.shape[2]), est.reshape(-1, est.shape[2])):
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na == 0 or nb == 0:
+            skipped += 1
+            continue
+        angles.append(2 * np.arcsin(min(np.linalg.norm(a / na - b / nb) / 2, 1.0)))
+    return (float(np.mean(angles)) if angles else 0.0), skipped
+
+
+@pytest.mark.parametrize("dead", ["estimate", "both", "every", "estimate everywhere"])
+def test_sam_skips_dead_fibers_on_either_side(dead):
+    ref, est = _random_pair(seed=15, dims=(6, 7, 5), noise=0.3)
+    if dead == "estimate":
+        est[2, 3, :] = est[0, 6, :] = 0.0
+    elif dead == "both":
+        ref[1, 1, :] = est[4, 2, :] = 0.0
+        ref[5, 6, :] = est[5, 6, :] = 0.0
+    elif dead == "every":
+        # each pixel is dead on one side or the other
+        est[:, :3, :] = 0.0
+        ref[:, 3:, :] = 0.0
+    else:
+        est[...] = 0.0
+    report = evaluate(ref, est)
+    want, skipped = _sam_per_pixel(ref, est)
+    assert report.sam_skipped == skipped
+    assert report.sam_rad == pytest.approx(want, rel=1e-13)
+    if dead.startswith("every") or dead.endswith("everywhere"):
+        assert (report.sam_rad, report.sam_skipped) == (0.0, 42)
+
+
+def test_per_band_table_with_a_zero_energy_band():
+    ref, est = _random_pair(seed=16, dims=(11, 13, 4), noise=0.1)
+    ref[:, :, 2] = 0.0
+    table = evaluate(ref, est, ratio=2, per_band=True).per_band
+    drange = float(ref.max() - ref.min())
+    for b in range(ref.shape[2]):
+        r, e = ref[:, :, b : b + 1], est[:, :, b : b + 1]
+        energy, err = np.sum(r**2), np.sum((r - e) ** 2)
+        rsnr = 10 * np.log10(energy / err) if energy else -np.inf
+        assert table["rsnr_db"][b] == pytest.approx(rsnr, rel=1e-13)
+        assert table["rmse"][b] == pytest.approx(np.sqrt(err / r.size), rel=1e-13)
+        assert table["ssim"][b] == pytest.approx(ssim_two_pass(r, e, drange=drange), rel=1e-9)
+        assert table["uiqi"][b] == pytest.approx(uiqi_two_pass(r, e), rel=1e-9)
+    assert table["rsnr_db"][2] == -np.inf
+    assert table["uiqi"][2] == 0.0

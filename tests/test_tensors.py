@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsrfuse.errors import DimensionError
-from hsrfuse.tensors import refold, unfold
+from hsrfuse.tensors import ensure_finite, refold, unfold
 
 from _oracles import frobenius_norm, khatri_rao_col, kron, loop_unfold
 
@@ -149,3 +151,21 @@ def test_kron_associativity(seed):
     b = rng.normal(size=(2, 3))
     c = rng.normal(size=(3, 2))
     assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
+
+
+def test_ensure_finite_forms_no_mask():
+    # an 8 MB array is checked in place: a boolean mask of it would be 1 MB
+    arr = np.random.default_rng(3).standard_normal(1 << 20)
+    ensure_finite(arr)
+    tracemalloc.start()
+    try:
+        assert ensure_finite(arr, "x") is arr
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    for bad in (np.nan, np.inf, -np.inf):
+        arr[12345] = bad
+        with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+            ensure_finite(arr, "x")
+    assert ensure_finite(np.empty((0, 3))).shape == (0, 3)
