@@ -12,6 +12,7 @@ any value is parsed, so a flag is parsed and validated exactly like the file
 value it replaces.
 """
 
+import codecs
 import configparser
 import hashlib
 import json
@@ -102,13 +103,17 @@ def write_matrix_csv(path, matrix):
 
 
 def _read_text(path, error):
-    """The text of the file at ``path``, decoded as UTF-8, with universal
-    newlines as a file opened in text mode reads them; a byte that is not
-    UTF-8 raises ``error`` naming the path and the byte's offset."""
+    """The text of the file at ``path``, decoded as UTF-8 past a leading
+    byte-order mark, with universal newlines as a file opened in text mode
+    reads them; a byte that is not UTF-8 raises ``error`` naming the path and
+    the byte's offset in the file."""
+    raw = Path(path).read_bytes()
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
+        # the decoder counts from past the mark
+        at = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+        raise error(f"{path}: not UTF-8 text at byte {at}: {exc.reason}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

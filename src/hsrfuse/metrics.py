@@ -32,7 +32,9 @@ Scoring runs in band-sized memory.  Both cubes are read one band at a time,
 each band times 2^-e, the power of two that brings the pair's largest
 magnitude into [0.5, 1).  The scaling is exact, so every score is that of the
 unscaled pair (RMSE is scaled back), and no square, product or stabilizer
-under- or overflows for data anywhere in the float range.  One loop over the
+under- or overflows for data anywhere in the float range.  The scaled bands
+are F-ordered whatever the cubes' layout, so every sum runs in one pixel
+order and C- and F-ordered cubes score bit for bit alike.  One loop over the
 bands scores CC, SSIM and UIQI and accumulates each band's reference energy,
 squared error and sum and each pixel's two squared fiber norms; a second loop
 accumulates each pixel's unit-fiber gap for SAM.  No cube-sized array is
@@ -173,9 +175,12 @@ def evaluate(reference, estimate, ratio=4, per_band=False):
 
 
 def _scaled_bands(reference, estimate, exponent):
-    """Each band of the pair, both times 2^exponent: two new band-sized arrays."""
+    """Each band of the pair, both times 2^exponent: two new band-sized
+    arrays, F-ordered whatever the cubes' layout, so every reduction over a
+    band runs in one pixel order and C- and F-ordered cubes score alike."""
     for b in range(reference.shape[2]):
-        yield np.ldexp(reference[:, :, b], exponent), np.ldexp(estimate[:, :, b], exponent)
+        yield (np.ldexp(reference[:, :, b], exponent, order="F"),
+               np.ldexp(estimate[:, :, b], exponent, order="F"))
 
 
 def _db(signal, error):

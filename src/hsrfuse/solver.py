@@ -73,16 +73,23 @@ Products are shared.  An iteration applies (P2 kron P1) once, to the new
 maps for the tied T, and its transpose once, in the maps gradient; both
 are :func:`_apply_ph`, given P1' and P2' for the transpose.  And one pass
 per fit term serves both the objective after a sweep and the spectra step of
-the next: it forms the residual of 1/2 |X M' - Y|^2 and the Grams X'X and
-X'Y, for (S, Ym) and (T, Yh).  The objective returns these Grams and the
-driver hands them to the next sweep.  The objective keeps the residual
-form: a Gram form cancels |Y|^2 against nearly equal terms and loses its
-accuracy, and even its sign, near an exact fit.  And the objective forms
-each penalty's majorizer at the iterate it scores, from the factorization
-that gives the penalty's value (one eigh per map for Schatten, one pair of
-difference images for TV); the driver hands the weights to the next sweep,
-whose maps and coarse steps take them as an argument and only apply them at
-their anchors.  No step forms a majorizer of its own.
+the next: it forms the Grams X'X and X'Y, for (S, Ym) and (T, Yh), and
+scores 1/2 |X M' - Y|^2 from them, with no residual, as
+1/2 (|Y|^2 - 2 <X'Y, M'> + <X'X, M'M>), with |Y|^2, each unit-scale image's
+energy, formed once per solve.  The objective returns these Grams and the
+driver hands them to the next sweep.  The Gram form cancels |Y|^2 against
+nearly equal terms, so its rounding error is a few ulps of |Y|^2 whatever
+the fit, and near an exact fit it loses its accuracy and even its sign.  So
+a term whose Gram-form value falls below 1e-5 |Y|^2 (a fit above ~50 dB,
+where that rounding could exceed ~1e-11 of the value) is scored from its
+residual instead.  The iteration reads the objective's value only in its
+stop rules, so the iterates do not depend on which form scored a sweep.
+And the objective forms each penalty's majorizer at the iterate it scores,
+from the factorization that gives the penalty's value (one eigh per map for
+Schatten, one pair of difference images for TV); the driver hands the
+weights to the next sweep, whose maps and coarse steps take them as an
+argument and only apply them at their anchors.  No step forms a majorizer of
+its own.
 
 Every product allocates its result as a plain numpy expression: a scratch
 buffer shared by the products and a spare gradient per block, rotated by
@@ -110,6 +117,7 @@ contiguous, and the SRI refolds without a copy.
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -224,6 +232,15 @@ class FusionData:
     pm: np.ndarray
     pm_gram_norm: float
     ops: DegradationOps = None
+
+    @cached_property
+    def _energies(self):
+        """|Yh|^2 and |Ym|^2, which the Gram-form fits start from
+        (:func:`_fit_pass`).  Formed on first use; ``dataclasses.replace``
+        builds a new instance, so the value never outlives the matrices."""
+        # in memory order: a view of a contiguous matrix of either layout
+        flats = self.hsi_mat.ravel(order="K"), self.msi_mat.ravel(order="K")
+        return tuple(float(flat @ flat) for flat in flats)
 
     @classmethod
     def from_tensors(cls, hsi, msi, ops):
@@ -349,15 +366,27 @@ def _reweight(maps, shape, cfg, with_tv=True):
 # objectives and block steps: each step returns (gradient, curvature bound)
 # ---------------------------------------------------------------------------
 
-def _fit_pass(x, m, target):
-    """1/2 |X M' - Y|^2 with X'X and X'Y.
+# a Gram-form fit below this share of |Y|^2 is scored from its residual
+_GRAM_FLOOR = 1e-5
 
-    The residual is formed transposed, M X' - Y': X' of a terms-major X is
-    C-contiguous, and so is the product, which ``vdot`` sums.
+
+def _fit_pass(x, m, target, energy):
+    """1/2 |X M' - Y|^2 with X'X and X'Y, given ``energy`` = |Y|^2.
+
+    The value is the Gram form 1/2 (|Y|^2 - 2 <X'Y, M'> + <X'X, M'M>), whose
+    rounding error is a few ulps of |Y|^2.  Where it reads below
+    ``_GRAM_FLOOR`` |Y|^2 that error could exceed ~1e-11 of the value, and
+    near an exact fit flip its sign, so there the residual is formed instead,
+    transposed, M X' - Y': X' of a terms-major X is C-contiguous, and so is
+    the product, which ``vdot`` sums.
     """
-    res = m @ x.T
-    res -= target.T
-    return 0.5 * float(np.vdot(res, res)), (x.T @ x, x.T @ target)
+    gram, cross = x.T @ x, x.T @ target
+    fit = 0.5 * (energy - 2.0 * float(np.vdot(cross, m.T)) + float(np.vdot(gram, m.T @ m)))
+    if fit < _GRAM_FLOOR * energy:
+        res = m @ x.T
+        res -= target.T
+        fit = 0.5 * float(np.vdot(res, res))
+    return fit, (gram, cross)
 
 
 def objective(maps, spectra, data, cfg, coarse):
@@ -368,11 +397,13 @@ def objective(maps, spectra, data, cfg, coarse):
 
     T is (P2 kron P1) S with known operators, and its majorizers are None; in
     the blind problem it is the coarse block and carries its own Schatten
-    term.  Both fits are residual-form passes (:func:`_fit_pass`); each
+    term.  Each fit is scored from the Grams it returns and the image's
+    energy, or from its residual near an exact fit (:func:`_fit_pass`); each
     penalty's value and majorizer come from one factorization
     (:func:`_reweight`)."""
-    fit, hsi_grams = _fit_pass(coarse, spectra, data.hsi_mat)
-    msi_fit, msi_grams = _fit_pass(maps, data.pm @ spectra, data.msi_mat)
+    hsi_energy, msi_energy = data._energies
+    fit, hsi_grams = _fit_pass(coarse, spectra, data.hsi_mat, hsi_energy)
+    msi_fit, msi_grams = _fit_pass(maps, data.pm @ spectra, data.msi_mat, msi_energy)
     fit += msi_fit
     f = fit + 0.5 * cfg.ridge_weight * float(np.sum(spectra**2))
     penalty, maps_majorizers = _reweight(maps, data.sri_dims[:2], cfg)

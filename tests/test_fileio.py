@@ -1,3 +1,4 @@
+import codecs
 import copy
 import math
 import re
@@ -365,6 +366,27 @@ def test_text_readers_name_the_file_and_the_byte_that_is_not_utf8(tmp_path, read
     with pytest.raises(error, match=re.escape(f"{path}: not UTF-8 text at byte 20")):
         reader(path)
 
+
+@pytest.mark.parametrize("reader, text", [(read_matrix_csv, "1.0,2.0\n3.0,4.0\n"),
+                                          (load_config, CONFIG_TEXT.lstrip())],
+                         ids=["csv", "config"])
+def test_text_readers_skip_a_utf8_byte_order_mark(tmp_path, reader, text):
+    # a file that starts with the UTF-8 byte-order mark, as some editors
+    # write it, reads as the file without it; a byte that is not UTF-8 after
+    # the mark is still named by its offset in the file
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    want = reader(path)
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    got = reader(path)
+    if isinstance(want, np.ndarray):
+        assert _same_bits(got, want)
+    else:
+        assert got == want
+    path.write_bytes(codecs.BOM_UTF8 + text.encode() + b"# caf\xe9\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: not UTF-8 text at byte {3 + len(text.encode()) + 5}")):
+        reader(path)
 
 def _damaged(valid):
     """Random bytes, ``valid`` with a few bytes overwritten, or ``valid`` cut short."""

@@ -324,6 +324,23 @@ def test_evaluate_scratch_is_band_sized(dims, order):
     assert peak <= 48 * dims[0] * dims[1] * 8, peak / (dims[0] * dims[1] * 8)
 
 
+@pytest.mark.parametrize("offset", [0.0, 3.0, 1e3])
+@pytest.mark.parametrize("dims", [(40, 36, 12), (9, 7, 3), (2, 23, 4), (16, 16, 1)])
+def test_c_and_f_ordered_pairs_score_alike(dims, offset):
+    # each band is scored in one pixel order whatever the cubes' memory
+    # layout, so C- and F-ordered copies of a pair give the same report bit
+    # for bit, per band included; a dead fiber makes SAM skip a pixel
+    ref, est = _random_pair(seed=sum(dims), dims=dims)
+    ref, est = ref + offset, est + offset
+    ref[0, 1, :] = 0.0
+    c_report, f_report = (
+        evaluate(np.asarray(ref, order=order), np.asarray(est, order=order),
+                 ratio=2, per_band=True).to_dict()
+        for order in "CF"
+    )
+    assert c_report["sam_skipped"] == 1
+    assert c_report == f_report
+
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(-1000, 1000),

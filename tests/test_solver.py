@@ -184,11 +184,85 @@ def test_fit_pass_matches_dense_residual_and_grams(seed, n_terms, bands, rows, f
     x = np.asarray(rng.normal(size=(rows, n_terms)), order=order)
     target = np.asarray(rng.normal(size=(rows, bands)), order=order)
     m = rng.normal(size=(bands, n_terms))
-    half_sq, (gram, cross) = solver._fit_pass(x, m, target)
+    half_sq, (gram, cross) = solver._fit_pass(x, m, target, float(np.sum(target**2)))
     assert half_sq == pytest.approx(0.5 * np.sum((x @ m.T - target) ** 2), rel=1e-13)
     assert rel_error(gram, x.T @ x) <= 1e-13
     assert rel_error(cross, x.T @ target) <= 1e-13
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_terms=st.integers(1, 4),
+    bands=st.integers(1, 6),
+    rows=st.integers(1, 400),
+    snr_db=st.floats(10.0, 40.0),
+)
+def test_fit_pass_scores_a_noisy_fit_from_its_grams(seed, n_terms, bands, rows, snr_db):
+    # Y = X M' + N at 10-40 dB: the fit is above the floor, so it is scored
+    # in Gram form, which moves with the energy it is given, and matches
+    # the dense residual to 1e-10 relative
+    rng = np.random.default_rng(seed)
+    x = np.asfortranarray(rng.uniform(size=(rows, n_terms)))
+    m = rng.uniform(size=(bands, n_terms))
+    signal = x @ m.T
+    noise = rng.normal(size=signal.shape)
+    noise *= math.sqrt(np.sum(signal**2) / np.sum(noise**2) * 10 ** (-snr_db / 10))
+    target = np.asfortranarray(signal + noise)
+    energy = float(np.sum(target**2))
+    half_sq, _ = solver._fit_pass(x, m, target, energy)
+    assert half_sq >= solver._GRAM_FLOOR * energy
+    assert half_sq == pytest.approx(0.5 * np.sum((x @ m.T - target) ** 2), rel=1e-10)
+    shifted, _ = solver._fit_pass(x, m, target, 1.5 * energy)
+    assert shifted - half_sq == pytest.approx(0.25 * energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-12])
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_pass_scores_a_near_exact_fit_from_its_residual(seed, noise):
+    # at Y = X M' and at 1e-12 noise the Gram form would be rounding noise
+    # of either sign; the value is the residual form's, bit for bit
+    rng = np.random.default_rng(seed)
+    x = np.asfortranarray(rng.uniform(size=(50, 3)))
+    m = rng.uniform(size=(8, 3))
+    target = np.asfortranarray(x @ m.T + noise * rng.normal(size=(50, 8)))
+    half_sq, _ = solver._fit_pass(x, m, target, float(np.sum(target**2)))
+    res = m @ x.T
+    res -= target.T
+    assert half_sq == 0.5 * float(np.vdot(res, res))
+    assert half_sq >= 0.0
+
+
+@pytest.mark.parametrize("blind", [False, True])
+def test_residual_scoring_gives_the_same_run(blind):
+    # the iteration reads the objective only in its stop rules: scoring
+    # every fit from its residual gives the same iterates and a trace within
+    # rounding of the Gram form's, which is what a default run scores
+    _, _, ops, hsi, msi = consistent_instance(seed=5, snr_db=30)
+    cfg = SolverConfig(ridge_weight=1e-6, max_iters=60, rel_tol=0.0)
+    gram = run_solver(hsi, msi, ops, blind, cfg)
+    with mock.patch.object(solver, "_GRAM_FLOOR", math.inf):
+        residual = run_solver(hsi, msi, ops, blind, cfg)
+    assert np.array_equal(gram.sri, residual.sri)
+    gap = np.abs(gram.objective_trace - residual.objective_trace)
+    assert np.all(gap <= 1e-11 * residual.objective_trace)
+    assert not np.array_equal(gram.objective_trace, residual.objective_trace)
+
+
+def test_fit_energies_follow_the_matrices():
+    # the energies are formed from the matrices the objective reads, so a
+    # replaced matrix gets its own, even after the original's were formed
+    data, _, maps, spectra, _ = random_instance(6)
+    assert data._energies == pytest.approx(
+        (np.sum(data.hsi_mat**2), np.sum(data.msi_mat**2)), rel=1e-14)
+    scaled = replace(data, hsi_mat=3.0 * data.hsi_mat, msi_mat=data.msi_mat / 2)
+    assert scaled._energies == pytest.approx(
+        (9.0 * data._energies[0], data._energies[1] / 4), rel=1e-14)
+    coarse = tied(maps, scaled)
+    dense = (0.5 * np.sum((coarse @ spectra.T - scaled.hsi_mat) ** 2)
+             + 0.5 * np.sum((maps @ (scaled.pm @ spectra).T - scaled.msi_mat) ** 2))
+    assert objective(maps, spectra, scaled, SolverConfig(), coarse)[3] == pytest.approx(
+        dense, rel=1e-12)
 
 @pytest.mark.parametrize("rows", [1, 5, 6, 7, 23])
 def test_add_fit_grad_adds_into_grad_or_returns_fresh(rows):
