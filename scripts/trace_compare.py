@@ -30,16 +30,18 @@ without or with the regularizers (``noisy fuse accel/none traces``, ...,
 group of traces, the objective rises summed over its traces in A and in B.
 With ``--max-rel-diff TOL`` it then names each summary group, and each
 metric (``metric ssim``, ``metric per_band/uiqi``, ...), whose difference
-exceeds TOL, and exits 1 if there is one.  A change meant to move only one
-kind of run (say, accelerated regularized runs, or only ``fuse``) is gated
-on the others this way, and the moved groups are reported on their own
-lines:
+exceeds TOL, and each array present in one file only or at two shapes (a
+trace one sweep longer, say), and exits 1 if there is one.  A change meant
+to move only one kind of run (say, accelerated regularized runs, or only
+``fuse``) is gated on the others this way, and the moved groups are
+reported on their own lines:
 
     python scripts/trace_compare.py --compare old.npz new.npz --max-rel-diff 1e-12
 """
 
 import argparse
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -158,12 +160,14 @@ def compare(path_a, path_b):
     worst = {}  # metric name -> (largest relative difference, key)
     groups = {}  # summary group -> (largest relative difference, key)
     rises = {}  # summary group of traces -> (rises in A, rises in B)
+    unmatched = {}  # key -> why it has no counterpart to compare with
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
-            print(f"{key:40s} only in {path_a if key in a else path_b}")
-            continue
-        if a[key].shape != b[key].shape:
-            print(f"{key:40s} shapes differ: {a[key].shape} vs {b[key].shape}")
+            unmatched[key] = f"only in {path_a if key in a else path_b}"
+        elif a[key].shape != b[key].shape:
+            unmatched[key] = f"shapes differ: {a[key].shape} vs {b[key].shape}"
+        if key in unmatched:
+            print(f"{key:40s} {unmatched[key]}")
             continue
         same = np.array_equal(a[key], b[key])
         equal += same
@@ -194,7 +198,8 @@ def compare(path_a, path_b):
     for group, (in_a, in_b) in rises.items():
         print(f"rises {group:36s} {in_a} -> {in_b}")
     return {**{group: rel for group, (rel, _) in groups.items()},
-            **{f"metric {metric}": rel for metric, (rel, _) in worst.items()}}
+            **{f"metric {metric}": rel for metric, (rel, _) in worst.items()},
+            **{f"array {key} ({why})": math.inf for key, why in unmatched.items()}}
 
 
 def main():
@@ -206,7 +211,7 @@ def main():
                     help="source tree holding the hsrfuse package (default: this repo's src)")
     ap.add_argument("--max-rel-diff", type=float, metavar="TOL",
                     help="with --compare: exit 1 if a summary group or a metric differs "
-                         "by more than TOL")
+                         "by more than TOL, or an array is unmatched")
     args = ap.parse_args()
     if args.out:
         if args.max_rel_diff is not None:

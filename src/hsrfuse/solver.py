@@ -16,27 +16,34 @@ when blind), and one objective and one spectra step serve both.
 
 Both solvers run on unit-scale data and start from it.  Setup divides both
 images by s, the RMS of the MSI: the weights, ``tau``, ``epsilon`` and the
-ridge act on unit-RMS data, and scaling both images by a scales the SRI by
-a (bit for bit when a is a power of two, since every rounding scales with
-it).  A factor not warm-started is derived from the scaled data
-(:func:`_solve`): the spectra C by successive projection (SPA) on the HSI
-pixels (:func:`_spa`), the maps S by projected gradient steps on the MSI fit
-at C, and, blind, T by gradient steps on the HSI fit at C, all through the
-steps the sweeps use (:func:`_fit_steps`); nothing is drawn at random.  SPA
-assumes that pure pixels exist; on a scene without them it picks the most
-extreme pixels, and the sweeps carry the fit from there.  The objective
-trace is the unit-scale problem's.  The returned spectra are multiplied
-back by s, so they are in the images' units and the maps are unit-free, and
-the SRI is formed once, from them.
+ridge act on unit-RMS data, and scaling both images by a scales the SRI by a
+(bit for bit when a is a power of two and every scaled entry a normal
+double, since every rounding scales with it: s is 2^e times the RMS of the
+MSI times 2^-e, whose largest magnitude is in [0.5, 1), so no square in it
+overflows or underflows).  A factor not warm-started is derived from the
+scaled data (:func:`_solve`): the spectra C by successive projection (SPA)
+on the HSI pixels (:func:`_spa`), the maps S by projected gradient steps on
+the MSI fit at C, and, blind, T by gradient steps on the HSI fit at C, all
+through the steps the sweeps use (:func:`_fit_steps`); nothing is drawn at
+random.  SPA assumes that pure pixels exist; on a scene without them it
+picks the most extreme pixels, and the sweeps carry the fit from there.  The
+objective trace is the unit-scale problem's.  The returned spectra are
+multiplied back by s, so they are in the images' units and the maps are
+unit-free, and the SRI is formed once, from them.
 
 Both problems have the same three blocks, C, S and T, and one driver,
-:func:`_run`, moves them in that order each sweep.  Each block step returns
-its gradient and L, a cheap upper bound on the block curvature (exact for
-the small Gram terms, operator-norm products elsewhere), and the driver hands
-both to :func:`apg_step`, which moves C and S 1/L from their anchors,
-projected onto the nonnegative orthant, so the unaccelerated iteration
-decreases the objective monotonically.  The blind T takes the same step
-without projection; the tied T is (P2 kron P1) of the new maps.  Nesterov extrapolation, one momentum per
+:func:`_sweeps`, moves them in that order each sweep.  It is a stream: it
+yields the objective, the fit and the factors C and S at the start and after
+every sweep, and it never stops; :func:`_solve` records the trace and
+applies the stop rules to the records, and closes the stream.  The factors a
+record holds are the driver's own, valid until the next sweep, which may
+write them.  Each block step returns its gradient and L, a cheap upper bound
+on the block curvature (exact for the small Gram terms, operator-norm
+products elsewhere), and the driver hands both to :func:`apg_step`, which
+moves C and S 1/L from their anchors, projected onto the nonnegative
+orthant, so the unaccelerated iteration decreases the objective
+monotonically.  The blind T takes the same step without projection; the tied
+T is (P2 kron P1) of the new maps.  Nesterov extrapolation, one momentum per
 sweep for every block, is on by default; gradients and bounds are evaluated
 at the anchor.  The tied T's anchor is then the image of the maps' anchor,
 since the operator is linear, so the maps step reads it without applying the
@@ -47,14 +54,20 @@ without extrapolation that iterate is the anchor, so the plain iteration is
 the exact gradient step; with it the penalty gradient is p W(X) Z, that of
 the majorizer at X, where Z is the extrapolated anchor.
 
-A run ends after ``max_iters`` sweeps, or after a sweep that lowers the
-objective by at most ``rel_tol`` relative, or, with no TV or Schatten
-penalty, after the first sweep whose fit 1/2 |Yh - T C'|^2 +
-1/2 |Ym - S (PM C)'|^2 is at most half the noise energy of the two images:
-Morozov's discrepancy principle (1966).  An unpenalized fit that goes on
-fits the noise, and its error grows.  Each image's noise energy is read at
-setup from the eigenvalues of its band Gram beyond the R-dimensional signal
-subspace (:func:`_noise_energy`); a penalized run keeps the other two rules.
+Three rules end a run, each read after every sweep in this order, and the
+first that holds names the stop: with no TV or Schatten penalty, the fit
+1/2 |Yh - T C'|^2 + 1/2 |Ym - S (PM C)'|^2 is at most half the noise energy
+of the two images (Morozov's discrepancy principle, 1966; an unpenalized fit
+that goes on fits the noise, and its error grows); the sweep lowered the
+objective by at most ``rel_tol`` relative (a sweep that raised it never
+counts); the run has taken ``max_iters`` sweeps.  So a sweep that stalls at
+the cap reports ``rel_tol``, and ``max_iters=0`` records the start alone.
+Each image's noise energy is read at setup from the eigenvalues of its band
+Gram beyond the R-dimensional signal subspace (:func:`_noise_energy`); a
+penalized run keeps the other two rules.  A non-finite objective, a Gram
+whose eigendecomposition fails because it is no longer finite, or an SRI
+beyond the largest double in the images' units raises
+:class:`NumericalError` with the trace recorded so far.
 
 The objective and every step take the factors (S, C, T) themselves; T is
 the coarse block in the blind problem and (P2 kron P1) S otherwise.  The maps
@@ -116,6 +129,7 @@ contiguous, and the SRI refolds without a copy.
 
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -524,46 +538,23 @@ def extrapolate(x_new, x_old, gamma_old):
     return x_old, gamma_new
 
 
-class _Trace:
-    def __init__(self):
-        self.values = []
-        self.elapsed = []
-        self._start = time.perf_counter()
-
-    def record(self, value):
-        if not math.isfinite(value):
-            raise NumericalError(
-                "objective became non-finite; step sizes no longer control the iteration",
-                trace=np.asarray(self.values),
-                elapsed=np.asarray(self.elapsed),
-            )
-        self.values.append(value)
-        self.elapsed.append(time.perf_counter() - self._start)
-
-    def stalled(self, rel_tol):
-        """Whether the last sweep lowered the objective by at most ``rel_tol``
-        relative; a sweep that raised it never counts as stalled."""
-        prev, last = self.values[-2], self.values[-1]
-        return 0.0 <= prev - last <= rel_tol * abs(prev)
-
-
-def _run(factors, data, cfg, max_iters, noise_level, trace):
-    """Block-coordinate driver shared by both solvers: each sweep moves the
-    spectra C, the maps S and the coarse factor T, in that order.
+def _sweeps(factors, data, cfg):
+    """Block-coordinate driver shared by both solvers: a stream of sweeps,
+    each moving the spectra C, the maps S and the coarse factor T, in that
+    order.
 
     ``factors`` is [C, S, T] when blind and [C, S] with known operators, for
     which T = (P2 kron P1) S is formed here and, each sweep, from the new S.
-    Each step reads the blocks before it at their new values and the Grams
-    and majorizers of the last objective: so the Grams hold for the blocks no
+    Yields (objective, fit, C, S) at the start and after every sweep, with
+    the fit the sum of the two fit terms; the yielded factors are the
+    driver's own and valid until the next sweep, which may write them.  Each
+    step reads the blocks before it at their new values and the Grams and
+    majorizers of the last objective: so the Grams hold for the blocks no
     earlier step of the sweep has moved, and each block's majorizers are
     anchored at its last scored iterate, the point its anchor is extrapolated
     from.  Each step returns a fresh gradient, ``apg_step`` writes the new
     factor over it and ``extrapolate`` writes the next anchor over the factor
     it retires, so a sweep keeps two arrays per block: factor and anchor.
-    The run stops after the first sweep whose fit is at most
-    ``noise_level`` (None: never), or that ``cfg.rel_tol`` calls stalled.
-    Objective values go to ``trace``.  Returns the spectra and maps and the
-    stop reason.
     """
     known = data.ops is not None
     if known:
@@ -571,10 +562,10 @@ def _run(factors, data, cfg, max_iters, noise_level, trace):
         factors.append(_apply_ph(factors[1], p1, p2))
     anchors = list(factors)
     gamma = 1.0
-    c, s, t = factors
-    f, grams, (maps_major, coarse_major), _ = objective(s, c, data, cfg, t)
-    trace.record(f)
-    for _ in range(max_iters):
+    while True:
+        c, s, t = factors
+        f, grams, (maps_major, coarse_major), fit = objective(s, c, data, cfg, t)
+        yield f, fit, c, s
         c_anchor, s_anchor, t_anchor = anchors
         c = apg_step(c_anchor, *spectra_step(c_anchor, grams, data, cfg))
         s = apg_step(s_anchor, *maps_step(s_anchor, c, data, maps_major, t_anchor))
@@ -592,13 +583,6 @@ def _run(factors, data, cfg, max_iters, noise_level, trace):
         else:
             anchors = [c, s, t]
         factors = [c, s, t]
-        f, grams, (maps_major, coarse_major), fit = objective(s, c, data, cfg, t)
-        trace.record(f)
-        if noise_level is not None and fit <= noise_level:
-            return (c, s), "noise_level"
-        if trace.stalled(cfg.rel_tol):
-            return (c, s), "rel_tol"
-    return (c, s), "max_iters"
 
 
 def _warm_start(given, shape, label):
@@ -669,7 +653,8 @@ def _solve(data, n_terms, cfg, init):
     data: the spectra first, then the maps and, in the blind problem
     (``data.ops`` is None), the coarse maps from them.  Warm-start spectra
     are divided by s, and the returned spectra and noise energies are
-    multiplied back."""
+    multiplied back.  The run is :func:`_sweeps`'s stream, whose records
+    this function alone traces, times and stops (see the module docstring)."""
     cfg = cfg if cfg is not None else SolverConfig()
     if not isinstance(cfg, SolverConfig):
         raise ValueError(f"cfg must be a SolverConfig, got {type(cfg).__name__}")
@@ -689,37 +674,67 @@ def _solve(data, n_terms, cfg, init):
         for shape, given, label in zip(shapes, init, labels)
     ]
 
-    trace = _Trace()  # the clock runs from here: the timings include the start
-    # s > 0: FusionData refuses an all-zero image
-    scale = float(np.linalg.norm(data.msi_mat)) / math.sqrt(data.msi_mat.size)
+    values, elapsed = [], []  # the trace, timed from here: the timings include the start
+    start = time.perf_counter()
+
+    def failure(message):
+        return NumericalError(message, trace=np.asarray(values), elapsed=np.asarray(elapsed))
+
+    # s > 0: FusionData refuses an all-zero image; it is read at 2^-e, where
+    # the MSI's largest magnitude is in [0.5, 1)
+    e = math.frexp(max(float(data.msi_mat.max()), -float(data.msi_mat.min())))[1]
+    rms = float(np.linalg.norm(np.ldexp(data.msi_mat, -e))) / math.sqrt(data.msi_mat.size)
+    scale = math.ldexp(rms, e)
     data = replace(data, hsi_mat=data.hsi_mat / scale, msi_mat=data.msi_mat / scale)
-    if spectra is None:
-        spectra = _spa(data.hsi_mat, n_terms)
-    else:
-        spectra /= scale
-    if maps is None:
-        maps = _fit_steps(data.pm @ spectra, data.msi_mat, project=True)
-    if coarse and coarse[0] is None:
-        coarse = [_fit_steps(spectra, data.hsi_mat, project=False)]
+    try:
+        if spectra is None:
+            spectra = _spa(data.hsi_mat, n_terms)
+        else:
+            spectra /= scale
+        if maps is None:
+            maps = _fit_steps(data.pm @ spectra, data.msi_mat, project=True)
+        if coarse and coarse[0] is None:
+            coarse = [_fit_steps(spectra, data.hsi_mat, project=False)]
 
-    noise, noise_level = None, None
-    if (cfg.tv_weight == cfg.lowrank_weight == 0 and cfg.rel_tol > 0
-            and min(data.hsi_mat.shape[1], data.msi_mat.shape[1]) > n_terms):
-        noise = (_noise_energy(data.hsi_mat, n_terms), _noise_energy(data.msi_mat, n_terms))
-        noise_level = 0.5 * (noise[0] + noise[1])
-        noise = (noise[0] * scale**2, noise[1] * scale**2)
+        noise, noise_level = None, None
+        if (cfg.tv_weight == cfg.lowrank_weight == 0 and cfg.rel_tol > 0
+                and min(data.hsi_mat.shape[1], data.msi_mat.shape[1]) > n_terms):
+            noise = (_noise_energy(data.hsi_mat, n_terms), _noise_energy(data.msi_mat, n_terms))
+            noise_level = 0.5 * (noise[0] + noise[1])
+            # a Python float product saturates at inf, where scale**2 raises
+            noise = (noise[0] * scale * scale, noise[1] * scale * scale)
 
-    # the driver alone holds the solve's factors and anchors, so these are
-    # freed before the report allocates the SRI
-    (spectra, maps), stop_reason = _run([spectra, maps, *coarse], data, cfg, max_iters,
-                                        noise_level, trace)
+        # closing the stream frees the anchors and the coarse factor, which
+        # it alone holds, before the SRI is allocated
+        with closing(_sweeps([spectra, maps, *coarse], data, cfg)) as stream:
+            for f, fit, spectra, maps in stream:
+                if not math.isfinite(f):
+                    raise failure(
+                        "objective became non-finite; step sizes no longer control the iteration")
+                values.append(f)
+                elapsed.append(time.perf_counter() - start)
+                swept = len(values) > 1
+                if swept and noise_level is not None and fit <= noise_level:
+                    stop_reason = "noise_level"
+                elif swept and 0.0 <= values[-2] - f <= cfg.rel_tol * abs(values[-2]):
+                    stop_reason = "rel_tol"  # a sweep that raised the objective never stalls
+                elif len(values) > max_iters:
+                    stop_reason = "max_iters"
+                else:
+                    continue
+                break
+    except np.linalg.LinAlgError as exc:
+        raise failure(f"a Gram of the data or the factors became non-finite ({exc})") from exc
     spectra *= scale
+    # every SRI entry is at most sum_r max|c_r| max|s_r|
+    if not math.isfinite(float(np.abs(spectra).max(axis=0) @ np.abs(maps).max(axis=0))):
+        raise failure("the SRI overflows in the images' units")
     return FusionReport(
         sri=refold((spectra @ maps.T).T, data.sri_dims),
         maps=maps,
         spectra=spectra,
-        objective_trace=np.asarray(trace.values),
-        elapsed=np.asarray(trace.elapsed),
+        objective_trace=np.asarray(values),
+        elapsed=np.asarray(elapsed),
         stop_reason=stop_reason,
         noise_energy=noise,
         data_scale=scale,

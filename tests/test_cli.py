@@ -186,7 +186,8 @@ def test_fuse_reports_the_noise_level_stop(tmp_path):
     # the images divided by the data scale, and reported in the images' units
     scale = report["data_scale"]
     assert report["noise_energy"] == {
-        name: _noise_energy(unfold(read_htf(sim / f"{name.upper()}.htf")) / scale, 2) * scale**2
+        name: _noise_energy(unfold(read_htf(sim / f"{name.upper()}.htf")) / scale, 2)
+        * scale * scale
         for name in ("hsi", "msi")
     }
 
@@ -575,6 +576,23 @@ def test_numerical_failure_flushes_trace(tmp_path, monkeypatch, capsys):
     assert trace[0] == "iteration,objective,elapsed"
     assert len(trace) == 4  # header + the three flushed entries
     assert not (tmp_path / "diverged" / "SRI.htf").exists()
+
+
+def test_overflowing_products_are_a_numerical_failure(tmp_path, capsys):
+    # an HSI 2^600 times the MSI's scale overflows its band Gram, which the
+    # noise-level rule reads: exit 4 with the (empty) trace written, not a
+    # configuration error
+    sim = _simulate(tmp_path, snr="30")
+    write_htf(sim / "HSI.htf", np.ldexp(read_htf(sim / "HSI.htf"), 600))
+    cfg = _fuse_config(tmp_path, sim, out="overflowed", iters=5)
+    cfg.write_text(cfg.read_text().replace("rel_tol = 0\n", ""))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["fuse", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Gram" in err
+    trace = (tmp_path / "overflowed" / "trace.csv").read_text().splitlines()
+    assert trace == ["iteration,objective,elapsed"]
+    assert not (tmp_path / "overflowed" / "SRI.htf").exists()
 
 
 def test_module_entry_point_prints_the_version():

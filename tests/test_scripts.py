@@ -15,8 +15,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     [
         # four default noise levels, the known and the blind solver each
         ("snr_sweep.py", "snr_db,solver,rsnr_db,ssim,cc,uiqi,rmse,ergas,sam_rad", 8),
-        # the initial objective and one value per iteration
-        ("convergence_compare.py", "iteration,plain,accelerated", 6),
     ],
 )
 def test_script_runs_and_writes_its_csv(tmp_path, script, header, rows):
@@ -49,7 +47,7 @@ def test_trace_compare_fails_on_groups_above_the_tolerance(tmp_path):
                      "noisy0/fuse/accel/none/trace": trace * (1 + 1e-9),
                      "noisy0/fuse/accel/none/metrics/rsnr_db": np.array(20.0 * (1 + 1e-9))})
 
-    def compare(*extra):
+    def compare(*extra, new=new):
         return subprocess.run(
             [sys.executable, str(SCRIPTS / "trace_compare.py"), "--compare", str(old), str(new),
              *extra],
@@ -67,3 +65,19 @@ def test_trace_compare_fails_on_groups_above_the_tolerance(tmp_path):
     for run in (compare("--max-rel-diff", "1e-6"), compare()):
         assert run.returncode == 0, run.stderr
         assert not any(line.startswith("FAIL") for line in run.stdout.splitlines())
+
+    # a trace one sweep longer, and an array only one recording holds, fail
+    # any tolerance: no difference can be read from them
+    mismatched = tmp_path / "mismatched.npz"
+    np.savez(mismatched, **{**arrays, "noisy0/fuse/accel/none/trace": np.append(trace, 0.5),
+                            "noisy1/fuse/accel/none/trace": trace})
+    run = compare("--max-rel-diff", "1e6", new=mismatched)
+    assert run.returncode == 1, run.stderr
+    failed = [line for line in run.stdout.splitlines() if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL array noisy0/fuse/accel/none/trace (shapes differ: (3,) vs (4,)): "
+        "max_rel_diff inf > 1.000e+06",
+        f"FAIL array noisy1/fuse/accel/none/trace (only in {mismatched}): "
+        "max_rel_diff inf > 1.000e+06",
+    ]
+    assert compare(new=mismatched).returncode == 0

@@ -557,16 +557,59 @@ def test_extrapolate_golden_ratio_start():
     assert check is x_old and np.array_equal(x_new, [1.0, 2.0, 3.0])
 
 
-def test_rel_tol_never_stops_on_a_rise():
-    trace = solver._Trace()
-    trace.record(10.0)
-    trace.record(10.0 + 1e-6)
-    assert not trace.stalled(1e-4)  # a rise, however small against rel_tol
-    assert not trace.stalled(1.0)
-    trace.record(10.0 - 1e-6)
-    assert trace.stalled(1e-4)  # a small drop
-    trace.record(9.0)
-    assert not trace.stalled(1e-4)  # a large drop
+def scripted_sweeps(monkeypatch, objectives, fit=math.inf):
+    """Make the solvers' sweep stream report ``objectives`` in turn, and
+    ``fit`` as every fit, around the real sweeps; the stream ends with them."""
+    sweeps = solver._sweeps
+
+    def scripted(factors, data, cfg):
+        for f, (_, _, spectra, maps) in zip(objectives, sweeps(factors, data, cfg)):
+            yield f, fit, spectra, maps
+
+    monkeypatch.setattr(solver, "_sweeps", scripted)
+
+
+def test_rel_tol_never_stops_on_a_rise(monkeypatch):
+    # a rise, however small against rel_tol, never stalls the run; then a
+    # large drop does not (under rel_tol = 1e-4) and a small one does
+    _, _, ops, hsi, msi = consistent_instance(seed=4, dims=(8, 8, 8))
+    objectives = [10.0, 10.0 + 1e-6, 9.0, 9.0 - 1e-6]
+    scripted_sweeps(monkeypatch, objectives)
+    for blind in (False, True):
+        report = run_solver(hsi, msi, ops, blind, SolverConfig(max_iters=10, rel_tol=1e-4))
+        assert report.stop_reason == "rel_tol"
+        assert report.objective_trace.tolist() == objectives
+        # with rel_tol = 1 every drop stalls, but the rise still does not
+        report = run_solver(hsi, msi, ops, blind, SolverConfig(max_iters=10, rel_tol=1.0))
+        assert report.stop_reason == "rel_tol"
+        assert report.objective_trace.tolist() == objectives[:3]
+
+
+@pytest.mark.parametrize("blind", [False, True])
+def test_stop_rules_apply_in_order_after_each_sweep(monkeypatch, blind):
+    _, _, ops, hsi, msi = consistent_instance(seed=4, dims=(8, 8, 8), snr_db=30.0)
+    # no sweep: the start alone, stopped by the cap
+    for cfg in (SolverConfig(max_iters=0), SolverConfig(max_iters=0, rel_tol=0.0)):
+        report = run_solver(hsi, msi, ops, blind, cfg)
+        assert report.stop_reason == "max_iters" and len(report.objective_trace) == 1
+    # a sweep that stalls on the capped sweep reports rel_tol
+    penalized = dict(ridge_weight=1e-3, tv_weight=1e-2, rel_tol=1e-3)
+    free = run_solver(hsi, msi, ops, blind, SolverConfig(max_iters=300, **penalized))
+    assert free.stop_reason == "rel_tol" and 1 < free.iterations < 300
+    capped = run_solver(hsi, msi, ops, blind,
+                        SolverConfig(max_iters=free.iterations, **penalized))
+    assert capped.stop_reason == "rel_tol" and capped.converged
+    assert np.array_equal(capped.objective_trace, free.objective_trace)
+    capped = run_solver(hsi, msi, ops, blind,
+                        SolverConfig(max_iters=free.iterations - 1, **penalized))
+    assert capped.stop_reason == "max_iters" and not capped.converged
+    assert np.array_equal(capped.objective_trace, free.objective_trace[:-1])
+    # the noise level wins over rel_tol on the same sweep, and neither rule
+    # reads the start: a fit below the noise level from the start stops the
+    # run after the first sweep, which rel_tol = 1 also calls stalled
+    scripted_sweeps(monkeypatch, [2.0, 1.0, 0.5], fit=0.0)
+    report = run_solver(hsi, msi, ops, blind, SolverConfig(max_iters=10, rel_tol=1.0))
+    assert report.stop_reason == "noise_level" and report.objective_trace.tolist() == [2.0, 1.0]
 
 
 def test_accelerated_run_does_not_stop_on_a_rise(monkeypatch):
@@ -637,7 +680,7 @@ def test_unpenalized_run_stops_at_the_noise_level(blind):
     noise = (_noise_energy(unfold(hsi) / scale, 3), _noise_energy(unfold(msi) / scale, 3))
     trace = report.objective_trace
     assert report.stop_reason == "noise_level" and report.converged
-    assert report.noise_energy == (noise[0] * scale**2, noise[1] * scale**2)
+    assert report.noise_energy == (noise[0] * scale * scale, noise[1] * scale * scale)
     assert trace[-1] <= 0.5 * (noise[0] + noise[1]) < trace[-2]
     # rel_tol = 0 runs every sweep of the same trajectory and estimates nothing
     full, _, _ = _solve_noisy(blind, max_iters=report.iterations + 20, rel_tol=0.0)
@@ -771,14 +814,17 @@ def test_warm_start_spectra_are_in_data_units():
 
 
 @settings(max_examples=20, deadline=None)
-@given(**SOLVER_RUNS, k=st.integers(-40, 40), log_a=st.floats(-8.0, 8.0))
+@given(**SOLVER_RUNS, k=st.integers(-1000, 1000), log_a=st.floats(-8.0, 8.0))
 def test_solvers_are_scale_equivariant(seed, rows, cols, blind, accelerate, regularized, k, log_a):
     # both solvers divide the images by the MSI's RMS and start from them, so
     # scaling both images by a scales the SRI by a, weights unchanged.  With
     # a = 2^k every division and product rounds as at scale 1: the trace is
-    # the same and the SRI a times the scale-1 SRI, bit for bit.  Any other
-    # a rounds the division, and the SRIs agree to 1e-10 relative (3e-14
-    # was the largest difference over 200 such runs)
+    # the same and the SRI a times the scale-1 SRI, bit for bit, over the
+    # k for which every scaled entry stays a normal double (the data scale
+    # is found without squaring the entries, which would overflow or
+    # underflow from |k| ~ 510 on).  Any other a rounds the division, and
+    # the SRIs agree to 1e-10 relative (3e-14 was the largest difference
+    # over 200 such runs)
     _, _, ops, hsi, msi = consistent_instance(seed=seed, dims=(rows, cols, 8), snr_db=30.0)
     cfg = property_config(regularized, max_iters=15, accelerate=accelerate)
     base = run_solver(hsi, msi, ops, blind, cfg)
@@ -1018,18 +1064,19 @@ def test_sweeps_hold_no_image_sized_temporary_and_leak_nothing(monkeypatch, blin
     # from the fourth sweep on, the peak each sweep adds to what was live
     # when it began stays below an image plus a maps factor (the steps'
     # gradients and products; an SRI-sized temporary would be 131 KB against
-    # 49 KB), and what is live at each trace record grows by less than 1 KB
-    # a sweep (the trace's own entries)
+    # 49 KB), and what is live at each record of the sweep stream grows by
+    # less than 1 KB a sweep (the trace's own entries)
     _, _, ops, hsi, msi = consistent_instance(seed=15, dims=(32, 32, 16), snr_db=30.0)
     marks = []
-    record = solver._Trace.record
+    sweeps = solver._sweeps
 
-    def marked(self, value):
-        record(self, value)
-        marks.append(tracemalloc.get_traced_memory())
-        tracemalloc.reset_peak()
+    def marked(factors, data, cfg):
+        for record in sweeps(factors, data, cfg):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            yield record
 
-    monkeypatch.setattr(solver._Trace, "record", marked)
+    monkeypatch.setattr(solver, "_sweeps", marked)
     cfg = SolverConfig(max_iters=6, rel_tol=0.0, accelerate=accelerate)
     tracemalloc.start()
     try:
@@ -1102,6 +1149,33 @@ def test_non_finite_initial_objective_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError):
             fuse(hsi, msi, ops, 2, SolverConfig(), init=(huge, np.ones((8, 2))))
+
+
+@pytest.mark.parametrize("blind", [False, True])
+def test_overflowing_products_raise_a_numerical_error(blind):
+    # an HSI 2^600 times the MSI's scale: a Gram of the start overflows and
+    # its eigendecomposition fails; that is reported as a numerical failure
+    # with the (empty) trace, not as numpy's LinAlgError, a ValueError
+    _, _, ops, hsi, msi = consistent_instance(seed=9, dims=(8, 8, 8), snr_db=30.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="Gram .* became non-finite") as failure:
+            run_solver(np.ldexp(hsi, 600), msi, ops, blind, SolverConfig())
+    assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
+    assert failure.value.trace.shape == failure.value.elapsed.shape == (0,)
+
+
+@pytest.mark.parametrize("blind", [False, True])
+def test_an_sri_beyond_the_largest_double_raises(blind):
+    # the unit-scale objective is finite, but the SRI of the warm start in
+    # the images' units (entries ~1e310) is not
+    _, _, ops, hsi, msi = consistent_instance(seed=9, dims=(8, 8, 8), snr_db=30.0)
+    init = (np.full((64, 2), 1e10), np.full((8, 2), 1e300), np.ones((16, 2)))
+    cfg = SolverConfig(max_iters=0)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericalError, match="SRI overflows") as failure:
+        run_solver(np.ldexp(hsi, 900), np.ldexp(msi, 900), ops, blind, cfg,
+                   init=init if blind else init[:2])
+    assert len(failure.value.trace) == len(failure.value.elapsed) == 1
 
 
 def test_data_shape_validation():
