@@ -25,9 +25,10 @@ largest relative difference over all scored pairs.  It ends with summary
 lines, the largest relative difference in each group: the noisy traces and
 the noisy SRIs of each solver, each split into accelerated or plain runs
 without or with the regularizers (``noisy fuse accel/none traces``, ...,
-``noisy fuse_blind plain/reg SRIs``), the criterion-1 traces of each solver
-(``criterion1 fuse_blind traces``) and the ``cli96`` estimate; and, per
-group of traces, the objective rises summed over its traces in A and in B.
+``noisy fuse_blind plain/reg SRIs``), the criterion-1 traces and SRIs of each
+solver (``criterion1 fuse_blind traces``, ``criterion1 fuse SRIs``, ...) and
+the ``cli96`` estimate; and, per group of traces, the objective rises summed
+over its traces in A and in B.
 With ``--max-rel-diff TOL`` it then names each summary group, and each
 metric (``metric ssim``, ``metric per_band/uiqi``, ...), whose difference
 exceeds TOL, and each array present in one file only or at two shapes (a
@@ -146,9 +147,10 @@ SUMMARY_GROUPS = {
                                          key.startswith("noisy") and key.endswith(suffix))
        for kind, label in (("trace", "traces"), ("sri", "SRIs"))
        for solver in SOLVERS for tag in RUN_TAGS},
-    **{f"criterion1 {solver} traces": (lambda key, prefix=f"criterion1/{solver}/":
-                                       key.startswith(prefix) and key.endswith("/trace"))
-       for solver in SOLVERS},
+    **{f"criterion1 {solver} {label}": (lambda key, prefix=f"criterion1/{solver}/",
+                                        suffix=f"/{kind}":
+                                        key.startswith(prefix) and key.endswith(suffix))
+       for kind, label in (("trace", "traces"), ("sri", "SRIs")) for solver in SOLVERS},
     "cli96 estimate": lambda key: key == "cli96/estimate",
 }
 

@@ -62,25 +62,28 @@ that goes on fits the noise, and its error grows); the sweep lowered the
 objective by at most ``rel_tol`` relative (a sweep that raised it never
 counts); the run has taken ``max_iters`` sweeps.  So a sweep that stalls at
 the cap reports ``rel_tol``, and ``max_iters=0`` records the start alone.
-Each image's noise energy is read at setup from the eigenvalues of its band
-Gram beyond the R-dimensional signal subspace (:func:`_noise_energy`); a
-penalized run keeps the other two rules.  A non-finite objective, a Gram
-whose eigendecomposition fails because it is no longer finite, or an SRI
-beyond the largest double in the images' units raises
-:class:`NumericalError` with the trace recorded so far.
+``rel_tol=0`` turns off the first two rules, so the run takes exactly
+``max_iters`` sweeps.  Each image's noise energy is read at setup from the
+eigenvalues of its band Gram beyond the R-dimensional signal subspace
+(:func:`_noise_energy`); a penalized run keeps the other two rules.  A
+non-finite objective, a Gram whose eigendecomposition fails because it is no
+longer finite, or an SRI beyond the largest double in the images' units
+raises :class:`NumericalError` with the trace recorded so far.
 
 The objective and every step take the factors (S, C, T) themselves; T is
-the coarse block in the blind problem and (P2 kron P1) S otherwise.  The maps
-block and the coarse block share one image-block term, the Gram-form fit
-X M'M - Y M plus the map penalties, so no full-size residual is built for a
-gradient, and M'M is formed once per step for the gradient and the bound.
-Each penalty contributes through its own majorizer in ``regularizers``,
-which gives the penalty value, weights and curvature of a stack of maps from
-one factorization per map, and the majorizer's gradient at any point from
-the weights; the solver calls each penalty once on the (R, I, J) stack of a
-block's maps and weights the result.  The maps step of the known problem
-adds the coarse step's fit term, without penalties, carried back through
-(P2 kron P1)'.
+the coarse block in the blind problem and (P2 kron P1) S otherwise.  Every
+block's fit gradient is :func:`_fit_grad`, the Gram form X M'M - Y M of
+1/2 |Y - X M'|^2, so no full-size residual is built for a gradient.  The
+maps and coarse blocks share one image-block term, that fit plus the map
+penalties, with M'M formed once per step for the gradient and the bound; the
+spectra step takes it of each fit term by the chain rule.  Each penalty
+contributes through its own majorizer in ``regularizers``, which gives the
+penalty value, weights and curvature of a stack of maps from one
+factorization per map, and the majorizer's gradient at any point from the
+weights; the solver calls each penalty once on the (R, I, J) stack of a
+block's maps and weights the result.  The known maps step adds the tied HSI
+term to the MSI block's gradient: the coarse step's fit term, without
+penalties, carried back through (P2 kron P1)'.
 
 Products are shared.  An iteration applies (P2 kron P1) once, to the new
 maps for the tied T, and its transpose once, in the maps gradient; both
@@ -429,42 +432,39 @@ def objective(maps, spectra, data, cfg, coarse):
     return f, (hsi_grams, msi_grams), (maps_majorizers, coarse_majorizers), fit
 
 
-def spectra_step(spectra, grams, data, cfg):
-    """Spectra-block gradient and curvature bound, from the fit Grams
-    ((T'T, T'Yh), (S'S, S'Ym)) that :func:`objective` returns at (S, T)."""
-    (coarse_gram, coarse_cross), (gram, cross) = grams
-    pm = data.pm
-    # C's Hessian is T'T + S'S kron PM'PM whether T is free or T = P_H S
-    curv = data.pm_gram_norm * _top_eigenvalue(gram) + _top_eigenvalue(coarse_gram)
-    grad = (coarse_gram @ spectra.T).T
-    grad += pm.T @ (pm @ spectra) @ gram
-    grad += cfg.ridge_weight * spectra
-    grad -= coarse_cross.T
-    grad -= pm.T @ cross.T
-    return grad, curv + cfg.ridge_weight
-
-
-def _add_fit_grad(x, mtm, ym, grad=None):
-    """Add the gradient in X of 1/2 |Y - X M'|^2, in Gram form X M'M - Y M
-    with ``mtm`` = M'M and ``ym`` = Y M (terms-major), into the terms-major
-    ``grad``, or return it as a fresh array when ``grad`` is None: M'M X' is
-    added transposed, then Y M subtracted."""
-    if grad is None:
-        grad = (mtm @ x.T).T
-    else:
-        grad += (mtm @ x.T).T
+def _fit_grad(x, mtm, ym):
+    """Gradient in X of 1/2 |Y - X M'|^2 in Gram form, X M'M - Y M, given
+    ``mtm`` = M'M and ``ym`` = Y M (terms-major): a fresh terms-major array,
+    M'M X' formed transposed, then Y M subtracted."""
+    grad = (mtm @ x.T).T
     grad -= ym
     return grad
 
 
-def _image_block(x, m, target, shape, majorizers, grad=None):
-    """Gradient, added into ``grad`` (None: a fresh array), and curvature
-    bound of an image block X (maps or coarse maps of size ``shape``): the
-    fit 1/2 |target - X M'|^2 plus the map penalties, whose gradient and
-    curvature are those of their ``majorizers`` at X, as :func:`_reweight`
-    formed them at the solver's last scored iterate."""
+def spectra_step(spectra, grams, data, cfg):
+    """Spectra-block gradient and curvature bound, from the fit Grams
+    ((T'T, T'Yh), (S'S, S'Ym)) that :func:`objective` returns at (S, T).
+
+    By the chain rule the data gradient is :func:`_fit_grad` of C against T
+    plus PM' times that of PM C against S; the ridge is added last."""
+    (coarse_gram, coarse_cross), (gram, cross) = grams
+    pm = data.pm
+    # C's Hessian is T'T + S'S kron PM'PM whether T is free or T = P_H S
+    curv = data.pm_gram_norm * _top_eigenvalue(gram) + _top_eigenvalue(coarse_gram)
+    grad = _fit_grad(spectra, coarse_gram, coarse_cross.T)
+    grad += pm.T @ _fit_grad(pm @ spectra, gram, cross.T)
+    grad += cfg.ridge_weight * spectra
+    return grad, curv + cfg.ridge_weight
+
+
+def _image_block(x, m, target, shape, majorizers):
+    """Gradient, a fresh array, and curvature bound of an image block X
+    (maps or coarse maps of size ``shape``): the fit 1/2 |target - X M'|^2
+    (:func:`_fit_grad`) plus the map penalties, whose gradient and curvature
+    are those of their ``majorizers`` at X, as :func:`_reweight` formed them
+    at the solver's last scored iterate."""
     mtm = m.T @ m
-    grad = _add_fit_grad(x, mtm, (m.T @ target.T).T, grad)
+    grad = _fit_grad(x, mtm, (m.T @ target.T).T)
     terms, curv = majorizers
     stack = _maps_as_images(x, shape)
     grad_stack = _maps_as_images(grad, shape)  # a view: each term is written into grad
@@ -476,24 +476,22 @@ def _image_block(x, m, target, shape, majorizers, grad=None):
 def maps_step(maps, spectra, data, majorizers, coarse=None):
     """Maps-block gradient and curvature bound.
 
-    The data gradient is S M'M - Ym M with M = PM C.  With known spatial
-    operators the HSI term is the coarse step's fit term: the gradient
-    T C'C - Yh C and bound |C|^2 of :func:`coarse_step_blind` without
-    penalties, at T = P_H S given as ``coarse``, carried back through P_H'
-    (:func:`_apply_ph`) and its bound times |P_H|^2.  The penalties enter
-    through ``majorizers``, the maps' entry of those :func:`objective`
-    returns; anchored at ``maps``, the gradient is the objective's.  The MSI
-    term and the penalties are added into the HSI term; the result is a
-    fresh array the caller may write over.
+    The MSI image block gives the data gradient S M'M - Ym M with M = PM C
+    and the penalties, which enter through ``majorizers``, the maps' entry
+    of those :func:`objective` returns; anchored at ``maps``, the gradient is
+    the objective's.  With known spatial operators the tied HSI term is added
+    last: the gradient T C'C - Yh C and bound |C|^2 of
+    :func:`coarse_step_blind` without penalties, at T = P_H S given as
+    ``coarse``, carried back through P_H' (:func:`_apply_ph`), with the bound
+    times (|P1| |P2|)^2.  The result is a fresh array the caller may write
+    over.
     """
-    if data.ops is None:
-        grad, l_hsi = None, 0.0
-    else:
+    grad, lip = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], majorizers)
+    if data.ops is not None:
         hsi_grad, l_hsi = coarse_step_blind(coarse, spectra, data, ([], 0.0))
-        grad = _apply_ph(hsi_grad, data.ops.p1.T, data.ops.p2.T)
-        l_hsi *= (data.ops.p1_norm * data.ops.p2_norm) ** 2
-    g, l = _image_block(maps, data.pm @ spectra, data.msi_mat, data.sri_dims[:2], majorizers, grad)
-    return g, l + l_hsi
+        grad += _apply_ph(hsi_grad, data.ops.p1.T, data.ops.p2.T)
+        lip += l_hsi * (data.ops.p1_norm * data.ops.p2_norm) ** 2
+    return grad, lip
 
 
 def coarse_step_blind(coarse, spectra, data, majorizers):
@@ -632,14 +630,14 @@ def _spa(mat, n_terms):
 def _fit_steps(m, target, project):
     """``_INIT_STEPS`` gradient steps from zero on 1/2 |target - X M'|^2 at
     step 1/sigma_max(M)^2, projected onto X >= 0 if ``project``, through
-    :func:`_add_fit_grad` and :func:`apg_step` with M'M, target M and
+    :func:`_fit_grad` and :func:`apg_step` with M'M, target M and
     sigma_max(M)^2 formed once."""
     mtm = m.T @ m
     ym = (m.T @ target.T).T
     lip = _top_eigenvalue(mtm)
     x = np.zeros(ym.shape, order="F")
     for _ in range(_INIT_STEPS):
-        x = apg_step(x, _add_fit_grad(x, mtm, ym), lip, project)
+        x = apg_step(x, _fit_grad(x, mtm, ym), lip, project)
     return x
 
 
@@ -696,8 +694,10 @@ def _solve(data, n_terms, cfg, init):
         if coarse and coarse[0] is None:
             coarse = [_fit_steps(spectra, data.hsi_mat, project=False)]
 
+        # rel_tol = 0 turns off both rules that can stop a run before its cap
+        early_rules = cfg.rel_tol > 0
         noise, noise_level = None, None
-        if (cfg.tv_weight == cfg.lowrank_weight == 0 and cfg.rel_tol > 0
+        if (early_rules and cfg.tv_weight == cfg.lowrank_weight == 0
                 and min(data.hsi_mat.shape[1], data.msi_mat.shape[1]) > n_terms):
             noise = (_noise_energy(data.hsi_mat, n_terms), _noise_energy(data.msi_mat, n_terms))
             noise_level = 0.5 * (noise[0] + noise[1])
@@ -713,10 +713,10 @@ def _solve(data, n_terms, cfg, init):
                         "objective became non-finite; step sizes no longer control the iteration")
                 values.append(f)
                 elapsed.append(time.perf_counter() - start)
-                swept = len(values) > 1
-                if swept and noise_level is not None and fit <= noise_level:
+                early = early_rules and len(values) > 1  # neither rule reads the start
+                if early and noise_level is not None and fit <= noise_level:
                     stop_reason = "noise_level"
-                elif swept and 0.0 <= values[-2] - f <= cfg.rel_tol * abs(values[-2]):
+                elif early and 0.0 <= values[-2] - f <= cfg.rel_tol * abs(values[-2]):
                     stop_reason = "rel_tol"  # a sweep that raised the objective never stalls
                 elif len(values) > max_iters:
                     stop_reason = "max_iters"

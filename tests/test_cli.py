@@ -144,6 +144,23 @@ def test_simulate_refuses_snr_beyond_double_range(tmp_path, capsys, snr):
     assert not out.exists()
 
 
+def test_simulate_from_a_given_sri_writes_it_bit_for_bit(tmp_path):
+    # [inputs] sri takes the place of the drawn model: SRI.htf is the given
+    # file's tensor, bit for bit, and the images have its degraded sizes
+    sri = np.random.default_rng(3).uniform(size=(16, 16, 8))
+    write_htf(tmp_path / "given.htf", sri)
+    text = SIMULATE_CFG.format(out=tmp_path / "out", seed=1, snr="inf")
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text.replace("[synthesis]\ndims = 16,16,8\n",
+                                f"[inputs]\nsri = {tmp_path / 'given.htf'}\n"))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert (out / "SRI.htf").read_bytes() == (tmp_path / "given.htf").read_bytes()
+    assert np.array_equal(read_htf(out / "SRI.htf"), sri)
+    assert read_htf(out / "HSI.htf").shape == (8, 8, 8)
+    assert read_htf(out / "MSI.htf").shape == (16, 16, 4)
+
+
 def test_simulate_warns_when_unrecoverable(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     text = SIMULATE_CFG.format(out=tmp_path / "w", seed=1, snr="inf")
@@ -279,6 +296,33 @@ def test_bad_model_and_noise_values_name_their_key(tmp_path, capsys, key, flag, 
     flags = [] if in_file else [flag, value]
     assert main(["simulate", "--config", str(cfg), *flags]) == 2
     assert f"{key}: {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("synthesis", "nonneg", "maybe", "synthesis.nonneg"),
+    ("spectral", "bands", "0-3,,4-7", "spectral.bands"),
+    ("blur", "boundary", "mirror", "[blur] boundary"),
+])
+def test_bad_config_value_names_its_key_before_any_write(
+        tmp_path, capsys, section, key, value, named):
+    cfg = tmp_path / "sim.cfg"
+    text = SIMULATE_CFG.format(out=tmp_path / "out", seed=1, snr="inf")
+    cfg.write_text(_with_value(text, section, key, value))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fuse", "blind-fuse"])
+def test_fuse_without_rank_is_config_error_before_any_compute(
+        tmp_path, capsys, monkeypatch, command):
+    cfg = _fuse_config(tmp_path, _simulate(tmp_path), out="out")
+    cfg.write_text(cfg.read_text().replace("[model]\nrank = 2\n", ""))
+    _refuse_compute(monkeypatch)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"{command} needs model.rank (or --rank)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -31,21 +31,23 @@ def test_script_runs_and_writes_its_csv(tmp_path, script, header, rows):
 
 
 def test_trace_compare_fails_on_groups_above_the_tolerance(tmp_path):
-    # two recordings whose accelerated unregularized noisy traces and whose
-    # R-SNR differ by 1e-9 relative, whose regularized traces (rising once)
-    # agree and whose cli96 estimates agree
+    # two recordings whose accelerated unregularized noisy traces, whose
+    # criterion-1 fuse SRIs and whose R-SNR differ by 1e-9 relative, whose
+    # regularized traces (rising once) agree and whose cli96 estimates agree
     old, new = tmp_path / "old.npz", tmp_path / "new.npz"
     trace = np.array([4.0, 2.0, 1.0])
     arrays = {
         "noisy0/fuse/accel/none/trace": trace,
         "noisy0/fuse_blind/accel/reg/trace": np.array([4.0, 2.0, 3.0]),
         "noisy0/fuse/accel/none/metrics/rsnr_db": np.array(20.0),
+        "criterion1/fuse/accel/none/sri": np.ones((2, 2, 2)),
         "cli96/estimate": np.ones((2, 2, 2)),
     }
     np.savez(old, **arrays)
     np.savez(new, **{**arrays,
                      "noisy0/fuse/accel/none/trace": trace * (1 + 1e-9),
-                     "noisy0/fuse/accel/none/metrics/rsnr_db": np.array(20.0 * (1 + 1e-9))})
+                     "noisy0/fuse/accel/none/metrics/rsnr_db": np.array(20.0 * (1 + 1e-9)),
+                     "criterion1/fuse/accel/none/sri": np.full((2, 2, 2), 1 + 1e-9)})
 
     def compare(*extra, new=new):
         return subprocess.run(
@@ -57,9 +59,10 @@ def test_trace_compare_fails_on_groups_above_the_tolerance(tmp_path):
     strict = compare("--max-rel-diff", "1e-12")
     assert strict.returncode == 1, strict.stderr
     failed = [line for line in strict.stdout.splitlines() if line.startswith("FAIL")]
-    assert len(failed) == 2
-    assert failed[0].startswith("FAIL noisy fuse accel/none traces:")
-    assert failed[1].startswith("FAIL metric rsnr_db:")
+    assert len(failed) == 3
+    assert failed[0].startswith("FAIL criterion1 fuse SRIs:")
+    assert failed[1].startswith("FAIL noisy fuse accel/none traces:")
+    assert failed[2].startswith("FAIL metric rsnr_db:")
     rises = [line.split() for line in strict.stdout.splitlines() if line.startswith("rises")]
     assert sorted(line[-3:] for line in rises) == [["0", "->", "0"], ["1", "->", "1"]]
     for run in (compare("--max-rel-diff", "1e-6"), compare()):

@@ -265,20 +265,36 @@ def test_fit_energies_follow_the_matrices():
         dense, rel=1e-12)
 
 @pytest.mark.parametrize("rows", [1, 5, 6, 7, 23])
-def test_add_fit_grad_adds_into_grad_or_returns_fresh(rows):
-    # the gradient is added to what ``grad`` already holds: the known maps
-    # step sums its HSI term in that order; with no ``grad`` it is a fresh
-    # array.  M'M and Y M come in formed, as the start's steps form them once
+def test_fit_grad_returns_a_fresh_gram_form_gradient(rows):
+    # X M'M - Y M as a fresh terms-major array that shares memory with no
+    # input and writes none; M'M and Y M come in formed, as the start's steps
+    # form them once
     rng = np.random.default_rng(rows)
     x = np.asfortranarray(rng.normal(size=(rows, 2)))
     target = np.asfortranarray(rng.normal(size=(rows, 3)))
     m = rng.normal(size=(3, 2))
-    start = np.asfortranarray(rng.normal(size=(rows, 2)))
-    out = start.copy(order="F")
-    assert solver._add_fit_grad(x, m.T @ m, target @ m, out) is out
-    assert rel_error(out, start + x @ m.T @ m - target @ m) <= 1e-14
-    fresh = solver._add_fit_grad(x, m.T @ m, target @ m)
-    assert rel_error(fresh, x @ m.T @ m - target @ m) <= 1e-14
+    args = (x, m.T @ m, np.asfortranarray(target @ m))
+    given = [a.copy() for a in args]
+    grad = solver._fit_grad(*args)
+    assert rel_error(grad, x @ m.T @ m - target @ m) <= 1e-14
+    assert grad.flags.f_contiguous
+    assert not any(np.shares_memory(grad, a) for a in args)
+    assert all(np.array_equal(a, b) for a, b in zip(args, given))
+
+
+@pytest.mark.parametrize("blind", [False, True])
+def test_spectra_gradient_is_the_fit_grad_of_each_term(blind):
+    # by the chain rule, bit for bit: the HSI term's fit gradient in C, plus
+    # PM' times the MSI term's fit gradient in PM C, plus the ridge
+    data, blind_data, maps, spectra, coarse = random_instance(8)
+    spectra = np.asfortranarray(spectra)
+    data, coarse = (blind_data, coarse) if blind else (data, tied(maps, data))
+    grams = fit_grams(maps, spectra, data, coarse)
+    (coarse_gram, coarse_cross), (gram, cross) = grams
+    expected = solver._fit_grad(spectra, coarse_gram, coarse_cross.T)
+    expected += data.pm.T @ solver._fit_grad(data.pm @ spectra, gram, cross.T)
+    expected += WEIGHTED.ridge_weight * spectra
+    assert np.array_equal(spectra_step(spectra, grams, data, WEIGHTED)[0], expected)
 
 
 def test_blind_runs_with_a_coarse_factor_larger_than_the_images():
@@ -586,6 +602,22 @@ def test_rel_tol_never_stops_on_a_rise(monkeypatch):
 
 
 @pytest.mark.parametrize("blind", [False, True])
+def test_rel_tol_zero_runs_through_an_unchanged_objective(monkeypatch, blind):
+    # rel_tol = 0 turns the stall rule off: a sweep that leaves the objective
+    # exactly as it was does not stop the run, which takes max_iters sweeps;
+    # any rel_tol > 0 stops on that sweep
+    _, _, ops, hsi, msi = consistent_instance(seed=4, dims=(8, 8, 8))
+    objectives = [3.0, 2.0, 2.0, 2.0, 2.0]
+    scripted_sweeps(monkeypatch, objectives)
+    report = run_solver(hsi, msi, ops, blind, SolverConfig(max_iters=4, rel_tol=0.0))
+    assert report.stop_reason == "max_iters"
+    assert report.objective_trace.tolist() == objectives
+    report = run_solver(hsi, msi, ops, blind, SolverConfig(max_iters=4, rel_tol=1e-4))
+    assert report.stop_reason == "rel_tol"
+    assert report.objective_trace.tolist() == objectives[:3]
+
+
+@pytest.mark.parametrize("blind", [False, True])
 def test_stop_rules_apply_in_order_after_each_sweep(monkeypatch, blind):
     _, _, ops, hsi, msi = consistent_instance(seed=4, dims=(8, 8, 8), snr_db=30.0)
     # no sweep: the start alone, stopped by the cap
@@ -835,6 +867,32 @@ def test_solvers_are_scale_equivariant(seed, rows, cols, blind, accelerate, regu
     a = 10.0**log_a
     run = run_solver(a * hsi, a * msi, ops, blind, cfg)
     assert np.allclose(run.sri, a * base.sri, rtol=1e-10, atol=0)
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    dims=st.sampled_from(((12, 16, 8), (16, 20, 12), (24, 8, 8))),
+    blind=st.booleans(),
+    accelerate=st.booleans(),
+    tv=st.booleans(),
+)
+def test_transposed_images_give_the_transposed_sri(seed, dims, blind, accelerate, tv):
+    # images with their spatial axes swapped, and P1 with P2, pose the same
+    # problem with the pixels reordered: the SRI comes back transposed after
+    # the same sweeps and stop.  On non-square images this pins the
+    # terms-major layout of _apply_ph, both ways, of the unfolded images and,
+    # through TV, of _maps_as_images.  Not with the Schatten term: its
+    # majorizer weights a map from the left by its row Gram, which makes the
+    # penalized run depend on the maps' orientation
+    _, _, ops, hsi, msi = consistent_instance(seed=seed, dims=dims, snr_db=30.0)
+    cfg = SolverConfig(ridge_weight=1e-4, tv_weight=1e-2 if tv else 0.0, max_iters=100,
+                       accelerate=accelerate)
+    run = run_solver(hsi, msi, ops, blind, cfg)
+    swapped = DegradationOps(p1=ops.p2, p2=ops.p1, pm=ops.pm)
+    flipped = run_solver(hsi.transpose(1, 0, 2), msi.transpose(1, 0, 2), swapped, blind, cfg)
+    assert (flipped.iterations, flipped.stop_reason) == (run.iterations, run.stop_reason)
+    assert rel_error(flipped.sri, run.sri.transpose(1, 0, 2)) <= 1e-12
 
 
 def test_spa_picks_the_pure_pixels():
@@ -1184,6 +1242,10 @@ def test_data_shape_validation():
         FusionData.from_tensors(hsi[:3], msi, ops)
     with pytest.raises(DimensionError):
         FusionData.from_tensors_blind(hsi, msi[:, :, :1], ops.pm)
+    with pytest.raises(DimensionError, match="must be 3-d"):
+        FusionData.from_tensors(hsi[:, :, 0], msi, ops)
+    with pytest.raises(DimensionError, match="HSI band count 7 does not match pm columns 8"):
+        FusionData.from_tensors_blind(hsi[:, :, :7], msi, ops.pm)
 
 
 @pytest.mark.parametrize("name, call", [
