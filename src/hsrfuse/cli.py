@@ -31,8 +31,9 @@ from .solver import fuse, fuse_blind
 
 # Each override flag and the config key it replaces.  The flag's text goes to
 # load_config with the file's text, so it is parsed and validated the same way.
-# run.seed seeds simulate only; fuse and blind-fuse record it in report.json,
-# but their solvers start from the data and draw nothing.
+# run.seed seeds simulate only, so only simulate takes --seed; fuse and
+# blind-fuse record the key in report.json, but their solvers start from the
+# data and draw nothing.
 OVERRIDES = {
     "--seed": "run.seed",
     "--out": "run.out",
@@ -80,7 +81,7 @@ def _build_parser():
         ("blind-fuse", "recover the SRI without the spatial operators"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        _add_config_flags(cmd, "--seed", "--out", "--rank", "--max-iters", "--no-accel")
+        _add_config_flags(cmd, "--out", "--rank", "--max-iters", "--no-accel")
         cmd.set_defaults(func=cmd_fuse, mode=name)
 
     ev = sub.add_parser("evaluate", help="score an estimate against a reference")
@@ -237,9 +238,10 @@ def _write_trace(path, trace, elapsed):
 
 
 def cmd_fuse(args):
-    """``fuse`` or, with ``args.mode`` "blind-fuse", ``blind-fuse``: solve,
-    then write SRI.htf, trace.csv and report.json (on a numerical failure,
-    the trace so far)."""
+    """``fuse`` or, with ``args.mode`` "blind-fuse", ``blind-fuse``: read
+    every input (a reference is shape-checked before the solve), solve, then
+    write SRI.htf, trace.csv and report.json (on a numerical failure, the
+    trace so far)."""
     cfg = _run_config(args)
     mode = args.mode
     if cfg.rank is None:
@@ -249,6 +251,15 @@ def cmd_fuse(args):
         print("warning: blind-fuse ignores the provided p1/p2 operators", file=sys.stderr)
     hsi = read_htf(require_input(cfg.hsi, "inputs.hsi"))
     msi = read_htf(require_input(cfg.msi, "inputs.msi"))
+    reference = None
+    if cfg.reference is not None:
+        reference = read_htf(require_input(cfg.reference, "inputs.reference"))
+        expected = (*msi.shape[:2], hsi.shape[2])
+        if reference.shape != expected:
+            raise DimensionError(
+                f"inputs.reference: shape {reference.shape}, expected {expected} "
+                "(MSI rows, MSI cols, HSI bands)"
+            )
     if blind:
         solve, ops = fuse_blind, read_matrix_csv(require_input(cfg.pm, "inputs.pm"))
     else:
@@ -263,10 +274,7 @@ def cmd_fuse(args):
         if exc.trace is not None:
             _write_trace(_outdir(cfg.out) / "trace.csv", exc.trace, exc.elapsed)
         raise
-    metrics = None
-    if cfg.reference is not None:
-        reference = read_htf(require_input(cfg.reference, "inputs.reference"))
-        metrics = evaluate(reference, report.sri, ratio=cfg.blur.ratio)
+    metrics = None if reference is None else evaluate(reference, report.sri, ratio=cfg.blur.ratio)
     out = _outdir(cfg.out)
     write_htf(out / "SRI.htf", report.sri)
     _write_trace(out / "trace.csv", report.objective_trace, report.elapsed)

@@ -114,6 +114,18 @@ def test_simulate_seed_override_changes_noise(tmp_path):
     assert (out_a / "HSI.htf").read_bytes() != (tmp_path / "c" / "HSI.htf").read_bytes()
 
 
+def test_simulate_noise_level_leaves_the_sri_alone(tmp_path):
+    # a noise-level study reruns simulate at one seed: the truth is drawn
+    # before the noise, so SRI.htf is the same at every level (inf draws no
+    # noise at all) while the noisy images differ between finite levels
+    outs = {snr: _simulate(tmp_path, out=f"snr-{snr}", seed=3, snr=snr)
+            for snr in ("20", "40", "inf")}
+    sri = {(out / "SRI.htf").read_bytes() for out in outs.values()}
+    assert len(sri) == 1
+    for name in ("HSI.htf", "MSI.htf"):
+        assert (outs["20"] / name).read_bytes() != (outs["40"] / name).read_bytes(), name
+
+
 def test_simulate_realized_snr_recorded(tmp_path):
     out = _simulate(tmp_path, snr="25")
     manifest = json.loads((out / "manifest.json").read_text())
@@ -248,8 +260,7 @@ def test_blind_fuse_ignores_spatial_ops_with_warning(tmp_path, capsys):
     *[(command, flag, value, setting)
       for command in ("fuse", "blind-fuse")
       for flag, value, setting in (("--max-iters", "-1", "max_iters"),
-                                   ("--rank", "0", "rank"),
-                                   ("--seed", "-1", "seed"))],
+                                   ("--rank", "0", "rank"))],
 ])
 def test_bad_flag_value_is_config_error_before_any_write(
         tmp_path, capsys, command, flag, value, setting):
@@ -262,6 +273,54 @@ def test_bad_flag_value_is_config_error_before_any_write(
     capsys.readouterr()
     assert main([command, "--config", str(cfg), flag, value]) == 2
     assert f"{setting} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_only_simulate_takes_the_seed_flag(tmp_path, capsys):
+    # the solvers draw nothing, so fuse and blind-fuse have no --seed; the
+    # run.seed key stays valid for them and report.json records it
+    sim = _simulate(tmp_path)
+    cfg = _fuse_config(tmp_path, sim, out="out", iters=2)
+    for command in ("fuse", "blind-fuse"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(cfg), "--seed", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    for command in ("fuse", "blind-fuse"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["seed"] == 5
+    sim_cfg = tmp_path / "sim.cfg"
+    assert main(["simulate", "--config", str(sim_cfg), "--seed", "1",
+                 "--out", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "HSI.htf").read_bytes() == (sim / "HSI.htf").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fuse", "blind-fuse"])
+@pytest.mark.parametrize("reference, code, message", [
+    ("missing.htf", 2, "inputs.reference file not found"),
+    ("HSI.htf", 3, "inputs.reference: shape (8, 8, 8), expected (16, 16, 8)"),
+], ids=["missing", "hsi-shaped"])
+def test_bad_reference_is_refused_before_the_solve(
+        tmp_path, capsys, monkeypatch, command, reference, code, message):
+    # a reference that is missing or is not (MSI rows, MSI cols, HSI bands)
+    # is refused with the other inputs: no solve runs and nothing is written
+    sim = _simulate(tmp_path)
+    cfg = _fuse_config(tmp_path, sim, out="out")
+    cfg.write_text(cfg.read_text().replace(f"{sim}/SRI.htf", f"{sim}/{reference}"))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("solved before the reference was checked")
+
+    for name in ("fuse", "fuse_blind"):
+        monkeypatch.setattr(cli, name, counted)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == code
+    assert message in capsys.readouterr().err
+    assert calls == []
     assert not (tmp_path / "out").exists()
 
 
