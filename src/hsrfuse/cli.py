@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 dimension error,
 """
 
 import argparse
+import hashlib
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -249,8 +250,14 @@ def cmd_fuse(args):
     blind = mode == "blind-fuse"
     if blind and (cfg.p1 is not None or cfg.p2 is not None):
         print("warning: blind-fuse ignores the provided p1/p2 operators", file=sys.stderr)
-    hsi = read_htf(require_input(cfg.hsi, "inputs.hsi"))
-    msi = read_htf(require_input(cfg.msi, "inputs.msi"))
+    hsi_path = require_input(cfg.hsi, "inputs.hsi")
+    hsi = read_htf(hsi_path)
+    msi_path = require_input(cfg.msi, "inputs.msi")
+    msi = read_htf(msi_path)
+    # a noise-level study changes these files and not the config, so the
+    # report names the images it scored by their hashes
+    inputs_sha256 = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                     for name, path in (("hsi", hsi_path), ("msi", msi_path))}
     reference = None
     if cfg.reference is not None:
         reference = read_htf(require_input(cfg.reference, "inputs.reference"))
@@ -283,6 +290,7 @@ def cmd_fuse(args):
         {
             **_run_record(cfg),
             "mode": mode,
+            "inputs_sha256": inputs_sha256,
             "n_terms": cfg.rank,
             "iterations": report.iterations,
             "converged": report.converged,

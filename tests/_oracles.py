@@ -257,6 +257,24 @@ def dense_curvatures_blind(maps, coarse, spectra, data, cfg, no_tv_cfg):
     return l_c, l_s, l_t
 
 
+def fit_steps_whole(m, target, project, steps):
+    """``steps`` gradient steps from zero on 1/2 |target - X M'|^2, each over
+    the whole array: the gradient X M'M - target M in Gram form (M'M X'
+    formed transposed), then x - grad / L with L = sigma_max(M)^2, clipped
+    at 0 if ``project``.  The start's fit steps ran this way before they ran
+    by blocks of rows; each entry takes the same operations here."""
+    mtm = m.T @ m
+    ym = (m.T @ target.T).T
+    lip = max(float(np.linalg.eigvalsh(mtm)[-1]), np.finfo(float).tiny)
+    x = np.zeros(ym.shape, order="F")
+    for _ in range(steps):
+        grad = (mtm @ x.T).T - ym
+        x = grad * -(1.0 / lip) + x
+        if project:
+            x = np.maximum(x, 0.0)
+    return x
+
+
 def window_stats_two_pass(ref, est, width):
     """Window statistics of two bands, one window at a time, in two passes.
 

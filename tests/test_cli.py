@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import io
 import json
 import math
@@ -124,6 +125,26 @@ def test_simulate_noise_level_leaves_the_sri_alone(tmp_path):
     assert len(sri) == 1
     for name in ("HSI.htf", "MSI.htf"):
         assert (outs["20"] / name).read_bytes() != (outs["40"] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["fuse", "blind-fuse"])
+def test_report_names_the_images_it_scored(tmp_path, command):
+    # a noise-level study changes the HSI and MSI files, not the config: each
+    # report records their SHA-256, which tells two levels apart and reads
+    # the same for a repeat of one level
+    hashes = {}
+    for run, snr in (("a", "20"), ("b", "40"), ("again", "20")):
+        sim = _simulate(tmp_path, out=f"sim-{run}", seed=3, snr=snr)
+        cfg = _fuse_config(tmp_path, sim, out=f"fused-{run}", iters=2)
+        assert main([command, "--config", str(cfg)]) == 0
+        hashes[run] = json.loads((tmp_path / f"fused-{run}" / "report.json").read_text())[
+            "inputs_sha256"]
+    assert hashes["a"] == {
+        name: hashlib.sha256((tmp_path / "sim-a" / f"{name.upper()}.htf").read_bytes()).hexdigest()
+        for name in ("hsi", "msi")
+    }
+    assert hashes["again"] == hashes["a"]
+    assert all(hashes["b"][name] != hashes["a"][name] for name in ("hsi", "msi"))
 
 
 def test_simulate_realized_snr_recorded(tmp_path):

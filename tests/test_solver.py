@@ -35,6 +35,7 @@ from _oracles import (
     central_gradient,
     dense_curvatures_blind,
     dense_curvatures_known,
+    fit_steps_whole,
     kron,
     loop_reconstruct,
     loop_unfold,
@@ -935,6 +936,79 @@ def test_cold_start_is_spa_spectra_then_fit_steps():
         for run in runs[1:]:
             assert np.array_equal(run.objective_trace, runs[0].objective_trace)
             assert np.array_equal(run.sri, runs[0].sri)
+
+
+@pytest.mark.parametrize("project", [False, True])
+@pytest.mark.parametrize("rows", [15, 16, 31, 32, 53])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fit_steps_by_row_blocks_equal_the_whole_array_loop(monkeypatch, rows, project, order):
+    # with 16-row blocks: one block below 32 rows, then 2 and 3 (53 rows as
+    # 17 + 18 + 18); each row is its own problem and takes the same
+    # operations, so the result is equal, not close
+    monkeypatch.setattr(solver, "_INIT_ROWS", 16)
+    rng = np.random.default_rng(rows)
+    m = rng.normal(size=(5, 3))
+    target = np.array(rng.normal(size=(rows, 5)), order=order)
+    kept = m.copy(), target.copy()
+    got = solver._fit_steps(m, target, project)
+    assert np.array_equal(got, fit_steps_whole(m, target, project, solver._INIT_STEPS))
+    assert got.shape == (rows, 3) and got.flags.f_contiguous
+    assert np.array_equal(m, kept[0]) and np.array_equal(target, kept[1])
+    assert not project or got.min() >= 0
+
+
+def test_fit_steps_by_default_blocks_equal_the_whole_array_loop_at_256x256():
+    # the benchmark's maps start: 65536 rows in eight 8192-row blocks, where
+    # the whole-array products are large enough for other BLAS kernels
+    rng = np.random.default_rng(256)
+    m = rng.uniform(size=(8, 6))
+    target = np.asfortranarray(rng.uniform(size=(256 * 256, 8)))
+    assert 256 * 256 // solver._INIT_ROWS == 8
+    want = fit_steps_whole(m, target, True, solver._INIT_STEPS)
+    assert np.array_equal(solver._fit_steps(m, target, True), want)
+
+
+@pytest.mark.parametrize("regularized", [False, True])
+@pytest.mark.parametrize("blind", [False, True])
+def test_start_by_row_blocks_gives_the_same_run(monkeypatch, blind, regularized):
+    # the instances scripts/trace_compare.py records all start in one block;
+    # at 64-row blocks this one starts its 1024 maps rows in 16 blocks and
+    # its 256 blind coarse rows in 4, and the accelerated run is the same
+    _, _, ops, hsi, msi = consistent_instance(seed=21, dims=(32, 32, 16), snr_db=30.0)
+    weights = dict(tv_weight=0.01, lowrank_weight=0.01) if regularized else {}
+    cfg = SolverConfig(max_iters=30, **weights)
+    want = run_solver(hsi, msi, ops, blind, cfg)
+    block_rows = []
+    fit_grad = solver._fit_grad
+
+    def recording(x, mtm, ym):
+        block_rows.append(x.shape[0])
+        return fit_grad(x, mtm, ym)
+
+    monkeypatch.setattr(solver, "_INIT_ROWS", 64)
+    monkeypatch.setattr(solver, "_fit_grad", recording)
+    got = run_solver(hsi, msi, ops, blind, cfg)
+    assert block_rows.count(64) == solver._INIT_STEPS * (20 if blind else 16)
+    assert np.array_equal(got.sri, want.sri)
+    assert np.array_equal(got.objective_trace, want.objective_trace)
+    assert got.stop_reason == want.stop_reason
+
+
+def test_start_by_row_blocks_holds_two_full_arrays_and_a_few_blocks():
+    # eight blocks: X and target M in full, a block's X and its gradient;
+    # the whole-array loop held a third full array, the gradient
+    rows, terms = 8 * solver._INIT_ROWS, 6
+    rng = np.random.default_rng(8)
+    m = rng.uniform(size=(8, terms))
+    target = np.asfortranarray(rng.uniform(size=(rows, 8)))
+    full, block = rows * terms * 8, solver._INIT_ROWS * terms * 8
+    tracemalloc.start()
+    try:
+        solver._fit_steps(m, target, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * full + 3 * block, (peak, full, block)
 
 
 @pytest.mark.parametrize("accelerate", [False, True])
