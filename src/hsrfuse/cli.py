@@ -1,7 +1,7 @@
 """Command-line surface: simulate, fuse, blind-fuse, evaluate, check.
 
-Exit codes: 0 success, 2 configuration error, 3 dimension error,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration or file-system error, 3 dimension
+error, 4 numerical failure.
 """
 
 import argparse
@@ -57,9 +57,9 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        # ConfigError and the remaining validation failures (rank-deficient
-        # operators, bad values)
+    except (ValueError, OSError) as exc:
+        # ConfigError, the remaining validation failures (rank-deficient
+        # operators, bad values) and file-system errors, which name the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -169,9 +169,7 @@ def cmd_simulate(args):
             raise ConfigError(
                 "simulate needs either inputs.sri or synthesis.dims plus model.rank/term_rank"
             )
-        sri = reconstruct(
-            random_blockterm(cfg.dims, cfg.rank, cfg.term_rank, seed=rng, nonneg=cfg.nonneg)
-        )
+        sri = reconstruct(random_blockterm(cfg.dims, cfg.rank, cfg.term_rank, seed=rng))
 
     ops = DegradationOps.for_sri(sri.shape, cfg.blur, cfg.bands)
     recovery = None

@@ -169,7 +169,6 @@ class RunConfig:
     rank: int = None
     term_rank: int = None
     dims: tuple = None
-    nonneg: bool = True
     blur: BlurSpec = field(default_factory=BlurSpec)
     bands: list = None
     snr_db: float = math.inf
@@ -194,6 +193,9 @@ class RunConfig:
         """
         parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
                  if f.name not in ("blur", "solver", "out")]
+        # the retired synthesis.nonneg, at the one value simulate still draws:
+        # every config keeps the hash it had while the key existed
+        parts.insert(parts.index(f"dims={self.dims!r}") + 1, "nonneg=True")
         parts += [f"blur.{f.name}={getattr(self.blur, f.name)!r}" for f in fields(self.blur)]
         parts += [f"solver.{f.name}={getattr(self.solver, f.name)!r}" for f in fields(self.solver)
                   if f.name not in ("schatten", "tv", "seed")]
@@ -264,7 +266,6 @@ _KEYS = {
     "model.rank": (_int_at_least("rank", 1), "rank"),
     "model.term_rank": (_int_at_least("term_rank", 1), "term_rank"),
     "synthesis.dims": (parse_dims, "dims"),
-    "synthesis.nonneg": (_parse_bool, "nonneg"),
     "blur.kernel_width": (int, "blur.kernel_width"),
     "blur.sigma": (float, "blur.sigma"),
     "blur.ratio": (int, "blur.ratio"),
@@ -311,6 +312,9 @@ def load_config(path, overrides=None):
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    if parser.defaults():
+        # configparser copies [DEFAULT] into every section
+        raise ConfigError(f"{path}: unknown section [DEFAULT]")
     raw = {}
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -114,10 +114,11 @@ the driver, gave the same traces bit for bit and ran no faster (median
 alternated pairs, 2-vCPU VM).  Each is a whole-array BLAS product: passes
 over cache-sized blocks of rows ran no faster with two BLAS threads (13.7
 against 13.9 ms per sweep), though about a fifth faster with one.  The
-start alone runs by blocks of rows (:func:`_fit_steps`): a sweep reads each
-row of a factor once, but the start's 100 fit steps revisit it 100 times,
-so a block of rows kept in L2 for all of them about halves the start (61
-against 108 ms at 65536x6 with two BLAS threads, 64 against 127 with one).
+start alone runs by blocks of rows, on every instance (:func:`_fit_steps`):
+a sweep reads each row of a factor once, but the start's 100 fit steps
+revisit it 100 times, so a block of rows kept in L2 for all of them about
+halves the start (61 against 108 ms at 65536x6 with two BLAS threads, 64
+against 127 with one).
 A step's gradient is a fresh array, so ``apg_step`` writes the new factor
 over it and ``extrapolate`` writes the next anchor over the factor it
 retires.  No step writes its input and initial factors and warm starts are
@@ -640,32 +641,26 @@ def _fit_steps(m, target, project):
     sigma_max(M)^2 formed once.
 
     The problem splits into one problem per row of X (a pixel), all against
-    the same M'M, so the steps run block by block: all of them on one block
-    of rows, then on the next.  ``rows // _INIT_ROWS`` blocks of nearly
-    equal size (one below 2 * ``_INIT_ROWS`` rows) keep a block's X, its
-    gradient and its rows of target M in L2 for all ``_INIT_STEPS`` steps,
-    so no step streams a factor-sized array from memory, and hold two
-    factor-sized arrays (X and target M) beside the block's.  Each entry
-    takes the same operations as on the whole array, so the result is the
-    same bit for bit."""
+    the same M'M, so every instance runs the steps block by block: all of
+    them on one block of rows, then on the next.  ``max(1, rows //
+    _INIT_ROWS)`` blocks of nearly equal size keep a block's X, its gradient
+    and its rows of target M in L2 for all ``_INIT_STEPS`` steps, so no step
+    streams a factor-sized array from memory, and hold two factor-sized
+    arrays (X and target M) beside the block's.  Each entry takes the same
+    operations as on the whole array, so the result is the same bit for
+    bit."""
     mtm = m.T @ m
     ym = (m.T @ target.T).T
     lip = _top_eigenvalue(mtm)
-
-    def steps(ym):
-        x = np.zeros(ym.shape, order="F")
-        for _ in range(_INIT_STEPS):
-            x = apg_step(x, _fit_grad(x, mtm, ym), lip, project)
-        return x
-
     rows = ym.shape[0]
-    blocks = rows // _INIT_ROWS
-    if blocks < 2:
-        return steps(ym)
+    blocks = max(1, rows // _INIT_ROWS)
     x = np.empty(ym.shape, order="F")
     for b in range(blocks):
         lo, hi = rows * b // blocks, rows * (b + 1) // blocks
-        x[lo:hi] = steps(ym[lo:hi])
+        xb = np.zeros((hi - lo, ym.shape[1]), order="F")
+        for _ in range(_INIT_STEPS):
+            xb = apg_step(xb, _fit_grad(xb, mtm, ym[lo:hi]), lip, project)
+        x[lo:hi] = xb
     return x
 
 

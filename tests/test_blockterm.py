@@ -110,6 +110,16 @@ def test_factor_term_count_mismatch():
         BlockTermFactors(maps=np.zeros((2, 2, 3)), spectra=np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("maps, spectra", [
+    (np.zeros((4, 4)), np.zeros((3, 1))),
+    (np.zeros((2, 2, 3, 1)), np.zeros((4, 3))),
+    (np.zeros((2, 2, 3)), np.zeros(3)),
+])
+def test_factors_of_the_wrong_order_are_refused(maps, spectra):
+    with pytest.raises(DimensionError, match=re.escape("maps must be (I, J, R) and spectra (K, R)")):
+        BlockTermFactors(maps=maps, spectra=spectra)
+
+
 def _pavia_query(blind=False):
     return RecoverabilityQuery(
         msi_rows=256, msi_cols=256, hsi_rows=64, hsi_cols=64,

@@ -380,7 +380,7 @@ def test_bad_model_and_noise_values_name_their_key(tmp_path, capsys, key, flag, 
 
 
 @pytest.mark.parametrize("section, key, value, named", [
-    ("synthesis", "nonneg", "maybe", "synthesis.nonneg"),
+    ("synthesis", "nonneg", "no", "unknown key 'nonneg' in section [synthesis]"),
     ("spectral", "bands", "0-3,,4-7", "spectral.bands"),
     ("blur", "boundary", "mirror", "[blur] boundary"),
 ])
@@ -392,6 +392,43 @@ def test_bad_config_value_names_its_key_before_any_write(
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_default_section_is_config_error_before_any_write(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("[DEFAULT]\nrank = 3\n" + SIMULATE_CFG.format(out=tmp_path / "out", seed=1,
+                                                                   snr="inf"))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dropped, kept", [("[synthesis]\ndims = 16,16,8\n", ""),
+                                           ("[model]\nrank = 2\n", "[model]\n"),
+                                           ("term_rank = 2\n", "")])
+def test_simulate_without_sri_or_model_is_config_error_before_any_write(
+        tmp_path, capsys, dropped, kept):
+    text = SIMULATE_CFG.format(out=tmp_path / "out", seed=1, snr="inf")
+    assert dropped in text
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text.replace(dropped, kept))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert ("simulate needs either inputs.sri or synthesis.dims plus model.rank/term_rank"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_file_system_error_exits_2_naming_the_path(tmp_path, capsys):
+    # SRI.htf, the first file simulate writes, is a directory: the OS error
+    # is reported as an error line, not a traceback
+    out = tmp_path / "out"
+    (out / "SRI.htf").mkdir(parents=True)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIMULATE_CFG.format(out=out, seed=1, snr="inf"))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "SRI.htf") in err
+    assert [p.name for p in out.iterdir()] == ["SRI.htf"]
 
 
 @pytest.mark.parametrize("command", ["fuse", "blind-fuse"])

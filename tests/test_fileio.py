@@ -234,7 +234,6 @@ def test_configs_accept_numpy_scalars():
 CONFIG_TEXT = """
 [synthesis]
 dims = 12,12,8
-nonneg = true
 
 [model]
 rank = 2
@@ -290,6 +289,23 @@ def test_load_config_rejects_unknown_section(tmp_path):
     path.write_text("[wat]\nx = 1\n")
     with pytest.raises(ConfigError, match="wat"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nrank = 3\nmax_iters = 5\n",
+    "[DEFAULT]\nrank = 3\n[model]\nterm_rank = 1\n",
+    "[DEFAULT]\nrank = 3\n[run]\nseed = 1\n",
+])
+def test_load_config_refuses_a_default_section_with_keys(tmp_path, text):
+    # configparser copies [DEFAULT] into every section: alone its keys would
+    # be dropped, beside [model] its rank would become model.rank, and beside
+    # [run] it would read as a key of [run]
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape("unknown section [DEFAULT]")):
+        load_config(path)
+    path.write_text(text.replace("rank = 3\n", "").replace("max_iters = 5\n", ""))
+    assert load_config(path).rank is None  # an empty [DEFAULT] holds nothing
 
 
 def test_load_config_rejects_bad_value(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,19 @@ def test_cc_skips_every_constant_band(side, c):
     assert evaluate(ref, est).cc == want
     flat = np.full(textured.shape, c)
     assert evaluate(flat, flat + noisy - textured).cc == 0.0
+
+
+def test_cc_skips_a_band_whose_centred_squares_underflow():
+    # beside a unit band, 1e-310 * {1, 2, 3} keeps its scale: it is not
+    # constant, but its centred squares underflow to 0, so CC is the unit
+    # band's alone, with no division by zero
+    ref = np.array([[[1.0, 1e-310], [0.5, 2e-310], [0.25, 3e-310]]])
+    est = ref.copy()
+    est[..., 0] = [0.9, 0.6, 0.2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate(ref, est).cc
+    assert got == evaluate(ref[..., :1], est[..., :1]).cc
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
