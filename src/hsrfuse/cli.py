@@ -46,6 +46,12 @@ OVERRIDES = {
     "--no-accel": "solver.accelerate",
 }
 
+# The files each command writes into its output directory, checked before any
+# compute and named in its "wrote" lines.
+SIMULATE_FILES = ("SRI.htf", "HSI.htf", "MSI.htf", "P1.csv", "P2.csv", "PM.csv", "manifest.json")
+FUSE_FILES = ("SRI.htf", "trace.csv", "report.json")
+EVALUATE_FILES = ("metrics.json",)
+
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
@@ -115,26 +121,30 @@ def _add_config_flags(parser, *flags):
             parser.add_argument(flag, dest=key, help=f"overrides {key}")
 
 
-def _run_config(args):
+def _run_config(args, files):
     flags = vars(args)
     cfg = load_config(args.config, {
         key: flags[key] for key in OVERRIDES.values() if flags.get(key) is not None
     })
-    _check_out(cfg.out, "run.out")
+    _check_out(cfg.out, "run.out", files)
     return cfg
 
 
-def _check_out(path, name):
-    """Refuse an output directory that is a file or passes through one, before
-    any compute; the directory itself is made only when the results are
+def _check_out(path, name, files):
+    """Refuse an output directory that is a file or passes through one, or in
+    which one of the ``files`` to be written is a directory, before any
+    compute; the directory itself is made only when the results are
     written."""
     path = Path(path)
     for part in (path, *path.parents):
         if part.exists():
             if part.is_dir():
-                return
+                break
             through = "" if part == path else f" passes through {part}, which"
             raise ConfigError(f"{name}: {path}{through} is not a directory")
+    for target in (path / file for file in files):
+        if target.is_dir():
+            raise ConfigError(f"{name}: {target} is a directory, not a file")
 
 
 def _outdir(path):
@@ -158,7 +168,7 @@ def _realized_snr(clean, noisy):
 
 
 def cmd_simulate(args):
-    cfg = _run_config(args)
+    cfg = _run_config(args, SIMULATE_FILES)
     if cfg.bands is None:
         raise ConfigError("simulate needs spectral.bands")
     rng = np.random.default_rng(cfg.seed)
@@ -225,7 +235,7 @@ def cmd_simulate(args):
             "recoverability": recovery,
         },
     )
-    for name in ("SRI.htf", "HSI.htf", "MSI.htf", "P1.csv", "P2.csv", "PM.csv", "manifest.json"):
+    for name in SIMULATE_FILES:
         print(f"wrote {out / name}")
     return 0
 
@@ -241,7 +251,7 @@ def cmd_fuse(args):
     every input (a reference is shape-checked before the solve), solve, then
     write SRI.htf, trace.csv and report.json (on a numerical failure, the
     trace so far)."""
-    cfg = _run_config(args)
+    cfg = _run_config(args, FUSE_FILES)
     mode = args.mode
     if cfg.rank is None:
         raise ConfigError(f"{mode} needs model.rank (or --rank)")
@@ -306,21 +316,21 @@ def cmd_fuse(args):
             "timing": {"total_seconds": float(report.elapsed[-1])},
         },
     )
-    for name in ("SRI.htf", "trace.csv", "report.json"):
+    for name in FUSE_FILES:
         print(f"wrote {out / name}")
     return 0
 
 
 def cmd_evaluate(args):
     if args.out is not None:
-        _check_out(args.out, "--out")
+        _check_out(args.out, "--out", EVALUATE_FILES)
     reference = read_htf(require_input(args.reference, "reference"))
     estimate = read_htf(require_input(args.estimate, "estimate"))
     report = evaluate(reference, estimate, ratio=args.ratio, per_band=args.per_band)
     payload = report.to_dict()
     print(_json_text(payload))
     if args.out is not None:
-        write_json(_outdir(args.out) / "metrics.json", payload)
+        write_json(_outdir(args.out) / EVALUATE_FILES[0], payload)
     return 0
 
 

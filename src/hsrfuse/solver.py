@@ -20,7 +20,7 @@ ridge act on unit-RMS data, and scaling both images by a scales the SRI by a
 (bit for bit when a is a power of two and every scaled entry a normal
 double, since every rounding scales with it: s is 2^e times the RMS of the
 MSI times 2^-e, whose largest magnitude is in [0.5, 1), so no square in it
-overflows or underflows).  A factor not warm-started is derived from the
+overflows or underflows).  Every factor of the start is derived from the
 scaled data (:func:`_solve`): the spectra C by successive projection (SPA)
 on the HSI pixels (:func:`_spa`), the maps S by projected gradient steps on
 the MSI fit at C, and, blind, T by gradient steps on the HSI fit at C, all
@@ -121,17 +121,17 @@ halves the start (61 against 108 ms at 65536x6 with two BLAS threads, 64
 against 127 with one).
 A step's gradient is a fresh array, so ``apg_step`` writes the new factor
 over it and ``extrapolate`` writes the next anchor over the factor it
-retires.  No step writes its input and initial factors and warm starts are
-copied, so no input is written and nothing returned shares memory with an
+retires.  No step writes its input and the start is derived into fresh
+arrays, so no input is written and nothing returned shares memory with an
 input.
 
 Every factor is terms-major: an F-contiguous (rows, R) array, so a column
 (one map, one spectrum) is contiguous and the maps' transpose is a
-C-contiguous (R, J, I) stack of transposed map images.  Initial factors and
-warm starts are copied into that layout, ``apg_step`` and ``extrapolate``
-keep it, and every product whose result is a factor-sized array is computed
-transposed, as ``(small @ big.T).T``, because ``matmul`` returns C
-order.  So (P2 kron P1) and its transpose are two matmuls on free views, the
+C-contiguous (R, J, I) stack of transposed map images.  The start's
+factors are formed in that layout, ``apg_step`` and ``extrapolate`` keep
+it, and every product whose result is a factor-sized array is computed
+transposed, as ``(small @ big.T).T``, because ``matmul`` returns C order.
+So (P2 kron P1) and its transpose are two matmuls on free views, the
 (R, I, J) stack the regularizers read is a view whose maps are each
 contiguous, and the SRI refolds without a copy.
 """
@@ -589,13 +589,6 @@ def _sweeps(factors, data, cfg):
         factors = [c, s, t]
 
 
-def _warm_start(given, shape, label):
-    arr = np.array(given, dtype=float, order="F")
-    if arr.shape != shape:
-        raise DimensionError(f"warm start {label} has shape {arr.shape}, expected {shape}")
-    return ensure_finite(arr, f"warm start {label}")
-
-
 # ---------------------------------------------------------------------------
 # the data-derived start
 # ---------------------------------------------------------------------------
@@ -668,32 +661,19 @@ def _fit_steps(m, target, project):
 # full solvers
 # ---------------------------------------------------------------------------
 
-def _solve(data, n_terms, cfg, init):
+def _solve(data, n_terms, cfg):
     """Setup and run shared by both solvers, on the images divided by the
-    RMS s of the MSI.  A factor not warm-started is derived from the scaled
-    data: the spectra first, then the maps and, in the blind problem
-    (``data.ops`` is None), the coarse maps from them.  Warm-start spectra
-    are divided by s, and the returned spectra and noise energies are
-    multiplied back.  The run is :func:`_sweeps`'s stream, whose records
-    this function alone traces, times and stops (see the module docstring)."""
+    RMS s of the MSI.  Every factor is derived from the scaled data: the
+    spectra first, then the maps and, in the blind problem (``data.ops`` is
+    None), the coarse maps from them.  The returned spectra and noise
+    energies are multiplied back by s.  The run is :func:`_sweeps`'s stream,
+    whose records this function alone traces, times and stops (see the
+    module docstring)."""
     cfg = cfg if cfg is not None else SolverConfig()
     if not isinstance(cfg, SolverConfig):
         raise ValueError(f"cfg must be a SolverConfig, got {type(cfg).__name__}")
     check_int("n_terms", n_terms, 1)
-    labels = ("maps", "spectra", "coarse maps")[: 3 if data.ops is None else 2]
     max_iters = DEFAULT_MAX_ITERS if cfg.max_iters is None else cfg.max_iters
-    if init is None:
-        init = (None,) * len(labels)
-    elif not isinstance(init, (list, tuple)):
-        raise ValueError(f"init must be a sequence of factors, got {type(init).__name__}")
-    elif len(init) != len(labels):
-        raise DimensionError(f"warm start has {len(init)} factors, expected ({', '.join(labels)})")
-    i, j, k = data.sri_dims
-    shapes = ((i * j, n_terms), (k, n_terms), (math.prod(data.hsi_dims), n_terms))
-    maps, spectra, *coarse = [
-        None if given is None else _warm_start(given, shape, label)
-        for shape, given, label in zip(shapes, init, labels)
-    ]
 
     values, elapsed = [], []  # the trace, timed from here: the timings include the start
     start = time.perf_counter()
@@ -708,14 +688,9 @@ def _solve(data, n_terms, cfg, init):
     scale = math.ldexp(rms, e)
     data = replace(data, hsi_mat=data.hsi_mat / scale, msi_mat=data.msi_mat / scale)
     try:
-        if spectra is None:
-            spectra = _spa(data.hsi_mat, n_terms)
-        else:
-            spectra /= scale
-        if maps is None:
-            maps = _fit_steps(data.pm @ spectra, data.msi_mat, project=True)
-        if coarse and coarse[0] is None:
-            coarse = [_fit_steps(spectra, data.hsi_mat, project=False)]
+        spectra = _spa(data.hsi_mat, n_terms)
+        maps = _fit_steps(data.pm @ spectra, data.msi_mat, project=True)
+        coarse = [_fit_steps(spectra, data.hsi_mat, project=False)] if data.ops is None else []
 
         # rel_tol = 0 turns off both rules that can stop a run before its cap
         early_rules = cfg.rel_tol > 0
@@ -764,33 +739,30 @@ def _solve(data, n_terms, cfg, init):
     )
 
 
-def fuse(hsi, msi, ops, n_terms, cfg=None, init=None):
+def fuse(hsi, msi, ops, n_terms, cfg=None):
     """Recover the super-resolution tensor with known degradation operators.
 
-    ``init`` optionally warm-starts (maps, spectra), the spectra in the
-    images' units; a factor not given, or given as None, is derived from the
-    data (see :func:`_solve`), so the run draws nothing at random.  The
-    derived spectra are HSI pixels picked by successive projection, which
-    assumes that pure pixels exist; on a scene without them the picks are
-    the most extreme pixels, and the sweeps carry the fit.  The solve runs
-    on the images divided by the RMS of the MSI: the weights, ``tau``,
-    ``epsilon`` and the ridge act on that unit-RMS data, and the objective
-    trace is that unit-scale problem's.  Returns a :class:`FusionReport`
-    whose trace holds the objective at the start and after every iteration,
-    whose spectra are in the images' units and whose maps are unit-free.
+    The start is derived from the data (see :func:`_solve`), so the run
+    draws nothing at random.  The starting spectra are HSI pixels picked by
+    successive projection, which assumes that pure pixels exist; on a scene
+    without them the picks are the most extreme pixels, and the sweeps carry
+    the fit.  The solve runs on the images divided by the RMS of the MSI:
+    the weights, ``tau``, ``epsilon`` and the ridge act on that unit-RMS
+    data, and the objective trace is that unit-scale problem's.  Returns a
+    :class:`FusionReport` whose trace holds the objective at the start and
+    after every iteration, whose spectra are in the images' units and whose
+    maps are unit-free.
     """
-    return _solve(FusionData.from_tensors(hsi, msi, ops), n_terms, cfg, init)
+    return _solve(FusionData.from_tensors(hsi, msi, ops), n_terms, cfg)
 
 
-def fuse_blind(hsi, msi, pm, n_terms, cfg=None, init=None):
+def fuse_blind(hsi, msi, pm, n_terms, cfg=None):
     """Recover the super-resolution tensor with unknown spatial operators.
 
     Three-block iteration: spectra and maps are projected onto the
     nonnegative orthant, the coarse block is updated without projection.
-    ``init`` optionally warm-starts (maps, spectra, coarse maps), the last a
-    unit-free (Ih*Jh, n_terms) array; an entry of None is derived from the
-    data, and the units are as in :func:`fuse`.  The output tensor is
-    rebuilt from (maps, spectra) only; the coarse factors are an internal
-    device and are discarded.
+    The start, the units and the trace are as in :func:`fuse`.  The output
+    tensor is rebuilt from (maps, spectra) only; the coarse factors are an
+    internal device and are discarded.
     """
-    return _solve(FusionData.from_tensors_blind(hsi, msi, pm), n_terms, cfg, init)
+    return _solve(FusionData.from_tensors_blind(hsi, msi, pm), n_terms, cfg)

@@ -419,10 +419,12 @@ def test_simulate_without_sri_or_model_is_config_error_before_any_write(
 
 
 def test_file_system_error_exits_2_naming_the_path(tmp_path, capsys):
-    # SRI.htf, the first file simulate writes, is a directory: the OS error
-    # is reported as an error line, not a traceback
+    # SRI.htf, the first file simulate writes, is a link into a directory
+    # that does not exist, which no check before the write refuses: the OS
+    # error is reported as an error line, not a traceback
     out = tmp_path / "out"
-    (out / "SRI.htf").mkdir(parents=True)
+    out.mkdir()
+    (out / "SRI.htf").symlink_to(tmp_path / "missing" / "SRI.htf")
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(SIMULATE_CFG.format(out=out, seed=1, snr="inf"))
     assert main(["simulate", "--config", str(cfg)]) == 2
@@ -508,6 +510,36 @@ def test_evaluate_out_naming_a_file_is_config_error(tmp_path, capsys, monkeypatc
     assert afile.read_text() == "kept"
 
 
+@pytest.mark.parametrize("command, target", [
+    ("simulate", "HSI.htf"),
+    ("fuse", "trace.csv"),
+    ("blind-fuse", "report.json"),
+    ("evaluate", "metrics.json"),
+])
+def test_output_file_that_is_a_directory_is_refused_before_any_compute(
+        tmp_path, capsys, monkeypatch, command, target):
+    # an output file that is a directory exits 2 naming it, before anything
+    # is computed or written: neither simulate's earlier files nor a fuse
+    # solve and its SRI.htf
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    if command == "simulate":
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIMULATE_CFG.format(out=out, seed=1, snr="inf"))
+        argv = [command, "--config", str(cfg)]
+    elif command == "evaluate":
+        ref = tmp_path / "ref.htf"
+        write_htf(ref, np.random.default_rng(0).uniform(0.1, 1.0, size=(6, 6, 4)))
+        argv = [command, str(ref), str(ref), "--out", str(out)]
+    else:
+        argv = [command, "--config", str(_fuse_config(tmp_path, _simulate(tmp_path), out="out"))]
+    _refuse_compute(monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{out / target} is a directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [target]
+
+
 # valid text for every override flag; --no-accel takes no text and means false
 FLAG_VALUES = {
     "--seed": st.integers(0, 2**63 - 1).map(str),
@@ -547,8 +579,8 @@ def test_flag_and_file_value_give_the_same_config(flag_value):
         flag_cfg.write_text(base)
         flag_args = [flag] if flag == "--no-accel" else [f"{flag}={text}"]
         parse = _build_parser().parse_args
-        from_file = _run_config(parse([command, "--config", str(file_cfg)]))
-        from_flag = _run_config(parse([command, "--config", str(flag_cfg), *flag_args]))
+        from_file = _run_config(parse([command, "--config", str(file_cfg)]), ())
+        from_flag = _run_config(parse([command, "--config", str(flag_cfg), *flag_args]), ())
     assert from_file == from_flag
     assert from_file.fingerprint() == from_flag.fingerprint()
 

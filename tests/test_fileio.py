@@ -275,6 +275,10 @@ def test_load_config_values(tmp_path):
     assert cfg.solver.max_iters == 50
     assert not cfg.solver.accelerate
     assert cfg.seed == 3 and cfg.out == "results"
+    # each spelling of true, in any case and with blanks around it, as an
+    # override's text, which configparser has not stripped
+    for text in ("true", "Yes", " ON ", "1"):
+        assert load_config(path, {"solver.accelerate": text}).solver.accelerate is True
 
 
 def test_load_config_rejects_unknown_key(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -121,11 +122,11 @@ def consistent_instance(seed=0, dims=(24, 24, 16), n_terms=3, term_rank=2, snr_d
     return sri, factors, ops, hsi, msi
 
 
-def run_solver(hsi, msi, ops, blind, cfg, init=None):
+def run_solver(hsi, msi, ops, blind, cfg):
     """``fuse_blind`` if ``blind``, else ``fuse``, with two terms."""
     if blind:
-        return fuse_blind(hsi, msi, ops.pm, 2, cfg, init=init)
-    return fuse(hsi, msi, ops, 2, cfg, init=init)
+        return fuse_blind(hsi, msi, ops.pm, 2, cfg)
+    return fuse(hsi, msi, ops, 2, cfg)
 
 
 # small noisy instances for the solver property tests: either solver,
@@ -806,46 +807,6 @@ def test_factors_stay_nonnegative_every_iteration(seed, rows, cols, blind, accel
         assert report.maps.flags.f_contiguous  # the maps come back terms-major
 
 
-@pytest.mark.parametrize("blind", [False, True])
-def test_warm_start_layout_does_not_change_the_run(blind):
-    # a warm start is copied to the terms-major layout the solvers run, so its
-    # own memory order cannot change a single rounding
-    _, _, ops, hsi, msi = consistent_instance(seed=13, dims=(8, 6, 8), snr_db=25.0)
-    cfg = property_config(True, max_iters=10)
-    rng = np.random.default_rng(2)
-    init = (rng.uniform(size=(48, 2)), rng.uniform(size=(8, 2)), rng.normal(size=(12, 2)))
-    init = init if blind else init[:2]
-    c_run = run_solver(hsi, msi, ops, blind, cfg, init=init)
-    f_run = run_solver(hsi, msi, ops, blind, cfg, init=tuple(np.asfortranarray(x) for x in init))
-    assert np.array_equal(c_run.objective_trace, f_run.objective_trace)
-    assert np.array_equal(c_run.sri, f_run.sri)
-    assert c_run.maps.flags.f_contiguous and f_run.maps.flags.f_contiguous
-
-
-def test_warm_start_spectra_are_in_data_units():
-    # the solve runs on the images divided by the MSI's RMS, so scaling the
-    # images and the spectra warm start by s leaves the (unit-scale) trace
-    # and the unit-free maps alone, with the weights unchanged, and scales
-    # the spectra and the SRI by s.  s = 3 is not a power of two, so the
-    # division rounds and the runs agree to rounding only
-    _, _, ops, hsi, msi = consistent_instance(seed=4, dims=(8, 8, 8), snr_db=25.0)
-    rng = np.random.default_rng(0)
-    maps0 = rng.uniform(size=(64, 2))
-    spectra0 = rng.uniform(size=(8, 2))
-    s = 3.0
-    cfg = SolverConfig(
-        ridge_weight=0.02, tv_weight=0.01, lowrank_weight=0.01,
-        max_iters=30, rel_tol=0.0,
-    )
-    run_a = fuse(hsi, msi, ops, 2, cfg, init=(maps0, spectra0))
-    run_b = fuse(s * hsi, s * msi, ops, 2, cfg, init=(maps0, s * spectra0))
-    assert run_b.data_scale == pytest.approx(s * run_a.data_scale, rel=1e-15)
-    assert np.allclose(run_b.objective_trace, run_a.objective_trace, rtol=1e-10)
-    assert np.allclose(run_b.maps, run_a.maps, rtol=1e-10, atol=0)
-    assert np.allclose(run_b.spectra, s * run_a.spectra, rtol=1e-10, atol=0)
-    assert np.allclose(run_b.sri, s * run_a.sri, rtol=1e-10, atol=0)
-
-
 @settings(max_examples=20, deadline=None)
 @given(**SOLVER_RUNS, k=st.integers(-1000, 1000), log_a=st.floats(-8.0, 8.0))
 def test_solvers_are_scale_equivariant(seed, rows, cols, blind, accelerate, regularized, k, log_a):
@@ -912,30 +873,22 @@ def test_spa_picks_the_pure_pixels():
 
 
 def test_cold_start_is_spa_spectra_then_fit_steps():
-    # at max_iters=0 a run returns its start: the SPA spectra of the
-    # unit-scale HSI, multiplied back to the images' units, and the maps
-    # fitted to the unit-scale MSI; warm-start spectra, in the images'
-    # units, take the SPA's place, and a seed draws nothing
+    # at max_iters=0 a run records its start alone and returns it: the SPA
+    # spectra of the unit-scale HSI, multiplied back to the images' units,
+    # and the maps fitted to the unit-scale MSI at them; a seed draws nothing
     _, _, ops, hsi, msi = consistent_instance(seed=3, dims=(8, 8, 8), snr_db=30.0)
-    cfg = SolverConfig(max_iters=0)
-    report = fuse_blind(hsi, msi, ops.pm, 2, cfg)
-    unit = unit_scale(FusionData.from_tensors(hsi, msi, ops), report)
-    spectra = solver._spa(unit.hsi_mat, 2)
-    assert np.array_equal(report.spectra, spectra * report.data_scale)
-    assert np.array_equal(report.maps, solver._fit_steps(ops.pm @ spectra, unit.msi_mat, True))
-    given = np.random.default_rng(0).uniform(size=(8, 2))
-    for init in ((None, given), [None, given]):
-        report = fuse(hsi, msi, ops, 2, SolverConfig(max_iters=0, seed=5), init=init)
-        want = solver._fit_steps(ops.pm @ (given / report.data_scale), unit.msi_mat, True)
-        assert np.array_equal(report.maps, want)
     for blind in (False, True):
+        report = run_solver(hsi, msi, ops, blind, SolverConfig(max_iters=0))
+        assert len(report.objective_trace) == 1
+        unit = unit_scale(FusionData.from_tensors(hsi, msi, ops), report)
+        spectra = solver._spa(unit.hsi_mat, 2)
+        assert np.array_equal(report.spectra, spectra * report.data_scale)
+        assert np.array_equal(report.maps, solver._fit_steps(ops.pm @ spectra, unit.msi_mat, True))
         cfg = property_config(True, max_iters=10)
         runs = [run_solver(hsi, msi, ops, blind, cfg),
-                run_solver(hsi, msi, ops, blind, replace(cfg, seed=9)),
-                run_solver(hsi, msi, ops, blind, cfg, init=(None,) * (3 if blind else 2))]
-        for run in runs[1:]:
-            assert np.array_equal(run.objective_trace, runs[0].objective_trace)
-            assert np.array_equal(run.sri, runs[0].sri)
+                run_solver(hsi, msi, ops, blind, replace(cfg, seed=9))]
+        assert np.array_equal(runs[1].objective_trace, runs[0].objective_trace)
+        assert np.array_equal(runs[1].sri, runs[0].sri)
 
 
 @pytest.mark.parametrize("project", [False, True])
@@ -1020,24 +973,25 @@ def test_solvers_run_the_verified_block_steps(accelerate):
     # majorizers the last objective formed at the iterate, as the driver
     # passes them; plain, that iterate is the anchor.
     _, _, ops, hsi, msi = consistent_instance(seed=11, dims=(8, 8, 8), snr_db=25.0)
-    cfg = SolverConfig(
-        ridge_weight=0.05, tv_weight=0.02, lowrank_weight=0.02,
-        max_iters=3, rel_tol=0.0, accelerate=accelerate,
-    )
-    # the sweep starts from terms-major factors, the layout the solvers run;
-    # the solvers run on the images divided by the data scale, from the
-    # spectra divided by it, and return the spectra multiplied back
+    cfg = SolverConfig(ridge_weight=0.05, tv_weight=0.02, lowrank_weight=0.02,
+                       accelerate=accelerate)
+    # the driver runs on unit-RMS data, as the solvers give it, from
+    # terms-major factors, the layout the solvers run; it writes its factors,
+    # so it is given copies.  Its fourth record holds C and S after 3 sweeps
+    scale = math.sqrt(np.mean(msi**2))
+    data = FusionData.from_tensors(hsi / scale, msi / scale, ops)
+    blind = FusionData.from_tensors_blind(hsi / scale, msi / scale, ops.pm)
     rng = np.random.default_rng(4)
     maps, spectra = rng.uniform(size=(64, 2)), rng.uniform(size=(8, 2))
-    coarse = rng.normal(size=(16, 2))  # signed: the coarse block is not projected
+    # signed, unlike the derived coarse start of this instance: the coarse
+    # block is not projected
+    coarse = rng.normal(size=(16, 2))
     maps, spectra, coarse = (np.asfortranarray(x) for x in (maps, spectra, coarse))
-    got_known = fuse(hsi, msi, ops, 2, cfg, init=(maps, spectra))
-    got_blind = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=(maps, spectra, coarse))
-    scale = got_known.data_scale
-    assert got_blind.data_scale == scale
-    data = unit_scale(FusionData.from_tensors(hsi, msi, ops), got_known)
-    blind = unit_scale(FusionData.from_tensors_blind(hsi, msi, ops.pm), got_blind)
-    spectra = spectra / scale
+
+    def driven(factors, data):
+        stream = solver._sweeps([x.copy(order="F") for x in factors], data, cfg)
+        _, _, c, s = next(itertools.islice(stream, 3, None))
+        return c, s
 
     def look_ahead(new, old, coef):
         return new if coef is None else (new - old) * coef + new
@@ -1072,8 +1026,8 @@ def test_solvers_run_the_verified_block_steps(accelerate):
         lambda a, f, grams, major: descend(a[1], maps_step(a[1], f[0], data, major[0], a[2])),
         lambda a, f, grams, major: _apply_ph(f[1], ops.p1, ops.p2),
     ], lambda f: objective(f[1], f[0], data, cfg, f[2])[1:3])
-    got = got_known
-    assert np.array_equal(got.spectra, want[0] * scale) and np.array_equal(got.maps, want[1])
+    got = driven([spectra, maps], data)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     want = sweeps([spectra, maps, coarse], [
         lambda a, f, grams, major: descend(a[0], spectra_step(a[0], grams, blind, cfg)),
@@ -1081,8 +1035,8 @@ def test_solvers_run_the_verified_block_steps(accelerate):
         lambda a, f, grams, major:
             descend(a[2], coarse_step_blind(a[2], f[0], blind, major[1]), project=False),
     ], lambda f: objective(f[1], f[0], blind, cfg, f[2])[1:3])
-    got = got_blind
-    assert np.array_equal(got.spectra, want[0] * scale) and np.array_equal(got.maps, want[1])
+    got = driven([spectra, maps, coarse], blind)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_fuse_passes_maps_step_the_image_of_its_anchor(monkeypatch):
@@ -1172,18 +1126,14 @@ def test_last_trace_value_is_objective_at_returned_factors(accelerate):
 @pytest.mark.parametrize("accelerate", [False, True])
 def test_solvers_return_fresh_arrays_and_write_no_input(accelerate):
     # nothing a solver returns may share memory with an input or with another
-    # output, and no input, the warm start included, may be written
+    # output, and neither image may be written
     _, _, ops, hsi, msi = consistent_instance(seed=14, dims=(8, 6, 8), snr_db=25.0)
-    rng = np.random.default_rng(3)
-    init = tuple(np.asfortranarray(x) for x in (
-        rng.uniform(size=(48, 2)), rng.uniform(size=(8, 2)), rng.normal(size=(12, 2))))
     cfg = property_config(True, max_iters=5, accelerate=accelerate)
+    inputs = (hsi, msi)
+    kept = [x.copy() for x in inputs]
     for blind in (False, True):
-        given = init if blind else init[:2]
-        kept = [x.copy() for x in given]
-        inputs = (hsi, msi, *given)
-        report = run_solver(hsi, msi, ops, blind, cfg, init=given)
-        assert all(np.array_equal(x, y) for x, y in zip(given, kept))
+        report = run_solver(hsi, msi, ops, blind, cfg)
+        assert all(np.array_equal(x, y) for x, y in zip(inputs, kept))
         outputs = (report.maps, report.spectra, report.sri)
         for k, out in enumerate(outputs):
             assert not any(np.shares_memory(out, x) for x in inputs)
@@ -1222,19 +1172,6 @@ def test_sweeps_hold_no_image_sized_temporary_and_leak_nothing(monkeypatch, blin
     assert max(b - a for a, b in zip(live, live[1:])) < 1024, live
 
 
-def test_max_iters_zero_returns_initialization():
-    _, _, ops, hsi, msi = consistent_instance(seed=5, dims=(8, 8, 8))
-    rng = np.random.default_rng(1)
-    init = (rng.uniform(size=(64, 2)), rng.uniform(size=(8, 2)), rng.uniform(size=(16, 2)))
-    cfg = SolverConfig(max_iters=0)
-    report = fuse_blind(hsi, msi, ops.pm, 2, cfg, init=init)
-    assert np.array_equal(report.maps, init[0])
-    # the spectra are divided by the data scale and multiplied back: a
-    # rounding each way
-    assert np.allclose(report.spectra, init[1], rtol=1e-15, atol=0)
-    assert len(report.objective_trace) == 1
-
-
 def test_trace_length_bounded():
     _, _, ops, hsi, msi = consistent_instance(seed=6, dims=(8, 8, 8), snr_db=15.0)
     cfg = SolverConfig(ridge_weight=1e-3, max_iters=50, rel_tol=1e-3, seed=2)
@@ -1254,33 +1191,14 @@ def test_blind_descent_monotone():
     assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
 
 
-def test_warm_start_shape_validated():
-    _, _, ops, hsi, msi = consistent_instance(seed=8, dims=(8, 8, 8))
-    maps, spectra, coarse = np.zeros((64, 2)), np.zeros((8, 2)), np.zeros((16, 2))
-    with pytest.raises(DimensionError):
-        fuse(hsi, msi, ops, 2, SolverConfig(), init=(np.zeros((10, 2)), spectra))
-    # the factor count must match the problem: no factor dropped, none missing
-    with pytest.raises(DimensionError, match=r"expected \(maps, spectra\)"):
-        fuse(hsi, msi, ops, 2, SolverConfig(), init=(maps, spectra, coarse))
-    with pytest.raises(DimensionError, match=r"expected \(maps, spectra, coarse maps\)"):
-        fuse_blind(hsi, msi, ops.pm, 2, SolverConfig(), init=(maps, spectra))
-    # a non-finite entry in any warm-start factor fails before the first objective
-    runs = ((fuse, ops, (maps, spectra)), (fuse_blind, ops.pm, (maps, spectra, coarse)))
-    for solver, operator, factors in runs:
-        for k, label in enumerate(("maps", "spectra", "coarse maps")[: len(factors)]):
-            for bad in (np.nan, np.inf, -np.inf):
-                init = [f.copy() for f in factors]
-                init[k][1, 0] = bad
-                with pytest.raises(ValueError, match=f"warm start {label} contains non-finite"):
-                    solver(hsi, msi, operator, 2, SolverConfig(), init=init)
-
-
 def test_non_finite_initial_objective_raises():
+    # an HSI 2^300 times the MSI's scale: the start's objective is finite,
+    # the first sweep's is not, and the run stops with the start's entry
     _, _, ops, hsi, msi = consistent_instance(seed=9, dims=(8, 8, 8))
-    huge = np.full((64, 2), 1e300)  # finite, but its fit residual overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError):
-            fuse(hsi, msi, ops, 2, SolverConfig(), init=(huge, np.ones((8, 2))))
+        with pytest.raises(NumericalError, match="objective became non-finite") as failure:
+            fuse(np.ldexp(hsi, 300), msi, ops, 2, SolverConfig())
+    assert len(failure.value.trace) == len(failure.value.elapsed) == 1
 
 
 @pytest.mark.parametrize("blind", [False, True])
@@ -1297,16 +1215,26 @@ def test_overflowing_products_raise_a_numerical_error(blind):
 
 
 @pytest.mark.parametrize("blind", [False, True])
-def test_an_sri_beyond_the_largest_double_raises(blind):
-    # the unit-scale objective is finite, but the SRI of the warm start in
-    # the images' units (entries ~1e310) is not
+def test_an_sri_beyond_the_largest_double_raises(monkeypatch, blind):
+    # images at 2^900 with start spectra 2^140 along e0 - e1, which PM (the
+    # mean of bands 0 and 1 in its first row) maps to 0 exactly: the maps
+    # fit the MSI as before and the unit-scale objective stays finite, but
+    # the spectra in the images' units, and so the SRI, pass the largest
+    # double.  The data alone do not reach this: with images whose largest
+    # entry is up to the largest double, both solvers return finite SRIs
     _, _, ops, hsi, msi = consistent_instance(seed=9, dims=(8, 8, 8), snr_db=30.0)
-    init = (np.full((64, 2), 1e10), np.full((8, 2), 1e300), np.ones((16, 2)))
-    cfg = SolverConfig(max_iters=0)
+    null = np.zeros(8)
+    null[:2] = 1.0, -1.0
+    assert not (ops.pm @ null).any()
+    spa = solver._spa
+
+    def swollen(mat, n_terms):
+        return np.asfortranarray(spa(mat, n_terms) + np.ldexp(null, 140)[:, None])
+
+    monkeypatch.setattr(solver, "_spa", swollen)
     with np.errstate(over="ignore"), \
             pytest.raises(NumericalError, match="SRI overflows") as failure:
-        run_solver(np.ldexp(hsi, 900), np.ldexp(msi, 900), ops, blind, cfg,
-                   init=init if blind else init[:2])
+        run_solver(np.ldexp(hsi, 900), np.ldexp(msi, 900), ops, blind, SolverConfig(max_iters=0))
     assert len(failure.value.trace) == len(failure.value.elapsed) == 1
 
 
@@ -1327,9 +1255,7 @@ def test_data_shape_validation():
     ("cfg", lambda ops, hsi, msi: fuse(hsi, msi, ops, 2, {"max_iters": 1})),
     ("cfg", lambda ops, hsi, msi: fuse_blind(hsi, msi, ops.pm, 2, {"max_iters": 1})),
     ("ops", lambda ops, hsi, msi: fuse(hsi, msi, (ops.p1, ops.p2, ops.pm), 2)),
-    ("init", lambda ops, hsi, msi: fuse(hsi, msi, ops, 2, init=3)),
-    ("init", lambda ops, hsi, msi: fuse_blind(hsi, msi, ops.pm, 2, init=3)),
-], ids=["fuse-cfg", "blind-cfg", "ops", "fuse-init", "blind-init"])
+], ids=["fuse-cfg", "blind-cfg", "ops"])
 def test_solver_arguments_of_the_wrong_kind_rejected(name, call):
     _, _, ops, hsi, msi = consistent_instance(seed=10, dims=(8, 8, 8))
     with pytest.raises(ValueError, match=f"^{name} must be a"):
