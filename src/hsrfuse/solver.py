@@ -24,12 +24,12 @@ overflows or underflows).  Every factor of the start is derived from the
 scaled data (:func:`_solve`): the spectra C by successive projection (SPA)
 on the HSI pixels (:func:`_spa`), the maps S by projected gradient steps on
 the MSI fit at C, and, blind, T by gradient steps on the HSI fit at C, all
-through the steps the sweeps use (:func:`_fit_steps`); nothing is drawn at
-random.  SPA assumes that pure pixels exist; on a scene without them it
-picks the most extreme pixels, and the sweeps carry the fit from there.  The
-objective trace is the unit-scale problem's.  The returned spectra are
-multiplied back by s, so they are in the images' units and the maps are
-unit-free, and the SRI is formed once, from them.
+through the steps and the extrapolation the sweeps use (:func:`_fit_steps`);
+nothing is drawn at random.  SPA assumes that pure pixels exist; on a scene
+without them it picks the most extreme pixels, and the sweeps carry the fit
+from there.  The objective trace is the unit-scale problem's.  The returned
+spectra are multiplied back by s, so they are in the images' units and the
+maps are unit-free, and the SRI is formed once, from them.
 
 Both problems have the same three blocks, C, S and T, and one driver,
 :func:`_sweeps`, moves them in that order each sweep.  It is a stream: it
@@ -115,10 +115,13 @@ alternated pairs, 2-vCPU VM).  Each is a whole-array BLAS product: passes
 over cache-sized blocks of rows ran no faster with two BLAS threads (13.7
 against 13.9 ms per sweep), though about a fifth faster with one.  The
 start alone runs by blocks of rows, on every instance (:func:`_fit_steps`):
-a sweep reads each row of a factor once, but the start's 100 fit steps
-revisit it 100 times, so a block of rows kept in L2 for all of them about
-halves the start (61 against 108 ms at 65536x6 with two BLAS threads, 64
-against 127 with one).
+a sweep reads each row of a factor once, but the start's fit steps revisit
+it at every step, so a block of rows kept in L2 for all of them about halved
+the start when it took 100 plain steps (61 against 108 ms at 65536x6 with
+two BLAS threads, 64 against 127 with one).  Its steps take the sweeps'
+momentum, and 26 of them fit at least as closely as those 100 did (Beck &
+Teboulle 2009: accelerated steps reach in k what plain ones reach in about
+k^2/4), in 24 ms at 65536x6 with either thread count.
 A step's gradient is a fresh array, so ``apg_step`` writes the new factor
 over it and ``extrapolate`` writes the next anchor over the factor it
 retires.  No step writes its input and the start is derived into fresh
@@ -157,6 +160,8 @@ from .regularizers import (
 from .tensors import check_int, check_real, ensure_finite, refold, unfold
 
 _TINY = np.finfo(float).tiny
+# FusionData refuses images whose RMS values differ by more than 2^this
+_SCALE_LOG2_LIMIT = 240
 
 DEFAULT_MAX_ITERS = 300
 
@@ -176,8 +181,11 @@ class SolverConfig:
     fit reaches the noise level the data show (see :func:`_noise_energy`):
     without a penalty nothing else keeps the fit from fitting the noise.
     ``rel_tol=0`` disables both rules, so the run takes exactly ``max_iters``
-    sweeps.  ``seed`` is accepted and validated but has no effect: the
-    solvers start from the data and draw nothing at random.
+    sweeps.  ``accelerate`` turns the sweeps' Nesterov extrapolation on or
+    off; the data-derived start takes its fit steps with momentum either way,
+    so both settings start from the same factors.  ``seed`` is accepted and
+    validated but has no effect: the solvers start from the data and draw
+    nothing at random.
     """
 
     ridge_weight: float = 0.0
@@ -246,6 +254,21 @@ class FusionData:
 
     Both problems know the spectral operator ``pm``; ``ops`` carries all three
     operators in the known-operator problem and is None in the blind one.
+
+    A pair whose RMS values differ by more than 2^240
+    (``_SCALE_LOG2_LIMIT``) either way is refused, because the solve's
+    products cannot hold it.  At unit MSI scale let the HSI's RMS be rho.
+    The start's spectra are HSI pixels, of order rho, so the maps that fit
+    the MSI are of order 1/rho, and with known operators so is the coarse
+    factor P_H S.  The spectra step then fits the HSI through it, which
+    takes the spectra to order rho^2, and the maps step forms
+    (PM C)'(PM C), of order rho^4: the largest product the solve forms (on
+    a 16x16x12 instance its largest entry read 2^(4 log2 rho + 1) for rho
+    from 2^60 to 2^240).  A double holds 2^1024, so log2 rho must stay
+    below 256 (``fuse`` fails at 2^256 there); the limit 240 leaves a factor
+    2^64 for the sums over pixels and bands and for entries above the RMS.
+    The refusal is symmetric: there, the runs with the HSI 2^-200 to 2^-500
+    times the MSI all stopped alike, and at 2^-600 they stopped elsewhere.
     """
 
     hsi_mat: np.ndarray
@@ -306,6 +329,13 @@ class FusionData:
             raise DimensionError(
                 f"MSI band count {msi.shape[2]} does not match pm rows {pm.shape[0]}"
             )
+        (hsi_rms, hsi_e), (msi_rms, msi_e) = _rms(hsi), _rms(msi)
+        if abs(math.log2(hsi_rms / msi_rms) + hsi_e - msi_e) > _SCALE_LOG2_LIMIT:
+            raise ValueError(
+                f"HSI RMS {math.ldexp(hsi_rms, hsi_e):.6g} and MSI RMS "
+                f"{math.ldexp(msi_rms, msi_e):.6g} differ by more than 2^{_SCALE_LOG2_LIMIT}: "
+                "the solve's products cannot hold images this far apart in scale"
+            )
         return cls(
             hsi_mat=unfold(hsi),
             msi_mat=unfold(msi),
@@ -335,6 +365,14 @@ def _apply_ph(mat, p1, p2):
     (hi, i), (hj, j) = p1.shape, p2.shape
     mid = p2 @ mat.T.reshape(cols, j, i)
     return (mid.reshape(cols * hj, i) @ p1.T).reshape(cols, hi * hj).T
+
+
+def _rms(mat):
+    """The RMS of a nonzero array as (r, e), the RMS being r * 2^e: r is read
+    at 2^-e, where the largest magnitude is in [0.5, 1), so no square in it
+    overflows or underflows."""
+    e = math.frexp(max(float(mat.max()), -float(mat.min())))[1]
+    return float(np.linalg.norm(np.ldexp(mat, -e))) / math.sqrt(mat.size), e
 
 
 def _top_eigenvalue(gram):
@@ -593,7 +631,7 @@ def _sweeps(factors, data, cfg):
 # the data-derived start
 # ---------------------------------------------------------------------------
 
-_INIT_STEPS = 100
+_INIT_STEPS = 26
 _INIT_ROWS = 8192  # rows per block of the start's fit steps (:func:`_fit_steps`)
 
 
@@ -628,18 +666,24 @@ def _spa(mat, n_terms):
 
 
 def _fit_steps(m, target, project):
-    """``_INIT_STEPS`` gradient steps from zero on 1/2 |target - X M'|^2 at
-    step 1/sigma_max(M)^2, projected onto X >= 0 if ``project``, through
-    :func:`_fit_grad` and :func:`apg_step` with M'M, target M and
-    sigma_max(M)^2 formed once.
+    """``_INIT_STEPS`` accelerated gradient steps from zero on
+    1/2 |target - X M'|^2 at step 1/sigma_max(M)^2, projected onto X >= 0
+    if ``project``: each step is :func:`apg_step` along :func:`_fit_grad` at
+    the anchor, then :func:`extrapolate` forms the next anchor, with M'M,
+    target M and sigma_max(M)^2 formed once.  The momentum is that of the
+    sweeps, whatever ``accelerate`` says.  26 such steps are the fewest that
+    fit no worse than 100 plain ones on every benchmark and trace-comparison
+    instance measured; more cut sweeps but cost R-SNR (ROADMAP item 9).
 
     The problem splits into one problem per row of X (a pixel), all against
     the same M'M, so every instance runs the steps block by block: all of
-    them on one block of rows, then on the next.  ``max(1, rows //
-    _INIT_ROWS)`` blocks of nearly equal size keep a block's X, its gradient
-    and its rows of target M in L2 for all ``_INIT_STEPS`` steps, so no step
-    streams a factor-sized array from memory, and hold two factor-sized
-    arrays (X and target M) beside the block's.  Each entry takes the same
+    them on one block of rows, then on the next, with gamma = 1 at each
+    block's first step.  ``max(1, rows // _INIT_ROWS)`` blocks of nearly
+    equal size keep a block's X, anchor, gradient and rows of target M in L2
+    for all ``_INIT_STEPS`` steps, so no step streams a factor-sized array
+    from memory.  Each block's result is written over its rows of target M,
+    which no later block reads, and target M is returned, so the start holds
+    one factor-sized array beside the block's.  Each entry takes the same
     operations as on the whole array, so the result is the same bit for
     bit."""
     mtm = m.T @ m
@@ -647,14 +691,16 @@ def _fit_steps(m, target, project):
     lip = _top_eigenvalue(mtm)
     rows = ym.shape[0]
     blocks = max(1, rows // _INIT_ROWS)
-    x = np.empty(ym.shape, order="F")
     for b in range(blocks):
         lo, hi = rows * b // blocks, rows * (b + 1) // blocks
-        xb = np.zeros((hi - lo, ym.shape[1]), order="F")
+        x = anchor = np.zeros((hi - lo, ym.shape[1]), order="F")
+        gamma = 1.0
         for _ in range(_INIT_STEPS):
-            xb = apg_step(xb, _fit_grad(xb, mtm, ym[lo:hi]), lip, project)
-        x[lo:hi] = xb
-    return x
+            new = apg_step(anchor, _fit_grad(anchor, mtm, ym[lo:hi]), lip, project)
+            anchor, gamma = extrapolate(new, x, gamma)
+            x = new
+        ym[lo:hi] = x  # no later block reads these rows of target M
+    return ym
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +710,12 @@ def _fit_steps(m, target, project):
 def _solve(data, n_terms, cfg):
     """Setup and run shared by both solvers, on the images divided by the
     RMS s of the MSI.  Every factor is derived from the scaled data: the
-    spectra first, then the maps and, in the blind problem (``data.ops`` is
-    None), the coarse maps from them.  The returned spectra and noise
-    energies are multiplied back by s.  The run is :func:`_sweeps`'s stream,
-    whose records this function alone traces, times and stops (see the
-    module docstring)."""
+    spectra first, by SPA, then the maps and, in the blind problem
+    (``data.ops`` is None), the coarse maps from them, by accelerated fit
+    steps (:func:`_fit_steps`) whether or not the sweeps extrapolate.  The
+    returned spectra and noise energies are multiplied back by s.  The run
+    is :func:`_sweeps`'s stream, whose records this function alone traces,
+    times and stops (see the module docstring)."""
     cfg = cfg if cfg is not None else SolverConfig()
     if not isinstance(cfg, SolverConfig):
         raise ValueError(f"cfg must be a SolverConfig, got {type(cfg).__name__}")
@@ -681,11 +728,8 @@ def _solve(data, n_terms, cfg):
     def failure(message):
         return NumericalError(message, trace=np.asarray(values), elapsed=np.asarray(elapsed))
 
-    # s > 0: FusionData refuses an all-zero image; it is read at 2^-e, where
-    # the MSI's largest magnitude is in [0.5, 1)
-    e = math.frexp(max(float(data.msi_mat.max()), -float(data.msi_mat.min())))[1]
-    rms = float(np.linalg.norm(np.ldexp(data.msi_mat, -e))) / math.sqrt(data.msi_mat.size)
-    scale = math.ldexp(rms, e)
+    # s > 0: FusionData refuses an all-zero image
+    scale = math.ldexp(*_rms(data.msi_mat))
     data = replace(data, hsi_mat=data.hsi_mat / scale, msi_mat=data.msi_mat / scale)
     try:
         spectra = _spa(data.hsi_mat, n_terms)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -771,12 +772,16 @@ def test_numerical_failure_flushes_trace(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "diverged" / "SRI.htf").exists()
 
 
-def test_overflowing_products_are_a_numerical_failure(tmp_path, capsys):
-    # an HSI 2^600 times the MSI's scale overflows its band Gram, which the
-    # noise-level rule reads: exit 4 with the (empty) trace written, not a
-    # configuration error
+def test_overflowing_products_are_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # the HSI's band Gram, which the noise-level rule reads, formed at 2^600
+    # times the data overflows: exit 4 with the (empty) trace written, not a
+    # configuration error.  Images that far apart in scale are refused
+    # before the solve, so the rule is given the scaled data here
+    import hsrfuse.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_noise_energy",
+                        lambda mat, n_terms: _noise_energy(np.ldexp(mat, 600), n_terms))
     sim = _simulate(tmp_path, snr="30")
-    write_htf(sim / "HSI.htf", np.ldexp(read_htf(sim / "HSI.htf"), 600))
     cfg = _fuse_config(tmp_path, sim, out="overflowed", iters=5)
     cfg.write_text(cfg.read_text().replace("rel_tol = 0\n", ""))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -786,6 +791,19 @@ def test_overflowing_products_are_a_numerical_failure(tmp_path, capsys):
     trace = (tmp_path / "overflowed" / "trace.csv").read_text().splitlines()
     assert trace == ["iteration,objective,elapsed"]
     assert not (tmp_path / "overflowed" / "SRI.htf").exists()
+
+
+def test_images_too_far_apart_in_scale_exit_2_and_write_nothing(tmp_path, capsys):
+    # an HSI 2^256 times the MSI's scale: the solve's products cannot hold
+    # the pair, so fuse refuses it before the solve, naming both images'
+    # RMS values and the limit, and creates no output directory
+    sim = _simulate(tmp_path, snr="30")
+    write_htf(sim / "HSI.htf", np.ldexp(read_htf(sim / "HSI.htf"), 256))
+    cfg = _fuse_config(tmp_path, sim, out="refused", iters=50)
+    assert main(["fuse", "--config", str(cfg)]) == 2
+    assert re.search(r"HSI RMS \S+ and MSI RMS \S+ differ by more than 2\^240",
+                     capsys.readouterr().err)
+    assert not (tmp_path / "refused").exists()
 
 
 def test_module_entry_point_prints_the_version():
